@@ -86,7 +86,6 @@ KEYMAP = {
     "run.seed": ("seed", int),
     "run.velocity_coupling": ("velocity_coupling", _bool),
     "run.capillary_form": ("capillary_form", str),
-    "solver.projection_tol": ("projection_tol", float),
     "solver.solver_tol": ("solver_tol", float),
 }
 

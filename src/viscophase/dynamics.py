@@ -126,16 +126,11 @@ def _is_const(arr: np.ndarray) -> bool:
     return float(np.ptp(arr)) <= 1e-13 * max(1.0, float(np.abs(arr).max()))
 
 
-@dataclass
-class StepAux:
-    """Internal quantities of a phi/q step kept for diagnostics."""
-    mu_eff: np.ndarray
-    cross_flux: np.ndarray   # w = n*grad(mu_eff) - grad(A q_old)
-
-
 def step_phi_q(state: State, M: MaterialModel, dt: float,
-               solver_tol: float = 1e-11, return_aux: bool = False):
-    """One semi-implicit update of (phi, q) with frozen u."""
+               solver_tol: float = 1e-11):
+    """One semi-implicit update of (phi, q) with frozen u.  Constant
+    mobility and relaxation time give direct spectral solves; variable
+    ones fall back to BiCGStab and CG at solver_tol."""
     grid = state.grid
     phi = state.phi.data
     q = state.q.data
@@ -155,7 +150,7 @@ def step_phi_q(state: State, M: MaterialModel, dt: float,
         - div_arr(nv[None] * cross, grid, parity=-1)
     )
 
-    if grid.bc == "periodic" and _is_const(mv):
+    if _is_const(mv):
         mbar = float(mv.flat[0])
         phi_new = solve_symbol(rhs, grid,
                                lambda s: 1.0 + dt * mbar * (c0 * s * s - a * s))
@@ -178,7 +173,7 @@ def step_phi_q(state: State, M: MaterialModel, dt: float,
         - Av * div_arr(w, grid, parity=-1)
     )
     diag = 1.0 + dt / tauv
-    if grid.bc == "periodic" and _is_const(tauv):
+    if _is_const(tauv):
         dbar = float(diag.flat[0])
         q_new = solve_symbol(rhs_q, grid, lambda s: dbar - dt * M.eps1 * s)
     else:
@@ -188,11 +183,7 @@ def step_phi_q(state: State, M: MaterialModel, dt: float,
     if not np.all(np.isfinite(q_new)):
         raise BlowUpError("q blew up", time=state.t + dt)
 
-    phi_f = ScalarField(grid, phi_new)
-    q_f = ScalarField(grid, q_new)
-    if return_aux:
-        return phi_f, q_f, StepAux(mu_eff=mu_eff, cross_flux=w)
-    return phi_f, q_f
+    return ScalarField(grid, phi_new), ScalarField(grid, q_new)
 
 
 def _advect_velocity(u: np.ndarray, grid: Grid) -> np.ndarray:
@@ -207,9 +198,10 @@ def _advect_velocity(u: np.ndarray, grid: Grid) -> np.ndarray:
 
 def step_velocity(state: State, M: MaterialModel, dt: float,
                   capillary_form: str = "phi-grad-mu",
-                  projection_tol: float = 1e-10,
                   solver_tol: float = 1e-11):
-    """Semi-implicit viscous solve followed by a divergence-free projection."""
+    """Semi-implicit viscous solve followed by a divergence-free projection.
+    Constant viscosity gives a direct odd-parity spectral solve per
+    component; variable viscosity falls back to CG at solver_tol."""
     grid = state.grid
     phi = state.phi.data
     u = state.u.data
@@ -228,9 +220,10 @@ def step_velocity(state: State, M: MaterialModel, dt: float,
     u_star = np.empty_like(u)
     const_eta = _is_const(etav)
     for i in range(grid.d):
-        if grid.bc == "periodic" and const_eta:
+        if const_eta:
             ebar = float(etav.flat[0])
-            u_star[i] = solve_symbol(rhs[i], grid, lambda s: 1.0 - dt * ebar * s)
+            u_star[i] = solve_symbol(rhs[i], grid, lambda s: 1.0 - dt * ebar * s,
+                                     parity=-1)
         else:
             def apply_visc(x):
                 gx = grad_arr(x, grid, parity=-1)
@@ -241,8 +234,7 @@ def step_velocity(state: State, M: MaterialModel, dt: float,
     if not np.all(np.isfinite(u_star)):
         raise BlowUpError("velocity blew up", time=state.t + dt)
 
-    u_new, p_dt = project_divergence_free(VectorField(grid, u_star),
-                                          tol=projection_tol)
+    u_new, p_dt = project_divergence_free(VectorField(grid, u_star))
     p = ScalarField(grid, p_dt.data / dt)
     return u_new, p
 
@@ -264,7 +256,6 @@ class SimConfig:
     output_every: int = 50
     seed: int = 0
     velocity_coupling: bool = True
-    projection_tol: float = 1e-10
     solver_tol: float = 1e-11
     # initial data
     init_kind: str = "spinodal"          # uniform | spinodal | tanh-interface | from-snapshot
@@ -470,7 +461,6 @@ def simulate(config: SimConfig,
             mid = make_state(t_new, phi_n, q_n, state.u, state.p, M)
             if config.velocity_coupling:
                 u_n, p_n = step_velocity(mid, M, dt, capillary_form=cap_form,
-                                         projection_tol=config.projection_tol,
                                          solver_tol=config.solver_tol)
                 state = State(t=t_new, phi=phi_n, q=q_n, u=u_n, p=p_n,
                               mu=mid.mu)

@@ -6,14 +6,22 @@ center reflection (neumann-noslip: even reflection for scalars, odd for
 fluxes and velocities).  The Laplacian is the literal composition
 divergence(gradient(.)), so summation by parts holds exactly on periodic
 grids and integrate(laplacian(f)) vanishes on both boundary kinds.
+
+Constant-coefficient operators built from that Laplacian are inverted
+directly in the basis that diagonalises it: rfftn on periodic grids, the
+type-II DCT (even parity: scalars, pressure) or DST (odd parity: velocity
+components) on Neumann grids.  Conjugate gradients and BiCGStab remain for
+the variable-coefficient systems of the time step.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
+import scipy.fft as sfft
 
 from .errors import GridMismatchError, SolverError
 
@@ -220,16 +228,28 @@ def l2_norm(f) -> float:
 # ---------------------------------------------------------------------------
 # spectral symbols and linear solvers
 
-def lap_symbol(grid: Grid) -> np.ndarray:
-    """Fourier symbol of the compatible (wide-stencil) Laplacian, laid out
-    for rfftn.  Only meaningful on periodic grids."""
+@functools.lru_cache(maxsize=64)
+def lap_symbol(grid: Grid, parity: int = 1) -> np.ndarray:
+    """Symbol of the compatible (wide-stencil) Laplacian in the basis that
+    solve_symbol transforms to: -sum_a sin^2(theta_a)/h_a^2.
+
+    Periodic grids: rfftn layout, theta = 2*pi*k/n.  Neumann grids:
+    theta = pi*k/n, with k = 0..n-1 (type-II DCT, even parity: the scalar
+    operator div(grad(., +1), -1)) or k = 1..n (type-II DST, odd parity:
+    the velocity operator div(grad(., -1), +1)).  Cached per (grid,
+    parity); the returned array is read-only.
+    """
     parts = []
     for a, (n, h) in enumerate(zip(grid.shape, grid.h)):
-        if a == grid.d - 1:
-            k = np.arange(n // 2 + 1)
+        if grid.bc != "periodic":
+            k = np.arange(n) if parity == 1 else np.arange(1, n + 1)
+            theta = np.pi * k / n
         else:
-            k = np.fft.fftfreq(n) * n
-        theta = 2.0 * np.pi * k / n
+            if a == grid.d - 1:
+                k = np.arange(n // 2 + 1)
+            else:
+                k = np.fft.fftfreq(n) * n
+            theta = 2.0 * np.pi * k / n
         s = -((np.sin(theta) / h) ** 2)
         shp = [1] * grid.d
         shp[a] = len(k)
@@ -237,32 +257,42 @@ def lap_symbol(grid: Grid) -> np.ndarray:
     out = parts[0]
     for p in parts[1:]:
         out = out + p
+    out.setflags(write=False)
     return out
 
 
-def solve_symbol(b: np.ndarray, grid: Grid, symbol_fn: Callable) -> np.ndarray:
-    """Apply the inverse of a constant-coefficient operator in Fourier
-    space.  symbol_fn maps the Laplacian symbol to the operator symbol;
-    modes where the operator symbol vanishes are dropped."""
-    s = symbol_fn(lap_symbol(grid))
-    bh = np.fft.rfftn(b)
+def solve_symbol(b: np.ndarray, grid: Grid, symbol_fn: Callable,
+                 parity: int = 1) -> np.ndarray:
+    """Apply the inverse of a constant-coefficient operator built from the
+    compatible Laplacian.  symbol_fn maps the Laplacian symbol to the
+    operator symbol; modes where the operator symbol vanishes are dropped.
+
+    Periodic grids use rfftn.  Neumann grids use the orthonormal type-II
+    DCT for even-parity fields (scalars) and the type-II DST for
+    odd-parity fields (velocity components).
+    """
+    s = symbol_fn(lap_symbol(grid, parity))
+    if grid.bc == "periodic":
+        bh = np.fft.rfftn(b)
+    elif parity == 1:
+        bh = sfft.dctn(b, type=2, norm="ortho")
+    else:
+        bh = sfft.dstn(b, type=2, norm="ortho")
     with np.errstate(divide="ignore", invalid="ignore"):
         xh = np.where(np.abs(s) > 1e-14, bh / np.where(s == 0, 1.0, s), 0.0)
-    return np.fft.irfftn(xh, s=grid.shape, axes=tuple(range(len(grid.shape))))
+    if grid.bc == "periodic":
+        return np.fft.irfftn(xh, s=grid.shape, axes=tuple(range(grid.d)))
+    if parity == 1:
+        return sfft.idctn(xh, type=2, norm="ortho")
+    return sfft.idstn(xh, type=2, norm="ortho")
 
 
 def cg(apply_op: Callable, b: np.ndarray, tol: float = 1e-10,
-       maxiter: int = 10000, project: Optional[Callable] = None,
-       x0: Optional[np.ndarray] = None) -> np.ndarray:
-    """Matrix-free conjugate gradients on shaped arrays.  ``project``
-    removes a known null-space component from iterates (e.g. the mean)."""
+       maxiter: int = 10000, x0: Optional[np.ndarray] = None) -> np.ndarray:
+    """Matrix-free conjugate gradients on shaped arrays, for the symmetric
+    positive definite variable-coefficient systems."""
     x = np.zeros_like(b) if x0 is None else x0.copy()
-    if project is not None:
-        b = project(b)
-        x = project(x)
     r = b - apply_op(x)
-    if project is not None:
-        r = project(r)
     bnorm = np.sqrt((b * b).sum())
     if bnorm == 0.0:
         return np.zeros_like(b)
@@ -272,8 +302,6 @@ def cg(apply_op: Callable, b: np.ndarray, tol: float = 1e-10,
         if np.sqrt(rs) <= tol * bnorm:
             return x
         Ap = apply_op(p)
-        if project is not None:
-            Ap = project(Ap)
         alpha = rs / (p * Ap).sum()
         x += alpha * p
         r -= alpha * Ap
@@ -286,7 +314,7 @@ def cg(apply_op: Callable, b: np.ndarray, tol: float = 1e-10,
 
 def bicgstab(apply_op: Callable, b: np.ndarray, tol: float = 1e-10,
              maxiter: int = 10000, x0: Optional[np.ndarray] = None) -> np.ndarray:
-    """Matrix-free BiCGStab for the mildly nonsymmetric implicit systems."""
+    """Matrix-free BiCGStab for the variable-mobility phi system."""
     x = np.zeros_like(b) if x0 is None else x0.copy()
     r = b - apply_op(x)
     bnorm = np.sqrt((b * b).sum())
@@ -318,33 +346,21 @@ def bicgstab(apply_op: Callable, b: np.ndarray, tol: float = 1e-10,
     raise SolverError(f"bicgstab failed to reach tol={tol} in {maxiter} iterations")
 
 
-def _mean_free(x: np.ndarray) -> np.ndarray:
-    return x - x.mean()
-
-
-def solve_poisson(rhs: ScalarField, tol: float = 1e-10,
-                  maxiter: int = 20000) -> ScalarField:
-    """Solve laplacian(p) = rhs with mean-zero p.  FFT on periodic grids,
-    diagonally scaled conjugate gradients otherwise."""
+def solve_poisson(rhs: ScalarField) -> ScalarField:
+    """Solve laplacian(p) = rhs with mean-zero p by a direct symbol solve
+    (FFT on periodic grids, DCT on Neumann grids).  The part of rhs the
+    Laplacian cannot reach (its mean; on periodic grids also the
+    checkerboard modes) is dropped."""
     grid = rhs.grid
-    if grid.bc == "periodic":
-        p = solve_symbol(rhs.data, grid, lambda s: s)
-        return ScalarField(grid, _mean_free(p))
-    # -laplacian is symmetric positive semidefinite; constant diagonal, so
-    # diagonal preconditioning is a fixed scaling absorbed into tol.
-    p = cg(lambda x: -lap_arr(x, grid), -rhs.data, tol=tol, maxiter=maxiter,
-           project=_mean_free)
-    return ScalarField(grid, _mean_free(p))
+    p = solve_symbol(rhs.data, grid, lambda s: s)
+    return ScalarField(grid, p - p.mean())
 
 
-def project_divergence_free(v: VectorField, tol: float = 1e-10):
+def project_divergence_free(v: VectorField):
     """Remove the discrete gradient part of v via a pressure Poisson solve.
 
     Returns (v - gradient(p), p) with p mean-zero.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    rhs = divergence(v)
-    p = solve_poisson(rhs, tol=tol)
+    p = solve_poisson(divergence(v))
     u = VectorField(v.grid, v.data - grad_arr(p.data, v.grid, parity=1))
     return u, p

@@ -232,8 +232,8 @@ def test_7_operator_oracles():
 
     # projection idempotence
     v = VectorField(g, rng.standard_normal((2,) + g.shape))
-    w, _ = project_divergence_free(v, tol=1e-12)
-    w2, _ = project_divergence_free(w, tol=1e-12)
+    w, _ = project_divergence_free(v)
+    w2, _ = project_divergence_free(w)
     idem = float(np.abs(w.data - w2.data).max())
 
     ok = 1.9 <= order <= 2.1 and sbp <= 1e-12 and idem <= 1e-10

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from viscophase.errors import GridMismatchError
-from viscophase.fields import (Grid, ScalarField, VectorField, divergence,
-                               div_arr, grad_arr, gradient, integrate,
-                               l2_norm, lap_arr, laplacian,
-                               project_divergence_free, solve_poisson)
+from viscophase.fields import (Grid, ScalarField, VectorField, bicgstab, cg,
+                               divergence, div_arr, grad_arr, gradient,
+                               integrate, l2_norm, lap_arr, lap_symbol,
+                               laplacian, project_divergence_free,
+                               solve_poisson, solve_symbol)
 
 
 def periodic_grid(n, d=2):
@@ -103,24 +104,26 @@ class TestSolvers:
         g = Grid((32, 32), (1.0, 1.0), bc)
         k = 2 * np.pi if bc == "periodic" else np.pi
         rhs = ScalarField.from_function(g, lambda x, y: np.cos(k * x))
-        sol = solve_poisson(rhs, tol=1e-12)
+        sol = solve_poisson(rhs)
         res = np.abs(laplacian(sol).data - rhs.data).max()
         assert res < 1e-9
         assert abs(sol.data.mean()) < 1e-12
 
-    def test_projection_divergence_free(self):
-        g = periodic_grid(32)
+    @pytest.mark.parametrize("bc", ["periodic", "neumann-noslip"])
+    def test_projection_divergence_free(self, bc):
+        g = Grid((32, 32), (1.0, 1.0), bc)
         rng = np.random.default_rng(1)
         v = VectorField(g, rng.standard_normal((2,) + g.shape))
-        w, p = project_divergence_free(v, tol=1e-12)
+        w, p = project_divergence_free(v)
         assert np.abs(divergence(w).data).max() < 1e-10
 
-    def test_projection_idempotent(self):
-        g = periodic_grid(32)
+    @pytest.mark.parametrize("bc", ["periodic", "neumann-noslip"])
+    def test_projection_idempotent(self, bc):
+        g = Grid((32, 32), (1.0, 1.0), bc)
         rng = np.random.default_rng(2)
         v = VectorField(g, rng.standard_normal((2,) + g.shape))
-        w, _ = project_divergence_free(v, tol=1e-12)
-        w2, _ = project_divergence_free(w, tol=1e-12)
+        w, _ = project_divergence_free(v)
+        w2, _ = project_divergence_free(w)
         assert np.abs(w.data - w2.data).max() < 1e-10
 
     def test_projection_preserves_divfree(self):
@@ -131,12 +134,52 @@ class TestSolvers:
         gp = gradient(psi).data
         v = VectorField(g, np.stack([gp[1], -gp[0]]))
         assert np.abs(divergence(v).data).max() < 1e-10
-        w, _ = project_divergence_free(v, tol=1e-12)
+        w, _ = project_divergence_free(v)
         assert np.abs(w.data - v.data).max() < 1e-10
 
     def test_poisson_neumann_3d(self):
         g = Grid((12, 12, 12), (1.0, 1.0, 1.0), "neumann-noslip")
         rhs = ScalarField.from_function(
             g, lambda x, y, z: np.cos(np.pi * x) * np.cos(np.pi * z))
-        sol = solve_poisson(rhs, tol=1e-11)
+        sol = solve_poisson(rhs)
         assert np.abs(laplacian(sol).data - rhs.data).max() < 1e-8
+
+    @pytest.mark.parametrize("lengths", [(1.0, 1.5), (1.0, 0.8, 1.2)])
+    def test_spectral_solves_match_krylov_on_neumann(self, lengths):
+        # the direct DCT/DST solves of the constant-coefficient time step,
+        # against the Krylov solvers kept for variable coefficients
+        shape = (16, 12) if len(lengths) == 2 else (10, 8, 6)
+        g = Grid(shape, lengths, "neumann-noslip")
+        rng = np.random.default_rng(5)
+        b = rng.standard_normal(shape)
+        dt, m, c0, a, eps1, eta = 1e-3, 0.7, 2.5e-3, 1.2, 1e-2, 2.0
+        diag = 1.0 + dt / 0.5
+
+        def lap_odd(x):
+            return div_arr(grad_arr(x, g, parity=-1), g, parity=1)
+
+        def close(x, ref):
+            return np.abs(x - ref).max() <= 1e-9 * np.abs(ref).max()
+
+        phi = solve_symbol(b, g, lambda s: 1.0 + dt * m * (c0 * s * s - a * s))
+        ref = bicgstab(lambda x: x + dt * m * lap_arr(c0 * lap_arr(x, g) - a * x, g),
+                       b, tol=1e-12)
+        assert close(phi, ref)
+
+        q = solve_symbol(b, g, lambda s: diag - dt * eps1 * s)
+        ref = cg(lambda x: diag * x - dt * eps1 * lap_arr(x, g), b, tol=1e-12)
+        assert close(q, ref)
+
+        u = solve_symbol(b, g, lambda s: 1.0 - dt * eta * s, parity=-1)
+        ref = cg(lambda x: x - dt * eta * lap_odd(x), b, tol=1e-12)
+        assert close(u, ref)
+
+        p = solve_poisson(ScalarField(g, b)).data
+        ref = cg(lambda x: -lap_arr(x, g), -(b - b.mean()), tol=1e-12)
+        assert close(p, ref - ref.mean())
+
+    def test_lap_symbol_cached_read_only(self):
+        g = Grid((8, 8), (1.0, 1.0), "neumann-noslip")
+        assert lap_symbol(g, -1) is lap_symbol(g, -1)
+        assert lap_symbol(g, 1) is not lap_symbol(g, -1)
+        assert not lap_symbol(g, 1).flags.writeable
