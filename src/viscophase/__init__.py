@@ -4,7 +4,7 @@ cross-diffusively coupled phase-separation / bulk-stress / flow model."""
 from .errors import (
     BlowUpError, ConfigError, DegenerateMobilityError, GridMismatchError,
     InvalidDeltaError, PotentialDomainError, QuadratureResolutionError,
-    SolverError,
+    SnapshotError, SolverError,
 )
 from .material import (
     Potential, Entropy, MaterialModel, double_well, flory_huggins_split,

@@ -24,11 +24,10 @@ from . import __version__
 from .errors import (BlowUpError, ConfigError, InvalidDeltaError,
                      QuadratureResolutionError, SolverError)
 from .dynamics import (SimConfig, Trajectory, build_grid, build_material,
-                       initial_state, simulate)
+                       initial_state, simulate, step_plan)
 from .diagnostics import (CheckRecord, bounds_report, check_energy_inequality,
                           gronwall_fit, relative_energy, write_report)
-from .galerkin import (CosineBasis, GalerkinState, convergence_study,
-                       integrate_galerkin, project)
+from .galerkin import CosineBasis, convergence_study
 from .material import regular_model
 from .snapshots import write_state
 
@@ -105,7 +104,7 @@ def validate_config(cfg: SimConfig) -> SimConfig:
             f"regularization.delta = {cfg.delta} outside the admissible "
             "range (0, 1/2)")
     if cfg.a is not None:
-        c4 = 1.0 if cfg.regime == "regular" else 2.0 * cfg.theta_c
+        c4 = build_material(cfg).c4
         if not cfg.a > c4 / 2.0:
             raise ConfigError(
                 f"stabilization.a = {cfg.a} violates the coercivity "
@@ -263,11 +262,8 @@ def cmd_weakstrong(args) -> int:
     phi0, q0, u0 = initial_state(cfg, grid, M)
 
     refine = max(1, args.refine)
-    ref_cfg = dataclasses.replace(cfg)
-    if refine > 1:
-        base = simulate(cfg, phi0, q0, u0)   # fix dt before refining
-        ref_cfg.dt = base.dt / refine
-        ref_cfg.steps = (cfg.steps or len(base.times) - 1) * refine
+    dt, n_steps = step_plan(cfg, grid, M, u0)
+    ref_cfg = dataclasses.replace(cfg, dt=dt / refine, steps=n_steps * refine)
     reference = simulate(ref_cfg, phi0, q0, u0)
 
     records: List[CheckRecord] = []
@@ -340,8 +336,6 @@ def _seeded_band_limited(seed: int, lengths, n_modes: int = 6,
         axes = [np.unique(m) for m in mesh]
         vals = B.evaluate(coeffs, axes)
         return mean + vals
-    f.coeffs = coeffs
-    f.basis = B
     return f
 
 
@@ -351,12 +345,10 @@ def cmd_galerkin(args) -> int:
     lengths = tuple(args.lengths)
     phi0 = _seeded_band_limited(args.seed, lengths, mean=args.mean)
     q0 = lambda *mesh: np.zeros_like(mesh[0])
+    study = convergence_study(args.m, phi0, q0, M, lengths, args.t_end,
+                              rtol=args.rtol)
     records = []
-    for m in args.m:
-        B = CosineBasis(lengths, m)
-        init = GalerkinState(t=0.0, lam=project(phi0, B),
-                             theta=np.zeros(m), zeta=project(q0, B))
-        run = integrate_galerkin(init, B, M, args.t_end, rtol=args.rtol)
+    for m, run in zip(study["m"], study["runs"]):
         lam0 = np.array([s.lam[0] for s in run.states])
         np.savetxt(out / f"galerkin_m{m}.csv",
                    np.column_stack([run.times, run.E, run.D, lam0]),
@@ -366,14 +358,9 @@ def cmd_galerkin(args) -> int:
         records.append(CheckRecord(f"energy-inequality-m{m}",
                                    float(slack.max()), 0.0,
                                    bool(slack.max() <= 0.0)))
-    if len(args.m) > 1:
-        study = convergence_study(args.m, phi0, q0, M, lengths, args.t_end,
-                                  rtol=args.rtol)
-        rows = np.column_stack([args.m[1:], study["diffs"]])
-        np.savetxt(out / "cauchy_table.csv", rows, delimiter=",",
-                   header="m,diff_to_previous", comments="")
-    else:
-        (out / "cauchy_table.csv").write_text("m,diff_to_previous\n")
+    np.savetxt(out / "cauchy_table.csv",
+               np.column_stack([study["m"][1:], study["diffs"]]),
+               delimiter=",", header="m,diff_to_previous", comments="")
     text = write_report(records, txt_path=out / "galerkin_report.txt",
                         jsonl_path=out / "galerkin_report.jsonl")
     print(text)

@@ -35,6 +35,7 @@ __all__ = [
     "State", "SimConfig", "Trajectory",
     "chemical_potential", "flux_phi", "step_phi_q", "step_velocity",
     "simulate", "build_grid", "build_material", "initial_state", "dt_max",
+    "step_plan",
 ]
 
 DIAG_COLUMNS = (
@@ -73,28 +74,12 @@ class State:
         return self.phi.grid
 
 
-def chemical_potential(phi: ScalarField, M: MaterialModel,
-                       stabilized: bool = False,
-                       phi_old: Optional[ScalarField] = None) -> ScalarField:
-    """mu = -c0*lap(phi) + F'(phi).
-
-    The stabilized variant is the effective potential of the implicit
-    step: the convex/concave split F1'(phi) + F2'(phi_old) when the
-    potential provides one, otherwise the linearly stabilized
-    F'(phi_old) + a*(phi - phi_old).
-    """
-    grid = phi.grid
-    interf = -M.c0 * lap_arr(phi.data, grid)
-    if not stabilized:
-        return ScalarField(grid, interf + _dF(M, phi.data))
-    if phi_old is None:
-        raise ValueError("stabilized chemical potential needs phi_old")
-    P = M.potential
-    if P.has_split:
-        bulk = np.asarray(P.df1(phi.data), dtype=float) + np.asarray(P.df2(phi_old.data), dtype=float)
-    else:
-        bulk = _dF(M, phi_old.data) + M.a * (phi.data - phi_old.data)
-    return ScalarField(grid, interf + bulk)
+def chemical_potential(phi: ScalarField, M: MaterialModel) -> ScalarField:
+    """mu = -c0*lap(phi) + F'(phi), the potential of a state.  The step
+    uses linear stabilization instead: F'(phi_old) + a*(phi - phi_old)
+    in place of F'(phi) (see step_phi_q)."""
+    return ScalarField(phi.grid, -M.c0 * lap_arr(phi.data, phi.grid)
+                       + _dF(M, phi.data))
 
 
 def make_state(t: float, phi: ScalarField, q: ScalarField, u: VectorField,
@@ -321,6 +306,23 @@ def dt_max(cfg: SimConfig, grid: Grid, M: MaterialModel,
     return min(bounds)
 
 
+def step_plan(cfg: SimConfig, grid: Grid, M: MaterialModel,
+              u0: Optional[VectorField] = None):
+    """(dt, n_steps): time.dt or dt_safety*dt_max; steps or t_end / dt."""
+    dt = cfg.dt
+    if dt is None:
+        dt = cfg.dt_safety * dt_max(cfg, grid, M, u0=u0)
+    if dt <= 0:
+        raise ConfigError("dt must be positive")
+    if cfg.steps is not None:
+        return dt, int(cfg.steps)
+    if cfg.t_end is None:
+        raise ConfigError("set either steps or t_end")
+    if cfg.t_end < dt:
+        raise ConfigError("t_end must be at least dt")
+    return dt, int(round(cfg.t_end / dt))
+
+
 def _spinodal_noise(grid: Grid, mean: float, amplitude: float, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     white = rng.standard_normal(grid.shape)
@@ -432,20 +434,7 @@ def simulate(config: SimConfig,
         if not np.isfinite(start_res):
             raise ConfigError("integral of F(phi0) + G(phi0) must be finite")
 
-    dt = config.dt
-    if dt is None:
-        dt = config.dt_safety * dt_max(config, grid, M, u0=u)
-    if dt <= 0:
-        raise ConfigError("dt must be positive")
-    if config.steps is not None:
-        n_steps = int(config.steps)
-    elif config.t_end is not None:
-        if config.t_end < dt:
-            raise ConfigError("t_end must be at least dt")
-        n_steps = int(round(config.t_end / dt))
-    else:
-        raise ConfigError("set either steps or t_end")
-
+    dt, n_steps = step_plan(config, grid, M, u)
     cap_form = config.resolved_capillary_form()
     track_entropy = config.regime == "degenerate" and M.entropy is not None
 

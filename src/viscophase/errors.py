@@ -35,3 +35,7 @@ class QuadratureResolutionError(RuntimeError):
 
 class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
+
+
+class SnapshotError(ConfigError):
+    """A snapshot file is truncated or holds impossible header values."""

@@ -7,18 +7,22 @@ evolves coefficient vectors lam (phi), zeta (q) with the chemical
 potential theta recovered algebraically from the orthonormal mass
 identity.  Nonlinear integrals use oversampled midpoint quadrature,
 which makes the discrete cosine inner products exact to rounding.
+Each right-hand-side evaluation sweeps the quadrature once and also
+returns the dissipation, a sum of squares integrated as an extra ODE
+component; the energy is evaluated at output points only.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import QuadratureResolutionError, SolverError
+from .errors import ConfigError, QuadratureResolutionError, SolverError
 from .fields import ScalarField
 from .material import MaterialModel
 
@@ -152,16 +156,43 @@ def project(f: Union[Callable, ScalarField, np.ndarray],
     return B.inner(vals)
 
 
-def _theta_of(lam: np.ndarray, B: CosineBasis, M: MaterialModel,
-              fine: bool = False) -> np.ndarray:
-    phi = B.values(lam, fine=fine)
+def _theta_of(lam: np.ndarray, phi: np.ndarray, B: CosineBasis,
+              M: MaterialModel, fine: bool = False) -> np.ndarray:
     return M.c0 * B.lam * lam + B.inner(np.asarray(M.potential.df(phi),
                                                   dtype=float), fine=fine)
 
 
+_QuadValues = namedtuple("_QuadValues",
+                         "theta phi q gphi gq nv Av dAv tauv wtil D")
+
+
+def _quad_values(lam: np.ndarray, zeta: np.ndarray, B: CosineBasis,
+                 M: MaterialModel) -> _QuadValues:
+    """theta and, at the quadrature points, phi, q, their gradients, n, A,
+    A', tau, wtil = n grad mu - grad(A q) and the dissipation terms D."""
+    phi = B.values(lam)
+    theta = _theta_of(lam, phi, B, M)
+    q = B.values(zeta)
+    gphi = B.grads(lam)
+    gq = B.grads(zeta)
+    nv = np.asarray(M.n(phi), dtype=float)
+    Av = np.asarray(M.A(phi), dtype=float)
+    dAv = np.asarray(M.dA(phi), dtype=float)
+    tauv = np.asarray(M.tau(phi), dtype=float)
+    gAq = Av[None] * gq + (dAv * q)[None] * gphi       # grad(A(phi) q)
+    wtil = nv[None] * B.grads(theta) - gAq
+    D_cross = B.w * float((wtil**2).sum())
+    D_q = B.w * float((q * q / tauv).sum())
+    D_eps = M.eps1 * B.w * float((gq**2).sum())
+    D = {"D_cross": D_cross, "D_q": D_q, "D_eps": D_eps,
+         "D_total": D_cross + D_q + D_eps}
+    return _QuadValues(theta, phi, q, gphi, gq, nv, Av, dAv, tauv, wtil, D)
+
+
 def assemble_rhs(G: GalerkinState, B: CosineBasis, M: MaterialModel,
                  quad_check: bool = True, quad_tol: float = 1e-6):
-    """Time derivatives (dlam/dt, dzeta/dt) and the algebraic theta.
+    """Time derivatives (dlam/dt, dzeta/dt), the algebraic theta and the
+    dissipation terms D (keys as in ``energy_galerkin``) of one state.
 
     Weak form with the velocity dropped:
       d lam_j / dt = -<m(phi) grad mu - n(phi) grad(A q), grad psi_j>
@@ -169,68 +200,40 @@ def assemble_rhs(G: GalerkinState, B: CosineBasis, M: MaterialModel,
                       + <n grad mu - grad(A q), grad(A psi_j)>
                       - eps1 <grad q, grad psi_j>
     with mu in the span of the basis, theta_j = c0 lam_eig_j lam_j
-    + <F'(phi), psi_j> by orthonormality.
+    + <F'(phi), psi_j> by orthonormality (G.theta is not read).
     """
     lam, zeta = np.asarray(G.lam, float), np.asarray(G.zeta, float)
-    theta = _theta_of(lam, B, M)
+    V = _quad_values(lam, zeta, B, M)
     if quad_check:
-        theta_f = _theta_of(lam, B, M, fine=True)
-        if float(np.abs(theta - theta_f).max()) > quad_tol:
+        theta_f = _theta_of(lam, B.values(lam, fine=True), B, M, fine=True)
+        gap = float(np.abs(V.theta - theta_f).max())
+        if gap > quad_tol:
             raise QuadratureResolutionError(
                 "nonlinear potential term under-resolved by the basis "
-                f"quadrature (Richardson gap {np.abs(theta - theta_f).max():.3e})"
+                f"quadrature (Richardson gap {gap:.3e})"
             )
 
-    phi = B.values(lam)
-    q = B.values(zeta)
-    gmu = B.grads(theta)            # (d, Nq)
-    gq = B.grads(zeta)
-    nv = np.asarray(M.n(phi), dtype=float)
-    Av = np.asarray(M.A(phi), dtype=float)
-    dAv = np.asarray(M.dA(phi), dtype=float)
-    tauv = np.asarray(M.tau(phi), dtype=float)
-    gphi = B.grads(lam)
-
-    gAq = Av[None] * gq + (dAv * q)[None] * gphi       # grad(A(phi) q)
-    wtil = nv[None] * gmu - gAq                        # n grad mu - grad(Aq)
-
     # d lam / dt: flux n * wtil against grad psi_j
-    dlam = -B.w * np.einsum('dq,djq->j', nv[None] * wtil, B.dPsi)
+    dlam = -B.w * np.einsum('dq,djq->j', V.nv[None] * V.wtil, B.dPsi)
 
     # d zeta / dt
-    dzeta = -B.inner(q / tauv)
+    dzeta = -B.inner(V.q / V.tauv)
     # grad(A psi_j) = A grad psi_j + psi_j A'(phi) grad phi
-    dzeta += B.w * np.einsum('dq,djq->j', Av[None] * wtil, B.dPsi)
-    dzeta += B.w * ((wtil * (dAv[None] * gphi)).sum(axis=0) @ B.Psi.T)
-    dzeta -= M.eps1 * B.w * np.einsum('dq,djq->j', gq, B.dPsi)
+    dzeta += B.w * np.einsum('dq,djq->j', V.Av[None] * V.wtil, B.dPsi)
+    dzeta += B.w * ((V.wtil * (V.dAv[None] * V.gphi)).sum(axis=0) @ B.Psi.T)
+    dzeta -= M.eps1 * B.w * np.einsum('dq,djq->j', V.gq, B.dPsi)
 
-    return dlam, dzeta, theta
+    return dlam, dzeta, V.theta, V.D
 
 
 def energy_galerkin(G: GalerkinState, B: CosineBasis, M: MaterialModel):
-    """Discrete energy E_m and dissipation terms by basis quadrature."""
-    lam, zeta = np.asarray(G.lam, float), np.asarray(G.zeta, float)
-    phi = B.values(lam)
-    q = B.values(zeta)
-    gphi = B.grads(lam)
-    gq = B.grads(zeta)
-    E = B.w * float((0.5 * M.c0 * (gphi**2).sum(axis=0)
-                     + np.asarray(M.potential.f(phi))
-                     + 0.5 * q * q).sum())
-    theta = np.asarray(G.theta, float)
-    if not np.any(theta):
-        theta = _theta_of(lam, B, M)
-    gmu = B.grads(theta)
-    nv = np.asarray(M.n(phi), dtype=float)
-    Av = np.asarray(M.A(phi), dtype=float)
-    dAv = np.asarray(M.dA(phi), dtype=float)
-    tauv = np.asarray(M.tau(phi), dtype=float)
-    wtil = nv[None] * gmu - (Av[None] * gq + (dAv * q)[None] * gphi)
-    D_cross = B.w * float((wtil**2).sum())
-    D_q = B.w * float((q * q / tauv).sum())
-    D_eps = M.eps1 * B.w * float((gq**2).sum())
-    return E, {"D_cross": D_cross, "D_q": D_q, "D_eps": D_eps,
-               "D_total": D_cross + D_q + D_eps}
+    """Energy E_m and dissipation terms; theta from G.lam, not G.theta."""
+    V = _quad_values(np.asarray(G.lam, float), np.asarray(G.zeta, float),
+                     B, M)
+    E = B.w * float((0.5 * M.c0 * (V.gphi**2).sum(axis=0)
+                     + np.asarray(M.potential.f(V.phi))
+                     + 0.5 * V.q * V.q).sum())
+    return E, V.D
 
 
 @dataclass
@@ -261,11 +264,8 @@ def integrate_galerkin(initial: GalerkinState, B: CosineBasis,
 
     def rhs(t, y):
         G = GalerkinState(t=t, lam=y[:m], theta=np.zeros(m), zeta=y[m:2 * m])
-        dlam, dzeta, theta = assemble_rhs(G, B, M, quad_check=quad_check)
-        _, Dterms = energy_galerkin(
-            GalerkinState(t=t, lam=y[:m], theta=theta, zeta=y[m:2 * m]),
-            B, M)
-        return np.concatenate([dlam, dzeta, [Dterms["D_total"]]])
+        dlam, dzeta, _, D = assemble_rhs(G, B, M, quad_check=quad_check)
+        return np.concatenate([dlam, dzeta, [D["D_total"]]])
 
     y0 = np.concatenate([np.asarray(initial.lam, float),
                          np.asarray(initial.zeta, float), [0.0]])
@@ -281,7 +281,8 @@ def integrate_galerkin(initial: GalerkinState, B: CosineBasis,
     for k, t in enumerate(sol.t):
         lam, zeta = sol.y[:m, k], sol.y[m:2 * m, k]
         G = GalerkinState(t=float(t), lam=lam,
-                          theta=_theta_of(lam, B, M), zeta=zeta)
+                          theta=_theta_of(lam, B.values(lam), B, M),
+                          zeta=zeta)
         E, Dterms = energy_galerkin(G, B, M)
         states.append(G)
         Es.append(E)
@@ -295,26 +296,27 @@ def convergence_study(m_list: Sequence[int], phi0: Callable, q0: Callable,
                       M: MaterialModel, lengths: Sequence[float],
                       t_end: float, rtol: float = 1e-8,
                       quad_check: bool = True):
-    """Pairwise L2 differences of the reconstructed phi at t_end across
-    increasing mode counts; all runs share the same initial functions."""
+    """Runs ("runs") at increasing mode counts ("m") from the same initial
+    functions, the pairwise L2 differences of phi at t_end on the last
+    basis's fine quadrature ("diffs") and whether they shrink ("monotone").
+    Mode counts not positive and strictly increasing raise ConfigError."""
     m_list = list(m_list)
-    if any(b <= a for a, b in zip(m_list, m_list[1:])):
-        raise ValueError("mode counts must be strictly increasing")
-    fine = CosineBasis(lengths, m_list[-1])
-    axes = fine.axes_f
-    w = fine.w_f
-    finals = []
-    for m in m_list:
-        B = CosineBasis(lengths, m)
+    if not m_list or m_list[0] < 1 or sorted(set(m_list)) != m_list:
+        raise ConfigError(f"mode counts {m_list} must be positive and "
+                          "strictly increasing")
+    bases = [CosineBasis(lengths, m) for m in m_list]
+    axes, w = bases[-1].axes_f, bases[-1].w_f
+    runs, finals = [], []
+    for B in bases:
         init = GalerkinState(t=0.0, lam=project(phi0, B),
-                             theta=np.zeros(m), zeta=project(q0, B))
+                             theta=np.zeros(B.m), zeta=project(q0, B))
         run = integrate_galerkin(init, B, M, t_end, rtol=rtol,
                                  quad_check=quad_check)
-        last = run.states[-1]
-        finals.append(B.evaluate(last.lam, axes))
+        runs.append(run)
+        finals.append(B.evaluate(run.states[-1].lam, axes))
     diffs = np.array([
         float(np.sqrt(w * ((fb - fa) ** 2).sum()))
         for fa, fb in zip(finals, finals[1:])
     ])
     monotone = bool(np.all(np.diff(diffs) <= 0)) if len(diffs) > 1 else True
-    return {"m": m_list, "diffs": diffs, "monotone": monotone}
+    return {"m": m_list, "runs": runs, "diffs": diffs, "monotone": monotone}

@@ -8,11 +8,15 @@ payloads as contiguous float64 arrays in C order, one per name.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
 import numpy as np
+
+from .errors import SnapshotError
 
 MAGIC = b"VPF1"
 
@@ -56,24 +60,36 @@ def write_snapshot(path, shape, lengths, fields: Dict[str, np.ndarray]) -> None:
 
 
 def read_snapshot(path):
-    """Returns (SnapshotHeader, {name: array})."""
+    """Returns (SnapshotHeader, {name: array}).  A file that is not VPF1,
+    is cut short or holds impossible header values raises SnapshotError."""
     with open(path, "rb") as fh:
-        if fh.read(4) != MAGIC:
-            raise ValueError(f"{path}: not a VPF1 snapshot")
-        (d,) = struct.unpack("<i", fh.read(4))
-        ns = struct.unpack("<3i", fh.read(12))
-        Ls = struct.unpack("<3d", fh.read(24))
-        (count,) = struct.unpack("<i", fh.read(4))
+        file_size = os.fstat(fh.fileno()).st_size
+
+        def read(n):
+            # checked before reading, so a corrupt size allocates nothing
+            if not 0 <= n <= file_size - fh.tell():
+                raise SnapshotError(f"{path}: truncated or corrupt VPF1 "
+                                    f"snapshot ({file_size} bytes)")
+            return fh.read(n)
+
+        def unpack(fmt):
+            return struct.unpack(fmt, read(struct.calcsize(fmt)))
+
+        if read(4) != MAGIC:
+            raise SnapshotError(f"{path}: not a VPF1 snapshot")
+        head = unpack("<4i3di")
+        d, ns, Ls, count = head[0], head[1:4], head[4:7], head[7]
+        shape = ns[:d]
+        if d not in (1, 2, 3) or min(shape) < 1 or count < 0:
+            raise SnapshotError(f"{path}: impossible VPF1 header (d={d}, "
+                                f"sizes={ns}, field count={count})")
         names = []
         for _ in range(count):
-            (ln,) = struct.unpack("<i", fh.read(4))
-            names.append(fh.read(ln).decode("utf-8"))
-        shape = ns[:d]
-        size = int(np.prod(shape))
-        fields = {}
-        for name in names:
-            buf = fh.read(8 * size)
-            fields[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+            (ln,) = unpack("<i")
+            names.append(read(ln).decode("utf-8"))
+        size = math.prod(shape)
+        fields = {name: np.frombuffer(read(8 * size), dtype="<f8")
+                  .reshape(shape).copy() for name in names}
     return SnapshotHeader(shape=shape, lengths=Ls[:d]), fields
 
 

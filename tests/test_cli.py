@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
+import viscophase.cli
 from viscophase.cli import (RunManifest, config_to_text, main,
                             material_fingerprint, parse_config)
-from viscophase.dynamics import SimConfig
+from viscophase.dynamics import SimConfig, simulate
 from viscophase.errors import ConfigError, InvalidDeltaError
 
 
@@ -42,9 +43,12 @@ class TestParseConfig:
         with pytest.raises(InvalidDeltaError):
             parse_config("regularization.delta = 0.7\n")
 
-    def test_stabilization_constraint(self):
+    @pytest.mark.parametrize("regime,a", [("regular", 0.4),
+                                          ("degenerate", 2.4)])
+    def test_stabilization_constraint(self, regime, a):
+        # c4 = 1 for the double well, 2*theta_c = 5 for Flory-Huggins
         with pytest.raises(ConfigError, match="c4/2"):
-            parse_config("stabilization.a = 0.4\n")
+            parse_config(f"model.regime = {regime}\nstabilization.a = {a}\n")
 
     def test_stabilization_valid(self):
         cfg = parse_config("stabilization.a = 0.8\n")
@@ -168,6 +172,24 @@ class TestWeakStrongCommand:
         ratio = recs["Erel-scaling-0.001/0.0005"]["value"]
         assert 3.0 <= ratio <= 5.0
 
+    def test_refine_runs_reference_once(self, tmp_path, monkeypatch):
+        runs = []
+
+        def recording_simulate(cfg, *fields):
+            traj = simulate(cfg, *fields)
+            runs.append(traj)
+            return traj
+
+        monkeypatch.setattr(viscophase.cli, "simulate", recording_simulate)
+        cfg = _write(tmp_path / "cfg.txt",
+                     "grid.shape = 8,8\ntime.steps = 4\nrun.seed = 3\n")
+        main(["weakstrong", "--config", cfg, "--out", str(tmp_path / "ws"),
+              "--eps", "0", "--eps", "1e-3", "--refine", "2"])
+        assert len(runs) == 3                   # reference + one per eps
+        reference, perturbed = runs[0], runs[1]
+        assert reference.dt == perturbed.dt / 2
+        assert len(reference.times) - 1 == 2 * (len(perturbed.times) - 1)
+
 
 class TestGalerkinCommand:
     def test_single_m_empty_cauchy(self, tmp_path):
@@ -177,6 +199,16 @@ class TestGalerkinCommand:
         assert code == 0
         table = (out / "cauchy_table.csv").read_text().strip().splitlines()
         assert len(table) == 1          # header only
+
+    @pytest.mark.parametrize("modes", [["16", "8"], ["0"]],
+                             ids=["decreasing", "zero"])
+    def test_bad_mode_counts_exit_2(self, tmp_path, modes, capsys):
+        argv = ["galerkin", "--out", str(tmp_path / "gal"), "--t-end", "0.1"]
+        for m in modes:
+            argv += ["--m", m]
+        assert main(argv) == 2
+        assert "strictly increasing" in capsys.readouterr().err
+        assert not list((tmp_path / "gal").glob("galerkin_m*.csv"))
 
     def test_multi_m(self, tmp_path):
         out = tmp_path / "gal"

@@ -35,13 +35,6 @@ class TestChemicalPotential:
         exact = M.c0 * (2 * np.pi) ** 2 * c + (c**3 - c)
         assert np.abs(mu.data - exact).max() < 1e-4
 
-    def test_stabilized_needs_phi_old(self):
-        cfg = small_cfg()
-        grid = build_grid(cfg)
-        M = build_material(cfg)
-        with pytest.raises(ValueError):
-            chemical_potential(ScalarField.full(grid, 0.0), M, stabilized=True)
-
 
 class TestFlux:
     def test_uniform_state_no_flux(self):

@@ -83,7 +83,7 @@ class TestAssembleRhs:
         B = CosineBasis((1.0, 1.0), 8)
         M = regular_model()
         G = GalerkinState(0.0, np.zeros(8), np.zeros(8), np.zeros(8))
-        dlam, dzeta, theta = assemble_rhs(G, B, M)
+        dlam, dzeta, theta, _ = assemble_rhs(G, B, M)
         assert np.abs(dlam).max() < 1e-12
         assert np.abs(dzeta).max() < 1e-12
 
@@ -91,7 +91,7 @@ class TestAssembleRhs:
         B = CosineBasis((1.0, 1.0), 1)
         M = regular_model()
         G = GalerkinState(0.0, np.array([0.3]), np.zeros(1), np.array([0.7]))
-        dlam, dzeta, _ = assemble_rhs(G, B, M)
+        dlam, dzeta, _, _ = assemble_rhs(G, B, M)
         assert dlam[0] == pytest.approx(0.0, abs=1e-13)
         assert dzeta[0] == pytest.approx(-0.7, rel=1e-12)   # -zeta / tau
 
@@ -101,7 +101,7 @@ class TestAssembleRhs:
         rng = np.random.default_rng(0)
         lam = rng.standard_normal(10)
         G = GalerkinState(0.0, lam, np.zeros(10), np.zeros(10))
-        dlam, _, _ = assemble_rhs(G, B, M)
+        dlam, _, _, _ = assemble_rhs(G, B, M)
         np.testing.assert_allclose(dlam, -M.c0 * B.lam**2 * lam,
                                    rtol=1e-10, atol=1e-12)
 

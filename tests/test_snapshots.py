@@ -1,7 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 
+from viscophase.cli import main
 from viscophase.dynamics import SimConfig, build_grid, build_material, make_state
+from viscophase.errors import SnapshotError
 from viscophase.fields import Grid, ScalarField, VectorField
 from viscophase.snapshots import (read_snapshot, write_snapshot, write_state)
 
@@ -28,6 +32,57 @@ def test_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 64)
     with pytest.raises(ValueError):
         read_snapshot(path)
+
+
+def _valid_snapshot(path):
+    write_snapshot(path, (4, 6), (1.0, 1.5),
+                   {"phi": np.full((4, 6), 0.1), "q": np.zeros((4, 6))})
+    return path.read_bytes()
+
+
+def test_truncated_file(tmp_path):
+    raw = _valid_snapshot(tmp_path / "full.vpf")
+    header = 4 + 4 + 12 + 24 + 4
+    # empty; inside magic, d, sizes, lengths and count; after the header;
+    # inside a name length and a name; at, inside and at the end of the
+    # first payload; inside the last payload
+    first = header + 4 + 3 + 4 + 1
+    for cut in (0, 2, 6, 15, 30, 46, header, header + 2, header + 5,
+                header + 9, first, first + 17, first + 8 * 24,
+                len(raw) - 100, len(raw) - 1):
+        path = tmp_path / f"cut{cut}.vpf"
+        path.write_bytes(raw[:cut])
+        with pytest.raises(SnapshotError, match=f"cut{cut}.vpf"):
+            read_snapshot(path)
+
+
+@pytest.mark.parametrize("offset,value", [
+    (4, 4),             # d outside 1-3
+    (4, 0),
+    (8, 0),             # n_x = 0
+    (12, -3),           # n_y < 0
+    (44, -1),           # negative field count
+    (48, -2),           # negative name length
+    (8, 2**31 - 1),     # a size no file of this length can hold
+])
+def test_impossible_header(tmp_path, offset, value):
+    raw = bytearray(_valid_snapshot(tmp_path / "full.vpf"))
+    raw[offset:offset + 4] = struct.pack("<i", value)
+    path = tmp_path / "bad.vpf"
+    path.write_bytes(bytes(raw))
+    with pytest.raises(SnapshotError, match="bad.vpf"):
+        read_snapshot(path)
+
+
+def test_truncated_init_snapshot_exit_2(tmp_path):
+    raw = _valid_snapshot(tmp_path / "full.vpf")
+    path = tmp_path / "cut.vpf"
+    path.write_bytes(raw[:len(raw) // 2])
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"grid.shape = 4,6\ntime.steps = 1\n"
+                   f"init.kind = from-snapshot\ninit.path = {path}\n")
+    assert main(["run", "--config", str(cfg), "--out",
+                 str(tmp_path / "o")]) == 2
 
 
 def test_shape_mismatch(tmp_path):
