@@ -117,7 +117,11 @@ def validate_config(cfg: SimConfig) -> SimConfig:
 
 
 def parse_config(text: str) -> SimConfig:
-    """Flat dotted-key config text -> fully defaulted SimConfig."""
+    """Flat dotted-key config text -> fully defaulted, validated SimConfig."""
+    return validate_config(_parse_unvalidated(text))
+
+
+def _parse_unvalidated(text: str) -> SimConfig:
     cfg = SimConfig()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -134,7 +138,7 @@ def parse_config(text: str) -> SimConfig:
             setattr(cfg, attr, parser(value))
         except ValueError as err:
             raise ConfigError(f"line {lineno}: bad value for {key}: {err}")
-    return validate_config(cfg)
+    return cfg
 
 
 def config_to_text(cfg: SimConfig) -> Dict[str, str]:
@@ -195,8 +199,9 @@ class RunManifest:
 # shared plumbing
 
 def _load_config(args) -> SimConfig:
+    """Config file, then overrides and seed, validated once at the end."""
     if getattr(args, "config", None):
-        cfg = parse_config(Path(args.config).read_text())
+        cfg = _parse_unvalidated(Path(args.config).read_text())
     else:
         cfg = SimConfig()
     for item in getattr(args, "override", None) or []:
@@ -238,10 +243,9 @@ def _write_run_artifacts(out: Path, cfg: SimConfig, traj: Trajectory) -> None:
 def cmd_run(args) -> int:
     cfg = _load_config(args)
     out = _outdir(args)
-    M = build_material(cfg)
     traj = simulate(cfg)
     _write_run_artifacts(out, cfg, traj)
-    report = check_energy_inequality(traj, M)
+    report = check_energy_inequality(traj)
     text = write_report(
         [CheckRecord("energy-monotone", report.worst_violation, 0.0,
                      report.monotone),

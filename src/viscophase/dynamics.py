@@ -23,7 +23,8 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from .errors import BlowUpError, ConfigError, PotentialDomainError
+from .errors import (BlowUpError, ConfigError, PotentialDomainError,
+                     SnapshotError)
 from .fields import (
     Grid, ScalarField, VectorField,
     grad_arr, div_arr, lap_arr, cg, bicgstab, solve_symbol,
@@ -348,9 +349,16 @@ def initial_state(cfg: SimConfig, grid: Grid, M: MaterialModel):
             (x - 0.5 * L) / cfg.init_width)
     elif cfg.init_kind == "from-snapshot":
         from .snapshots import read_snapshot
-        snap_grid, fields_map = read_snapshot(cfg.init_path)
-        if snap_grid.shape != grid.shape:
-            raise ConfigError("snapshot grid does not match configured grid")
+        path = cfg.init_path
+        snap_grid, fields_map = read_snapshot(path)
+        if (snap_grid.shape, snap_grid.lengths) != (grid.shape, grid.lengths):
+            raise ConfigError(
+                f"{path}: snapshot grid {snap_grid.shape} with lengths "
+                f"{snap_grid.lengths} does not match the configured grid "
+                f"{grid.shape} with lengths {grid.lengths}")
+        if "phi" not in fields_map:
+            raise SnapshotError(f"{path}: snapshot has no 'phi' field "
+                                f"(fields: {', '.join(fields_map) or 'none'})")
         phi0 = fields_map["phi"]
     else:
         raise ConfigError(f"unknown init kind {cfg.init_kind!r}")

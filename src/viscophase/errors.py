@@ -38,4 +38,5 @@ class ConfigError(ValueError):
 
 
 class SnapshotError(ConfigError):
-    """A snapshot file is truncated or holds impossible header values."""
+    """A snapshot file is truncated or corrupt, or lacks a field the run
+    needs."""

@@ -3,9 +3,12 @@
 Cell-centered collocated layout.  Gradient and divergence are central
 differences whose ghost values come from wraparound (periodic) or cell-
 center reflection (neumann-noslip: even reflection for scalars, odd for
-fluxes and velocities).  The Laplacian is the literal composition
-divergence(gradient(.)), so summation by parts holds exactly on periodic
-grids and integrate(laplacian(f)) vanishes on both boundary kinds.
+fluxes and velocities).  Each is one matvec with a cached sparse matrix
+of +-1 undivided differences per (grid, parity), the ghost values folded
+into its edge rows, followed by the division by 2h.  The Laplacian is the
+literal composition divergence(gradient(.)), so summation by parts holds
+exactly on periodic grids and integrate(laplacian(f)) vanishes on both
+boundary kinds.
 
 Constant-coefficient operators built from that Laplacian are inverted
 directly in the basis that diagonalises it: rfftn on periodic grids, the
@@ -17,11 +20,13 @@ the variable-coefficient systems of the time step.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 import scipy.fft as sfft
+import scipy.sparse as sp
 
 from .errors import GridMismatchError, SolverError
 
@@ -163,39 +168,52 @@ class VectorField:
     __rmul__ = __mul__
 
 
-def _nbr(f: np.ndarray, axis: int, step: int, bc: str, parity: int) -> np.ndarray:
-    """Values of f at index i+step along axis, ghost cells by bc."""
-    if bc == "periodic":
-        return np.roll(f, -step, axis=axis)
-    n = f.shape[axis]
-    sl = [slice(None)] * f.ndim
-    if step == 1:
-        sl[axis] = slice(1, None)
-        core = f[tuple(sl)]
-        sl[axis] = slice(n - 1, n)
-        edge = parity * f[tuple(sl)]
-        return np.concatenate([core, edge], axis=axis)
-    sl[axis] = slice(0, n - 1)
-    core = f[tuple(sl)]
-    sl[axis] = slice(0, 1)
-    edge = parity * f[tuple(sl)]
-    return np.concatenate([edge, core], axis=axis)
+@functools.lru_cache(maxsize=64)
+def _diff_op(grid: Grid, parity: int) -> sp.csr_matrix:
+    """Undivided central differences f[i+1] - f[i-1] on the flattened grid,
+    one diagonal block per axis.  Row k of block a holds +1 at the cell
+    after k along axis a and -1 at the cell before it; past an edge that
+    cell is the ghost, so the entry moves to the wrapped cell (periodic)
+    or to k itself times parity (cell-center reflection).  Two entries of
+    +-1 per row make a matvec exactly f[i+1] - f[i-1].  Cached per (grid,
+    parity); the returned matrix is read-only."""
+    size = math.prod(grid.shape)
+    k = np.arange(size)
+    cols = np.empty((grid.d, size, 2), dtype=np.intp)
+    vals = np.empty((grid.d, size, 2))
+    for a, n in enumerate(grid.shape):
+        stride = math.prod(grid.shape[a + 1:])
+        i = (k // stride) % n
+        last, first = i == n - 1, i == 0
+        cols[a, :, 0], cols[a, :, 1] = k + stride, k - stride
+        vals[a] = (1.0, -1.0)
+        if grid.bc == "periodic":
+            cols[a, last, 0] -= n * stride
+            cols[a, first, 1] += n * stride
+        else:
+            cols[a, last, 0], vals[a, last, 0] = k[last], parity
+            cols[a, first, 1], vals[a, first, 1] = k[first], -parity
+        cols[a] += a * size
+    rows = grid.d * size
+    op = sp.csr_matrix((vals.ravel(), cols.ravel(), np.arange(0, 2 * rows + 1, 2)),
+                       shape=(rows, rows))
+    for arr in (op.data, op.indices, op.indptr):
+        arr.setflags(write=False)
+    return op
 
 
-def _ddx(f: np.ndarray, grid: Grid, axis: int, parity: int) -> np.ndarray:
-    h = grid.h[axis]
-    return (_nbr(f, axis, 1, grid.bc, parity) - _nbr(f, axis, -1, grid.bc, parity)) / (2.0 * h)
+def _two_h(grid: Grid) -> np.ndarray:
+    return np.array([2.0 * h for h in grid.h]).reshape((grid.d,) + (1,) * grid.d)
 
 
 def grad_arr(f: np.ndarray, grid: Grid, parity: int = 1) -> np.ndarray:
-    return np.stack([_ddx(f, grid, a, parity) for a in range(grid.d)])
+    diffs = _diff_op(grid, parity) @ np.tile(f.ravel(), grid.d)
+    return diffs.reshape((grid.d,) + grid.shape) / _two_h(grid)
 
 
 def div_arr(v: np.ndarray, grid: Grid, parity: int = -1) -> np.ndarray:
-    out = np.zeros(grid.shape)
-    for a in range(grid.d):
-        out += _ddx(v[a], grid, a, parity)
-    return out
+    diffs = _diff_op(grid, parity) @ v.ravel()
+    return (diffs.reshape(v.shape) / _two_h(grid)).sum(axis=0)
 
 
 def gradient(f: ScalarField) -> VectorField:

@@ -105,7 +105,7 @@ def double_well() -> Potential:
 
     def df(s):
         s = np.asarray(s, dtype=float)
-        return s**3 - s
+        return (s * s - 1.0) * s
 
     def d2f(s):
         s = np.asarray(s, dtype=float)

@@ -61,7 +61,8 @@ def write_snapshot(path, shape, lengths, fields: Dict[str, np.ndarray]) -> None:
 
 def read_snapshot(path):
     """Returns (SnapshotHeader, {name: array}).  A file that is not VPF1,
-    is cut short or holds impossible header values raises SnapshotError."""
+    is cut short, holds impossible header values or a field name that is
+    not UTF-8 raises SnapshotError."""
     with open(path, "rb") as fh:
         file_size = os.fstat(fh.fileno()).st_size
 
@@ -86,7 +87,12 @@ def read_snapshot(path):
         names = []
         for _ in range(count):
             (ln,) = unpack("<i")
-            names.append(read(ln).decode("utf-8"))
+            raw = read(ln)
+            try:
+                names.append(raw.decode("utf-8"))
+            except UnicodeDecodeError:
+                raise SnapshotError(f"{path}: field name {raw!r} is not "
+                                    "UTF-8") from None
         size = math.prod(shape)
         fields = {name: np.frombuffer(read(8 * size), dtype="<f8")
                   .reshape(shape).copy() for name in names}

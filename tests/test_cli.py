@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import viscophase.cli
+import viscophase.dynamics
 from viscophase.cli import (RunManifest, config_to_text, main,
                             material_fingerprint, parse_config)
 from viscophase.dynamics import SimConfig, simulate
@@ -133,6 +134,26 @@ class TestRunCommand:
         assert code == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["grid.shape"] == "16,16"
+
+    @pytest.mark.parametrize("extra,builds", [("stabilization.a = 3.0\n", 2),
+                                              ("", 1)])
+    def test_material_built_once_per_run(self, tmp_path, monkeypatch, extra,
+                                         builds):
+        calls = []
+        real = viscophase.dynamics.degenerate_model
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(viscophase.dynamics, "degenerate_model", counting)
+        cfg = _write(tmp_path / "cfg.txt",
+                     "grid.shape = 8,8\ntime.steps = 2\n"
+                     "model.regime = degenerate\ninit.mean = 0.5\n" + extra)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--override", "time.steps=3"]) == 0
+        # validation (only with stabilization.a) and simulate
+        assert len(calls) == builds
 
 
 class TestReportCommand:

@@ -2,15 +2,46 @@ import numpy as np
 import pytest
 
 from viscophase.errors import GridMismatchError
-from viscophase.fields import (Grid, ScalarField, VectorField, bicgstab, cg,
-                               divergence, div_arr, grad_arr, gradient,
-                               integrate, l2_norm, lap_arr, lap_symbol,
-                               laplacian, project_divergence_free,
+from viscophase.fields import (Grid, ScalarField, VectorField, _diff_op,
+                               bicgstab, cg, divergence, div_arr, grad_arr,
+                               gradient, integrate, l2_norm, lap_arr,
+                               lap_symbol, laplacian, project_divergence_free,
                                solve_poisson, solve_symbol)
 
 
 def periodic_grid(n, d=2):
     return Grid((n,) * d, (1.0,) * d, "periodic")
+
+
+# Reference stencils: ghost cells by np.roll (periodic) or by np.concatenate
+# of the parity-reflected edge cell (Neumann), then (f[i+1] - f[i-1]) / 2h.
+def _ref_nbr(f, axis, step, bc, parity):
+    if bc == "periodic":
+        return np.roll(f, -step, axis=axis)
+    n = f.shape[axis]
+    if step == 1:
+        core = np.take(f, range(1, n), axis=axis)
+        edge = parity * np.take(f, [n - 1], axis=axis)
+        return np.concatenate([core, edge], axis=axis)
+    core = np.take(f, range(n - 1), axis=axis)
+    edge = parity * np.take(f, [0], axis=axis)
+    return np.concatenate([edge, core], axis=axis)
+
+
+def _ref_ddx(f, grid, axis, parity):
+    return (_ref_nbr(f, axis, 1, grid.bc, parity)
+            - _ref_nbr(f, axis, -1, grid.bc, parity)) / (2.0 * grid.h[axis])
+
+
+def _ref_grad(f, grid, parity):
+    return np.stack([_ref_ddx(f, grid, a, parity) for a in range(grid.d)])
+
+
+def _ref_div(v, grid, parity):
+    out = np.zeros(grid.shape)
+    for a in range(grid.d):
+        out += _ref_ddx(v[a], grid, a, parity)
+    return out
 
 
 class TestGrid:
@@ -86,6 +117,29 @@ class TestOperators:
         s1 = (v * grad_arr(f, g, parity=1)).sum() * g.cell_volume
         s2 = (f * div_arr(v, g, parity=-1)).sum() * g.cell_volume
         assert abs(s1 + s2) < 1e-12
+
+    @pytest.mark.parametrize("bc", ["periodic", "neumann-noslip"])
+    @pytest.mark.parametrize("shape,lengths", [
+        ((7,), (1.3,)),
+        ((16, 12), (1.0, 0.7)),
+        ((6, 5, 4), (1.0, 2.0, 0.3)),
+    ], ids=["1d", "2d", "3d"])
+    def test_stencils_match_reference_exactly(self, shape, lengths, bc):
+        g = Grid(shape, lengths, bc)
+        rng = np.random.default_rng(1)
+        f = rng.standard_normal(shape)
+        v = rng.standard_normal((g.d,) + shape)
+        for parity in (1, -1):
+            assert np.array_equal(grad_arr(f, g, parity), _ref_grad(f, g, parity))
+            assert np.array_equal(div_arr(v, g, parity), _ref_div(v, g, parity))
+        assert np.array_equal(lap_arr(f, g), _ref_div(_ref_grad(f, g, 1), g, -1))
+
+    def test_difference_operator_cached_read_only(self):
+        g = Grid((8, 6), (1.0, 1.0), "neumann-noslip")
+        assert _diff_op(g, -1) is _diff_op(g, -1)
+        assert _diff_op(g, 1) is not _diff_op(g, -1)
+        op = _diff_op(g, 1)
+        assert not any(a.flags.writeable for a in (op.data, op.indices, op.indptr))
 
     def test_integrate(self):
         g = periodic_grid(64)

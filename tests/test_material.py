@@ -30,6 +30,13 @@ class TestDoubleWell:
         assert np.all(P.f(s) >= -P.c3)
         assert np.asarray(P.d2f(s)).min() == pytest.approx(-1.0)
 
+    def test_derivative_matches_cubic(self):
+        # (s*s - 1)*s against s**3 - s: each rounds a few times, so they
+        # differ by at most 2 eps (|s|^3 + |s|)
+        s = np.linspace(-2.0, 2.0, 40001)
+        bound = 2.0 * np.finfo(float).eps * (np.abs(s) ** 3 + np.abs(s))
+        assert np.all(np.abs(double_well().df(s) - (s**3 - s)) <= bound)
+
     def test_derivative_consistency(self):
         P = double_well()
         s = np.linspace(-1.5, 1.5, 41)

@@ -85,6 +85,46 @@ def test_truncated_init_snapshot_exit_2(tmp_path):
                  str(tmp_path / "o")]) == 2
 
 
+def _run_from_snapshot(tmp_path, path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"grid.shape = 4,6\ngrid.lengths = 1.0,1.5\n"
+                   f"time.steps = 1\ninit.kind = from-snapshot\n"
+                   f"init.path = {path}\n")
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    return code, capsys.readouterr().err
+
+
+def test_valid_init_snapshot_runs(tmp_path, capsys):
+    path = tmp_path / "ok.vpf"
+    _valid_snapshot(path)
+    assert _run_from_snapshot(tmp_path, path, capsys)[0] == 0
+
+
+def test_non_utf8_field_name_exit_2(tmp_path, capsys):
+    raw = bytearray(_valid_snapshot(tmp_path / "full.vpf"))
+    raw[52] = 0xff                          # first byte of the name "phi"
+    path = tmp_path / "badname.vpf"
+    path.write_bytes(bytes(raw))
+    with pytest.raises(SnapshotError, match="badname.vpf"):
+        read_snapshot(path)
+    code, err = _run_from_snapshot(tmp_path, path, capsys)
+    assert code == 2 and "badname.vpf" in err
+
+
+def test_snapshot_without_phi_exit_2(tmp_path, capsys):
+    path = tmp_path / "nophi.vpf"
+    write_snapshot(path, (4, 6), (1.0, 1.5), {"q": np.zeros((4, 6))})
+    code, err = _run_from_snapshot(tmp_path, path, capsys)
+    assert code == 2 and "nophi.vpf" in err and "fields: q" in err
+
+
+def test_snapshot_lengths_mismatch_exit_2(tmp_path, capsys):
+    path = tmp_path / "long.vpf"
+    write_snapshot(path, (4, 6), (3.0, 2.0), {"phi": np.full((4, 6), 0.1)})
+    code, err = _run_from_snapshot(tmp_path, path, capsys)
+    assert code == 2 and "long.vpf" in err and "(3.0, 2.0)" in err
+
+
 def test_shape_mismatch(tmp_path):
     with pytest.raises(ValueError):
         write_snapshot(tmp_path / "x.vpf", (4, 4), (1.0, 1.0),
