@@ -12,7 +12,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,8 +22,9 @@ import numpy as np
 from . import __version__
 from .errors import (BlowUpError, ConfigError, InvalidDeltaError,
                      QuadratureResolutionError, SolverError)
+from .fields import BCS
 from .dynamics import (SimConfig, Trajectory, build_grid, build_material,
-                       initial_state, simulate, step_plan)
+                       check_model_kinds, initial_state, simulate, step_plan)
 from .diagnostics import (CheckRecord, bounds_report, check_energy_inequality,
                           gronwall_fit, relative_energy, write_report)
 from .galerkin import CosineBasis, convergence_study
@@ -84,7 +84,6 @@ KEYMAP = {
     "init.path": ("init_path", str),
     "run.seed": ("seed", int),
     "run.velocity_coupling": ("velocity_coupling", _bool),
-    "run.capillary_form": ("capillary_form", str),
     "solver.solver_tol": ("solver_tol", float),
 }
 
@@ -97,8 +96,12 @@ _FORMATTERS = {
 def validate_config(cfg: SimConfig) -> SimConfig:
     if len(cfg.shape) != len(cfg.lengths) or not 1 <= len(cfg.shape) <= 3:
         raise ConfigError("grid.shape and grid.lengths must agree, 1-3 axes")
-    if cfg.regime not in ("regular", "degenerate"):
-        raise ConfigError(f"unknown regime {cfg.regime!r}")
+    if min(cfg.shape) < 4:
+        raise ConfigError(f"grid.shape = {cfg.shape}: need at least 4 cells "
+                          "per axis")
+    if cfg.bc not in BCS:
+        raise ConfigError(f"grid.bc = {cfg.bc!r}: must be one of {BCS}")
+    check_model_kinds(cfg)
     if not 0.0 < cfg.delta < 0.5:
         raise InvalidDeltaError(
             f"regularization.delta = {cfg.delta} outside the admissible "
@@ -113,6 +116,10 @@ def validate_config(cfg: SimConfig) -> SimConfig:
         raise ConfigError("time.dt must be positive")
     if cfg.dt_safety <= 0:
         raise ConfigError("time.dt_safety must be positive")
+    if cfg.output_every <= 0:
+        raise ConfigError("time.output_every must be positive")
+    if not cfg.solver_tol > 0:
+        raise ConfigError("solver.solver_tol must be positive")
     return cfg
 
 
@@ -198,8 +205,9 @@ class RunManifest:
 # ---------------------------------------------------------------------------
 # shared plumbing
 
-def _load_config(args) -> SimConfig:
-    """Config file, then overrides and seed, validated once at the end."""
+def _load_config(args, regime: Optional[str] = None) -> SimConfig:
+    """Config file, then overrides, seed and the regime a command fixes,
+    validated once at the end."""
     if getattr(args, "config", None):
         cfg = _parse_unvalidated(Path(args.config).read_text())
     else:
@@ -218,6 +226,8 @@ def _load_config(args) -> SimConfig:
             raise ConfigError(f"--override: bad value for {key}: {err}")
     if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed
+    if regime is not None:
+        cfg.regime = regime
     return validate_config(cfg)
 
 
@@ -372,8 +382,7 @@ def cmd_galerkin(args) -> int:
 
 
 def cmd_degenerate_sweep(args) -> int:
-    cfg = _load_config(args)
-    cfg.regime = "degenerate"
+    cfg = _load_config(args, regime="degenerate")
     if cfg.init_kind == "spinodal" and cfg.init_mean == 0.0:
         cfg.init_mean, cfg.init_amplitude = 0.5, 0.2
     out = _outdir(args)
@@ -485,11 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("VISCOPHASE_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
     args = build_parser().parse_args(argv)
     if args.command == "weakstrong" and args.eps is None:
         args.eps = [1e-3, 5e-4]

@@ -27,16 +27,17 @@ from .errors import (BlowUpError, ConfigError, PotentialDomainError,
                      SnapshotError)
 from .fields import (
     Grid, ScalarField, VectorField,
-    grad_arr, div_arr, lap_arr, cg, bicgstab, solve_symbol,
+    grad_arr, div_arr, lap_arr, cg, solve_symbol,
     project_divergence_free, integrate,
 )
-from .material import MaterialModel, degenerate_model, regular_model
+from .material import (MOBILITY_KINDS, MaterialModel, degenerate_model,
+                       regular_model)
 
 __all__ = [
     "State", "SimConfig", "Trajectory",
     "chemical_potential", "flux_phi", "step_phi_q", "step_velocity",
     "simulate", "build_grid", "build_material", "initial_state", "dt_max",
-    "step_plan",
+    "step_plan", "check_model_kinds",
 ]
 
 DIAG_COLUMNS = (
@@ -116,7 +117,10 @@ def step_phi_q(state: State, M: MaterialModel, dt: float,
                solver_tol: float = 1e-11):
     """One semi-implicit update of (phi, q) with frozen u.  Constant
     mobility and relaxation time give direct spectral solves; variable
-    ones fall back to BiCGStab and CG at solver_tol."""
+    ones CG at solver_tol, preconditioned by that solve at the mean
+    coefficient.  The phi system (I + dt*L*K) phi = rhs, L = -div(m grad),
+    K = a - c0*lap, is solved as (K^-1 + dt*L) y = rhs for y = K phi: it is
+    symmetric positive definite and has the same residual."""
     grid = state.grid
     phi = state.phi.data
     q = state.q.data
@@ -141,12 +145,19 @@ def step_phi_q(state: State, M: MaterialModel, dt: float,
         phi_new = solve_symbol(rhs, grid,
                                lambda s: 1.0 + dt * mbar * (c0 * s * s - a * s))
     else:
-        def apply_phi(x):
-            inner = -c0 * lap_arr(x, grid) + a * x
-            return x - dt * div_arr(mv[None] * grad_arr(inner, grid, parity=1),
-                                    grid, parity=-1)
+        def K_inv(y):
+            return solve_symbol(y, grid, lambda s: a - c0 * s)
 
-        phi_new = bicgstab(apply_phi, rhs, tol=solver_tol, x0=phi)
+        def apply_S(y):
+            return K_inv(y) - dt * div_arr(mv[None] * grad_arr(y, grid, parity=1),
+                                           grid, parity=-1)
+
+        mbar = float(mv.mean())
+        y = cg(apply_S, rhs,
+               lambda r: solve_symbol(r, grid,
+                                      lambda s: 1.0 / (a - c0 * s) - dt * mbar * s),
+               tol=solver_tol, x0=state.mu.data - mu_expl)      # K phi_old
+        phi_new = K_inv(y)
 
     if not np.all(np.isfinite(phi_new)) or np.abs(phi_new).max() > 10.0:
         raise BlowUpError("phi blew up", time=state.t + dt)
@@ -159,12 +170,15 @@ def step_phi_q(state: State, M: MaterialModel, dt: float,
         - Av * div_arr(w, grid, parity=-1)
     )
     diag = 1.0 + dt / tauv
-    if _is_const(tauv):
-        dbar = float(diag.flat[0])
-        q_new = solve_symbol(rhs_q, grid, lambda s: dbar - dt * M.eps1 * s)
-    else:
-        q_new = cg(lambda x: diag * x - dt * M.eps1 * lap_arr(x, grid),
-                   rhs_q, tol=solver_tol, x0=q)
+    const_tau = _is_const(tauv)
+    dbar = float(diag.flat[0] if const_tau else diag.mean())
+
+    def q_inv(x):
+        return solve_symbol(x, grid, lambda s: dbar - dt * M.eps1 * s)
+
+    q_new = q_inv(rhs_q) if const_tau else cg(
+        lambda x: diag * x - dt * M.eps1 * lap_arr(x, grid), rhs_q, q_inv,
+        tol=solver_tol, x0=q)
 
     if not np.all(np.isfinite(q_new)):
         raise BlowUpError("q blew up", time=state.t + dt)
@@ -183,39 +197,39 @@ def _advect_velocity(u: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def step_velocity(state: State, M: MaterialModel, dt: float,
-                  capillary_form: str = "phi-grad-mu",
                   solver_tol: float = 1e-11):
     """Semi-implicit viscous solve followed by a divergence-free projection.
-    Constant viscosity gives a direct odd-parity spectral solve per
-    component; variable viscosity falls back to CG at solver_tol."""
+    Capillary force mu*grad(phi) (regular regime) or c0*lap(phi)*grad(phi)
+    (degenerate).  Constant viscosity gives a direct odd-parity spectral
+    solve per component; variable viscosity CG at solver_tol,
+    preconditioned by that solve at the mean viscosity."""
     grid = state.grid
     phi = state.phi.data
     u = state.u.data
     etav = np.asarray(M.eta(phi), dtype=float)
 
     gphi = grad_arr(phi, grid, parity=1)
-    if capillary_form == "phi-grad-mu":
+    if M.regime == "regular":
         f_cap = state.mu.data[None] * gphi
-    elif capillary_form == "c0-laplace-grad":
-        f_cap = (M.c0 * lap_arr(phi, grid))[None] * gphi
     else:
-        raise ValueError(f"unknown capillary form {capillary_form!r}")
+        f_cap = (M.c0 * lap_arr(phi, grid))[None] * gphi
 
     rhs = u + dt * (-_advect_velocity(u, grid) + f_cap)
 
     u_star = np.empty_like(u)
     const_eta = _is_const(etav)
-    for i in range(grid.d):
-        if const_eta:
-            ebar = float(etav.flat[0])
-            u_star[i] = solve_symbol(rhs[i], grid, lambda s: 1.0 - dt * ebar * s,
-                                     parity=-1)
-        else:
-            def apply_visc(x):
-                gx = grad_arr(x, grid, parity=-1)
-                return x - dt * div_arr(etav[None] * gx, grid, parity=1)
+    ebar = float(etav.flat[0] if const_eta else etav.mean())
 
-            u_star[i] = cg(apply_visc, rhs[i], tol=solver_tol, x0=u[i])
+    def visc_inv(x):
+        return solve_symbol(x, grid, lambda s: 1.0 - dt * ebar * s, parity=-1)
+
+    def apply_visc(x):
+        gx = grad_arr(x, grid, parity=-1)
+        return x - dt * div_arr(etav[None] * gx, grid, parity=1)
+
+    for i in range(grid.d):
+        u_star[i] = visc_inv(rhs[i]) if const_eta else cg(
+            apply_visc, rhs[i], visc_inv, tol=solver_tol, x0=u[i])
 
     if not np.all(np.isfinite(u_star)):
         raise BlowUpError("velocity blew up", time=state.t + dt)
@@ -234,7 +248,6 @@ class SimConfig:
     lengths: tuple = (1.0, 1.0)
     bc: str = "periodic"
     regime: str = "regular"
-    capillary_form: str = "auto"         # phi-grad-mu | c0-laplace-grad
     dt: Optional[float] = None           # None: dt_max heuristic
     dt_safety: float = 1.0
     t_end: Optional[float] = None
@@ -262,34 +275,40 @@ class SimConfig:
     A_const: float = 1.0
     alpha: float = 1.0
 
-    def resolved_capillary_form(self) -> str:
-        if self.capillary_form != "auto":
-            return self.capillary_form
-        return "phi-grad-mu" if self.regime == "regular" else "c0-laplace-grad"
-
 
 def build_grid(cfg: SimConfig) -> Grid:
     return Grid(shape=tuple(cfg.shape), lengths=tuple(cfg.lengths), bc=cfg.bc)
 
 
+# regime -> accepted (model.potential, model.mobility) values
+MODEL_KINDS = {"regular": (("auto", "double-well"), ("auto",)),
+               "degenerate": (("auto", "flory-huggins"),
+                              ("auto",) + MOBILITY_KINDS)}
+
+
+def check_model_kinds(cfg: SimConfig) -> None:
+    """ConfigError naming the key unless the regime, potential and
+    mobility are ones MODEL_KINDS lists; builds nothing."""
+    if cfg.regime not in MODEL_KINDS:
+        raise ConfigError(f"unknown regime {cfg.regime!r}")
+    for key, value, allowed in zip(("model.potential", "model.mobility"),
+                                   (cfg.potential_kind, cfg.mobility_kind),
+                                   MODEL_KINDS[cfg.regime]):
+        if value not in allowed:
+            raise ConfigError(f"{key} = {value!r}: the {cfg.regime} regime "
+                              f"takes one of {allowed}")
+
+
 def build_material(cfg: SimConfig) -> MaterialModel:
+    check_model_kinds(cfg)
     if cfg.regime == "regular":
-        potential = None
-        if cfg.potential_kind not in ("auto", "double-well"):
-            raise ConfigError(
-                f"regular regime supports the double-well potential, got "
-                f"{cfg.potential_kind!r}"
-            )
         return regular_model(c0=cfg.c0, eps1=cfg.eps1, a=cfg.a,
-                             potential=potential, eta=cfg.eta, tau=cfg.tau,
-                             A=cfg.A_const, dA=0.0)
-    if cfg.regime == "degenerate":
-        mobility = "s(1-s)" if cfg.mobility_kind == "auto" else cfg.mobility_kind
-        return degenerate_model(delta=cfg.delta, theta_c=cfg.theta_c,
-                                c0=cfg.c0, eps1=cfg.eps1, a=cfg.a,
-                                mobility=mobility, alpha=cfg.alpha,
-                                eta=cfg.eta, tau=cfg.tau)
-    raise ConfigError(f"unknown regime {cfg.regime!r}")
+                             eta=cfg.eta, tau=cfg.tau, A=cfg.A_const, dA=0.0)
+    mobility = "s(1-s)" if cfg.mobility_kind == "auto" else cfg.mobility_kind
+    return degenerate_model(delta=cfg.delta, theta_c=cfg.theta_c,
+                            c0=cfg.c0, eps1=cfg.eps1, a=cfg.a,
+                            mobility=mobility, alpha=cfg.alpha,
+                            eta=cfg.eta, tau=cfg.tau)
 
 
 def dt_max(cfg: SimConfig, grid: Grid, M: MaterialModel,
@@ -443,7 +462,6 @@ def simulate(config: SimConfig,
             raise ConfigError("integral of F(phi0) + G(phi0) must be finite")
 
     dt, n_steps = step_plan(config, grid, M, u)
-    cap_form = config.resolved_capillary_form()
     track_entropy = config.regime == "degenerate" and M.entropy is not None
 
     state = make_state(0.0, phi, q, u,
@@ -457,8 +475,7 @@ def simulate(config: SimConfig,
             phi_n, q_n = step_phi_q(state, M, dt, solver_tol=config.solver_tol)
             mid = make_state(t_new, phi_n, q_n, state.u, state.p, M)
             if config.velocity_coupling:
-                u_n, p_n = step_velocity(mid, M, dt, capillary_form=cap_form,
-                                         solver_tol=config.solver_tol)
+                u_n, p_n = step_velocity(mid, M, dt, solver_tol=config.solver_tol)
                 state = State(t=t_new, phi=phi_n, q=q_n, u=u_n, p=p_n,
                               mu=mid.mu)
             else:

@@ -13,8 +13,9 @@ boundary kinds.
 Constant-coefficient operators built from that Laplacian are inverted
 directly in the basis that diagonalises it: rfftn on periodic grids, the
 type-II DCT (even parity: scalars, pressure) or DST (odd parity: velocity
-components) on Neumann grids.  Conjugate gradients and BiCGStab remain for
-the variable-coefficient systems of the time step.
+components) on Neumann grids.  The variable-coefficient systems of the
+time step are solved by conjugate gradients preconditioned with those
+direct inverses at the mean coefficient.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ __all__ = [
     "solve_poisson",
 ]
 
-_BCS = ("periodic", "neumann-noslip")
+BCS = ("periodic", "neumann-noslip")
 
 
 @dataclass(frozen=True)
@@ -53,8 +54,8 @@ class Grid:
     bc: str = "periodic"
 
     def __post_init__(self):
-        if self.bc not in _BCS:
-            raise ValueError(f"bc must be one of {_BCS}")
+        if self.bc not in BCS:
+            raise ValueError(f"bc must be one of {BCS}")
         if not 1 <= len(self.shape) <= 3 or len(self.shape) != len(self.lengths):
             raise ValueError("grid needs 1-3 axes with matching lengths")
         if any(n < 4 for n in self.shape):
@@ -296,8 +297,7 @@ def solve_symbol(b: np.ndarray, grid: Grid, symbol_fn: Callable,
         bh = sfft.dctn(b, type=2, norm="ortho")
     else:
         bh = sfft.dstn(b, type=2, norm="ortho")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xh = np.where(np.abs(s) > 1e-14, bh / np.where(s == 0, 1.0, s), 0.0)
+    xh = np.divide(bh, s, out=np.zeros_like(bh), where=np.abs(s) > 1e-14)
     if grid.bc == "periodic":
         return np.fft.irfftn(xh, s=grid.shape, axes=tuple(range(grid.d)))
     if parity == 1:
@@ -305,63 +305,38 @@ def solve_symbol(b: np.ndarray, grid: Grid, symbol_fn: Callable,
     return sfft.idstn(xh, type=2, norm="ortho")
 
 
-def cg(apply_op: Callable, b: np.ndarray, tol: float = 1e-10,
-       maxiter: int = 10000, x0: Optional[np.ndarray] = None) -> np.ndarray:
-    """Matrix-free conjugate gradients on shaped arrays, for the symmetric
-    positive definite variable-coefficient systems."""
+def cg(apply_op: Callable, b: np.ndarray, precond: Callable,
+       tol: float = 1e-10, maxiter: int = 10000,
+       x0: Optional[np.ndarray] = None) -> np.ndarray:
+    """Matrix-free preconditioned conjugate gradients on shaped arrays for
+    the symmetric positive definite variable-coefficient systems; precond
+    applies an SPD approximation of the inverse.  Stops at
+    ||b - apply_op(x)|| <= tol*||b||, else raises SolverError."""
     x = np.zeros_like(b) if x0 is None else x0.copy()
     r = b - apply_op(x)
     bnorm = np.sqrt((b * b).sum())
     if bnorm == 0.0:
         return np.zeros_like(b)
-    p = r.copy()
-    rs = (r * r).sum()
+    rnorm = np.sqrt((r * r).sum())
+    if rnorm <= tol * bnorm:
+        return x
+    z = precond(r)
+    p = z
+    rz = (r * z).sum()
     for _ in range(maxiter):
-        if np.sqrt(rs) <= tol * bnorm:
-            return x
         Ap = apply_op(p)
-        alpha = rs / (p * Ap).sum()
+        alpha = rz / (p * Ap).sum()
         x += alpha * p
         r -= alpha * Ap
-        rs_new = (r * r).sum()
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    raise SolverError(f"cg failed to reach tol={tol} in {maxiter} iterations "
-                      f"(residual {np.sqrt(rs) / bnorm:.3e})")
-
-
-def bicgstab(apply_op: Callable, b: np.ndarray, tol: float = 1e-10,
-             maxiter: int = 10000, x0: Optional[np.ndarray] = None) -> np.ndarray:
-    """Matrix-free BiCGStab for the variable-mobility phi system."""
-    x = np.zeros_like(b) if x0 is None else x0.copy()
-    r = b - apply_op(x)
-    bnorm = np.sqrt((b * b).sum())
-    if bnorm == 0.0:
-        return np.zeros_like(b)
-    r_hat = r.copy()
-    rho = alpha = omega = 1.0
-    v = np.zeros_like(b)
-    p = np.zeros_like(b)
-    for _ in range(maxiter):
         rnorm = np.sqrt((r * r).sum())
         if rnorm <= tol * bnorm:
             return x
-        rho_new = (r_hat * r).sum()
-        if rho_new == 0.0:
-            break
-        beta = (rho_new / rho) * (alpha / omega)
-        rho = rho_new
-        p = r + beta * (p - omega * v)
-        v = apply_op(p)
-        alpha = rho / (r_hat * v).sum()
-        s = r - alpha * v
-        if np.sqrt((s * s).sum()) <= tol * bnorm:
-            return x + alpha * p
-        t = apply_op(s)
-        omega = (t * s).sum() / (t * t).sum()
-        x = x + alpha * p + omega * s
-        r = s - omega * t
-    raise SolverError(f"bicgstab failed to reach tol={tol} in {maxiter} iterations")
+        z = precond(r)
+        rz_new = (r * z).sum()
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    raise SolverError(f"cg failed to reach tol={tol} in {maxiter} iterations "
+                      f"(residual {rnorm / bnorm:.3e})")
 
 
 def solve_poisson(rhs: ScalarField) -> ScalarField:

@@ -358,13 +358,16 @@ def regular_model(c0: float = 2.5e-3, eps1: float = 1e-2, a: Optional[float] = N
     )
 
 
+MOBILITY_KINDS = ("s(1-s)", "linear", "s2(1-s)2", "quadratic")   # two aliases each
+
+
 def _degenerate_mobility(kind: str) -> Callable:
-    if kind in ("s(1-s)", "linear"):
+    if kind in MOBILITY_KINDS[:2]:
         def m(s):
             s = np.asarray(s, dtype=float)
             sc = np.clip(s, 0.0, 1.0)
             return sc * (1.0 - sc)
-    elif kind in ("s2(1-s)2", "quadratic"):
+    elif kind in MOBILITY_KINDS[2:]:
         def m(s):
             s = np.asarray(s, dtype=float)
             sc = np.clip(s, 0.0, 1.0)

@@ -126,6 +126,30 @@ class TestRunCommand:
         assert (out1 / "diagnostics.csv").read_bytes() == \
             (out2 / "diagnostics.csv").read_bytes()
 
+    @pytest.mark.parametrize("overrides,key", [
+        (["grid.bc=dirichlet"], "grid.bc"),
+        (["grid.shape=3,16"], "grid.shape"),
+        (["model.regime=degenerate", "init.mean=0.5", "model.mobility=cubic"],
+         "model.mobility"),
+        (["time.output_every=0"], "time.output_every"),
+        (["solver.solver_tol=0"], "solver.solver_tol"),
+        (["solver.solver_tol=-1e-6"], "solver.solver_tol"),
+        (["model.regime=degenerate", "init.mean=0.5",
+          "model.potential=double-well"], "model.potential"),
+        (["model.mobility=s(1-s)"], "model.mobility"),
+    ], ids=["bc", "shape", "degenerate-mobility", "output-every", "tol-zero",
+            "tol-negative", "degenerate-potential", "regular-mobility"])
+    def test_bad_value_exit_2_naming_key(self, tmp_path, capsys, overrides,
+                                         key):
+        out = tmp_path / "o"
+        argv = ["run", "--out", str(out), "--override", "grid.shape=16,16",
+                "--override", "time.steps=2"]
+        for item in overrides:
+            argv += ["--override", item]
+        assert main(argv) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
     def test_override_flag(self, tmp_path):
         out = tmp_path / "o"
         code = main(["run", "--out", str(out),
@@ -253,3 +277,16 @@ class TestSweepCommand:
         rows = np.genfromtxt(out / "sweep_table.csv", delimiter=",",
                              names=True)
         assert rows.shape == (2,)
+
+    def test_sweep_config_validated_as_degenerate(self, tmp_path):
+        # the sweep fixes the regime, so a degenerate mobility needs no
+        # model.regime line
+        out = tmp_path / "sweep"
+        code = main(["degenerate-sweep", "--out", str(out),
+                     "--override", "grid.shape=16,16",
+                     "--override", "time.steps=5",
+                     "--override", "model.mobility=quadratic",
+                     "--deltas", "1e-2"])
+        assert code == 0
+        assert json.loads((out / "sweep_report.jsonl").read_text()
+                          .splitlines()[0])["pass"]

@@ -1,11 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from viscophase.dynamics import (SimConfig, build_grid, build_material,
+import viscophase.dynamics
+from viscophase.diagnostics import energy
+from viscophase.dynamics import (SimConfig, State, build_grid, build_material,
                                  chemical_potential, dt_max, flux_phi,
-                                 initial_state, make_state, simulate)
+                                 initial_state, make_state, simulate,
+                                 step_phi_q, step_velocity)
 from viscophase.errors import BlowUpError, ConfigError
-from viscophase.fields import Grid, ScalarField, VectorField
+from viscophase.fields import (Grid, ScalarField, VectorField, div_arr,
+                               grad_arr, integrate, lap_arr)
+from viscophase.material import degenerate_model, regular_model
 
 
 def small_cfg(**kw):
@@ -46,6 +53,76 @@ class TestFlux:
                            VectorField.zeros(grid),
                            ScalarField.full(grid, 0.0), M)
         assert np.abs(flux_phi(state, M).data).max() < 1e-14
+
+
+class TestVariableCoefficientSolves:
+    @pytest.mark.parametrize("dt_factor", [1, 1000])
+    @pytest.mark.parametrize("bc", ["periodic", "neumann-noslip"])
+    @pytest.mark.parametrize("shape,lengths", [((12, 10), (1.0, 0.8)),
+                                               ((6, 5, 4), (1.0, 0.9, 0.7))],
+                             ids=["2d", "3d"])
+    def test_phi_pcg_matches_dense_solve(self, shape, lengths, bc, dt_factor):
+        # degenerate mobility with F' = 0, A = 0 and u = 0: the step solves
+        # (I + dt*L*K) phi = rhs, L = -div(m grad), K = a - c0*lap, with
+        # rhs = phi + dt*div(m grad(-a*phi))
+        grid = Grid(shape, lengths, bc)
+        M = degenerate_model(delta=1e-3)
+        zero = lambda s: np.zeros_like(np.asarray(s, dtype=float))
+        M = dataclasses.replace(
+            M, potential=dataclasses.replace(M.potential, df=zero), A=zero)
+        phi = np.random.default_rng(3).uniform(0.0, 1.0, shape)
+        dt = dt_factor * min(grid.h) ** 4 / (16.0 * M.c0 * M.m_max)
+        mv = M.m(phi)
+        a, c0 = M.a, M.c0
+
+        def flux_div(x):
+            return div_arr(mv[None] * grad_arr(x, grid, parity=1), grid,
+                           parity=-1)
+
+        rhs = phi + dt * flux_div(-a * phi)
+        size = phi.size
+        A = np.stack([(e - dt * flux_div(a * e - c0 * lap_arr(e, grid))).ravel()
+                      for e in np.eye(size).reshape((size,) + shape)], axis=1)
+        ref = np.linalg.solve(A, rhs.ravel()).reshape(shape)
+
+        state = make_state(0.0, ScalarField(grid, phi),
+                           ScalarField.full(grid, 0.0), VectorField.zeros(grid),
+                           ScalarField.full(grid, 0.0), M)
+        phi_new, _ = step_phi_q(state, M, dt, solver_tol=1e-12)
+        assert np.abs(phi_new.data - ref).max() <= 1e-9 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("bc", ["periodic", "neumann-noslip"])
+    def test_variable_tau_eta_energy_and_mass(self, bc, monkeypatch):
+        solves = []
+        real_cg = viscophase.dynamics.cg
+
+        def counting_cg(*args, **kwargs):
+            solves.append(1)
+            return real_cg(*args, **kwargs)
+
+        monkeypatch.setattr(viscophase.dynamics, "cg", counting_cg)
+        grid = Grid((16, 16), (1.0, 1.0), bc)
+        M = regular_model(tau=lambda s: 0.5 + 0.3 * np.tanh(np.asarray(s)),
+                          eta=lambda s: 1.0 + 0.5 * np.sin(3.0 * np.asarray(s)))
+        x, y = grid.meshgrid()
+        phi = ScalarField(grid, 0.6 * np.cos(2 * np.pi * x) * np.cos(np.pi * y))
+        q = ScalarField(grid, 0.3 * np.sin(np.pi * x))
+        state = make_state(0.0, phi, q, VectorField.zeros(grid),
+                           ScalarField.full(grid, 0.0), M)
+        dt, steps = 1e-3, 30
+        E = [energy(state, M).E_total]
+        mass = [integrate(state.phi)]
+        for _ in range(steps):
+            phi_n, q_n = step_phi_q(state, M, dt)
+            mid = make_state(state.t + dt, phi_n, q_n, state.u, state.p, M)
+            u_n, p_n = step_velocity(mid, M, dt)
+            state = State(t=mid.t, phi=phi_n, q=q_n, u=u_n, p=p_n, mu=mid.mu)
+            E.append(energy(state, M).E_total)
+            mass.append(integrate(state.phi))
+        # one q solve and one viscous solve per velocity component per step
+        assert len(solves) == steps * (1 + grid.d)
+        assert np.diff(E).max() <= 0.0
+        assert np.abs(np.array(mass) - mass[0]).max() <= 1e-14
 
 
 class TestSimulate:

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from viscophase.errors import GridMismatchError
+from viscophase.errors import GridMismatchError, SolverError
 from viscophase.fields import (Grid, ScalarField, VectorField, _diff_op,
-                               bicgstab, cg, divergence, div_arr, grad_arr,
+                               cg, divergence, div_arr, grad_arr,
                                gradient, integrate, l2_norm, lap_arr,
                                lap_symbol, laplacian, project_divergence_free,
                                solve_poisson, solve_symbol)
@@ -11,6 +11,14 @@ from viscophase.fields import (Grid, ScalarField, VectorField, _diff_op,
 
 def periodic_grid(n, d=2):
     return Grid((n,) * d, (1.0,) * d, "periodic")
+
+
+def dense(apply_op, shape):
+    """The matrix of a linear operator on arrays of the given shape,
+    assembled column by column from unit vectors."""
+    size = int(np.prod(shape))
+    cols = [apply_op(e.reshape(shape)).ravel() for e in np.eye(size)]
+    return np.stack(cols, axis=1)
 
 
 # Reference stencils: ghost cells by np.roll (periodic) or by np.concatenate
@@ -201,7 +209,8 @@ class TestSolvers:
     @pytest.mark.parametrize("lengths", [(1.0, 1.5), (1.0, 0.8, 1.2)])
     def test_spectral_solves_match_krylov_on_neumann(self, lengths):
         # the direct DCT/DST solves of the constant-coefficient time step,
-        # against the Krylov solvers kept for variable coefficients
+        # against a dense solve of the matrix-free phi operator and against
+        # CG, unpreconditioned here, for the others
         shape = (16, 12) if len(lengths) == 2 else (10, 8, 6)
         g = Grid(shape, lengths, "neumann-noslip")
         rng = np.random.default_rng(5)
@@ -215,22 +224,35 @@ class TestSolvers:
         def close(x, ref):
             return np.abs(x - ref).max() <= 1e-9 * np.abs(ref).max()
 
+        def identity(r):
+            return r
+
         phi = solve_symbol(b, g, lambda s: 1.0 + dt * m * (c0 * s * s - a * s))
-        ref = bicgstab(lambda x: x + dt * m * lap_arr(c0 * lap_arr(x, g) - a * x, g),
-                       b, tol=1e-12)
+        ref = np.linalg.solve(
+            dense(lambda x: x + dt * m * lap_arr(c0 * lap_arr(x, g) - a * x, g),
+                  shape),
+            b.ravel()).reshape(shape)
         assert close(phi, ref)
 
         q = solve_symbol(b, g, lambda s: diag - dt * eps1 * s)
-        ref = cg(lambda x: diag * x - dt * eps1 * lap_arr(x, g), b, tol=1e-12)
+        ref = cg(lambda x: diag * x - dt * eps1 * lap_arr(x, g), b, identity,
+                 tol=1e-12)
         assert close(q, ref)
 
         u = solve_symbol(b, g, lambda s: 1.0 - dt * eta * s, parity=-1)
-        ref = cg(lambda x: x - dt * eta * lap_odd(x), b, tol=1e-12)
+        ref = cg(lambda x: x - dt * eta * lap_odd(x), b, identity, tol=1e-12)
         assert close(u, ref)
 
         p = solve_poisson(ScalarField(g, b)).data
-        ref = cg(lambda x: -lap_arr(x, g), -(b - b.mean()), tol=1e-12)
+        ref = cg(lambda x: -lap_arr(x, g), -(b - b.mean()), identity, tol=1e-12)
         assert close(p, ref - ref.mean())
+
+    def test_cg_reports_residual_when_maxiter_too_small(self):
+        g = Grid((16, 16), (1.0, 1.0), "neumann-noslip")
+        b = np.random.default_rng(6).standard_normal(g.shape)
+        with pytest.raises(SolverError, match=r"in 3 iterations \(residual \d"):
+            cg(lambda x: x - 1e-2 * lap_arr(x, g), b, lambda r: r, tol=1e-12,
+               maxiter=3)
 
     def test_lap_symbol_cached_read_only(self):
         g = Grid((8, 8), (1.0, 1.0), "neumann-noslip")
