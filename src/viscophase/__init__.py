@@ -16,9 +16,9 @@ from .fields import (
     integrate, l2_norm, solve_poisson, project_divergence_free,
 )
 from .dynamics import (
-    State, SimConfig, Trajectory, chemical_potential, flux_phi,
-    step_phi_q, step_velocity, simulate, build_grid, build_material,
-    initial_state, dt_max,
+    State, SimConfig, Trajectory, chemical_potential, step_phi_q,
+    step_velocity, simulate, build_grid, build_material, initial_state,
+    dt_max,
 )
 from .diagnostics import (
     EnergyBreakdown, EnergyInequalityReport, RelativeEnergyReport,

@@ -101,6 +101,13 @@ def validate_config(cfg: SimConfig) -> SimConfig:
                           "per axis")
     if cfg.bc not in BCS:
         raise ConfigError(f"grid.bc = {cfg.bc!r}: must be one of {BCS}")
+    if not all(L > 0 for L in cfg.lengths):
+        raise ConfigError(f"grid.lengths = {cfg.lengths}: must be positive")
+    # the step-size bound divides by each of these
+    for key, value in (("model.c0", cfg.c0), ("model.eta", cfg.eta),
+                       ("model.tau", cfg.tau)):
+        if not value > 0:
+            raise ConfigError(f"{key} = {value}: must be positive")
     check_model_kinds(cfg)
     if not 0.0 < cfg.delta < 0.5:
         raise InvalidDeltaError(
@@ -114,6 +121,8 @@ def validate_config(cfg: SimConfig) -> SimConfig:
                 f"requirement a > c4/2 = {c4 / 2.0} for this potential")
     if cfg.dt is not None and cfg.dt <= 0:
         raise ConfigError("time.dt must be positive")
+    if cfg.steps is not None and cfg.steps <= 0:
+        raise ConfigError(f"time.steps = {cfg.steps}: must be positive")
     if cfg.dt_safety <= 0:
         raise ConfigError("time.dt_safety must be positive")
     if cfg.output_every <= 0:

@@ -43,31 +43,30 @@ class EnergyBreakdown:
 
 def energy(state: State, M: MaterialModel) -> EnergyBreakdown:
     """Total energy components and instantaneous dissipation integrands,
-    all by the midpoint rule on the state's grid."""
+    all by the midpoint rule on the state's grid.  The gradients and
+    coefficients come from the state's derived arrays (see State), which
+    the next time step reuses."""
     grid = state.grid
     vol = grid.cell_volume
     phi = state.phi.data
     q = state.q.data
     u = state.u.data
 
-    gphi = grad_arr(phi, grid, parity=1)
+    gphi = state.grad_phi()
     E_mix = float(((0.5 * M.c0) * (gphi**2).sum(axis=0)
                    + np.asarray(M.potential.f(phi))).sum() * vol)
     E_bulk = float((0.5 * q * q).sum() * vol)
     E_kin = float((0.5 * (u**2).sum(axis=0)).sum() * vol)
 
-    nv = np.asarray(M.n(phi), dtype=float)
-    Av = np.asarray(M.A(phi), dtype=float)
-    w = nv[None] * grad_arr(state.mu.data, grid, parity=1) \
-        - grad_arr(Av * q, grid, parity=1)
+    nv = state.coef(M, "n")
+    w = nv[None] * grad_arr(state.mu.data, grid, parity=1) - state.grad_Aq(M)
     D_cross = float((w**2).sum() * vol)
-    D_q = float((q * q / np.asarray(M.tau(phi), dtype=float)).sum() * vol)
-    gq = grad_arr(q, grid, parity=1)
+    D_q = float((q * q / state.coef(M, "tau")).sum() * vol)
+    gq = state.grad_q()
     D_eps = float(M.eps1 * (gq**2).sum() * vol)
-    etav = np.asarray(M.eta(phi), dtype=float)
+    etav = state.coef(M, "eta")
     D_visc = 0.0
-    for i in range(grid.d):
-        gu = grad_arr(u[i], grid, parity=-1)
+    for gu in state.grad_u():
         D_visc += float((etav * (gu**2).sum(axis=0)).sum() * vol)
 
     return EnergyBreakdown(E_mix=E_mix, E_bulk=E_bulk, E_kin=E_kin,

@@ -17,7 +17,7 @@ Scheme: first-order operator splitting per step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -35,7 +35,7 @@ from .material import (MOBILITY_KINDS, MaterialModel, degenerate_model,
 
 __all__ = [
     "State", "SimConfig", "Trajectory",
-    "chemical_potential", "flux_phi", "step_phi_q", "step_velocity",
+    "chemical_potential", "step_phi_q", "step_velocity",
     "simulate", "build_grid", "build_material", "initial_state", "dt_max",
     "step_plan", "check_model_kinds",
 ]
@@ -59,10 +59,28 @@ def _dF(M: MaterialModel, s: np.ndarray) -> np.ndarray:
     return np.asarray(P.df(s), dtype=float)
 
 
+# State.derived entries -> what each one is computed from; "model" is the
+# material model kept as derived["model"]
+_SOURCES = {
+    "grad_phi": ("phi",), "lap_phi": ("phi",), "grad_q": ("q",),
+    "grad_u": ("u",), "grad_Aq": ("phi", "q", "model"),
+    "dF": ("phi", "model"), "n": ("phi", "model"), "A": ("phi", "model"),
+    "tau": ("phi", "model"), "eta": ("phi", "model"), "model": (),
+}
+
+
 @dataclass(frozen=True)
 class State:
     """One time slice.  mu is the cached standard chemical potential
-    -c0*lap(phi) + F'(phi), recomputed whenever phi changes."""
+    -c0*lap(phi) + F'(phi), recomputed whenever phi changes.
+
+    derived holds arrays computed from the fields: grad phi, lap phi,
+    grad q, grad u_i, grad(A(phi) q) and the material coefficients at phi,
+    each computed on first use by the methods below.  The step, the next
+    step and the diagnostics read one copy, so each stencil is applied to
+    a state once.  The fields must not be changed in place after a read.
+    simulate hands a new state the entries it shares with the old one and
+    stores states without derived arrays."""
 
     t: float
     phi: ScalarField
@@ -70,10 +88,60 @@ class State:
     u: VectorField
     p: ScalarField
     mu: ScalarField
+    derived: dict = dc_field(default_factory=dict, compare=False, repr=False)
 
     @property
     def grid(self) -> Grid:
         return self.phi.grid
+
+    def _get(self, key: str, compute: Callable,
+             M: Optional[MaterialModel] = None) -> np.ndarray:
+        d = self.derived
+        if M is not None and d.setdefault("model", M) is not M:
+            for k, sources in _SOURCES.items():
+                if "model" in sources:
+                    d.pop(k, None)
+            d["model"] = M
+        if key not in d:
+            d[key] = compute()
+        return d[key]
+
+    def grad_phi(self) -> np.ndarray:
+        return self._get("grad_phi",
+                         lambda: grad_arr(self.phi.data, self.grid, parity=1))
+
+    def lap_phi(self) -> np.ndarray:
+        return self._get("lap_phi",
+                         lambda: div_arr(self.grad_phi(), self.grid, parity=-1))
+
+    def grad_q(self) -> np.ndarray:
+        return self._get("grad_q",
+                         lambda: grad_arr(self.q.data, self.grid, parity=1))
+
+    def grad_u(self) -> tuple:
+        """grad u_i (odd parity) for each component i."""
+        return self._get("grad_u", lambda: tuple(
+            grad_arr(ui, self.grid, parity=-1) for ui in self.u.data))
+
+    def grad_Aq(self, M: MaterialModel) -> np.ndarray:
+        return self._get("grad_Aq", lambda: grad_arr(
+            self.coef(M, "A") * self.q.data, self.grid, parity=1), M)
+
+    def coef(self, M: MaterialModel, name: str) -> np.ndarray:
+        """M.n, M.A, M.tau or M.eta at phi, as a float array."""
+        return self._get(name, lambda: np.asarray(
+            getattr(M, name)(self.phi.data), dtype=float), M)
+
+    def dF(self, M: MaterialModel) -> np.ndarray:
+        return self._get("dF", lambda: _dF(M, self.phi.data), M)
+
+
+def _shared(state: State, *fields: str) -> dict:
+    """The entries of state.derived computed from the given fields (and
+    the model) alone, for a new state that keeps those fields of this one."""
+    keep = {"model", *fields}
+    return {k: v for k, v in state.derived.items()
+            if keep.issuperset(_SOURCES[k])}
 
 
 def chemical_potential(phi: ScalarField, M: MaterialModel) -> ScalarField:
@@ -85,27 +153,22 @@ def chemical_potential(phi: ScalarField, M: MaterialModel) -> ScalarField:
 
 
 def make_state(t: float, phi: ScalarField, q: ScalarField, u: VectorField,
-               p: ScalarField, M: MaterialModel) -> State:
-    return State(t=t, phi=phi, q=q, u=u, p=p, mu=chemical_potential(phi, M))
+               p: ScalarField, M: MaterialModel,
+               derived: Optional[dict] = None) -> State:
+    """The state of these fields, mu as in chemical_potential.  derived may
+    hold entries already computed from these fields (see State)."""
+    state = State(t=t, phi=phi, q=q, u=u, p=p, mu=None,
+                  derived={} if derived is None else derived)
+    mu = ScalarField(phi.grid, -M.c0 * state.lap_phi() + state.dF(M))
+    return replace(state, mu=mu)
 
 
-def flux_phi(state: State, M: MaterialModel) -> VectorField:
-    """Combined order-parameter flux m(phi)*grad(mu) - n(phi)*grad(A q)."""
-    grid = state.grid
-    phi = state.phi.data
-    nv = np.asarray(M.n(phi), dtype=float)
-    gmu = grad_arr(state.mu.data, grid, parity=1)
-    gAq = grad_arr(np.asarray(M.A(phi), dtype=float) * state.q.data, grid, parity=1)
-    return VectorField(grid, (nv * nv)[None] * gmu - nv[None] * gAq)
-
-
-def _advect_scalar_plain(u: np.ndarray, f: np.ndarray, grid: Grid) -> np.ndarray:
-    return (u * grad_arr(f, grid, parity=1)).sum(axis=0)
-
-
-def _advect_scalar_skew(u: np.ndarray, f: np.ndarray, grid: Grid) -> np.ndarray:
-    conv = (u * grad_arr(f, grid, parity=1)).sum(axis=0)
-    cons = div_arr(u * f[None], grid, parity=-1)
+def _advect_skew(u: np.ndarray, f: np.ndarray, grad_f: np.ndarray,
+                 grid: Grid, parity: int) -> np.ndarray:
+    """Skew-symmetric advection 0.5*(u . grad f + div(u f)), exactly
+    energy-neutral discretely; grad_f is grad(f) at parity."""
+    conv = (u * grad_f).sum(axis=0)
+    cons = div_arr(u * f[None], grid, parity=-parity)
     return 0.5 * (conv + cons)
 
 
@@ -120,22 +183,25 @@ def step_phi_q(state: State, M: MaterialModel, dt: float,
     ones CG at solver_tol, preconditioned by that solve at the mean
     coefficient.  The phi system (I + dt*L*K) phi = rhs, L = -div(m grad),
     K = a - c0*lap, is solved as (K^-1 + dt*L) y = rhs for y = K phi: it is
-    symmetric positive definite and has the same residual."""
+    symmetric positive definite and has the same residual.
+
+    Returns (phi_new, q_new, derived), derived holding grad and lap of
+    phi_new for make_state (see State)."""
     grid = state.grid
     phi = state.phi.data
     q = state.q.data
     u = state.u.data
     c0, a = M.c0, M.a
 
-    nv = np.asarray(M.n(phi), dtype=float)
+    nv = state.coef(M, "n")
     mv = nv * nv
-    Av = np.asarray(M.A(phi), dtype=float)
-    tauv = np.asarray(M.tau(phi), dtype=float)
+    Av = state.coef(M, "A")
+    tauv = state.coef(M, "tau")
 
-    mu_expl = _dF(M, phi) - a * phi
-    cross = grad_arr(Av * q, grid, parity=1)           # grad(A q)
+    mu_expl = state.dF(M) - a * phi
+    cross = state.grad_Aq(M)
     rhs = phi + dt * (
-        -_advect_scalar_plain(u, phi, grid)
+        -(u * state.grad_phi()).sum(axis=0)
         + div_arr(mv[None] * grad_arr(mu_expl, grid, parity=1), grid, parity=-1)
         - div_arr(nv[None] * cross, grid, parity=-1)
     )
@@ -162,11 +228,13 @@ def step_phi_q(state: State, M: MaterialModel, dt: float,
     if not np.all(np.isfinite(phi_new)) or np.abs(phi_new).max() > 10.0:
         raise BlowUpError("phi blew up", time=state.t + dt)
 
-    mu_eff = -c0 * lap_arr(phi_new, grid) + a * phi_new + mu_expl
+    gphi_new = grad_arr(phi_new, grid, parity=1)
+    lap_new = div_arr(gphi_new, grid, parity=-1)
+    mu_eff = -c0 * lap_new + a * phi_new + mu_expl
     w = nv[None] * grad_arr(mu_eff, grid, parity=1) - cross
 
     rhs_q = q + dt * (
-        -_advect_scalar_skew(u, q, grid)
+        -_advect_skew(u, q, state.grad_q(), grid, parity=1)
         - Av * div_arr(w, grid, parity=-1)
     )
     diag = 1.0 + dt / tauv
@@ -183,17 +251,8 @@ def step_phi_q(state: State, M: MaterialModel, dt: float,
     if not np.all(np.isfinite(q_new)):
         raise BlowUpError("q blew up", time=state.t + dt)
 
-    return ScalarField(grid, phi_new), ScalarField(grid, q_new)
-
-
-def _advect_velocity(u: np.ndarray, grid: Grid) -> np.ndarray:
-    """Skew-symmetric (u . grad)u: exactly energy-neutral discretely."""
-    out = np.empty_like(u)
-    for i in range(grid.d):
-        conv = (u * grad_arr(u[i], grid, parity=-1)).sum(axis=0)
-        cons = div_arr(u * u[i][None], grid, parity=1)
-        out[i] = 0.5 * (conv + cons)
-    return out
+    return (ScalarField(grid, phi_new), ScalarField(grid, q_new),
+            {"grad_phi": gphi_new, "lap_phi": lap_new})
 
 
 def step_velocity(state: State, M: MaterialModel, dt: float,
@@ -204,17 +263,19 @@ def step_velocity(state: State, M: MaterialModel, dt: float,
     solve per component; variable viscosity CG at solver_tol,
     preconditioned by that solve at the mean viscosity."""
     grid = state.grid
-    phi = state.phi.data
     u = state.u.data
-    etav = np.asarray(M.eta(phi), dtype=float)
+    etav = state.coef(M, "eta")
 
-    gphi = grad_arr(phi, grid, parity=1)
+    gphi = state.grad_phi()
     if M.regime == "regular":
         f_cap = state.mu.data[None] * gphi
     else:
-        f_cap = (M.c0 * lap_arr(phi, grid))[None] * gphi
+        f_cap = (M.c0 * state.lap_phi())[None] * gphi
 
-    rhs = u + dt * (-_advect_velocity(u, grid) + f_cap)
+    advect = np.empty_like(u)          # skew-symmetric (u . grad)u
+    for i, gu in enumerate(state.grad_u()):
+        advect[i] = _advect_skew(u, u[i], gu, grid, parity=-1)
+    rhs = u + dt * (-advect + f_cap)
 
     u_star = np.empty_like(u)
     const_eta = _is_const(etav)
@@ -464,20 +525,25 @@ def simulate(config: SimConfig,
     dt, n_steps = step_plan(config, grid, M, u)
     track_entropy = config.regime == "degenerate" and M.entropy is not None
 
+    # the diagnostics of a state fill in the gradients its step reuses;
+    # a stored state keeps no derived arrays
     state = make_state(0.0, phi, q, u,
                        ScalarField.full(grid, 0.0), M)
     rows = [_diag_row(state, M, track_entropy)]
-    traj = Trajectory(config=config, dt=dt, states=[state])
+    traj = Trajectory(config=config, dt=dt, states=[replace(state, derived={})])
 
     for k in range(n_steps):
         t_new = (k + 1) * dt
         try:
-            phi_n, q_n = step_phi_q(state, M, dt, solver_tol=config.solver_tol)
-            mid = make_state(t_new, phi_n, q_n, state.u, state.p, M)
+            phi_n, q_n, new = step_phi_q(state, M, dt,
+                                         solver_tol=config.solver_tol)
+            mid = make_state(t_new, phi_n, q_n, state.u, state.p, M,
+                             derived={**_shared(state, "u"), **new})
+            state.derived.clear()       # nothing reads the old state again
             if config.velocity_coupling:
                 u_n, p_n = step_velocity(mid, M, dt, solver_tol=config.solver_tol)
                 state = State(t=t_new, phi=phi_n, q=q_n, u=u_n, p=p_n,
-                              mu=mid.mu)
+                              mu=mid.mu, derived=_shared(mid, "phi", "q"))
             else:
                 state = mid
         except BlowUpError as err:
@@ -485,7 +551,7 @@ def simulate(config: SimConfig,
             raise
         rows.append(_diag_row(state, M, track_entropy))
         if (k + 1) % config.output_every == 0 or k + 1 == n_steps:
-            traj.states.append(state)
+            traj.states.append(replace(state, derived={}))
 
     keys = rows[0].keys()
     traj.series = {key: np.array([r[key] for r in rows]) for key in keys}

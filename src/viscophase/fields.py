@@ -169,16 +169,31 @@ class VectorField:
     __rmul__ = __mul__
 
 
-@functools.lru_cache(maxsize=64)
-def _diff_op(grid: Grid, parity: int) -> sp.csr_matrix:
+@functools.lru_cache(maxsize=128)
+def _diff_op(grid: Grid, parity: int, stacked: bool = False) -> sp.csr_matrix:
     """Undivided central differences f[i+1] - f[i-1] on the flattened grid,
-    one diagonal block per axis.  Row k of block a holds +1 at the cell
+    one block of rows per axis.  Row k of block a holds +1 at the cell
     after k along axis a and -1 at the cell before it; past an edge that
     cell is the ghost, so the entry moves to the wrapped cell (periodic)
     or to k itself times parity (cell-center reflection).  Two entries of
-    +-1 per row make a matvec exactly f[i+1] - f[i-1].  Cached per (grid,
-    parity); the returned matrix is read-only."""
+    +-1 per row make a matvec exactly f[i+1] - f[i-1].
+
+    stacked: the blocks are stacked into one (d*N x N) matrix that maps a
+    scalar to its d differences (gradient).  Otherwise they form the
+    block-diagonal (d*N x d*N) matrix that maps d components to theirs
+    (divergence); it shares its values and row pointers with the stacked
+    one.  Cached per (grid, parity, stacked); the returned matrix is
+    read-only."""
     size = math.prod(grid.shape)
+    rows = grid.d * size
+    if not stacked:
+        grad = _diff_op(grid, parity, True)
+        # block a reads component a, stored a*size entries further on
+        cols = grad.indices + np.repeat(np.arange(0, rows, size), 2 * size)
+        op = sp.csr_matrix((grad.data, cols.astype(grad.indices.dtype),
+                            grad.indptr), shape=(rows, rows))
+        op.indices.setflags(write=False)
+        return op
     k = np.arange(size)
     cols = np.empty((grid.d, size, 2), dtype=np.intp)
     vals = np.empty((grid.d, size, 2))
@@ -194,27 +209,32 @@ def _diff_op(grid: Grid, parity: int) -> sp.csr_matrix:
         else:
             cols[a, last, 0], vals[a, last, 0] = k[last], parity
             cols[a, first, 1], vals[a, first, 1] = k[first], -parity
-        cols[a] += a * size
-    rows = grid.d * size
     op = sp.csr_matrix((vals.ravel(), cols.ravel(), np.arange(0, 2 * rows + 1, 2)),
-                       shape=(rows, rows))
+                       shape=(rows, size))
     for arr in (op.data, op.indices, op.indptr):
         arr.setflags(write=False)
     return op
 
 
+@functools.lru_cache(maxsize=64)
 def _two_h(grid: Grid) -> np.ndarray:
-    return np.array([2.0 * h for h in grid.h]).reshape((grid.d,) + (1,) * grid.d)
+    """2h per axis, shaped to divide a (d,) + grid.shape array; cached per
+    grid and read-only."""
+    out = np.array([2.0 * h for h in grid.h]).reshape((grid.d,) + (1,) * grid.d)
+    out.setflags(write=False)
+    return out
 
 
 def grad_arr(f: np.ndarray, grid: Grid, parity: int = 1) -> np.ndarray:
-    diffs = _diff_op(grid, parity) @ np.tile(f.ravel(), grid.d)
-    return diffs.reshape((grid.d,) + grid.shape) / _two_h(grid)
+    out = (_diff_op(grid, parity, True) @ f.ravel()).reshape((grid.d,) + grid.shape)
+    out /= _two_h(grid)
+    return out
 
 
 def div_arr(v: np.ndarray, grid: Grid, parity: int = -1) -> np.ndarray:
-    diffs = _diff_op(grid, parity) @ v.ravel()
-    return (diffs.reshape(v.shape) / _two_h(grid)).sum(axis=0)
+    diffs = (_diff_op(grid, parity) @ v.ravel()).reshape(v.shape)
+    diffs /= _two_h(grid)
+    return diffs.sum(axis=0)
 
 
 def gradient(f: ScalarField) -> VectorField:

@@ -137,8 +137,16 @@ class TestRunCommand:
         (["model.regime=degenerate", "init.mean=0.5",
           "model.potential=double-well"], "model.potential"),
         (["model.mobility=s(1-s)"], "model.mobility"),
+        (["model.eta=0"], "model.eta"),
+        (["model.tau=0"], "model.tau"),
+        (["model.c0=-1"], "model.c0"),
+        (["grid.lengths=0,1"], "grid.lengths"),
+        (["time.steps=0"], "time.steps"),
+        (["time.steps=-3"], "time.steps"),
     ], ids=["bc", "shape", "degenerate-mobility", "output-every", "tol-zero",
-            "tol-negative", "degenerate-potential", "regular-mobility"])
+            "tol-negative", "degenerate-potential", "regular-mobility",
+            "eta-zero", "tau-zero", "c0-negative", "lengths-zero",
+            "steps-zero", "steps-negative"])
     def test_bad_value_exit_2_naming_key(self, tmp_path, capsys, overrides,
                                          key):
         out = tmp_path / "o"

@@ -3,12 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
+import viscophase.diagnostics
 import viscophase.dynamics
+import viscophase.fields
 from viscophase.diagnostics import energy
 from viscophase.dynamics import (SimConfig, State, build_grid, build_material,
-                                 chemical_potential, dt_max, flux_phi,
-                                 initial_state, make_state, simulate,
-                                 step_phi_q, step_velocity)
+                                 chemical_potential, dt_max, initial_state,
+                                 make_state, simulate, step_phi_q,
+                                 step_velocity)
 from viscophase.errors import BlowUpError, ConfigError
 from viscophase.fields import (Grid, ScalarField, VectorField, div_arr,
                                grad_arr, integrate, lap_arr)
@@ -43,16 +45,88 @@ class TestChemicalPotential:
         assert np.abs(mu.data - exact).max() < 1e-4
 
 
-class TestFlux:
-    def test_uniform_state_no_flux(self):
-        cfg = small_cfg()
+class TestUniformState:
+    @pytest.mark.parametrize("q0", [0.0, 0.4])
+    @pytest.mark.parametrize("bc", ["periodic", "neumann-noslip"])
+    def test_fixed_point_of_step(self, bc, q0):
+        # no flux m*grad(mu) - n*grad(A q) and no force: phi and u stay put,
+        # q only relaxes, q_new = q/(1 + dt/tau); q = 0 is a fixed point
+        cfg = small_cfg(bc=bc)
         grid = build_grid(cfg)
         M = build_material(cfg)
+        dt = 1e-3
         state = make_state(0.0, ScalarField.full(grid, 0.2),
-                           ScalarField.full(grid, 0.4),
+                           ScalarField.full(grid, q0),
                            VectorField.zeros(grid),
                            ScalarField.full(grid, 0.0), M)
-        assert np.abs(flux_phi(state, M).data).max() < 1e-14
+        phi_n, q_n, new = step_phi_q(state, M, dt)
+        mid = make_state(dt, phi_n, q_n, state.u, state.p, M, derived=new)
+        u_n, p_n = step_velocity(mid, M, dt)
+        assert np.abs(phi_n.data - 0.2).max() < 1e-14
+        assert np.abs(q_n.data - q0 / (1.0 + dt / cfg.tau)).max() < 1e-14
+        assert np.abs(u_n.data).max() < 1e-14
+        assert np.abs(p_n.data).max() < 1e-14
+
+
+class TestSharedDerived:
+    COLUMNS = ("E_mix", "E_bulk", "E_kin", "E_total",
+               "D_cross", "D_q", "D_eps", "D_visc")
+
+    @pytest.mark.parametrize("bc", ["periodic", "neumann-noslip"])
+    @pytest.mark.parametrize("regime", ["regular", "degenerate"])
+    def test_diagnostics_match_fresh_states(self, regime, bc):
+        # the per-step columns read gradients shared with the step; each
+        # must equal energy() of a state rebuilt from the stored fields
+        extra = (dict(init_mean=0.5, init_amplitude=0.2)
+                 if regime == "degenerate" else dict(init_amplitude=0.3))
+        cfg = small_cfg(regime=regime, bc=bc, steps=8, output_every=1, **extra)
+        traj = simulate(cfg)
+        M = build_material(cfg)
+        assert len(traj.states) == 9
+        assert all(s.derived == {} for s in traj.states)
+        fresh = [energy(make_state(s.t, s.phi, s.q, s.u, s.p, M), M)
+                 for s in traj.states]
+        assert np.abs(traj.column("E_kin")).max() > 0
+        for col in self.COLUMNS:
+            assert np.array_equal(traj.column(col),
+                                  [getattr(eb, col) for eb in fresh]), col
+
+    def test_energy_follows_the_model(self):
+        cfg = small_cfg(init_amplitude=0.3)
+        grid = build_grid(cfg)
+        M = build_material(cfg)
+        other = regular_model(tau=0.5, A=2.0, eta=3.0)
+        phi, q, _ = initial_state(cfg, grid, M)
+        q = ScalarField(grid, phi.data.copy())
+        state = make_state(0.0, phi, q, VectorField.zeros(grid),
+                           ScalarField.full(grid, 0.0), M)
+        energy(state, M)                  # fills the arrays derived with M
+        again = make_state(0.0, phi, q, VectorField.zeros(grid),
+                           ScalarField.full(grid, 0.0), M)
+        assert energy(state, other) == energy(again, other)
+        assert energy(state, other) != energy(state, M)
+
+    def test_stencil_calls_per_step(self, monkeypatch):
+        # 18 distinct stencils per regular periodic step (the step before
+        # shared gradients applied 27)
+        calls = []
+        for name in ("grad_arr", "div_arr"):
+            real = getattr(viscophase.fields, name)
+
+            def counted(*args, _real=real, **kwargs):
+                calls.append(1)
+                return _real(*args, **kwargs)
+
+            for mod in (viscophase.fields, viscophase.dynamics,
+                        viscophase.diagnostics):
+                if getattr(mod, name, None) is real:
+                    monkeypatch.setattr(mod, name, counted)
+        per_run = []
+        for steps in (2, 12):
+            calls.clear()
+            simulate(small_cfg(steps=steps))
+            per_run.append(len(calls))
+        assert (per_run[1] - per_run[0]) / 10 <= 18
 
 
 class TestVariableCoefficientSolves:
@@ -88,7 +162,7 @@ class TestVariableCoefficientSolves:
         state = make_state(0.0, ScalarField(grid, phi),
                            ScalarField.full(grid, 0.0), VectorField.zeros(grid),
                            ScalarField.full(grid, 0.0), M)
-        phi_new, _ = step_phi_q(state, M, dt, solver_tol=1e-12)
+        phi_new, _, _ = step_phi_q(state, M, dt, solver_tol=1e-12)
         assert np.abs(phi_new.data - ref).max() <= 1e-9 * np.abs(ref).max()
 
     @pytest.mark.parametrize("bc", ["periodic", "neumann-noslip"])
@@ -113,7 +187,7 @@ class TestVariableCoefficientSolves:
         E = [energy(state, M).E_total]
         mass = [integrate(state.phi)]
         for _ in range(steps):
-            phi_n, q_n = step_phi_q(state, M, dt)
+            phi_n, q_n, _ = step_phi_q(state, M, dt)
             mid = make_state(state.t + dt, phi_n, q_n, state.u, state.p, M)
             u_n, p_n = step_velocity(mid, M, dt)
             state = State(t=mid.t, phi=phi_n, q=q_n, u=u_n, p=p_n, mu=mid.mu)

@@ -3,7 +3,7 @@ import pytest
 
 from viscophase.errors import GridMismatchError, SolverError
 from viscophase.fields import (Grid, ScalarField, VectorField, _diff_op,
-                               cg, divergence, div_arr, grad_arr,
+                               _two_h, cg, divergence, div_arr, grad_arr,
                                gradient, integrate, l2_norm, lap_arr,
                                lap_symbol, laplacian, project_divergence_free,
                                solve_poisson, solve_symbol)
@@ -146,8 +146,12 @@ class TestOperators:
         g = Grid((8, 6), (1.0, 1.0), "neumann-noslip")
         assert _diff_op(g, -1) is _diff_op(g, -1)
         assert _diff_op(g, 1) is not _diff_op(g, -1)
-        op = _diff_op(g, 1)
-        assert not any(a.flags.writeable for a in (op.data, op.indices, op.indptr))
+        assert _diff_op(g, 1, True) is _diff_op(g, 1, True)
+        for op in (_diff_op(g, 1), _diff_op(g, 1, True)):
+            assert not any(a.flags.writeable
+                           for a in (op.data, op.indices, op.indptr))
+        assert _diff_op(g, 1, True).shape == (2 * 48, 48)
+        assert _two_h(g) is _two_h(g) and not _two_h(g).flags.writeable
 
     def test_integrate(self):
         g = periodic_grid(64)
