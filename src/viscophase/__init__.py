@@ -9,7 +9,7 @@ from .errors import (
 from .material import (
     Potential, Entropy, MaterialModel, double_well, flory_huggins_split,
     regularize_potential, regularize_mobility, entropy_from_mobility,
-    regular_model, degenerate_model, check_assumptions, eval_potential,
+    regular_model, degenerate_model,
 )
 from .fields import (
     Grid, ScalarField, VectorField, gradient, divergence, laplacian,
@@ -18,7 +18,7 @@ from .fields import (
 from .dynamics import (
     State, SimConfig, Trajectory, chemical_potential, step_phi_q,
     step_velocity, simulate, build_grid, build_material, initial_state,
-    dt_max,
+    dt_max, validate_config,
 )
 from .diagnostics import (
     EnergyBreakdown, EnergyInequalityReport, RelativeEnergyReport,

@@ -22,9 +22,8 @@ import numpy as np
 from . import __version__
 from .errors import (BlowUpError, ConfigError, InvalidDeltaError,
                      QuadratureResolutionError, SolverError)
-from .fields import BCS
 from .dynamics import (SimConfig, Trajectory, build_grid, build_material,
-                       check_model_kinds, initial_state, simulate, step_plan)
+                       initial_state, simulate, step_plan, validate_config)
 from .diagnostics import (CheckRecord, bounds_report, check_energy_inequality,
                           gronwall_fit, relative_energy, write_report)
 from .galerkin import CosineBasis, convergence_study
@@ -93,67 +92,32 @@ _FORMATTERS = {
 }
 
 
-def validate_config(cfg: SimConfig) -> SimConfig:
-    if len(cfg.shape) != len(cfg.lengths) or not 1 <= len(cfg.shape) <= 3:
-        raise ConfigError("grid.shape and grid.lengths must agree, 1-3 axes")
-    if min(cfg.shape) < 4:
-        raise ConfigError(f"grid.shape = {cfg.shape}: need at least 4 cells "
-                          "per axis")
-    if cfg.bc not in BCS:
-        raise ConfigError(f"grid.bc = {cfg.bc!r}: must be one of {BCS}")
-    if not all(L > 0 for L in cfg.lengths):
-        raise ConfigError(f"grid.lengths = {cfg.lengths}: must be positive")
-    # the step-size bound divides by each of these
-    for key, value in (("model.c0", cfg.c0), ("model.eta", cfg.eta),
-                       ("model.tau", cfg.tau)):
-        if not value > 0:
-            raise ConfigError(f"{key} = {value}: must be positive")
-    check_model_kinds(cfg)
-    if not 0.0 < cfg.delta < 0.5:
-        raise InvalidDeltaError(
-            f"regularization.delta = {cfg.delta} outside the admissible "
-            "range (0, 1/2)")
-    if cfg.a is not None:
-        c4 = build_material(cfg).c4
-        if not cfg.a > c4 / 2.0:
-            raise ConfigError(
-                f"stabilization.a = {cfg.a} violates the coercivity "
-                f"requirement a > c4/2 = {c4 / 2.0} for this potential")
-    if cfg.dt is not None and cfg.dt <= 0:
-        raise ConfigError("time.dt must be positive")
-    if cfg.steps is not None and cfg.steps <= 0:
-        raise ConfigError(f"time.steps = {cfg.steps}: must be positive")
-    if cfg.dt_safety <= 0:
-        raise ConfigError("time.dt_safety must be positive")
-    if cfg.output_every <= 0:
-        raise ConfigError("time.output_every must be positive")
-    if not cfg.solver_tol > 0:
-        raise ConfigError("solver.solver_tol must be positive")
-    return cfg
-
-
 def parse_config(text: str) -> SimConfig:
     """Flat dotted-key config text -> fully defaulted, validated SimConfig."""
     return validate_config(_parse_unvalidated(text))
+
+
+def _set_key(cfg: SimConfig, item: str, where: str) -> None:
+    """Apply one ``key = value`` item; ConfigError prefixed with where."""
+    if "=" not in item:
+        raise ConfigError(f"{where}: expected 'key = value', got {item!r}")
+    key, _, value = item.partition("=")
+    key, value = key.strip(), value.strip()
+    if key not in KEYMAP:
+        raise ConfigError(f"{where}: unknown key {key!r}")
+    attr, parser = KEYMAP[key]
+    try:
+        setattr(cfg, attr, parser(value))
+    except ValueError as err:
+        raise ConfigError(f"{where}: bad value for {key}: {err}")
 
 
 def _parse_unvalidated(text: str) -> SimConfig:
     cfg = SimConfig()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in KEYMAP:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        attr, parser = KEYMAP[key]
-        try:
-            setattr(cfg, attr, parser(value))
-        except ValueError as err:
-            raise ConfigError(f"line {lineno}: bad value for {key}: {err}")
+        if line:
+            _set_key(cfg, line, f"line {lineno}")
     return cfg
 
 
@@ -222,17 +186,7 @@ def _load_config(args, regime: Optional[str] = None) -> SimConfig:
     else:
         cfg = SimConfig()
     for item in getattr(args, "override", None) or []:
-        if "=" not in item:
-            raise ConfigError(f"--override needs key=value, got {item!r}")
-        key, _, value = item.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in KEYMAP:
-            raise ConfigError(f"--override: unknown key {key!r}")
-        attr, parser = KEYMAP[key]
-        try:
-            setattr(cfg, attr, parser(value))
-        except ValueError as err:
-            raise ConfigError(f"--override: bad value for {key}: {err}")
+        _set_key(cfg, item, "--override")
     if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed
     if regime is not None:
@@ -400,9 +354,8 @@ def cmd_degenerate_sweep(args) -> int:
     overshoots = []
     for delta in args.deltas:
         dcfg = dataclasses.replace(cfg, delta=delta)
-        validate_config(dcfg)
-        M = build_material(dcfg)
         traj = simulate(dcfg)
+        M = build_material(dcfg)
         br = bounds_report(traj, M)
         traj.write_csv(out / f"diagnostics_delta{delta:g}.csv")
         ent_ok = (br.entropy_series is not None

@@ -142,8 +142,6 @@ def relative_energy(state: State, reference: State,
     """
     if state.grid != reference.grid:
         raise GridMismatchError("state and reference grids differ")
-    if not M.a > M.c4 / 2.0:
-        raise ValueError(f"stabilization a={M.a} must exceed c4/2={M.c4 / 2.0}")
     grid = state.grid
     vol = grid.cell_volume
     phi, psi = state.phi.data, reference.phi.data

@@ -23,10 +23,10 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from .errors import (BlowUpError, ConfigError, PotentialDomainError,
-                     SnapshotError)
+from .errors import (BlowUpError, ConfigError, InvalidDeltaError,
+                     PotentialDomainError, SnapshotError)
 from .fields import (
-    Grid, ScalarField, VectorField,
+    BCS, Grid, ScalarField, VectorField,
     grad_arr, div_arr, lap_arr, cg, solve_symbol,
     project_divergence_free, integrate,
 )
@@ -37,7 +37,7 @@ __all__ = [
     "State", "SimConfig", "Trajectory",
     "chemical_potential", "step_phi_q", "step_velocity",
     "simulate", "build_grid", "build_material", "initial_state", "dt_max",
-    "step_plan", "check_model_kinds",
+    "step_plan", "check_model_kinds", "validate_config",
 ]
 
 DIAG_COLUMNS = (
@@ -48,14 +48,16 @@ DIAG_COLUMNS = (
 
 
 def _dF(M: MaterialModel, s: np.ndarray) -> np.ndarray:
+    """F'(s); PotentialDomainError if s leaves the potential's open
+    domain (the bare logarithmic kind)."""
     P = M.potential
     if P.domain is not None:
         lo, hi = P.domain
         if np.any(s <= lo) or np.any(s >= hi):
             raise PotentialDomainError(
-                "order parameter left the potential domain; use the "
-                "regularized potential for degenerate runs"
-            )
+                f"{P.kind} potential requires phi in the open interval "
+                f"({lo}, {hi}); got range [{s.min()}, {s.max()}]; use the "
+                "regularized potential for degenerate runs")
     return np.asarray(P.df(s), dtype=float)
 
 
@@ -360,6 +362,50 @@ def check_model_kinds(cfg: SimConfig) -> None:
                               f"takes one of {allowed}")
 
 
+def _check_values(cfg: SimConfig) -> None:
+    """ConfigError naming the key of the first bad value; builds nothing."""
+    if len(cfg.shape) != len(cfg.lengths) or not 1 <= len(cfg.shape) <= 3:
+        raise ConfigError("grid.shape and grid.lengths must agree, 1-3 axes")
+    if min(cfg.shape) < 4:
+        raise ConfigError(f"grid.shape = {cfg.shape}: need at least 4 cells "
+                          "per axis")
+    if cfg.bc not in BCS:
+        raise ConfigError(f"grid.bc = {cfg.bc!r}: must be one of {BCS}")
+    if not all(L > 0 for L in cfg.lengths):
+        raise ConfigError(f"grid.lengths = {cfg.lengths}: must be positive")
+    # the step-size bound divides by c0, eta and tau; the stress diffusion
+    # needs eps1 > 0
+    for key, value in (("model.c0", cfg.c0), ("model.eta", cfg.eta),
+                       ("model.tau", cfg.tau), ("model.eps1", cfg.eps1)):
+        if not value > 0:
+            raise ConfigError(f"{key} = {value}: must be positive")
+    check_model_kinds(cfg)
+    if not 0.0 < cfg.delta < 0.5:
+        raise InvalidDeltaError(
+            f"regularization.delta = {cfg.delta} outside the admissible "
+            "range (0, 1/2)")
+    if cfg.dt is not None and cfg.dt <= 0:
+        raise ConfigError("time.dt must be positive")
+    if cfg.steps is not None and cfg.steps <= 0:
+        raise ConfigError(f"time.steps = {cfg.steps}: must be positive")
+    if cfg.dt_safety <= 0:
+        raise ConfigError("time.dt_safety must be positive")
+    if cfg.output_every <= 0:
+        raise ConfigError("time.output_every must be positive")
+    if not cfg.solver_tol > 0:
+        raise ConfigError("solver.solver_tol must be positive")
+
+
+def validate_config(cfg: SimConfig) -> SimConfig:
+    """cfg, or ConfigError naming the key of the first bad value.  The
+    material model owns the rule a > c4/2, so a config that sets
+    stabilization.a builds the model once to check it."""
+    _check_values(cfg)
+    if cfg.a is not None:
+        build_material(cfg)
+    return cfg
+
+
 def build_material(cfg: SimConfig) -> MaterialModel:
     check_model_kinds(cfg)
     if cfg.regime == "regular":
@@ -417,7 +463,11 @@ def _spinodal_noise(grid: Grid, mean: float, amplitude: float, seed: int) -> np.
 
 
 def initial_state(cfg: SimConfig, grid: Grid, M: MaterialModel):
-    """phi0, q0, u0 from the configured initial-data library."""
+    """phi0, q0, u0 from the configured initial-data library.  Only a
+    snapshot sets q and u; it must hold phi and, if any velocity component,
+    all of them."""
+    q0 = np.zeros(grid.shape)
+    u0 = np.zeros((grid.d,) + grid.shape)
     if cfg.init_kind == "uniform":
         phi0 = np.full(grid.shape, float(cfg.init_mean))
     elif cfg.init_kind == "spinodal":
@@ -436,16 +486,21 @@ def initial_state(cfg: SimConfig, grid: Grid, M: MaterialModel):
                 f"{path}: snapshot grid {snap_grid.shape} with lengths "
                 f"{snap_grid.lengths} does not match the configured grid "
                 f"{grid.shape} with lengths {grid.lengths}")
-        if "phi" not in fields_map:
-            raise SnapshotError(f"{path}: snapshot has no 'phi' field "
-                                f"(fields: {', '.join(fields_map) or 'none'})")
+        u_names = ["u_" + "xyz"[i] for i in range(grid.d)]
+        has_u = any(name in fields_map for name in u_names)
+        for name in ["phi"] + (u_names if has_u else []):
+            if name not in fields_map:
+                raise SnapshotError(
+                    f"{path}: snapshot has no {name!r} field "
+                    f"(fields: {', '.join(fields_map) or 'none'})")
         phi0 = fields_map["phi"]
+        q0 = fields_map.get("q", q0)
+        if has_u:
+            u0 = np.stack([fields_map[name] for name in u_names])
     else:
         raise ConfigError(f"unknown init kind {cfg.init_kind!r}")
     phi = ScalarField(grid, np.asarray(phi0, dtype=float))
-    q = ScalarField.full(grid, 0.0)
-    u = VectorField.zeros(grid)
-    return phi, q, u
+    return phi, ScalarField(grid, q0), VectorField(grid, u0)
 
 
 @dataclass
@@ -501,7 +556,9 @@ def simulate(config: SimConfig,
              q0: Optional[ScalarField] = None,
              u0: Optional[VectorField] = None) -> Trajectory:
     """Advance the full system to t_end, recording diagnostics each step
-    and snapshots at the output cadence."""
+    and snapshots at the output cadence.  Rejects what validate_config
+    rejects; the model build checks stabilization.a."""
+    _check_values(config)
     grid = build_grid(config)
     M = build_material(config)
     d_phi, d_q, d_u = initial_state(config, grid, M)

@@ -194,7 +194,7 @@ def test_6_galerkin_harness():
 
     # linear spectral convergence past the band limit
     zero = lambda s: np.zeros_like(np.asarray(s, dtype=float))
-    pot = dataclasses.replace(M.potential, f=zero, df=zero, d2f=zero, d3f=zero)
+    pot = dataclasses.replace(M.potential, f=zero, df=zero, d2f=zero)
     Mlin = dataclasses.replace(M, potential=pot, A=zero, dA=zero)
     phi0 = lambda x, y: (0.3 * np.cos(np.pi * x) * np.cos(np.pi * y)
                          + 0.1 * np.cos(2 * np.pi * x))

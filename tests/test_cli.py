@@ -143,10 +143,12 @@ class TestRunCommand:
         (["grid.lengths=0,1"], "grid.lengths"),
         (["time.steps=0"], "time.steps"),
         (["time.steps=-3"], "time.steps"),
+        (["model.eps1=-1"], "model.eps1"),
+        (["stabilization.a=0.4"], "stabilization.a"),
     ], ids=["bc", "shape", "degenerate-mobility", "output-every", "tol-zero",
             "tol-negative", "degenerate-potential", "regular-mobility",
             "eta-zero", "tau-zero", "c0-negative", "lengths-zero",
-            "steps-zero", "steps-negative"])
+            "steps-zero", "steps-negative", "eps1-negative", "a-below-c4-half"])
     def test_bad_value_exit_2_naming_key(self, tmp_path, capsys, overrides,
                                          key):
         out = tmp_path / "o"

@@ -158,13 +158,6 @@ class TestRelativeEnergy:
             relative_energy(_state(grid, M, ScalarField.full(grid, 0.0)),
                             _state(other, M, ScalarField.full(other, 0.0)), M)
 
-    def test_stabilization_enforced(self, setup):
-        grid, M = setup
-        bad = dataclasses.replace(M, a=0.1)
-        st = _state(grid, M, ScalarField.full(grid, 0.0))
-        with pytest.raises(ValueError):
-            relative_energy(st, st, bad)
-
 
 class TestGronwall:
     def test_exact_exponential(self):

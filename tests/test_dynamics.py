@@ -284,6 +284,16 @@ class TestValidation:
         with pytest.raises(ConfigError):
             simulate(cfg, bad, q0, u0)
 
+    @pytest.mark.parametrize("bad,key", [
+        (dict(steps=0), "time.steps"),
+        (dict(eta=0.0), "model.eta"),
+        (dict(a=0.1), "stabilization.a"),
+        (dict(eps1=-1.0), "model.eps1"),
+    ], ids=["steps-zero", "eta-zero", "a-below-c4-half", "eps1-negative"])
+    def test_simulate_rejects_bad_value_naming_key(self, bad, key):
+        with pytest.raises(ConfigError, match=key):
+            simulate(small_cfg(**bad))
+
     def test_unknown_regime(self):
         with pytest.raises(ConfigError):
             build_material(SimConfig(regime="weird"))

@@ -19,7 +19,7 @@ def linear_material():
     """F' = 0, A = 0, unit mobility: pure biharmonic phi dynamics."""
     M = regular_model()
     zero = lambda s: np.zeros_like(np.asarray(s, dtype=float))
-    pot = dataclasses.replace(M.potential, f=zero, df=zero, d2f=zero, d3f=zero)
+    pot = dataclasses.replace(M.potential, f=zero, df=zero, d2f=zero)
     return dataclasses.replace(M, potential=pot, A=zero, dA=zero)
 
 

@@ -1,13 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from viscophase.errors import (DegenerateMobilityError, InvalidDeltaError,
-                               PotentialDomainError)
-from viscophase.material import (check_assumptions, degenerate_model,
-                                 double_well, entropy_from_mobility,
-                                 eval_potential, flory_huggins_split,
+from viscophase.dynamics import chemical_potential
+from viscophase.errors import (ConfigError, DegenerateMobilityError,
+                               InvalidDeltaError, PotentialDomainError)
+from viscophase.fields import Grid, ScalarField
+from viscophase.material import (degenerate_model, double_well,
+                                 entropy_from_mobility, flory_huggins_split,
                                  regular_model, regularize_mobility,
                                  regularize_potential)
 
@@ -56,7 +58,6 @@ class TestFloryHuggins:
         P = flory_huggins_split()
         s = np.linspace(1e-3, 1 - 1e-3, 301)
         assert np.abs(P.f1(s) + P.f2(s) - P.f(s)).max() < 1e-12
-        assert P.f0 == pytest.approx(5.0)
         assert P.c4 == pytest.approx(5.0)
         assert P.c3 == pytest.approx(math.log(2.0))
 
@@ -76,11 +77,13 @@ class TestFloryHuggins:
         assert right == pytest.approx(1.0 - left, abs=1e-4)
 
     def test_domain_enforced(self):
-        P = flory_huggins_split()
-        with pytest.raises(PotentialDomainError):
-            eval_potential(P, 1.2)
-        with pytest.raises(PotentialDomainError):
-            eval_potential(P, np.array([0.5, 0.0]))
+        M = regular_model(potential=flory_huggins_split())
+        grid = Grid(shape=(4, 4), lengths=(1.0, 1.0))
+        for bad in (1.2, 0.0):
+            phi = np.full(grid.shape, 0.5)
+            phi[1, 2] = bad
+            with pytest.raises(PotentialDomainError, match="open interval"):
+                chemical_potential(ScalarField(grid, phi), M)
 
 
 class TestRegularization:
@@ -151,40 +154,33 @@ class TestModels:
         assert M.eps1 == pytest.approx(1e-2)
         assert M.a == pytest.approx(1.5)           # c4/2 + 1
         assert M.m(0.3) == pytest.approx(1.0)
-        assert check_assumptions(M).passed
 
     def test_regular_bad_stabilization_detected(self):
-        M = regular_model(a=0.2)
-        rep = check_assumptions(M)
-        assert not rep.passed
-        assert any("a > c4/2" in c.name for c in rep.failures)
+        # c4 = 1 for the double well
+        with pytest.raises(ConfigError, match=r"stabilization\.a .* c4/2"):
+            regular_model(a=0.2)
+
+    def test_stabilization_enforced(self):
+        M = regular_model()
+        with pytest.raises(ConfigError, match=r"stabilization\.a .* c4/2"):
+            dataclasses.replace(M, a=0.1)
 
     def test_degenerate_defaults(self):
         M = degenerate_model(delta=1e-3)
         assert M.regime == "degenerate"
         assert M.a == pytest.approx(2.5 / 2 * 2 + 1)   # c4/2 + 1 = theta_c + 1
-        # the bare mobility vanishes at the pure phases; the solver's
-        # clamped version stays positive
-        assert M.n_bare(0.0) == 0.0
-        assert M.n_bare(1.0) == 0.0
-        assert M.n_bare(1.5) == 0.0
+        # the clamped mobility stays positive at the pure phases
         assert M.n(0.0) == pytest.approx(np.sqrt(1e-3 * (1 - 1e-3)))
         # A/n constant = alpha
         s = np.linspace(0.05, 0.95, 31)
         assert np.abs(np.asarray(M.A(s)) / np.asarray(M.n(s)) - 1.0).max() < 1e-12
-        assert check_assumptions(M).passed
 
     def test_degenerate_quadratic_mobility(self):
         M = degenerate_model(delta=1e-3, mobility="s2(1-s)2")
         assert M.m(0.5) == pytest.approx(0.25**2)
-        assert check_assumptions(M).passed
 
     def test_degenerate_entropy_bundled(self):
         M = degenerate_model(delta=1e-2)
         assert M.entropy is not None
         assert M.entropy.g(0.5) == 0.0
         assert np.isfinite(M.entropy.g(-0.2))
-
-    def test_report_rendering(self):
-        text = str(check_assumptions(regular_model()))
-        assert "PASS" in text and "regular" in text

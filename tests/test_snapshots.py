@@ -118,6 +118,35 @@ def test_snapshot_without_phi_exit_2(tmp_path, capsys):
     assert code == 2 and "nophi.vpf" in err and "fields: q" in err
 
 
+def test_snapshot_with_partial_velocity_exit_2(tmp_path, capsys):
+    path = tmp_path / "halfu.vpf"
+    write_snapshot(path, (4, 6), (1.0, 1.5),
+                   {"phi": np.full((4, 6), 0.1), "u_x": np.zeros((4, 6))})
+    code, err = _run_from_snapshot(tmp_path, path, capsys)
+    assert code == 2 and "halfu.vpf" in err and "'u_y'" in err
+
+
+def test_restart_continues_source_run(tmp_path):
+    # the restart's first diagnostics row is the source's last state: phi,
+    # q and u all come from the snapshot
+    src, restart = tmp_path / "src", tmp_path / "restart"
+    base = ["--override", "grid.shape=16,16", "--override", "run.seed=4"]
+    assert main(["run", "--out", str(src), "--override", "time.steps=200"]
+                + base) == 0
+    snap = src / "snapshots" / "state_000200.vpf"
+    assert main(["run", "--out", str(restart), "--override", "time.steps=1",
+                 "--override", "init.kind=from-snapshot",
+                 "--override", f"init.path={snap}"] + base) == 0
+    last = np.genfromtxt(src / "diagnostics.csv", delimiter=",",
+                         names=True)[-1]
+    first = np.genfromtxt(restart / "diagnostics.csv", delimiter=",",
+                          names=True)[0]
+    assert last["E_bulk"] > 0.0 and last["E_kin"] > 0.0
+    for name in last.dtype.names:
+        if name != "t":
+            assert first[name] == last[name], name
+
+
 def test_snapshot_lengths_mismatch_exit_2(tmp_path, capsys):
     path = tmp_path / "long.vpf"
     write_snapshot(path, (4, 6), (3.0, 2.0), {"phi": np.full((4, 6), 0.1)})
