@@ -263,10 +263,12 @@ class MaterialModel:
     eps1: float                 # stress diffusion
     a: Optional[float] = None   # relative-energy stabilization; None: c4/2 + 1
     regime: str = "regular"
-    # sampled extrema used by the time-step heuristic
+    # sampled extrema that size the automatic time step (dynamics.dt_max);
+    # growth_max = max_s m(s) * max(0, -F''(s))^2 sets the fastest linear
+    # spinodal growth rate growth_max / (4 c0)
     eta_max: float = 1.0
     tau_min: float = 1.0
-    m_max: float = 1.0
+    growth_max: float = 1.0
     entropy: Optional[Entropy] = None
     delta: Optional[float] = None
 
@@ -293,6 +295,16 @@ def _sampled(fn: Callable, lo: float, hi: float, k: int = 2001):
     return s, np.asarray(fn(s), dtype=float)
 
 
+def _growth_max(pot: Potential, s: np.ndarray, mv: np.ndarray) -> float:
+    """max of m(s) * max(0, -F''(s))^2 over the samples s inside the
+    potential's domain, mv = m(s)."""
+    if pot.domain is not None:
+        inside = (s > pot.domain[0]) & (s < pot.domain[1])
+        s, mv = s[inside], mv[inside]
+    neg = np.maximum(0.0, -np.asarray(pot.d2f(s), dtype=float))
+    return float((mv * neg * neg).max())
+
+
 def regular_model(c0: float = 2.5e-3, eps1: float = 1e-2, a: Optional[float] = None,
                   potential: Optional[Potential] = None,
                   n=1.0, eta=1.0, tau=1.0, A=1.0, dA=0.0) -> MaterialModel:
@@ -302,11 +314,12 @@ def regular_model(c0: float = 2.5e-3, eps1: float = 1e-2, a: Optional[float] = N
     A_f, dA_f = _as_callable(A), _as_callable(dA)
     _, ev = _sampled(eta_f, -2.0, 2.0)
     _, tv = _sampled(tau_f, -2.0, 2.0)
-    _, nv = _sampled(n_f, -2.0, 2.0)
+    s, nv = _sampled(n_f, -2.0, 2.0)
     return MaterialModel(
         n=n_f, eta=eta_f, tau=tau_f, A=A_f, dA=dA_f, potential=pot,
         c0=float(c0), eps1=float(eps1), a=a, regime="regular",
-        eta_max=float(ev.max()), tau_min=float(tv.min()), m_max=float((nv**2).max()),
+        eta_max=float(ev.max()), tau_min=float(tv.min()),
+        growth_max=_growth_max(pot, s, nv * nv),
     )
 
 
@@ -367,10 +380,11 @@ def degenerate_model(delta: float, theta_c: float = 2.5, c0: float = 2.5e-3,
     eta_f, tau_f = _as_callable(eta), _as_callable(tau)
     _, ev = _sampled(eta_f, 0.0, 1.0)
     _, tv = _sampled(tau_f, 0.0, 1.0)
-    _, mv = _sampled(m_d, 0.0, 1.0)
+    s, mv = _sampled(m_d, 0.0, 1.0)
     return MaterialModel(
         n=n_d, eta=eta_f, tau=tau_f, A=A_d, dA=dA_d, potential=pot,
         c0=float(c0), eps1=float(eps1), a=a, regime="degenerate",
-        eta_max=float(ev.max()), tau_min=float(tv.min()), m_max=float(mv.max()),
+        eta_max=float(ev.max()), tau_min=float(tv.min()),
+        growth_max=_growth_max(pot, s, mv),
         entropy=entropy_from_mobility(m_d, entropy_step), delta=delta,
     )

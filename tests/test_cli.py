@@ -145,10 +145,13 @@ class TestRunCommand:
         (["time.steps=-3"], "time.steps"),
         (["model.eps1=-1"], "model.eps1"),
         (["stabilization.a=0.4"], "stabilization.a"),
+        (["init.kind=foo"], "init.kind"),
+        (["time.steps=auto", "time.t_end=0"], "time.t_end"),
     ], ids=["bc", "shape", "degenerate-mobility", "output-every", "tol-zero",
             "tol-negative", "degenerate-potential", "regular-mobility",
             "eta-zero", "tau-zero", "c0-negative", "lengths-zero",
-            "steps-zero", "steps-negative", "eps1-negative", "a-below-c4-half"])
+            "steps-zero", "steps-negative", "eps1-negative", "a-below-c4-half",
+            "init-kind", "t-end-zero"])
     def test_bad_value_exit_2_naming_key(self, tmp_path, capsys, overrides,
                                          key):
         out = tmp_path / "o"

@@ -10,7 +10,7 @@ from viscophase.diagnostics import energy
 from viscophase.dynamics import (SimConfig, State, build_grid, build_material,
                                  chemical_potential, dt_max, initial_state,
                                  make_state, simulate, step_phi_q,
-                                 step_velocity)
+                                 step_plan, step_velocity)
 from viscophase.errors import BlowUpError, ConfigError
 from viscophase.fields import (Grid, ScalarField, VectorField, div_arr,
                                grad_arr, integrate, lap_arr)
@@ -145,7 +145,8 @@ class TestVariableCoefficientSolves:
         M = dataclasses.replace(
             M, potential=dataclasses.replace(M.potential, df=zero), A=zero)
         phi = np.random.default_rng(3).uniform(0.0, 1.0, shape)
-        dt = dt_factor * min(grid.h) ** 4 / (16.0 * M.c0 * M.m_max)
+        m_max = M.m(np.linspace(0.0, 1.0, 2001)).max()
+        dt = dt_factor * min(grid.h) ** 4 / (16.0 * M.c0 * m_max)
         mv = M.m(phi)
         a, c0 = M.a, M.c0
 
@@ -256,6 +257,18 @@ class TestSimulate:
         expect = 2.0 * (2 * np.pi) ** 2
         assert rate == pytest.approx(expect, rel=0.1)
 
+    def test_cfl_column(self):
+        # Courant number of each step with its velocity; h_min is the
+        # finer axis
+        cfg = small_cfg(shape=(16, 8), steps=6, output_every=1,
+                        init_amplitude=0.3)
+        traj = simulate(cfg)
+        h_min = 1.0 / 16
+        expect = [traj.dt * np.abs(s.u.data).max() / h_min
+                  for s in traj.states]
+        assert np.array_equal(traj.column("cfl"), expect)
+        assert traj.column("cfl")[-1] > 0
+
     def test_blow_up_detected(self):
         cfg = small_cfg(shape=(32, 32), dt=0.5, steps=50,
                         init_kind="spinodal", init_amplitude=0.8, seed=3)
@@ -313,3 +326,61 @@ class TestValidation:
         data = np.genfromtxt(path, delimiter=",", names=True)
         assert data.shape == (6,)
         np.testing.assert_allclose(data["E_total"], traj.column("E_total"))
+
+
+class TestStepSize:
+    # sigma = growth_max / (4 c0) is the fastest linear spinodal growth rate
+    def test_growth_max(self):
+        assert regular_model().growth_max == pytest.approx(1.0, rel=1e-12)
+        M = degenerate_model(delta=1e-3, theta_c=2.5)
+        assert M.growth_max == pytest.approx(0.25, rel=1e-12)
+
+    def test_auto_step_does_not_shrink_with_h(self):
+        for n in (32, 64):
+            cfg = SimConfig(shape=(n, n), steps=1)
+            assert dt_max(cfg, build_grid(cfg), build_material(cfg)) == \
+                pytest.approx(3e-5, rel=1e-12)
+
+    def test_deeper_quench_takes_smaller_step(self):
+        dts = []
+        for theta_c in (2.5, 6.0):
+            cfg = SimConfig(shape=(48, 48), regime="degenerate",
+                            theta_c=theta_c, steps=1)
+            dts.append(dt_max(cfg, build_grid(cfg), build_material(cfg)))
+        # theta_c = 2.5: the viscous bound h^2/8; theta_c = 6: sigma = 1600
+        assert dts[0] == pytest.approx((1 / 48) ** 2 / 8, rel=1e-12)
+        assert dts[1] == pytest.approx(3e-3 / 1600, rel=1e-12)
+
+    def test_auto_step_lands_on_t_end(self):
+        cfg = SimConfig(shape=(48, 48), regime="degenerate", t_end=5e-3)
+        grid, M = build_grid(cfg), build_material(cfg)
+        bound = dt_max(cfg, grid, M)
+        dt, n = step_plan(cfg, grid, M)
+        assert n == 93 and dt <= bound
+        assert n * dt == pytest.approx(5e-3, rel=1e-14)
+        # a whole number of bounds takes no extra step
+        whole = dataclasses.replace(cfg, t_end=20 * bound)
+        assert step_plan(whole, grid, M)[1] == 20
+        # an explicit step is kept and the count rounded
+        assert step_plan(dataclasses.replace(cfg, dt=2e-3), grid, M) == \
+            (2e-3, 2)
+
+    @pytest.mark.parametrize("kw,dt_old,steps_old", [
+        (dict(bc="neumann-noslip"), 2.384185791015625e-05, 200),
+        (dict(regime="degenerate", init_mean=0.5, init_amplitude=0.2),
+         9.5367431640625e-05, 50),
+    ], ids=["neumann-regular", "periodic-degenerate"])
+    def test_energy_drop_matches_former_step(self, kw, dt_old, steps_old):
+        # dt_old is the step of the former bound h^4/(16 c0 m_max) at 32^2;
+        # both runs end at t = steps_old * dt_old
+        cfg = SimConfig(shape=(32, 32), output_every=1000, seed=0, **kw)
+        t_end = steps_old * dt_old
+        drops = []
+        for run in (dataclasses.replace(cfg, dt=dt_old, steps=steps_old),
+                    dataclasses.replace(cfg, t_end=t_end)):
+            traj = simulate(run)
+            assert traj.times[-1] == pytest.approx(t_end, rel=1e-12)
+            E = traj.column("E_total")
+            assert np.diff(E).max() <= 0.0
+            drops.append(E[0] - E[-1])
+        assert abs(drops[1] - drops[0]) <= 1e-2 * drops[0]
