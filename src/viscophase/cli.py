@@ -231,6 +231,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_weakstrong(args) -> int:
+    refine = args.refine
+    if refine < 1:
+        raise ConfigError(f"--refine = {refine}: must be at least 1")
     cfg = _load_config(args)
     cfg.output_every = 1
     out = _outdir(args)
@@ -238,7 +241,6 @@ def cmd_weakstrong(args) -> int:
     grid = build_grid(cfg)
     phi0, q0, u0 = initial_state(cfg, grid, M)
 
-    refine = max(1, args.refine)
     dt, n_steps = step_plan(cfg, grid, M, u0)
     ref_cfg = dataclasses.replace(cfg, dt=dt / refine, steps=n_steps * refine)
     reference = simulate(ref_cfg, phi0, q0, u0)
@@ -317,9 +319,17 @@ def _seeded_band_limited(seed: int, lengths, n_modes: int = 6,
 
 
 def cmd_galerkin(args) -> int:
+    lengths = tuple(args.lengths)
+    if not 1 <= len(lengths) <= 3 or not all(L > 0 for L in lengths):
+        raise ConfigError(f"--lengths = {' '.join(map(str, lengths))}: "
+                          "need 1-3 positive lengths")
+    for flag, value in (("--t-end", args.t_end), ("--rtol", args.rtol)):
+        if not value > 0:
+            raise ConfigError(f"{flag} = {value}: must be positive")
+    if args.seed < 0:
+        raise ConfigError(f"--seed = {args.seed}: must be non-negative")
     out = _outdir(args)
     M = regular_model()
-    lengths = tuple(args.lengths)
     phi0 = _seeded_band_limited(args.seed, lengths, mean=args.mean)
     q0 = lambda *mesh: np.zeros_like(mesh[0])
     study = convergence_study(args.m, phi0, q0, M, lengths, args.t_end,
@@ -355,8 +365,7 @@ def cmd_degenerate_sweep(args) -> int:
     for delta in args.deltas:
         dcfg = dataclasses.replace(cfg, delta=delta)
         traj = simulate(dcfg)
-        M = build_material(dcfg)
-        br = bounds_report(traj, M)
+        br = bounds_report(traj, traj.model)
         traj.write_csv(out / f"diagnostics_delta{delta:g}.csv")
         ent_ok = (br.entropy_series is not None
                   and bool(np.all(np.isfinite(br.entropy_series))))

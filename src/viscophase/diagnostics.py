@@ -44,30 +44,29 @@ class EnergyBreakdown:
 def energy(state: State, M: MaterialModel) -> EnergyBreakdown:
     """Total energy components and instantaneous dissipation integrands,
     all by the midpoint rule on the state's grid.  The gradients and
-    coefficients come from the state's derived arrays (see State), which
-    the next time step reuses."""
+    coefficients are the state's array records (see State), which the
+    next time step reuses."""
     grid = state.grid
     vol = grid.cell_volume
     phi = state.phi.data
     q = state.q.data
     u = state.u.data
+    arrays = state.arrays(M)
 
-    gphi = state.grad_phi()
+    gphi = arrays.grad_phi
     E_mix = float(((0.5 * M.c0) * (gphi**2).sum(axis=0)
                    + np.asarray(M.potential.f(phi))).sum() * vol)
     E_bulk = float((0.5 * q * q).sum() * vol)
     E_kin = float((0.5 * (u**2).sum(axis=0)).sum() * vol)
 
-    nv = state.coef(M, "n")
-    w = nv[None] * grad_arr(state.mu.data, grid, parity=1) - state.grad_Aq(M)
+    w = (arrays.n[None] * grad_arr(state.mu.data, grid, parity=1)
+         - arrays.grad_Aq)
     D_cross = float((w**2).sum() * vol)
-    D_q = float((q * q / state.coef(M, "tau")).sum() * vol)
-    gq = state.grad_q()
-    D_eps = float(M.eps1 * (gq**2).sum() * vol)
-    etav = state.coef(M, "eta")
+    D_q = float((q * q / arrays.tau).sum() * vol)
+    D_eps = float(M.eps1 * (arrays.grad_q**2).sum() * vol)
     D_visc = 0.0
-    for gu in state.grad_u():
-        D_visc += float((etav * (gu**2).sum(axis=0)).sum() * vol)
+    for gu in state.velocity_gradients():
+        D_visc += float((arrays.eta * (gu**2).sum(axis=0)).sum() * vol)
 
     return EnergyBreakdown(E_mix=E_mix, E_bulk=E_bulk, E_kin=E_kin,
                            D_cross=D_cross, D_q=D_q, D_eps=D_eps,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
@@ -27,7 +27,7 @@ from scipy.ndimage import gaussian_filter
 from .errors import (BlowUpError, ConfigError, InvalidDeltaError,
                      PotentialDomainError, SnapshotError)
 from .fields import (
-    BCS, Grid, ScalarField, VectorField,
+    Grid, ScalarField, VectorField,
     grad_arr, div_arr, lap_arr, cg, solve_symbol,
     project_divergence_free, integrate,
 )
@@ -70,14 +70,46 @@ def _dF(M: MaterialModel, s: np.ndarray) -> np.ndarray:
     return np.asarray(P.df(s), dtype=float)
 
 
-# State.derived entries -> what each one is computed from; "model" is the
-# material model kept as derived["model"]
-_SOURCES = {
-    "grad_phi": ("phi",), "lap_phi": ("phi",), "grad_q": ("q",),
-    "grad_u": ("u",), "grad_Aq": ("phi", "q", "model"),
-    "dF": ("phi", "model"), "n": ("phi", "model"), "A": ("phi", "model"),
-    "tau": ("phi", "model"), "eta": ("phi", "model"), "model": (),
-}
+@dataclass(frozen=True)
+class PhiQArrays:
+    """The arrays of a state's (phi, q) that its step, the next step and
+    the diagnostics read: grad phi, lap phi, F'(phi), the coefficients
+    n, A, tau, eta at phi, grad q and grad(A(phi) q), all under model."""
+
+    model: MaterialModel
+    grad_phi: np.ndarray
+    lap_phi: np.ndarray
+    dF: np.ndarray
+    n: np.ndarray
+    A: np.ndarray
+    tau: np.ndarray
+    eta: np.ndarray
+    grad_q: np.ndarray
+    grad_Aq: np.ndarray
+
+
+def _phi_q_arrays(phi: ScalarField, q: ScalarField, M: MaterialModel,
+                 grad_phi: Optional[np.ndarray] = None,
+                 lap_phi: Optional[np.ndarray] = None) -> PhiQArrays:
+    """The PhiQArrays of (phi, q) under M; grad_phi and lap_phi, if given,
+    are those of phi."""
+    grid = phi.grid
+    if grad_phi is None:
+        grad_phi = grad_arr(phi.data, grid, parity=1)
+        lap_phi = div_arr(grad_phi, grid, parity=-1)
+    dF = _dF(M, phi.data)
+    n, A, tau, eta = (np.asarray(c(phi.data), dtype=float)
+                      for c in (M.n, M.A, M.tau, M.eta))
+    return PhiQArrays(
+        model=M, grad_phi=grad_phi, lap_phi=lap_phi, dF=dF,
+        n=n, A=A, tau=tau, eta=eta,
+        grad_q=grad_arr(q.data, grid, parity=1),
+        grad_Aq=grad_arr(A * q.data, grid, parity=1))
+
+
+def _velocity_gradients(u: VectorField) -> tuple:
+    """grad u_i (odd parity) for each component i."""
+    return tuple(grad_arr(ui, u.grid, parity=-1) for ui in u.data)
 
 
 @dataclass(frozen=True)
@@ -85,13 +117,12 @@ class State:
     """One time slice.  mu is the cached standard chemical potential
     -c0*lap(phi) + F'(phi), recomputed whenever phi changes.
 
-    derived holds arrays computed from the fields: grad phi, lap phi,
-    grad q, grad u_i, grad(A(phi) q) and the material coefficients at phi,
-    each computed on first use by the methods below.  The step, the next
-    step and the diagnostics read one copy, so each stencil is applied to
-    a state once.  The fields must not be changed in place after a read.
-    simulate hands a new state the entries it shares with the old one and
-    stores states without derived arrays."""
+    phi_q (see PhiQArrays) and grad_u (grad u_i for each component i)
+    hold the arrays computed from the fields, so that the step, the next
+    step and the diagnostics apply each stencil to a state once;
+    make_state fills both.  Without them, or with arrays built with another
+    model, arrays() and velocity_gradients() compute them afresh on each
+    read.  The fields must not be changed in place."""
 
     t: float
     phi: ScalarField
@@ -99,60 +130,24 @@ class State:
     u: VectorField
     p: ScalarField
     mu: ScalarField
-    derived: dict = dc_field(default_factory=dict, compare=False, repr=False)
+    phi_q: Optional[PhiQArrays] = dc_field(default=None, compare=False,
+                                           repr=False)
+    grad_u: Optional[tuple] = dc_field(default=None, compare=False, repr=False)
 
     @property
     def grid(self) -> Grid:
         return self.phi.grid
 
-    def _get(self, key: str, compute: Callable,
-             M: Optional[MaterialModel] = None) -> np.ndarray:
-        d = self.derived
-        if M is not None and d.setdefault("model", M) is not M:
-            for k, sources in _SOURCES.items():
-                if "model" in sources:
-                    d.pop(k, None)
-            d["model"] = M
-        if key not in d:
-            d[key] = compute()
-        return d[key]
+    def arrays(self, M: MaterialModel) -> PhiQArrays:
+        """The state's PhiQArrays if built with M, else fresh ones."""
+        if self.phi_q is not None and self.phi_q.model is M:
+            return self.phi_q
+        return _phi_q_arrays(self.phi, self.q, M)
 
-    def grad_phi(self) -> np.ndarray:
-        return self._get("grad_phi",
-                         lambda: grad_arr(self.phi.data, self.grid, parity=1))
-
-    def lap_phi(self) -> np.ndarray:
-        return self._get("lap_phi",
-                         lambda: div_arr(self.grad_phi(), self.grid, parity=-1))
-
-    def grad_q(self) -> np.ndarray:
-        return self._get("grad_q",
-                         lambda: grad_arr(self.q.data, self.grid, parity=1))
-
-    def grad_u(self) -> tuple:
-        """grad u_i (odd parity) for each component i."""
-        return self._get("grad_u", lambda: tuple(
-            grad_arr(ui, self.grid, parity=-1) for ui in self.u.data))
-
-    def grad_Aq(self, M: MaterialModel) -> np.ndarray:
-        return self._get("grad_Aq", lambda: grad_arr(
-            self.coef(M, "A") * self.q.data, self.grid, parity=1), M)
-
-    def coef(self, M: MaterialModel, name: str) -> np.ndarray:
-        """M.n, M.A, M.tau or M.eta at phi, as a float array."""
-        return self._get(name, lambda: np.asarray(
-            getattr(M, name)(self.phi.data), dtype=float), M)
-
-    def dF(self, M: MaterialModel) -> np.ndarray:
-        return self._get("dF", lambda: _dF(M, self.phi.data), M)
-
-
-def _shared(state: State, *fields: str) -> dict:
-    """The entries of state.derived computed from the given fields (and
-    the model) alone, for a new state that keeps those fields of this one."""
-    keep = {"model", *fields}
-    return {k: v for k, v in state.derived.items()
-            if keep.issuperset(_SOURCES[k])}
+    def velocity_gradients(self) -> tuple:
+        if self.grad_u is not None:
+            return self.grad_u
+        return _velocity_gradients(self.u)
 
 
 def chemical_potential(phi: ScalarField, M: MaterialModel) -> ScalarField:
@@ -165,13 +160,16 @@ def chemical_potential(phi: ScalarField, M: MaterialModel) -> ScalarField:
 
 def make_state(t: float, phi: ScalarField, q: ScalarField, u: VectorField,
                p: ScalarField, M: MaterialModel,
-               derived: Optional[dict] = None) -> State:
-    """The state of these fields, mu as in chemical_potential.  derived may
-    hold entries already computed from these fields (see State)."""
-    state = State(t=t, phi=phi, q=q, u=u, p=p, mu=None,
-                  derived={} if derived is None else derived)
-    mu = ScalarField(phi.grid, -M.c0 * state.lap_phi() + state.dF(M))
-    return replace(state, mu=mu)
+               grad_phi: Optional[np.ndarray] = None,
+               lap_phi: Optional[np.ndarray] = None,
+               grad_u: Optional[tuple] = None) -> State:
+    """The state of these fields with both its array records filled, mu as
+    in chemical_potential.  grad_phi and lap_phi (of phi) and grad_u (of u)
+    are used when given."""
+    arrays = _phi_q_arrays(phi, q, M, grad_phi, lap_phi)
+    mu = ScalarField(phi.grid, -M.c0 * arrays.lap_phi + arrays.dF)
+    return State(t=t, phi=phi, q=q, u=u, p=p, mu=mu, phi_q=arrays,
+                 grad_u=_velocity_gradients(u) if grad_u is None else grad_u)
 
 
 def _advect_skew(u: np.ndarray, f: np.ndarray, grad_f: np.ndarray,
@@ -196,23 +194,24 @@ def step_phi_q(state: State, M: MaterialModel, dt: float,
     K = a - c0*lap, is solved as (K^-1 + dt*L) y = rhs for y = K phi: it is
     symmetric positive definite and has the same residual.
 
-    Returns (phi_new, q_new, derived), derived holding grad and lap of
-    phi_new for make_state (see State)."""
+    Returns (phi_new, q_new, grad_phi_new, lap_phi_new), the last two for
+    make_state."""
     grid = state.grid
     phi = state.phi.data
     q = state.q.data
     u = state.u.data
     c0, a = M.c0, M.a
 
-    nv = state.coef(M, "n")
+    arrays = state.arrays(M)
+    nv = arrays.n
     mv = nv * nv
-    Av = state.coef(M, "A")
-    tauv = state.coef(M, "tau")
+    Av = arrays.A
+    tauv = arrays.tau
 
-    mu_expl = state.dF(M) - a * phi
-    cross = state.grad_Aq(M)
+    mu_expl = arrays.dF - a * phi
+    cross = arrays.grad_Aq
     rhs = phi + dt * (
-        -(u * state.grad_phi()).sum(axis=0)
+        -(u * arrays.grad_phi).sum(axis=0)
         + div_arr(mv[None] * grad_arr(mu_expl, grid, parity=1), grid, parity=-1)
         - div_arr(nv[None] * cross, grid, parity=-1)
     )
@@ -245,7 +244,7 @@ def step_phi_q(state: State, M: MaterialModel, dt: float,
     w = nv[None] * grad_arr(mu_eff, grid, parity=1) - cross
 
     rhs_q = q + dt * (
-        -_advect_skew(u, q, state.grad_q(), grid, parity=1)
+        -_advect_skew(u, q, arrays.grad_q, grid, parity=1)
         - Av * div_arr(w, grid, parity=-1)
     )
     diag = 1.0 + dt / tauv
@@ -262,8 +261,8 @@ def step_phi_q(state: State, M: MaterialModel, dt: float,
     if not np.all(np.isfinite(q_new)):
         raise BlowUpError("q blew up", time=state.t + dt)
 
-    return (ScalarField(grid, phi_new), ScalarField(grid, q_new),
-            {"grad_phi": gphi_new, "lap_phi": lap_new})
+    return (ScalarField(grid, phi_new), ScalarField(grid, q_new), gphi_new,
+            lap_new)
 
 
 def step_velocity(state: State, M: MaterialModel, dt: float,
@@ -275,16 +274,17 @@ def step_velocity(state: State, M: MaterialModel, dt: float,
     preconditioned by that solve at the mean viscosity."""
     grid = state.grid
     u = state.u.data
-    etav = state.coef(M, "eta")
+    arrays = state.arrays(M)
+    etav = arrays.eta
 
-    gphi = state.grad_phi()
+    gphi = arrays.grad_phi
     if M.regime == "regular":
         f_cap = state.mu.data[None] * gphi
     else:
-        f_cap = (M.c0 * state.lap_phi())[None] * gphi
+        f_cap = (M.c0 * arrays.lap_phi)[None] * gphi
 
     advect = np.empty_like(u)          # skew-symmetric (u . grad)u
-    for i, gu in enumerate(state.grad_u()):
+    for i, gu in enumerate(state.velocity_gradients()):
         advect[i] = _advect_skew(u, u[i], gu, grid, parity=-1)
     rhs = u + dt * (-advect + f_cap)
 
@@ -372,16 +372,9 @@ def check_model_kinds(cfg: SimConfig) -> None:
 
 
 def _check_values(cfg: SimConfig) -> None:
-    """ConfigError naming the key of the first bad value; builds nothing."""
-    if len(cfg.shape) != len(cfg.lengths) or not 1 <= len(cfg.shape) <= 3:
-        raise ConfigError("grid.shape and grid.lengths must agree, 1-3 axes")
-    if min(cfg.shape) < 4:
-        raise ConfigError(f"grid.shape = {cfg.shape}: need at least 4 cells "
-                          "per axis")
-    if cfg.bc not in BCS:
-        raise ConfigError(f"grid.bc = {cfg.bc!r}: must be one of {BCS}")
-    if not all(L > 0 for L in cfg.lengths):
-        raise ConfigError(f"grid.lengths = {cfg.lengths}: must be positive")
+    """ConfigError naming the key of the first bad value; builds the grid,
+    which checks the grid keys, and no model."""
+    build_grid(cfg)
     # the step-size bound divides by c0, eta and tau; the stress diffusion
     # needs eps1 > 0
     for key, value in (("model.c0", cfg.c0), ("model.eta", cfg.eta),
@@ -408,6 +401,8 @@ def _check_values(cfg: SimConfig) -> None:
                           f"{INIT_KINDS}")
     if not cfg.solver_tol > 0:
         raise ConfigError("solver.solver_tol must be positive")
+    if cfg.seed < 0:
+        raise ConfigError(f"run.seed = {cfg.seed}: must be non-negative")
 
 
 def validate_config(cfg: SimConfig) -> SimConfig:
@@ -548,6 +543,7 @@ class Trajectory:
     dt: float
     states: list = dc_field(default_factory=list)     # snapshots at cadence
     series: dict = dc_field(default_factory=dict)     # per-step diagnostics
+    model: Optional[MaterialModel] = None             # the model simulate built
 
     @property
     def times(self) -> np.ndarray:
@@ -599,15 +595,18 @@ def simulate(config: SimConfig,
              q0: Optional[ScalarField] = None,
              u0: Optional[VectorField] = None) -> Trajectory:
     """Advance the full system to t_end, recording diagnostics each step
-    and snapshots at the output cadence.  Rejects what validate_config
-    rejects; the model build checks stabilization.a."""
+    and snapshots at the output cadence.  The configured initial data is
+    built only when phi0, q0 or u0 is not given.  Rejects what
+    validate_config rejects; the model build checks stabilization.a."""
     _check_values(config)
     grid = build_grid(config)
     M = build_material(config)
-    d_phi, d_q, d_u = initial_state(config, grid, M)
-    phi = phi0 if phi0 is not None else d_phi
-    q = q0 if q0 is not None else d_q
-    u = u0 if u0 is not None else d_u
+    phi, q, u = phi0, q0, u0
+    if phi is None or q is None or u is None:
+        d_phi, d_q, d_u = initial_state(config, grid, M)
+        phi = d_phi if phi is None else phi
+        q = d_q if q is None else q
+        u = d_u if u is None else u
     for f in (phi, q):
         if not np.all(np.isfinite(f.data)):
             raise ConfigError("initial data must be finite")
@@ -625,33 +624,34 @@ def simulate(config: SimConfig,
     dt, n_steps = step_plan(config, grid, M, u)
     track_entropy = config.regime == "degenerate" and M.entropy is not None
 
-    # the diagnostics of a state fill in the gradients its step reuses;
-    # a stored state keeps no derived arrays
-    state = make_state(0.0, phi, q, u,
-                       ScalarField.full(grid, 0.0), M)
+    # the step, the next step and the diagnostics share a state's arrays:
+    # the mid state keeps the old u and its gradients, the state after the
+    # velocity step keeps the mid state's phi and q and their arrays, and a
+    # stored state keeps none
+    state = make_state(0.0, phi, q, u, ScalarField.full(grid, 0.0), M)
     rows = [_diag_row(state, M, dt, track_entropy)]
-    traj = Trajectory(config=config, dt=dt, states=[replace(state, derived={})])
+    traj = Trajectory(config=config, dt=dt, model=M,
+                      states=[replace(state, phi_q=None, grad_u=None)])
 
     for k in range(n_steps):
         t_new = (k + 1) * dt
         try:
-            phi_n, q_n, new = step_phi_q(state, M, dt,
-                                         solver_tol=config.solver_tol)
-            mid = make_state(t_new, phi_n, q_n, state.u, state.p, M,
-                             derived={**_shared(state, "u"), **new})
-            state.derived.clear()       # nothing reads the old state again
+            phi_n, q_n, gphi_n, lap_n = step_phi_q(
+                state, M, dt, solver_tol=config.solver_tol)
+            state = make_state(t_new, phi_n, q_n, state.u, state.p, M,
+                               grad_phi=gphi_n, lap_phi=lap_n,
+                               grad_u=state.grad_u)
             if config.velocity_coupling:
-                u_n, p_n = step_velocity(mid, M, dt, solver_tol=config.solver_tol)
-                state = State(t=t_new, phi=phi_n, q=q_n, u=u_n, p=p_n,
-                              mu=mid.mu, derived=_shared(mid, "phi", "q"))
-            else:
-                state = mid
+                u_n, p_n = step_velocity(state, M, dt,
+                                         solver_tol=config.solver_tol)
+                state = replace(state, u=u_n, p=p_n,
+                                grad_u=_velocity_gradients(u_n))
         except BlowUpError as err:
             err.time = t_new
             raise
         rows.append(_diag_row(state, M, dt, track_entropy))
         if (k + 1) % config.output_every == 0 or k + 1 == n_steps:
-            traj.states.append(replace(state, derived={}))
+            traj.states.append(replace(state, phi_q=None, grad_u=None))
 
     keys = rows[0].keys()
     traj.series = {key: np.array([r[key] for r in rows]) for key in keys}

@@ -29,7 +29,7 @@ import numpy as np
 import scipy.fft as sfft
 import scipy.sparse as sp
 
-from .errors import GridMismatchError, SolverError
+from .errors import ConfigError, SolverError
 
 __all__ = [
     "Grid",
@@ -54,12 +54,16 @@ class Grid:
     bc: str = "periodic"
 
     def __post_init__(self):
-        if self.bc not in BCS:
-            raise ValueError(f"bc must be one of {BCS}")
+        """ConfigError naming the config key of the first bad value."""
         if not 1 <= len(self.shape) <= 3 or len(self.shape) != len(self.lengths):
-            raise ValueError("grid needs 1-3 axes with matching lengths")
-        if any(n < 4 for n in self.shape):
-            raise ValueError("need at least 4 cells per axis")
+            raise ConfigError("grid.shape and grid.lengths must agree, 1-3 axes")
+        if min(self.shape) < 4:
+            raise ConfigError(f"grid.shape = {self.shape}: need at least 4 "
+                              "cells per axis")
+        if not all(L > 0 for L in self.lengths):
+            raise ConfigError(f"grid.lengths = {self.lengths}: must be positive")
+        if self.bc not in BCS:
+            raise ConfigError(f"grid.bc = {self.bc!r}: must be one of {BCS}")
         object.__setattr__(self, "shape", tuple(int(n) for n in self.shape))
         object.__setattr__(self, "lengths", tuple(float(L) for L in self.lengths))
 
@@ -87,11 +91,6 @@ class Grid:
         return np.meshgrid(*self.axes(), indexing="ij")
 
 
-def _same_grid(a, b):
-    if a.grid != b.grid:
-        raise GridMismatchError("fields live on different grids")
-
-
 @dataclass(frozen=True)
 class ScalarField:
     grid: Grid
@@ -112,26 +111,6 @@ class ScalarField:
     def copy(self) -> "ScalarField":
         return ScalarField(self.grid, self.data.copy())
 
-    def __add__(self, other):
-        if isinstance(other, ScalarField):
-            _same_grid(self, other)
-            return ScalarField(self.grid, self.data + other.data)
-        return ScalarField(self.grid, self.data + other)
-
-    def __sub__(self, other):
-        if isinstance(other, ScalarField):
-            _same_grid(self, other)
-            return ScalarField(self.grid, self.data - other.data)
-        return ScalarField(self.grid, self.data - other)
-
-    def __mul__(self, other):
-        if isinstance(other, ScalarField):
-            _same_grid(self, other)
-            return ScalarField(self.grid, self.data * other.data)
-        return ScalarField(self.grid, self.data * other)
-
-    __rmul__ = __mul__
-
 
 @dataclass(frozen=True)
 class VectorField:
@@ -146,27 +125,8 @@ class VectorField:
     def zeros(cls, grid: Grid) -> "VectorField":
         return cls(grid, np.zeros((grid.d,) + grid.shape))
 
-    def component(self, a: int) -> ScalarField:
-        return ScalarField(self.grid, self.data[a])
-
     def copy(self) -> "VectorField":
         return VectorField(self.grid, self.data.copy())
-
-    def __add__(self, other):
-        _same_grid(self, other)
-        return VectorField(self.grid, self.data + other.data)
-
-    def __sub__(self, other):
-        _same_grid(self, other)
-        return VectorField(self.grid, self.data - other.data)
-
-    def __mul__(self, other):
-        if isinstance(other, ScalarField):
-            _same_grid(self, other)
-            return VectorField(self.grid, self.data * other.data[None])
-        return VectorField(self.grid, self.data * other)
-
-    __rmul__ = __mul__
 
 
 @functools.lru_cache(maxsize=128)

@@ -190,9 +190,11 @@ def _quad_values(lam: np.ndarray, zeta: np.ndarray, B: CosineBasis,
 
 
 def assemble_rhs(G: GalerkinState, B: CosineBasis, M: MaterialModel,
-                 quad_check: bool = True, quad_tol: float = 1e-6):
+                 quad_tol: float = 1e-6):
     """Time derivatives (dlam/dt, dzeta/dt), the algebraic theta and the
     dissipation terms D (keys as in ``energy_galerkin``) of one state.
+    QuadratureResolutionError when theta on the doubled quadrature differs
+    from theta by more than quad_tol (a Richardson check).
 
     Weak form with the velocity dropped:
       d lam_j / dt = -<m(phi) grad mu - n(phi) grad(A q), grad psi_j>
@@ -204,14 +206,13 @@ def assemble_rhs(G: GalerkinState, B: CosineBasis, M: MaterialModel,
     """
     lam, zeta = np.asarray(G.lam, float), np.asarray(G.zeta, float)
     V = _quad_values(lam, zeta, B, M)
-    if quad_check:
-        theta_f = _theta_of(lam, B.values(lam, fine=True), B, M, fine=True)
-        gap = float(np.abs(V.theta - theta_f).max())
-        if gap > quad_tol:
-            raise QuadratureResolutionError(
-                "nonlinear potential term under-resolved by the basis "
-                f"quadrature (Richardson gap {gap:.3e})"
-            )
+    theta_f = _theta_of(lam, B.values(lam, fine=True), B, M, fine=True)
+    gap = float(np.abs(V.theta - theta_f).max())
+    if gap > quad_tol:
+        raise QuadratureResolutionError(
+            "nonlinear potential term under-resolved by the basis "
+            f"quadrature (Richardson gap {gap:.3e})"
+        )
 
     # d lam / dt: flux n * wtil against grad psi_j
     dlam = -B.w * np.einsum('dq,djq->j', V.nv[None] * V.wtil, B.dPsi)
@@ -244,14 +245,10 @@ class GalerkinRun:
     D: np.ndarray            # total dissipation at output points
     D_cum: np.ndarray        # integral of D, carried by the integrator
 
-    def state_at(self, i: int) -> GalerkinState:
-        return self.states[i]
-
 
 def integrate_galerkin(initial: GalerkinState, B: CosineBasis,
                        M: MaterialModel, t_end: float, rtol: float = 1e-8,
-                       n_output: int = 101,
-                       quad_check: bool = True) -> GalerkinRun:
+                       n_output: int = 101) -> GalerkinRun:
     """Adaptive RK45 integration to t_end with dense energy output.
 
     The accumulated dissipation is integrated as an extra ODE component
@@ -264,7 +261,7 @@ def integrate_galerkin(initial: GalerkinState, B: CosineBasis,
 
     def rhs(t, y):
         G = GalerkinState(t=t, lam=y[:m], theta=np.zeros(m), zeta=y[m:2 * m])
-        dlam, dzeta, _, D = assemble_rhs(G, B, M, quad_check=quad_check)
+        dlam, dzeta, _, D = assemble_rhs(G, B, M)
         return np.concatenate([dlam, dzeta, [D["D_total"]]])
 
     y0 = np.concatenate([np.asarray(initial.lam, float),
@@ -294,8 +291,7 @@ def integrate_galerkin(initial: GalerkinState, B: CosineBasis,
 
 def convergence_study(m_list: Sequence[int], phi0: Callable, q0: Callable,
                       M: MaterialModel, lengths: Sequence[float],
-                      t_end: float, rtol: float = 1e-8,
-                      quad_check: bool = True):
+                      t_end: float, rtol: float = 1e-8):
     """Runs ("runs") at increasing mode counts ("m") from the same initial
     functions, the pairwise L2 differences of phi at t_end on the last
     basis's fine quadrature ("diffs") and whether they shrink ("monotone").
@@ -310,8 +306,7 @@ def convergence_study(m_list: Sequence[int], phi0: Callable, q0: Callable,
     for B in bases:
         init = GalerkinState(t=0.0, lam=project(phi0, B),
                              theta=np.zeros(B.m), zeta=project(q0, B))
-        run = integrate_galerkin(init, B, M, t_end, rtol=rtol,
-                                 quad_check=quad_check)
+        run = integrate_galerkin(init, B, M, t_end, rtol=rtol)
         runs.append(run)
         finals.append(B.evaluate(run.states[-1].lam, axes))
     diffs = np.array([

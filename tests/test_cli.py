@@ -5,6 +5,7 @@ import pytest
 
 import viscophase.cli
 import viscophase.dynamics
+import viscophase.snapshots
 from viscophase.cli import (RunManifest, config_to_text, main,
                             material_fingerprint, parse_config)
 from viscophase.dynamics import SimConfig, simulate
@@ -147,11 +148,12 @@ class TestRunCommand:
         (["stabilization.a=0.4"], "stabilization.a"),
         (["init.kind=foo"], "init.kind"),
         (["time.steps=auto", "time.t_end=0"], "time.t_end"),
+        (["run.seed=-1"], "run.seed"),
     ], ids=["bc", "shape", "degenerate-mobility", "output-every", "tol-zero",
             "tol-negative", "degenerate-potential", "regular-mobility",
             "eta-zero", "tau-zero", "c0-negative", "lengths-zero",
             "steps-zero", "steps-negative", "eps1-negative", "a-below-c4-half",
-            "init-kind", "t-end-zero"])
+            "init-kind", "t-end-zero", "seed-negative"])
     def test_bad_value_exit_2_naming_key(self, tmp_path, capsys, overrides,
                                          key):
         out = tmp_path / "o"
@@ -248,6 +250,28 @@ class TestWeakStrongCommand:
         assert reference.dt == perturbed.dt / 2
         assert len(reference.times) - 1 == 2 * (len(perturbed.times) - 1)
 
+    def test_snapshot_read_once(self, tmp_path, monkeypatch):
+        # the command reads the initial data and hands all of it to each run
+        snap = tmp_path / "start.vpf"
+        phi = 0.05 * np.random.default_rng(0).standard_normal((8, 8))
+        viscophase.snapshots.write_snapshot(snap, (8, 8), (1.0, 1.0),
+                                            {"phi": phi})
+        reads = []
+        real = viscophase.snapshots.read_snapshot
+
+        def counting(*args, **kwargs):
+            reads.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(viscophase.snapshots, "read_snapshot", counting)
+        cfg = _write(tmp_path / "cfg.txt",
+                     "grid.shape = 8,8\ntime.steps = 3\n"
+                     f"init.kind = from-snapshot\ninit.path = {snap}\n")
+        assert main(["weakstrong", "--config", cfg,
+                     "--out", str(tmp_path / "ws"),
+                     "--eps", "1e-3", "--eps", "5e-4"]) == 0
+        assert len(reads) == 1
+
 
 class TestGalerkinCommand:
     def test_single_m_empty_cauchy(self, tmp_path):
@@ -303,3 +327,36 @@ class TestSweepCommand:
         assert code == 0
         assert json.loads((out / "sweep_report.jsonl").read_text()
                           .splitlines()[0])["pass"]
+
+    def test_model_built_once_per_delta(self, tmp_path, monkeypatch):
+        calls = []
+        real = viscophase.dynamics.degenerate_model
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(viscophase.dynamics, "degenerate_model", counting)
+        main(["degenerate-sweep", "--out", str(tmp_path / "sweep"),
+              "--override", "grid.shape=8,8", "--override", "time.steps=2",
+              "--deltas", "1e-2,1e-3"])
+        assert len(calls) == 2
+
+
+class TestCommandFlags:
+    @pytest.mark.parametrize("argv,flag", [
+        (["weakstrong", "--refine", "0"], "--refine"),
+        (["weakstrong", "--refine", "-5"], "--refine"),
+        (["galerkin", "--rtol", "0"], "--rtol"),
+        (["galerkin", "--t-end", "0"], "--t-end"),
+        (["galerkin", "--t-end", "-1"], "--t-end"),
+        (["galerkin", "--lengths", "0", "1"], "--lengths"),
+        (["galerkin", "--lengths", "1", "1", "1", "1"], "--lengths"),
+        (["galerkin", "--seed", "-1"], "--seed"),
+    ], ids=["refine-zero", "refine-negative", "rtol-zero", "t-end-zero",
+            "t-end-negative", "lengths-zero", "lengths-four", "seed-negative"])
+    def test_bad_flag_exit_2_naming_flag(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "o"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()

@@ -59,8 +59,9 @@ class TestUniformState:
                            ScalarField.full(grid, q0),
                            VectorField.zeros(grid),
                            ScalarField.full(grid, 0.0), M)
-        phi_n, q_n, new = step_phi_q(state, M, dt)
-        mid = make_state(dt, phi_n, q_n, state.u, state.p, M, derived=new)
+        phi_n, q_n, gphi, lap = step_phi_q(state, M, dt)
+        mid = make_state(dt, phi_n, q_n, state.u, state.p, M,
+                         grad_phi=gphi, lap_phi=lap)
         u_n, p_n = step_velocity(mid, M, dt)
         assert np.abs(phi_n.data - 0.2).max() < 1e-14
         assert np.abs(q_n.data - q0 / (1.0 + dt / cfg.tau)).max() < 1e-14
@@ -83,7 +84,8 @@ class TestSharedDerived:
         traj = simulate(cfg)
         M = build_material(cfg)
         assert len(traj.states) == 9
-        assert all(s.derived == {} for s in traj.states)
+        assert all(s.phi_q is None and s.grad_u is None
+                   for s in traj.states)
         fresh = [energy(make_state(s.t, s.phi, s.q, s.u, s.p, M), M)
                  for s in traj.states]
         assert np.abs(traj.column("E_kin")).max() > 0
@@ -100,7 +102,7 @@ class TestSharedDerived:
         q = ScalarField(grid, phi.data.copy())
         state = make_state(0.0, phi, q, VectorField.zeros(grid),
                            ScalarField.full(grid, 0.0), M)
-        energy(state, M)                  # fills the arrays derived with M
+        assert state.phi_q.model is M     # the arrays were built with M
         again = make_state(0.0, phi, q, VectorField.zeros(grid),
                            ScalarField.full(grid, 0.0), M)
         assert energy(state, other) == energy(again, other)
@@ -163,7 +165,7 @@ class TestVariableCoefficientSolves:
         state = make_state(0.0, ScalarField(grid, phi),
                            ScalarField.full(grid, 0.0), VectorField.zeros(grid),
                            ScalarField.full(grid, 0.0), M)
-        phi_new, _, _ = step_phi_q(state, M, dt, solver_tol=1e-12)
+        phi_new = step_phi_q(state, M, dt, solver_tol=1e-12)[0]
         assert np.abs(phi_new.data - ref).max() <= 1e-9 * np.abs(ref).max()
 
     @pytest.mark.parametrize("bc", ["periodic", "neumann-noslip"])
@@ -188,7 +190,7 @@ class TestVariableCoefficientSolves:
         E = [energy(state, M).E_total]
         mass = [integrate(state.phi)]
         for _ in range(steps):
-            phi_n, q_n, _ = step_phi_q(state, M, dt)
+            phi_n, q_n, _, _ = step_phi_q(state, M, dt)
             mid = make_state(state.t + dt, phi_n, q_n, state.u, state.p, M)
             u_n, p_n = step_velocity(mid, M, dt)
             state = State(t=mid.t, phi=phi_n, q=q_n, u=u_n, p=p_n, mu=mid.mu)

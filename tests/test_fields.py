@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from viscophase.errors import GridMismatchError, SolverError
+from viscophase.errors import ConfigError, SolverError
 from viscophase.fields import (Grid, ScalarField, VectorField, _diff_op,
                                _two_h, cg, divergence, div_arr, grad_arr,
                                gradient, integrate, l2_norm, lap_arr,
@@ -68,11 +68,15 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid((32, 32), (1.0,), "periodic")
 
-    def test_field_grid_mismatch(self):
-        a = ScalarField.full(periodic_grid(8), 1.0)
-        b = ScalarField.full(periodic_grid(16), 1.0)
-        with pytest.raises(GridMismatchError):
-            _ = a + b
+    @pytest.mark.parametrize("args,key", [
+        (((8, 8), (0.0, 1.0)), "grid.lengths"),
+        (((8, 8), (-1.0, 1.0)), "grid.lengths"),
+        (((8, 3), (1.0, 1.0)), "grid.shape"),
+        (((8, 8), (1.0, 1.0), "dirichlet"), "grid.bc"),
+    ], ids=["length-zero", "length-negative", "three-cells", "bc"])
+    def test_validation_names_key(self, args, key):
+        with pytest.raises(ConfigError, match=key):
+            Grid(*args)
 
 
 class TestOperators:
