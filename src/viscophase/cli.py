@@ -22,8 +22,9 @@ import numpy as np
 from . import __version__
 from .errors import (BlowUpError, ConfigError, InvalidDeltaError,
                      QuadratureResolutionError, SolverError)
-from .dynamics import (SimConfig, Trajectory, build_grid, build_material,
-                       initial_state, simulate, step_plan, validate_config)
+from .dynamics import (COURANT_MAX, SimConfig, Trajectory, build_grid,
+                       build_material, initial_state, simulate, step_plan,
+                       validate_config)
 from .diagnostics import (CheckRecord, bounds_report, check_energy_inequality,
                           gronwall_fit, relative_energy, write_report)
 from .galerkin import CosineBasis, convergence_study
@@ -210,6 +211,15 @@ def _write_run_artifacts(out: Path, cfg: SimConfig, traj: Trajectory) -> None:
         write_state(snapdir / f"state_{step:06d}.vpf", state)
 
 
+def _cfl_check(series: dict) -> Optional[CheckRecord]:
+    """The largest recorded Courant number against COURANT_MAX, or None
+    for diagnostics without a cfl column."""
+    if "cfl" not in series:
+        return None
+    value = float(np.max(series["cfl"]))
+    return CheckRecord("max-cfl", value, COURANT_MAX, value <= COURANT_MAX)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -219,15 +229,15 @@ def cmd_run(args) -> int:
     traj = simulate(cfg)
     _write_run_artifacts(out, cfg, traj)
     report = check_energy_inequality(traj)
-    text = write_report(
-        [CheckRecord("energy-monotone", report.worst_violation, 0.0,
-                     report.monotone),
-         CheckRecord("balance-residual", report.balance_residual,
-                     float("inf"), True)],
-        txt_path=out / "energy_report.txt",
-        jsonl_path=out / "energy_report.jsonl")
+    records = [CheckRecord("energy-monotone", report.worst_violation, 0.0,
+                           report.monotone),
+               CheckRecord("balance-residual", report.balance_residual,
+                           float("inf"), True),
+               _cfl_check(traj.series)]
+    text = write_report(records, txt_path=out / "energy_report.txt",
+                        jsonl_path=out / "energy_report.jsonl")
     print(text)
-    return EXIT_OK if report.monotone else EXIT_CHECK
+    return EXIT_OK if all(r.passed for r in records) else EXIT_CHECK
 
 
 def cmd_weakstrong(args) -> int:
@@ -405,7 +415,9 @@ def cmd_report(args) -> int:
     mass = series["mass"]
     drift = float(np.abs(mass - mass[0]).max())
     print(f"[{'PASS' if drift <= 1e-10 else 'FAIL'}] mass drift: {drift:.3e}")
-    ok = report.monotone and drift <= 1e-10
+    cfl = _cfl_check(series)
+    print("[SKIP] max-cfl: not recorded" if cfl is None else cfl.line())
+    ok = report.monotone and drift <= 1e-10 and (cfl is None or cfl.passed)
     return EXIT_OK if ok else EXIT_CHECK
 
 

@@ -263,10 +263,10 @@ class MaterialModel:
     eps1: float                 # stress diffusion
     a: Optional[float] = None   # relative-energy stabilization; None: c4/2 + 1
     regime: str = "regular"
-    # sampled extrema that size the automatic time step (dynamics.dt_max);
-    # growth_max = max_s m(s) * max(0, -F''(s))^2 sets the fastest linear
-    # spinodal growth rate growth_max / (4 c0)
-    eta_max: float = 1.0
+    # sampled extrema that size the automatic time step (dynamics.dt_max):
+    # the least relaxation time, and growth_max = max_s m(s) *
+    # max(0, -F''(s))^2, which sets the fastest linear spinodal growth rate
+    # growth_max / (4 c0)
     tau_min: float = 1.0
     growth_max: float = 1.0
     entropy: Optional[Entropy] = None
@@ -312,13 +312,12 @@ def regular_model(c0: float = 2.5e-3, eps1: float = 1e-2, a: Optional[float] = N
     pot = potential if potential is not None else double_well()
     n_f, eta_f, tau_f = _as_callable(n), _as_callable(eta), _as_callable(tau)
     A_f, dA_f = _as_callable(A), _as_callable(dA)
-    _, ev = _sampled(eta_f, -2.0, 2.0)
     _, tv = _sampled(tau_f, -2.0, 2.0)
     s, nv = _sampled(n_f, -2.0, 2.0)
     return MaterialModel(
         n=n_f, eta=eta_f, tau=tau_f, A=A_f, dA=dA_f, potential=pot,
         c0=float(c0), eps1=float(eps1), a=a, regime="regular",
-        eta_max=float(ev.max()), tau_min=float(tv.min()),
+        tau_min=float(tv.min()),
         growth_max=_growth_max(pot, s, nv * nv),
     )
 
@@ -378,13 +377,12 @@ def degenerate_model(delta: float, theta_c: float = 2.5, c0: float = 2.5e-3,
         return np.where(inside, al * dm(sc) / (2.0 * n_d(sc)), 0.0)
 
     eta_f, tau_f = _as_callable(eta), _as_callable(tau)
-    _, ev = _sampled(eta_f, 0.0, 1.0)
     _, tv = _sampled(tau_f, 0.0, 1.0)
     s, mv = _sampled(m_d, 0.0, 1.0)
     return MaterialModel(
         n=n_d, eta=eta_f, tau=tau_f, A=A_d, dA=dA_d, potential=pot,
         c0=float(c0), eps1=float(eps1), a=a, regime="degenerate",
-        eta_max=float(ev.max()), tau_min=float(tv.min()),
+        tau_min=float(tv.min()),
         growth_max=_growth_max(pot, s, mv),
         entropy=entropy_from_mobility(m_d, entropy_step), delta=delta,
     )

@@ -97,6 +97,10 @@ class TestRunCommand:
         assert (out / "diagnostics.csv").exists()
         assert (out / "energy_report.jsonl").exists()
         assert list((out / "snapshots").glob("*.vpf"))
+        checks = [json.loads(line) for line in
+                  (out / "energy_report.jsonl").read_text().splitlines()]
+        cfl = [c for c in checks if c["name"] == "max-cfl"]
+        assert cfl and cfl[0]["pass"] and cfl[0]["threshold"] == 0.25
 
     def test_stationary_run_flat_csv(self, tmp_path):
         cfg = _write(tmp_path / "cfg.txt",
@@ -213,6 +217,37 @@ class TestReportCommand:
         path.write_text("\n".join([lines[0]] +
                                   [",".join(r) for r in rows]) + "\n")
         assert main(["report", "--dir", str(out)]) == 4
+
+    def _edit_column(self, path, name, value):
+        """Set column name of every row to value; None drops the column."""
+        lines = path.read_text().splitlines()
+        rows = [line.split(",") for line in lines]
+        idx = rows[0].index(name)
+        for row in rows[1:]:
+            row[idx] = value
+        if value is None:
+            rows = [row[:idx] + row[idx + 1:] for row in rows]
+        path.write_text("\n".join(",".join(r) for r in rows) + "\n")
+
+    def test_max_cfl(self, tmp_path, capsys):
+        cfg = _write(tmp_path / "cfg.txt",
+                     "grid.shape = 16,16\ntime.steps = 20\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        path = out / "diagnostics.csv"
+        original = path.read_text()
+        capsys.readouterr()
+        assert main(["report", "--dir", str(out)]) == 0
+        assert "[PASS] max-cfl" in capsys.readouterr().out
+        # a Courant number above COURANT_MAX fails the report
+        self._edit_column(path, "cfl", "0.3")
+        assert main(["report", "--dir", str(out)]) == 4
+        assert "[FAIL] max-cfl: value 0.3 " in capsys.readouterr().out
+        # diagnostics without a cfl column are not failed for it
+        path.write_text(original)
+        self._edit_column(path, "cfl", None)
+        assert main(["report", "--dir", str(out)]) == 0
+        assert "max-cfl: not recorded" in capsys.readouterr().out
 
     def test_missing_dir(self, tmp_path):
         assert main(["report", "--dir", str(tmp_path / "nope")]) == 2

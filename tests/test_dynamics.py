@@ -349,16 +349,42 @@ class TestStepSize:
             cfg = SimConfig(shape=(48, 48), regime="degenerate",
                             theta_c=theta_c, steps=1)
             dts.append(dt_max(cfg, build_grid(cfg), build_material(cfg)))
-        # theta_c = 2.5: the viscous bound h^2/8; theta_c = 6: sigma = 1600
-        assert dts[0] == pytest.approx((1 / 48) ** 2 / 8, rel=1e-12)
+        # the growth-rate bound at both: theta_c = 2.5 has growth_max =
+        # 0.25 (sigma = 25), theta_c = 6 has sigma = 1600
+        assert dts[0] == pytest.approx(3e-3 * 4 * 2.5e-3 / 0.25, rel=1e-12)
         assert dts[1] == pytest.approx(3e-3 / 1600, rel=1e-12)
+
+    def test_auto_step_does_not_depend_on_viscosity(self):
+        # the viscous solve is implicit, so eta sets no bound
+        cfg = SimConfig(shape=(48, 48), regime="degenerate", steps=1)
+        dts = [dt_max(c, build_grid(c), build_material(c))
+               for c in (cfg, dataclasses.replace(cfg, eta=100.0))]
+        assert dts[0] == dts[1]
+        # and a step at eta = 100 is stable: 20 steps of the growth bound
+        run = SimConfig(shape=(32, 32), regime="degenerate", eta=100.0,
+                        init_mean=0.5, init_amplitude=0.2, t_end=2.4e-3,
+                        output_every=1000, seed=0)
+        traj = simulate(run)
+        assert len(traj.times) == 21
+        assert viscophase.diagnostics.check_energy_inequality(traj).monotone
+        assert traj.column("div_u_norm").max() <= 1e-14
+
+    def test_moving_u0_sets_advective_bound(self):
+        cfg = SimConfig(shape=(32, 16), lengths=(1.0, 1.0), steps=1)
+        grid, M = build_grid(cfg), build_material(cfg)
+        u0 = VectorField.zeros(grid)
+        assert dt_max(cfg, grid, M, u0=u0) == dt_max(cfg, grid, M)
+        u0.data[1, 3, 5] = -1000.0
+        assert dt_max(cfg, grid, M, u0=u0) == \
+            viscophase.dynamics.COURANT_MAX * (1 / 32) / 1000.0
 
     def test_auto_step_lands_on_t_end(self):
         cfg = SimConfig(shape=(48, 48), regime="degenerate", t_end=5e-3)
         grid, M = build_grid(cfg), build_material(cfg)
         bound = dt_max(cfg, grid, M)
         dt, n = step_plan(cfg, grid, M)
-        assert n == 93 and dt <= bound
+        # 5e-3 / 1.2e-4 = 41.7 growth-bound steps
+        assert n == 42 and dt <= bound
         assert n * dt == pytest.approx(5e-3, rel=1e-14)
         # a whole number of bounds takes no extra step
         whole = dataclasses.replace(cfg, t_end=20 * bound)
