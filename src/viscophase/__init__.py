@@ -2,14 +2,14 @@
 cross-diffusively coupled phase-separation / bulk-stress / flow model."""
 
 from .errors import (
-    BlowUpError, ConfigError, DegenerateMobilityError, GridMismatchError,
-    InvalidDeltaError, PotentialDomainError, QuadratureResolutionError,
-    SnapshotError, SolverError,
+    BlowUpError, ConfigError, GridMismatchError, InvalidDeltaError,
+    PotentialDomainError, QuadratureResolutionError, SnapshotError,
+    SolverError,
 )
 from .material import (
     Potential, Entropy, MaterialModel, double_well, flory_huggins_split,
-    regularize_potential, regularize_mobility, entropy_from_mobility,
-    regular_model, degenerate_model,
+    regularize_potential, regularize_mobility, regular_model,
+    degenerate_model,
 )
 from .fields import (
     Grid, ScalarField, VectorField, gradient, divergence, laplacian,

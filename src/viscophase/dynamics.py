@@ -11,8 +11,8 @@ Scheme: first-order operator splitting per step.
      -|w|^2, mirroring the continuous dissipation structure.
   2. q update, implicit in the relaxation q/tau and stress diffusion.
   3. velocity: semi-implicit viscous solve with skew-symmetric advection,
-     capillary forcing, then a projection onto discretely divergence-free
-     fields.
+     the capillary force mu*grad(phi), then a projection onto discretely
+     divergence-free fields.
 """
 
 from __future__ import annotations
@@ -24,15 +24,15 @@ from typing import Optional
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from .errors import (BlowUpError, ConfigError, InvalidDeltaError,
-                     PotentialDomainError, SnapshotError)
+from .errors import (BlowUpError, ConfigError, PotentialDomainError,
+                     SnapshotError)
 from .fields import (
     Grid, ScalarField, VectorField,
     grad_arr, div_arr, lap_arr, cg, solve_symbol,
     project_divergence_free, integrate,
 )
-from .material import (MOBILITY_KINDS, MaterialModel, degenerate_model,
-                       regular_model)
+from .material import (MOBILITY_KINDS, MaterialModel, _check_delta,
+                       degenerate_model, regular_model)
 
 __all__ = [
     "State", "SimConfig", "Trajectory",
@@ -273,20 +273,18 @@ def step_phi_q(state: State, M: MaterialModel, dt: float,
 def step_velocity(state: State, M: MaterialModel, dt: float,
                   solver_tol: float = 1e-11):
     """Semi-implicit viscous solve followed by a divergence-free projection.
-    Capillary force mu*grad(phi) (regular regime) or c0*lap(phi)*grad(phi)
-    (degenerate).  Constant viscosity gives a direct odd-parity spectral
-    solve per component; variable viscosity CG at solver_tol,
-    preconditioned by that solve at the mean viscosity."""
+    The capillary force is mu*grad(phi) in both regimes: its work
+    int mu u.grad(phi) is exactly the mixing power that the explicit phi
+    advection by u removes, so the coupling exchanges energy and creates
+    none.  Constant viscosity gives a direct odd-parity spectral solve per
+    component; variable viscosity CG at solver_tol, preconditioned by that
+    solve at the mean viscosity."""
     grid = state.grid
     u = state.u.data
     arrays = state.arrays(M)
     etav = arrays.eta
 
-    gphi = arrays.grad_phi
-    if M.regime == "regular":
-        f_cap = state.mu.data[None] * gphi
-    else:
-        f_cap = (M.c0 * arrays.lap_phi)[None] * gphi
+    f_cap = state.mu.data[None] * arrays.grad_phi
 
     advect = np.empty_like(u)          # skew-symmetric (u . grad)u
     for i, gu in enumerate(state.velocity_gradients()):
@@ -388,10 +386,7 @@ def _check_values(cfg: SimConfig) -> None:
         if not value > 0:
             raise ConfigError(f"{key} = {value}: must be positive")
     check_model_kinds(cfg)
-    if not 0.0 < cfg.delta < 0.5:
-        raise InvalidDeltaError(
-            f"regularization.delta = {cfg.delta} outside the admissible "
-            "range (0, 1/2)")
+    _check_delta(cfg.delta)
     if cfg.dt is not None and cfg.dt <= 0:
         raise ConfigError("time.dt must be positive")
     if cfg.steps is not None and cfg.steps <= 0:
@@ -565,10 +560,10 @@ class Trajectory:
                    fmt="%.17g")
 
 
-def _diag_row(state: State, M: MaterialModel, dt: float,
-              extra_entropy: bool) -> dict:
-    """The DIAG_COLUMNS of a state (and the entropy); cfl is the Courant
-    number dt * max|u| / h_min of a step dt with its velocity."""
+def _diag_row(state: State, M: MaterialModel, dt: float) -> dict:
+    """The DIAG_COLUMNS of a state, and the entropy if the model has one;
+    cfl is the Courant number dt * max|u| / h_min of a step dt with its
+    velocity."""
     from .diagnostics import energy
     eb = energy(state, M)
     row = {
@@ -583,7 +578,7 @@ def _diag_row(state: State, M: MaterialModel, dt: float,
         "div_u_norm": _div_u_norm(state),
         "cfl": dt * float(np.abs(state.u.data).max()) / min(state.grid.h),
     }
-    if extra_entropy:
+    if M.entropy is not None:
         row["entropy"] = float(
             M.entropy.g(state.phi.data).sum() * state.grid.cell_volume)
     return row
@@ -626,14 +621,13 @@ def simulate(config: SimConfig,
             raise ConfigError("integral of F(phi0) + G(phi0) must be finite")
 
     dt, n_steps = step_plan(config, grid, M, u)
-    track_entropy = config.regime == "degenerate" and M.entropy is not None
 
     # the step, the next step and the diagnostics share a state's arrays:
     # the mid state keeps the old u and its gradients, the state after the
     # velocity step keeps the mid state's phi and q and their arrays, and a
     # stored state keeps none
     state = make_state(0.0, phi, q, u, ScalarField.full(grid, 0.0), M)
-    rows = [_diag_row(state, M, dt, track_entropy)]
+    rows = [_diag_row(state, M, dt)]
     traj = Trajectory(config=config, dt=dt, model=M,
                       states=[replace(state, phi_q=None, grad_u=None)])
 
@@ -653,7 +647,7 @@ def simulate(config: SimConfig,
         except BlowUpError as err:
             err.time = t_new
             raise
-        rows.append(_diag_row(state, M, dt, track_entropy))
+        rows.append(_diag_row(state, M, dt))
         if (k + 1) % config.output_every == 0 or k + 1 == n_steps:
             traj.states.append(replace(state, phi_q=None, grad_u=None))
 

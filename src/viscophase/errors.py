@@ -9,10 +9,6 @@ class InvalidDeltaError(ValueError):
     """Regularization parameter outside (0, 1/2)."""
 
 
-class DegenerateMobilityError(ValueError):
-    """Entropy construction received a mobility that vanishes somewhere."""
-
-
 class SolverError(RuntimeError):
     """An iterative linear solve failed to reach its tolerance."""
 

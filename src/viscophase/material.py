@@ -1,6 +1,6 @@
 """Constitutive functions: potentials, mobilities, relaxation, viscosity,
 bulk modulus, their degenerate-case regularizations, and the entropy
-function built from a mobility.
+of each degenerate mobility in closed form.
 
 All functions accept scalars or numpy arrays and are pure; a model is
 immutable after construction.
@@ -13,9 +13,8 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
-from .errors import ConfigError, DegenerateMobilityError, InvalidDeltaError
+from .errors import ConfigError, InvalidDeltaError
 
 __all__ = [
     "Potential",
@@ -25,7 +24,6 @@ __all__ = [
     "flory_huggins_split",
     "regularize_potential",
     "regularize_mobility",
-    "entropy_from_mobility",
     "regular_model",
     "degenerate_model",
 ]
@@ -137,52 +135,46 @@ def flory_huggins_split(theta_c: float = 2.5) -> Potential:
 def _check_delta(delta: float) -> float:
     delta = float(delta)
     if not 0.0 < delta < 0.5:
-        raise InvalidDeltaError(f"delta must lie in (0, 1/2); got {delta}")
+        raise InvalidDeltaError(f"regularization.delta = {delta}: must lie "
+                                "in the open interval (0, 1/2)")
     return delta
 
 
-def regularize_potential(P: Potential, delta: float) -> Potential:
-    """Quadratic extension of the convex part outside [delta, 1-delta].
+def _quadratic_extension(f: Callable, df: Callable, d2f: Callable,
+                         delta: float) -> tuple:
+    """(f, f', f'') of the C^2 function that equals f on [delta, 1-delta]
+    and, beyond each knot, its second-order Taylor polynomial at that knot,
+    so that its second derivative is constant there."""
+    fns = (f, df, d2f)
+    knots = tuple((k, [float(fn(k)) for fn in fns])
+                  for k in (delta, 1.0 - delta))
+    # the Taylor polynomial at a knot with coefficients c, and its derivatives
+    taylor = (lambda c, d: c[0] + c[1] * d + 0.5 * c[2] * d ** 2,
+              lambda c, d: c[1] + c[2] * d,
+              lambda c, d: c[2])
 
-    F_{1,delta} equals F1 on [delta, 1-delta]; beyond the knots it is the
-    second-order Taylor polynomial taken at the nearest knot, which makes
-    F_{1,delta}'' constant there and the whole function C^2.
-    """
+    def derivative(order):
+        def extended(s):
+            s = np.asarray(s, dtype=float)
+            out = np.asarray(fns[order](np.clip(s, delta, 1.0 - delta)),
+                             dtype=float)
+            for (k, c), beyond in zip(knots, (s < delta, s > 1.0 - delta)):
+                if beyond.any():
+                    out = np.where(beyond, taylor[order](c, s - k), out)
+            return out
+        return extended
+
+    return tuple(derivative(order) for order in range(3))
+
+
+def regularize_potential(P: Potential, delta: float) -> Potential:
+    """Quadratic extension of the convex part outside [delta, 1-delta]:
+    F_{1,delta} equals F1 on [delta, 1-delta] and is C^2, with
+    F_{1,delta}'' constant beyond the knots."""
     delta = _check_delta(delta)
     if not P.has_split:
         raise ValueError("regularize_potential needs a split (F1 + F2) potential")
-
-    a, b = delta, 1.0 - delta
-    f1a, f1b = float(P.f1(a)), float(P.f1(b))
-    d1a, d1b = float(P.df1(a)), float(P.df1(b))
-    d2a, d2b = float(P.d2f1(a)), float(P.d2f1(b))
-
-    def f1d(s):
-        s = np.asarray(s, dtype=float)
-        sc = np.clip(s, a, b)
-        out = np.asarray(P.f1(sc), dtype=float).copy()
-        lo = s < a
-        hi = s > b
-        out = np.where(lo, f1a + d1a * (s - a) + 0.5 * d2a * (s - a) ** 2, out)
-        out = np.where(hi, f1b + d1b * (s - b) + 0.5 * d2b * (s - b) ** 2, out)
-        return out
-
-    def df1d(s):
-        s = np.asarray(s, dtype=float)
-        sc = np.clip(s, a, b)
-        out = np.asarray(P.df1(sc), dtype=float).copy()
-        out = np.where(s < a, d1a + d2a * (s - a), out)
-        out = np.where(s > b, d1b + d2b * (s - b), out)
-        return out
-
-    def d2f1d(s):
-        s = np.asarray(s, dtype=float)
-        sc = np.clip(s, a, b)
-        out = np.asarray(P.d2f1(sc), dtype=float).copy()
-        out = np.where(s < a, d2a, out)
-        out = np.where(s > b, d2b, out)
-        return out
-
+    f1d, df1d, d2f1d = _quadratic_extension(P.f1, P.df1, P.d2f1, delta)
     return replace(
         P,
         kind="regularized-logarithmic",
@@ -208,45 +200,44 @@ def regularize_mobility(m: Callable, delta: float) -> Callable:
 
 @dataclass(frozen=True)
 class Entropy:
-    """Second antiderivative of 1/m normalized at 1/2.
-
-    G''(s) = 1/m(s), G(1/2) = G'(1/2) = 0.  Values come from a dense
-    tabulation of 1/m integrated twice with the trapezoid rule.
-    """
+    """The entropy G_delta of the regularized mobility m_delta:
+    G_delta'' = 1/m_delta, G_delta(1/2) = G_delta'(1/2) = 0 (Elliott &
+    Garcke, SIAM J. Math. Anal. 1996).  It is the closed-form G of the
+    mobility on [delta, 1-delta], extended beyond the knots by the same
+    quadratic rule as F_{1,delta}."""
 
     g: Callable
+
+
+@dataclass(frozen=True)
+class _Mobility:
+    """A degenerate mobility m on (0, 1), its derivative dm, and its entropy
+    G with G'' = 1/m and G(1/2) = G'(1/2) = 0, in closed form."""
+
+    m: Callable
+    dm: Callable
+    g: Callable
     dg: Callable
+    d2g: Callable
 
 
-def entropy_from_mobility(m_delta: Callable, quadrature_step: float = 1e-4,
-                          span: tuple = (-0.5, 1.5)) -> Entropy:
-    step = float(quadrature_step)
-    if step <= 0:
-        raise ValueError("quadrature_step must be positive")
-    lo, hi = span
-    n_left = int(math.ceil((0.5 - lo) / step))
-    n_right = int(math.ceil((hi - 0.5) / step))
-    s = 0.5 + step * np.arange(-n_left, n_right + 1)
-    i0 = n_left  # index of s = 1/2 exactly
-
-    g2 = np.asarray(m_delta(s), dtype=float)
-    if np.any(g2 <= 0.0):
-        raise DegenerateMobilityError(
-            "mobility vanishes on the tabulation grid; regularize it first"
-        )
-    g2 = 1.0 / g2
-    g1 = cumulative_trapezoid(g2, s, initial=0.0)
-    g1 -= g1[i0]
-    g0 = cumulative_trapezoid(g1, s, initial=0.0)
-    g0 -= g0[i0]
-
-    def g(x):
-        return np.interp(np.asarray(x, dtype=float), s, g0)
-
-    def dg(x):
-        return np.interp(np.asarray(x, dtype=float), s, g1)
-
-    return Entropy(g=g, dg=dg)
+_FH = flory_huggins_split()
+# m = s(1-s): G = F1 + ln 2 for the Flory-Huggins F1 = s ln s + (1-s) ln(1-s)
+_LOGISTIC = _Mobility(
+    m=lambda s: s * (1.0 - s), dm=lambda s: 1.0 - 2.0 * s,
+    g=lambda s: _FH.f1(s) + math.log(2.0), dg=_FH.df1, d2g=_FH.d2f1)
+# m = s^2(1-s)^2: 1/m = 1/s^2 + 1/(1-s)^2 + 2 (1/s + 1/(1-s)), so
+# G = -ln s - ln(1-s) + 2 F1
+_QUADRATIC = _Mobility(
+    m=lambda s: (s * (1.0 - s)) ** 2,
+    dm=lambda s: 2.0 * s * (1.0 - s) * (1.0 - 2.0 * s),
+    g=lambda s: -np.log(s) - np.log1p(-s) + 2.0 * _FH.f1(s),
+    dg=lambda s: -1.0 / s + 1.0 / (1.0 - s) + 2.0 * _FH.df1(s),
+    d2g=lambda s: 1.0 / s ** 2 + 1.0 / (1.0 - s) ** 2 + 2.0 * _FH.d2f1(s))
+# mobility kind -> its record; two aliases each
+_MOBILITIES = {"s(1-s)": _LOGISTIC, "linear": _LOGISTIC,
+               "s2(1-s)2": _QUADRATIC, "quadratic": _QUADRATIC}
+MOBILITY_KINDS = tuple(_MOBILITIES)
 
 
 @dataclass(frozen=True)
@@ -322,35 +313,19 @@ def regular_model(c0: float = 2.5e-3, eps1: float = 1e-2, a: Optional[float] = N
     )
 
 
-MOBILITY_KINDS = ("s(1-s)", "linear", "s2(1-s)2", "quadratic")   # two aliases each
-
-
-def _degenerate_mobility(kind: str) -> Callable:
-    if kind in MOBILITY_KINDS[:2]:
-        def m(s):
-            s = np.asarray(s, dtype=float)
-            sc = np.clip(s, 0.0, 1.0)
-            return sc * (1.0 - sc)
-    elif kind in MOBILITY_KINDS[2:]:
-        def m(s):
-            s = np.asarray(s, dtype=float)
-            sc = np.clip(s, 0.0, 1.0)
-            return (sc * (1.0 - sc)) ** 2
-    else:
-        raise ValueError(f"unknown degenerate mobility kind {kind!r}")
-    return m
-
-
 def degenerate_model(delta: float, theta_c: float = 2.5, c0: float = 2.5e-3,
                      eps1: float = 1e-2, a: Optional[float] = None,
                      mobility: str = "s(1-s)", alpha: float = 1.0,
-                     eta=1.0, tau=1.0,
-                     entropy_step: float = 1e-4) -> MaterialModel:
+                     eta=1.0, tau=1.0) -> MaterialModel:
     """Degenerate mobility with logarithmic potential, both regularized at
-    level delta.  The bulk modulus is A = alpha * n so that A/n is constant."""
+    level delta, and the mobility's entropy.  The bulk modulus is
+    A = alpha * n so that A/n is constant."""
     delta = _check_delta(delta)
+    if mobility not in _MOBILITIES:
+        raise ValueError(f"unknown degenerate mobility kind {mobility!r}")
+    kind = _MOBILITIES[mobility]
     pot = regularize_potential(flory_huggins_split(theta_c), delta)
-    m_d = regularize_mobility(_degenerate_mobility(mobility), delta)
+    m_d = regularize_mobility(kind.m, delta)
 
     def n_d(s):
         return np.sqrt(m_d(s))
@@ -361,21 +336,13 @@ def degenerate_model(delta: float, theta_c: float = 2.5, c0: float = 2.5e-3,
         return al * n_d(s)
 
     # derivative of alpha*sqrt(m_delta); zero on the clamped plateaus
-    if mobility in ("s(1-s)", "linear"):
-        def dm(s):
-            s = np.asarray(s, dtype=float)
-            return 1.0 - 2.0 * s
-    else:
-        def dm(s):
-            s = np.asarray(s, dtype=float)
-            return 2.0 * s * (1.0 - s) * (1.0 - 2.0 * s)
-
     def dA_d(s):
         s = np.asarray(s, dtype=float)
         inside = (s > delta) & (s < 1.0 - delta)
         sc = np.clip(s, delta, 1.0 - delta)
-        return np.where(inside, al * dm(sc) / (2.0 * n_d(sc)), 0.0)
+        return np.where(inside, al * kind.dm(sc) / (2.0 * n_d(sc)), 0.0)
 
+    g, _, _ = _quadratic_extension(kind.g, kind.dg, kind.d2g, delta)
     eta_f, tau_f = _as_callable(eta), _as_callable(tau)
     _, tv = _sampled(tau_f, 0.0, 1.0)
     s, mv = _sampled(m_d, 0.0, 1.0)
@@ -384,5 +351,5 @@ def degenerate_model(delta: float, theta_c: float = 2.5, c0: float = 2.5e-3,
         c0=float(c0), eps1=float(eps1), a=a, regime="degenerate",
         tau_min=float(tv.min()),
         growth_max=_growth_max(pot, s, mv),
-        entropy=entropy_from_mobility(m_d, entropy_step), delta=delta,
+        entropy=Entropy(g=g), delta=delta,
     )

@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 
 from viscophase.dynamics import chemical_potential
-from viscophase.errors import (ConfigError, DegenerateMobilityError,
-                               InvalidDeltaError, PotentialDomainError)
+from viscophase.errors import (ConfigError, InvalidDeltaError,
+                               PotentialDomainError)
 from viscophase.fields import Grid, ScalarField
 from viscophase.material import (degenerate_model, double_well,
-                                 entropy_from_mobility, flory_huggins_split,
-                                 regular_model, regularize_mobility,
-                                 regularize_potential)
+                                 flory_huggins_split, regular_model,
+                                 regularize_mobility, regularize_potential)
 
 
 class TestDoubleWell:
@@ -127,24 +126,38 @@ class TestRegularization:
 class TestEntropy:
     def test_logistic_mobility_closed_form(self):
         # m = s(1-s): G(s) = s ln s + (1-s) ln(1-s) + ln 2
-        delta = 1e-3
-        m = regularize_mobility(lambda s: np.asarray(s) * (1 - np.asarray(s)), delta)
-        G = entropy_from_mobility(m, quadrature_step=1e-4)
+        G = degenerate_model(delta=1e-3, mobility="s(1-s)").entropy
         expect = 0.25 * math.log(0.25) + 0.75 * math.log(0.75) + math.log(2.0)
         assert G.g(0.25) == pytest.approx(expect, abs=1e-6)
         assert G.g(0.5) == 0.0
-        assert G.dg(0.5) == 0.0
 
-    def test_unit_mobility(self):
-        # m = 1: G(s) = (s - 1/2)^2 / 2
-        G = entropy_from_mobility(lambda s: np.ones_like(np.asarray(s, float)))
-        assert G.g(1.0) == pytest.approx(0.125, abs=1e-7)
-        assert G.g(0.0) == pytest.approx(0.125, abs=1e-7)
+    @pytest.mark.parametrize("delta", [1e-2, 1e-4])
+    @pytest.mark.parametrize("mobility", ["s(1-s)", "s2(1-s)2"])
+    def test_second_derivative_is_inverse_mobility(self, mobility, delta):
+        # G(1/2) = G'(1/2) = 0 and G'' m_delta = 1 on [-1, 2], beyond the
+        # knots too; the central-difference step shrinks near a knot,
+        # where G''' jumps
+        M = degenerate_model(delta=delta, mobility=mobility)
+        g = M.entropy.g
+        assert abs(g(0.5)) <= 1e-15
+        assert abs(g(0.5 + 1e-6) - g(0.5 - 1e-6)) / 2e-6 <= 1e-8
+        s = np.linspace(-1.0, 2.0, 3001)
+        knot_gap = np.minimum(np.abs(s - delta), np.abs(s - 1.0 + delta))
+        s, knot_gap = s[knot_gap > 1e-5], knot_gap[knot_gap > 1e-5]
+        h = 1e-3 * np.minimum(knot_gap, 1.0)
+        d2g = (g(s + h) - 2.0 * g(s) + g(s - h)) / h**2
+        assert np.abs(d2g * M.m(s) - 1.0).max() < 1e-4
 
-    def test_degenerate_mobility_rejected(self):
-        with pytest.raises(DegenerateMobilityError):
-            entropy_from_mobility(
-                lambda s: np.clip(np.asarray(s), 0, 1) * (1 - np.clip(np.asarray(s), 0, 1)))
+    @pytest.mark.parametrize("delta", [1e-2, 1e-4])
+    def test_logistic_entropy_is_shifted_potential(self, delta):
+        # for m = s(1-s) the entropy extends F1 + ln 2 by the rule that
+        # extends F1, so G_delta = F_{1,delta} + ln 2 everywhere
+        M = degenerate_model(delta=delta, mobility="s(1-s)")
+        s = np.linspace(-1.0, 2.0, 3001)
+        f1 = M.potential.f1(s)
+        diff = M.entropy.g(s) - f1 - math.log(2.0)
+        ulp = np.finfo(float).eps * (1.0 + np.abs(f1))
+        assert np.all(np.abs(diff) <= 2 * ulp)
 
 
 class TestModels:
