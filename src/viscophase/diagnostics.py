@@ -12,7 +12,7 @@ import numpy as np
 from .errors import GridMismatchError
 from .fields import grad_arr
 from .material import MaterialModel
-from .dynamics import State, Trajectory, chemical_potential
+from .dynamics import State, Trajectory
 
 __all__ = [
     "EnergyBreakdown", "EnergyInequalityReport", "RelativeEnergyReport",
@@ -136,8 +136,8 @@ def relative_energy(state: State, reference: State,
     The mixing part penalizes the gradient difference, the convexity
     defect of F, and the stabilization a*(phi-psi)^2; the relative
     dissipation uses the cross difference
-    n(phi)*(grad mu - grad pi) - grad(A(phi)*(q - Q)) with pi recomputed
-    from the reference by the same discrete operator.
+    n(phi)*(grad mu - grad pi) - grad(A(phi)*(q - Q)), where mu and pi
+    are the chemical potentials the two states carry.
     """
     if state.grid != reference.grid:
         raise GridMismatchError("state and reference grids differ")
@@ -156,11 +156,10 @@ def relative_energy(state: State, reference: State,
     E_bulk = float((0.5 * (q - Q) ** 2).sum() * vol)
     E_kin = float((0.5 * ((u - U) ** 2).sum(axis=0)).sum() * vol)
 
-    pi = chemical_potential(reference.phi, M)
     nv = np.asarray(M.n(phi), dtype=float)
     Av = np.asarray(M.A(phi), dtype=float)
     cross = (nv[None] * (grad_arr(state.mu.data, grid, 1)
-                         - grad_arr(pi.data, grid, 1))
+                         - grad_arr(reference.mu.data, grid, 1))
              - grad_arr(Av * (q - Q), grid, 1))
     etav = np.asarray(M.eta(phi), dtype=float)
     tauv = np.asarray(M.tau(phi), dtype=float)

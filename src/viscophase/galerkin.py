@@ -68,53 +68,41 @@ class CosineBasis:
         self.kvecs = np.array([kt for _, kt in cands[:m]], dtype=int)
         self.lam = np.array([lam for lam, _ in cands[:m]])
         kmax = int(self.kvecs.max())
-        n_quad = max(oversample * (kmax + 1), 4)
-        self._build_quadrature(n_quad, fine=False)
-        self._build_quadrature(2 * n_quad, fine=True)
+        self.n_quad = max(oversample * (kmax + 1), 4)
+        self.axes, self.w = self._midpoints(self.n_quad)
+        self.Psi = self._table(self.axes)
+        self.dPsi = np.stack([self._table(self.axes, derivative=axis)
+                              for axis in range(d)])
+        self.axes_f, self.w_f = self._midpoints(2 * self.n_quad)
+        self.Psi_f = self._table(self.axes_f)
 
-    def _build_quadrature(self, n: int, fine: bool) -> None:
+    def _midpoints(self, n: int):
+        """Midpoint nodes per axis and the cell weight of an n^d grid."""
         axes = [(np.arange(n) + 0.5) * L / n for L in self.lengths]
-        w = float(np.prod([L / n for L in self.lengths]))
-        Psi, dPsi = self._tables(axes)
-        if fine:
-            self.axes_f, self.w_f, self.Psi_f, self.dPsi_f = axes, w, Psi, dPsi
-        else:
-            self.axes, self.w, self.Psi, self.dPsi = axes, w, Psi, dPsi
-            self.n_quad = n
+        return axes, float(np.prod([L / n for L in self.lengths]))
 
-    def _tables(self, axes: Sequence[np.ndarray]):
-        """Basis values (m, Nq) and gradients (d, m, Nq) on a tensor grid."""
-        vals1 = [_axis_modes(self.kvecs[:, i], axes[i], self.lengths[i])
-                 for i in range(self.d)]
-        dvals1 = [_axis_dmodes(self.kvecs[:, i], axes[i], self.lengths[i])
-                  for i in range(self.d)]
-        shape = tuple(len(ax) for ax in axes)
-        Nq = int(np.prod(shape))
-        Psi = vals1[0]
-        for i in range(1, self.d):
-            Psi = np.einsum('m...,mj->m...j', Psi, vals1[i])
-        Psi = Psi.reshape(self.m, Nq)
-        dPsi = np.empty((self.d, self.m, Nq))
-        for axis in range(self.d):
-            G = (dvals1 if axis == 0 else vals1)[0]
-            for i in range(1, self.d):
-                nxt = dvals1[i] if i == axis else vals1[i]
-                G = np.einsum('m...,mj->m...j', G, nxt)
-            dPsi[axis] = G.reshape(self.m, Nq)
-        return Psi, dPsi
+    def _table(self, axes: Sequence[np.ndarray],
+               derivative: Optional[int] = None) -> np.ndarray:
+        """Basis values (m, Nq) on a tensor grid, or their derivatives
+        along axis ``derivative``."""
+        tab = None
+        for i in range(self.d):
+            axis_tab = (_axis_dmodes if i == derivative else _axis_modes)(
+                self.kvecs[:, i], axes[i], self.lengths[i])
+            tab = axis_tab if tab is None else np.einsum(
+                'm...,mj->m...j', tab, axis_tab)
+        return tab.reshape(self.m, -1)
 
     def evaluate(self, coeffs: np.ndarray, axes: Sequence[np.ndarray]) -> np.ndarray:
         """Reconstruct the field sum(coeffs_j psi_j) on a tensor grid."""
-        Psi, _ = self._tables(axes)
         shape = tuple(len(ax) for ax in axes)
-        return (np.asarray(coeffs) @ Psi).reshape(shape)
+        return (np.asarray(coeffs) @ self._table(axes)).reshape(shape)
 
     def values(self, coeffs: np.ndarray, fine: bool = False) -> np.ndarray:
         return np.asarray(coeffs) @ (self.Psi_f if fine else self.Psi)
 
-    def grads(self, coeffs: np.ndarray, fine: bool = False) -> np.ndarray:
-        tab = self.dPsi_f if fine else self.dPsi
-        return np.einsum('j,djq->dq', np.asarray(coeffs), tab)
+    def grads(self, coeffs: np.ndarray) -> np.ndarray:
+        return np.einsum('j,djq->dq', np.asarray(coeffs), self.dPsi)
 
     def inner(self, vals: np.ndarray, fine: bool = False) -> np.ndarray:
         """Coefficients <vals, psi_j> by midpoint quadrature."""
@@ -122,16 +110,11 @@ class CosineBasis:
             return self.w_f * (self.Psi_f @ vals)
         return self.w * (self.Psi @ vals)
 
-    @property
-    def volume(self) -> float:
-        return float(np.prod(self.lengths))
-
 
 @dataclass(frozen=True)
 class GalerkinState:
     t: float
     lam: np.ndarray      # phi coefficients
-    theta: np.ndarray    # mu coefficients
     zeta: np.ndarray     # q coefficients
 
 
@@ -191,8 +174,8 @@ def _quad_values(lam: np.ndarray, zeta: np.ndarray, B: CosineBasis,
 
 def assemble_rhs(G: GalerkinState, B: CosineBasis, M: MaterialModel,
                  quad_tol: float = 1e-6):
-    """Time derivatives (dlam/dt, dzeta/dt), the algebraic theta and the
-    dissipation terms D (keys as in ``energy_galerkin``) of one state.
+    """Time derivatives (dlam/dt, dzeta/dt) and the dissipation terms D
+    (keys as in ``energy_galerkin``) of one state.
     QuadratureResolutionError when theta on the doubled quadrature differs
     from theta by more than quad_tol (a Richardson check).
 
@@ -202,7 +185,7 @@ def assemble_rhs(G: GalerkinState, B: CosineBasis, M: MaterialModel,
                       + <n grad mu - grad(A q), grad(A psi_j)>
                       - eps1 <grad q, grad psi_j>
     with mu in the span of the basis, theta_j = c0 lam_eig_j lam_j
-    + <F'(phi), psi_j> by orthonormality (G.theta is not read).
+    + <F'(phi), psi_j> by orthonormality.
     """
     lam, zeta = np.asarray(G.lam, float), np.asarray(G.zeta, float)
     V = _quad_values(lam, zeta, B, M)
@@ -224,11 +207,11 @@ def assemble_rhs(G: GalerkinState, B: CosineBasis, M: MaterialModel,
     dzeta += B.w * ((V.wtil * (V.dAv[None] * V.gphi)).sum(axis=0) @ B.Psi.T)
     dzeta -= M.eps1 * B.w * np.einsum('dq,djq->j', V.gq, B.dPsi)
 
-    return dlam, dzeta, V.theta, V.D
+    return dlam, dzeta, V.D
 
 
 def energy_galerkin(G: GalerkinState, B: CosineBasis, M: MaterialModel):
-    """Energy E_m and dissipation terms; theta from G.lam, not G.theta."""
+    """Energy E_m and dissipation terms of one state."""
     V = _quad_values(np.asarray(G.lam, float), np.asarray(G.zeta, float),
                      B, M)
     E = B.w * float((0.5 * M.c0 * (V.gphi**2).sum(axis=0)
@@ -245,6 +228,12 @@ class GalerkinRun:
     D: np.ndarray            # total dissipation at output points
     D_cum: np.ndarray        # integral of D, carried by the integrator
 
+    @property
+    def energy_slack(self) -> float:
+        """max over t of E(t) + D_cum(t) - E(0) * (1 + 1e-6): at most 0
+        when the energy inequality holds to a relative 1e-6."""
+        return float((self.E + self.D_cum - self.E[0] * (1.0 + 1e-6)).max())
+
 
 def integrate_galerkin(initial: GalerkinState, B: CosineBasis,
                        M: MaterialModel, t_end: float, rtol: float = 1e-8,
@@ -260,8 +249,8 @@ def integrate_galerkin(initial: GalerkinState, B: CosineBasis,
     m = B.m
 
     def rhs(t, y):
-        G = GalerkinState(t=t, lam=y[:m], theta=np.zeros(m), zeta=y[m:2 * m])
-        dlam, dzeta, _, D = assemble_rhs(G, B, M)
+        G = GalerkinState(t=t, lam=y[:m], zeta=y[m:2 * m])
+        dlam, dzeta, D = assemble_rhs(G, B, M)
         return np.concatenate([dlam, dzeta, [D["D_total"]]])
 
     y0 = np.concatenate([np.asarray(initial.lam, float),
@@ -276,10 +265,7 @@ def integrate_galerkin(initial: GalerkinState, B: CosineBasis,
         )
     states, Es, Ds = [], [], []
     for k, t in enumerate(sol.t):
-        lam, zeta = sol.y[:m, k], sol.y[m:2 * m, k]
-        G = GalerkinState(t=float(t), lam=lam,
-                          theta=_theta_of(lam, B.values(lam), B, M),
-                          zeta=zeta)
+        G = GalerkinState(t=float(t), lam=sol.y[:m, k], zeta=sol.y[m:2 * m, k])
         E, Dterms = energy_galerkin(G, B, M)
         states.append(G)
         Es.append(E)
@@ -304,8 +290,7 @@ def convergence_study(m_list: Sequence[int], phi0: Callable, q0: Callable,
     axes, w = bases[-1].axes_f, bases[-1].w_f
     runs, finals = [], []
     for B in bases:
-        init = GalerkinState(t=0.0, lam=project(phi0, B),
-                             theta=np.zeros(B.m), zeta=project(q0, B))
+        init = GalerkinState(t=0.0, lam=project(phi0, B), zeta=project(q0, B))
         run = integrate_galerkin(init, B, M, t_end, rtol=rtol)
         runs.append(run)
         finals.append(B.evaluate(run.states[-1].lam, axes))

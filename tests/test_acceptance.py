@@ -2,14 +2,14 @@
 PASS/FAIL line with the measured values."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
-from viscophase.diagnostics import (bounds_report, check_energy_inequality,
-                                    energy, gronwall_fit, relative_energy)
-from viscophase.dynamics import (SimConfig, build_grid, build_material,
-                                 initial_state, simulate)
+from viscophase.cli import main
+from viscophase.diagnostics import check_energy_inequality, relative_energy
+from viscophase.dynamics import SimConfig, build_grid, build_material, simulate
 from viscophase.fields import (Grid, ScalarField, VectorField, div_arr,
                                grad_arr, lap_arr, project_divergence_free)
 from viscophase.galerkin import (CosineBasis, GalerkinState,
@@ -21,6 +21,18 @@ from viscophase.material import regular_model
 def _verdict(num, name, ok, detail):
     print(f"ACCEPTANCE {num} ({name}): {'PASS' if ok else 'FAIL'} — {detail}")
     return ok
+
+
+def _run(argv, out, report):
+    """Exit code of ``viscophase argv --out out`` and the records of its
+    report file out/report.jsonl, by name."""
+    code = main(argv + ["--out", str(out)])
+    lines = (out / f"{report}.jsonl").read_text().splitlines()
+    return code, {r["name"]: r for r in map(json.loads, lines)}
+
+
+def _thresholds(records):
+    return {name: r["threshold"] for name, r in records.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -114,75 +126,67 @@ def test_3_relative_energy_identity_coercivity():
     assert ok
 
 
-def test_4_weak_strong():
-    cfg = SimConfig(shape=(64, 64), steps=200, output_every=1,
-                    init_kind="spinodal", seed=3)
-    grid = build_grid(cfg)
-    M = build_material(cfg)
-    phi0, q0, u0 = initial_state(cfg, grid, M)
+def test_4_weak_strong(tmp_path):
+    # the 64^2 spinodal benchmark at the automatic step, 200 steps
+    common = ["weakstrong", "--seed", "3", "--override", "grid.shape=64,64",
+              "--override", "time.steps=200",
+              "--override", "init.kind=spinodal"]
+    pair = tmp_path / "pair"
+    pair_code, records = _run(common + ["--eps", "1e-3", "--eps", "5e-4"],
+                              pair, "weakstrong_report")
+    # coinciding initial data to t = 0.1
+    twin_code, twin = _run(common + ["--eps", "0",
+                                     "--override", "time.dt=5e-4"],
+                           tmp_path / "twin", "weakstrong_report")
+    records.update(twin)
+    finals = [np.loadtxt(pair / f"relative_energy_eps{eps}.csv",
+                         delimiter=",", skiprows=1)[-1, 1]
+              for eps in ("0.001", "0.0005")]
 
-    # (a) coinciding initial data to t = 0.1
-    twin_cfg = dataclasses.replace(cfg, dt=5e-4, steps=200, output_every=20)
-    ta = simulate(twin_cfg, phi0, q0, u0)
-    tb = simulate(twin_cfg, phi0, q0, u0)
-    twin_max = max(relative_energy(sa, sb, M).E_total
-                   for sa, sb in zip(ta.states, tb.states))
-
-    # (b), (c): perturbation pairs at the default (stable) step size
-    ref = simulate(cfg, phi0, q0, u0)
-    rng = np.random.default_rng(cfg.seed + 1)
-    bump = rng.standard_normal(grid.shape)
-    bump /= np.abs(bump).max()
-    finals = {}
-    residual = None
-    for eps in (1e-3, 5e-4):
-        traj = simulate(cfg, ScalarField(grid, phi0.data + eps * bump), q0, u0)
-        E_rel = np.array([relative_energy(s, r, M).E_total
-                          for s, r in zip(traj.states, ref.states)])
-        D_rel = np.array([relative_energy(s, r, M).D
-                          for s, r in zip(traj.states, ref.states)])
-        t = traj.times
-        D_half = np.concatenate(
-            [[0.0], np.cumsum(0.25 * np.diff(t) * (D_rel[1:] + D_rel[:-1]))])
-        fit = gronwall_fit(t, E_rel, D_half)
-        finals[eps] = E_rel[-1]
-        if eps == 1e-3:
-            residual = fit.residual
-    ratio = finals[1e-3] / finals[5e-4]
-
-    ok = twin_max <= 1e-10 and 3.0 <= ratio <= 5.0 and residual <= 0.05
+    ok = pair_code == twin_code == 0 and all(
+        r["pass"] for r in records.values())
     ok = _verdict(4, "weak-strong behavior", ok,
-                  f"twin max E_rel = {twin_max:.2e}, eps-ratio = {ratio:.3f}, "
-                  f"gronwall residual = {residual:.3e}")
+                  f"twin max E_rel = "
+                  f"{records['uniqueness-max-Erel']['value']:.2e}, "
+                  f"eps-ratio = {finals[0] / finals[1]:.3f}, gronwall "
+                  f"residual = "
+                  f"{records['gronwall-residual-eps0.001']['value']:.3e}")
     assert ok
+    assert _thresholds(records) == {
+        "uniqueness-max-Erel": 1e-10, "gronwall-residual-eps0.001": 0.05,
+        "gronwall-residual-eps0.0005": 0.05,
+        "Erel-scaling-0.001/0.0005": 0.25}
 
 
-def test_5_degenerate_bounds():
-    overshoots = []
-    entropy_ok = True
-    for delta in (1e-2, 1e-3, 1e-4):
-        cfg = SimConfig(shape=(48, 48), steps=500, output_every=100,
-                        regime="degenerate", delta=delta,
-                        init_kind="spinodal", init_mean=0.5,
-                        init_amplitude=0.2, seed=5)
-        traj = simulate(cfg)
-        M = build_material(cfg)
-        br = bounds_report(traj, M)
-        overshoots.append(br.overshoot)
-        entropy_ok &= bool(np.all(np.isfinite(br.entropy_series)))
-    mono = all(b <= a + 1e-12 for a, b in zip(overshoots, overshoots[1:]))
-    ok = overshoots[-1] <= 1e-6 and mono and entropy_ok
+def test_5_degenerate_bounds(tmp_path):
+    out = tmp_path / "sweep"
+    code, records = _run(
+        ["degenerate-sweep", "--seed", "5", "--deltas", "1e-2,1e-3,1e-4",
+         "--override", "grid.shape=48,48", "--override", "time.steps=500",
+         "--override", "time.output_every=100",
+         "--override", "init.kind=spinodal", "--override", "init.mean=0.5",
+         "--override", "init.amplitude=0.2"], out, "sweep_report")
+    overshoots = np.loadtxt(out / "sweep_table.csv", delimiter=",",
+                            skiprows=1)[:, 1]
+    entropy_ok = all(r["pass"] for name, r in records.items()
+                     if name.startswith("entropy-finite"))
+    ok = code == 0 and all(r["pass"] for r in records.values())
     ok = _verdict(5, "degenerate bounds", ok,
                   "overshoots " + ", ".join(f"{o:.3e}" for o in overshoots)
-                  + f"; monotone={mono}, entropy finite={entropy_ok}")
+                  + f"; monotone={records['overshoot-monotone']['pass']}, "
+                  f"entropy finite={entropy_ok}")
     assert ok
+    assert _thresholds(records) == {
+        "entropy-finite-delta0.01": 1.0, "entropy-finite-delta0.001": 1.0,
+        "entropy-finite-delta0.0001": 1.0, "overshoot-final": 1e-6,
+        "overshoot-monotone": 1.0}
 
 
 def test_6_galerkin_harness():
     M = regular_model()
     # constant-mode q decay
     B1 = CosineBasis((1.0, 1.0), 1)
-    init = GalerkinState(0.0, np.array([0.3]), np.zeros(1), np.array([0.7]))
+    init = GalerkinState(0.0, np.array([0.3]), np.array([0.7]))
     run1 = integrate_galerkin(init, B1, M, 1.0, rtol=1e-8)
     z = np.array([s.zeta[0] for s in run1.states])
     decay_err = float(np.abs(z - 0.7 * np.exp(-run1.times)).max())
@@ -192,10 +196,9 @@ def test_6_galerkin_harness():
     B16 = CosineBasis((1.0, 1.0), 16)
     lam0 = 0.05 * rng.standard_normal(16)
     lam0[0] = 0.0
-    init = GalerkinState(0.0, lam0, np.zeros(16),
-                         0.05 * rng.standard_normal(16))
+    init = GalerkinState(0.0, lam0, 0.05 * rng.standard_normal(16))
     run16 = integrate_galerkin(init, B16, M, 0.5, rtol=1e-8)
-    slack = float((run16.E + run16.D_cum - run16.E[0] * (1 + 1e-6)).max())
+    slack = run16.energy_slack
 
     # linear spectral convergence past the band limit
     zero = lambda s: np.zeros_like(np.asarray(s, dtype=float))

@@ -8,6 +8,7 @@ import viscophase.dynamics
 import viscophase.snapshots
 from viscophase.cli import (RunManifest, config_to_text, main,
                             material_fingerprint, parse_config)
+from viscophase.diagnostics import RelativeEnergyReport
 from viscophase.dynamics import SimConfig, simulate
 from viscophase.errors import ConfigError, InvalidDeltaError
 
@@ -110,6 +111,18 @@ class TestRunCommand:
         assert main(["run", "--config", cfg, "--out", str(out)]) == 0
         data = np.genfromtxt(out / "diagnostics.csv", delimiter=",", names=True)
         assert np.abs(data["E_total"]).max() < 1e-13
+
+    def test_mass_drift_fails_run(self, tmp_path, monkeypatch, capsys):
+        def drifting(cfg, *fields):
+            traj = simulate(cfg, *fields)
+            traj.series["mass"][-1] += 1e-9
+            return traj
+
+        monkeypatch.setattr(viscophase.cli, "simulate", drifting)
+        out = tmp_path / "out"
+        assert main(["run", "--out", str(out), "--override", "grid.shape=16,16",
+                     "--override", "time.steps=5"]) == 4
+        assert "[FAIL] mass-drift: value 1e-09 " in capsys.readouterr().out
 
     def test_config_error_exit(self, tmp_path):
         cfg = _write(tmp_path / "cfg.txt", "regularization.delta = 0.7\n")
@@ -249,6 +262,18 @@ class TestReportCommand:
         assert main(["report", "--dir", str(out)]) == 0
         assert "max-cfl: not recorded" in capsys.readouterr().out
 
+    def test_same_records_as_run(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", "--out", str(out), "--override", "grid.shape=16,16",
+                     "--override", "time.steps=20",
+                     "--override", "init.kind=spinodal"]) == 0
+        run_text = capsys.readouterr().out
+        assert main(["report", "--dir", str(out)]) == 0
+        assert capsys.readouterr().out == run_text
+        names = [line.split(":")[0] for line in run_text.splitlines()]
+        assert names == ["[PASS] energy-monotone", "[PASS] balance-residual",
+                         "[PASS] mass-drift", "[PASS] max-cfl"]
+
     def test_missing_dir(self, tmp_path):
         assert main(["report", "--dir", str(tmp_path / "nope")]) == 2
 
@@ -264,8 +289,29 @@ class TestWeakStrongCommand:
         lines = (out / "weakstrong_report.jsonl").read_text().splitlines()
         recs = {json.loads(l)["name"]: json.loads(l) for l in lines}
         assert recs["uniqueness-max-Erel"]["pass"]
-        ratio = recs["Erel-scaling-0.001/0.0005"]["value"]
-        assert 3.0 <= ratio <= 5.0
+        scaling = recs["Erel-scaling-0.001/0.0005"]
+        assert scaling["pass"] and scaling["threshold"] == 0.25
+
+    def test_linear_growth_fails_scaling(self, tmp_path, monkeypatch):
+        # a relative energy linear in eps halves, not quarters, with eps
+        real = viscophase.cli.relative_energy
+
+        def linear(state, reference, M):
+            rep = real(state, reference, M)
+            return RelativeEnergyReport(E_mix=np.sqrt(rep.E_total),
+                                        E_bulk=0.0, E_kin=0.0, D=rep.D)
+
+        monkeypatch.setattr(viscophase.cli, "relative_energy", linear)
+        cfg = _write(tmp_path / "cfg.txt",
+                     "grid.shape = 16,16\ntime.steps = 10\nrun.seed = 3\n")
+        out = tmp_path / "ws"
+        assert main(["weakstrong", "--config", cfg, "--out", str(out),
+                     "--eps", "1e-3", "--eps", "5e-4"]) == 4
+        lines = (out / "weakstrong_report.jsonl").read_text().splitlines()
+        recs = {json.loads(l)["name"]: json.loads(l) for l in lines}
+        scaling = recs["Erel-scaling-0.001/0.0005"]
+        assert not scaling["pass"]
+        assert scaling["value"] == pytest.approx(0.5, abs=0.05)
 
     def test_refine_runs_reference_once(self, tmp_path, monkeypatch):
         runs = []
