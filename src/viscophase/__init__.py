@@ -12,13 +12,13 @@ from .material import (
     degenerate_model,
 )
 from .fields import (
-    Grid, ScalarField, VectorField, gradient, divergence, laplacian,
-    integrate, l2_norm, solve_poisson, project_divergence_free,
+    Grid, ScalarField, VectorField, grad_arr, div_arr, lap_arr, integrate,
+    solve_poisson, project_divergence_free,
 )
 from .dynamics import (
-    State, SimConfig, Trajectory, chemical_potential, step_phi_q,
-    step_velocity, simulate, build_grid, build_material, initial_state,
-    dt_max, validate_config,
+    State, SimConfig, Trajectory, make_state, step_phi_q, step_velocity,
+    simulate, build_grid, build_material, initial_state, dt_max,
+    validate_config,
 )
 from .diagnostics import (
     EnergyBreakdown, EnergyInequalityReport, RelativeEnergyReport,

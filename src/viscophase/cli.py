@@ -23,7 +23,7 @@ from . import __version__
 from .errors import (BlowUpError, ConfigError, InvalidDeltaError,
                      QuadratureResolutionError, SolverError)
 from .dynamics import (COURANT_MAX, SimConfig, Trajectory, build_grid,
-                       build_material, initial_state, simulate, step_plan,
+                       build_material, initial_state, simulate,
                        validate_config)
 from .diagnostics import (CheckRecord, bounds_report, check_energy_inequality,
                           gronwall_fit, relative_energy, write_report)
@@ -140,13 +140,14 @@ def config_to_text(cfg: SimConfig) -> Dict[str, str]:
     return out
 
 
+# the KEYMAP sections that define the material model
+MATERIAL_SECTIONS = ("model.", "regularization.", "stabilization.")
+
+
 def material_fingerprint(cfg: SimConfig) -> str:
-    keys = ("model.regime", "model.potential", "model.theta_c",
-            "model.mobility", "model.c0", "model.eps1", "model.eta",
-            "model.tau", "model.A", "model.alpha", "regularization.delta",
-            "stabilization.a")
-    txt = config_to_text(cfg)
-    blob = "\n".join(f"{k}={txt[k]}" for k in keys)
+    """A hash of the config's MATERIAL_SECTIONS keys, in KEYMAP order."""
+    blob = "\n".join(f"{k}={v}" for k, v in config_to_text(cfg).items()
+                     if k.startswith(MATERIAL_SECTIONS))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -259,19 +260,13 @@ def cmd_run(args) -> int:
 
 
 def cmd_weakstrong(args) -> int:
-    refine = args.refine
-    if refine < 1:
-        raise ConfigError(f"--refine = {refine}: must be at least 1")
     cfg = _load_config(args)
     cfg.output_every = 1
     out = _outdir(args)
     M = build_material(cfg)
     grid = build_grid(cfg)
     phi0, q0, u0 = initial_state(cfg, grid, M)
-
-    dt, n_steps = step_plan(cfg, grid, M, u0)
-    ref_cfg = dataclasses.replace(cfg, dt=dt / refine, steps=n_steps * refine)
-    reference = simulate(ref_cfg, phi0, q0, u0)
+    reference = simulate(cfg, phi0, q0, u0)
 
     rng = np.random.default_rng(cfg.seed + 1)
     bump = rng.standard_normal(grid.shape)
@@ -281,16 +276,11 @@ def cmd_weakstrong(args) -> int:
     for eps in args.eps:
         phi_p = type(phi0)(grid, phi0.data + eps * bump)
         traj = simulate(cfg, phi_p, q0, u0)
-        n = len(traj.states)
-        E_rel, D_rel = [], []
-        for k in range(n):
-            ref_state = reference.states[k * refine]
-            rep = relative_energy(traj.states[k], ref_state, M)
-            E_rel.append(rep.E_total)
-            D_rel.append(rep.D)
-        E_rel = np.array(E_rel)
-        D_rel = np.array(D_rel)
-        t = traj.times[:n]
+        reps = [relative_energy(state, ref_state, M)
+                for state, ref_state in zip(traj.states, reference.states)]
+        E_rel = np.array([rep.E_total for rep in reps])
+        D_rel = np.array([rep.D for rep in reps])
+        t = traj.times
         dts = np.diff(t)
         D_half = np.concatenate(
             [[0.0], np.cumsum(0.25 * dts * (D_rel[1:] + D_rel[:-1]))])
@@ -441,8 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--eps", type=float, action="append", default=None,
                    help="perturbation size, repeatable")
-    p.add_argument("--refine", type=int, default=1,
-                   help="time-step refinement of the reference run")
     p.set_defaults(func=cmd_weakstrong)
 
     p = sub.add_parser("galerkin", help="spectral verification runs")

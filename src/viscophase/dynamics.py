@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field, replace
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
@@ -35,8 +35,8 @@ from .material import (MOBILITY_KINDS, MaterialModel, _check_delta,
                        degenerate_model, regular_model)
 
 __all__ = [
-    "State", "SimConfig", "Trajectory",
-    "chemical_potential", "step_phi_q", "step_velocity",
+    "State", "SimConfig", "Trajectory", "make_state",
+    "step_phi_q", "step_velocity",
     "simulate", "build_grid", "build_material", "initial_state", "dt_max",
     "step_plan", "check_model_kinds", "validate_config", "COURANT_MAX",
 ]
@@ -119,15 +119,16 @@ def _velocity_gradients(u: VectorField) -> tuple:
 
 @dataclass(frozen=True)
 class State:
-    """One time slice.  mu is the cached standard chemical potential
-    -c0*lap(phi) + F'(phi), recomputed whenever phi changes.
+    """One time slice.  mu is the chemical potential -c0*lap(phi) + F'(phi)
+    of phi, made with the state's arrays.
 
     phi_q (see PhiQArrays) and grad_u (grad u_i for each component i)
     hold the arrays computed from the fields, so that the step, the next
     step and the diagnostics apply each stencil to a state once;
-    make_state fills both.  Without them, or with arrays built with another
-    model, arrays() and velocity_gradients() compute them afresh on each
-    read.  The fields must not be changed in place."""
+    make_state, step_phi_q and step_velocity fill both.  Without them, or
+    with arrays built with another model, arrays() and
+    velocity_gradients() compute them afresh on each read.  The fields
+    must not be changed in place."""
 
     t: float
     phi: ScalarField
@@ -155,26 +156,44 @@ class State:
         return _velocity_gradients(self.u)
 
 
-def chemical_potential(phi: ScalarField, M: MaterialModel) -> ScalarField:
-    """mu = -c0*lap(phi) + F'(phi), the potential of a state.  The step
-    uses linear stabilization instead: F'(phi_old) + a*(phi - phi_old)
-    in place of F'(phi) (see step_phi_q)."""
-    return ScalarField(phi.grid, -M.c0 * lap_arr(phi.data, phi.grid)
-                       + _dF(M, phi.data))
+def _with_records(t: float, phi: ScalarField, q: ScalarField,
+                  u: VectorField, p: ScalarField, arrays: PhiQArrays,
+                  grad_u: tuple) -> State:
+    """The state of these fields with the records arrays (of phi and q)
+    and grad_u (of u), and mu = -c0*lap(phi) + F'(phi) from arrays."""
+    mu = ScalarField(phi.grid, -arrays.model.c0 * arrays.lap_phi + arrays.dF)
+    return State(t=t, phi=phi, q=q, u=u, p=p, mu=mu, phi_q=arrays,
+                 grad_u=grad_u)
 
 
 def make_state(t: float, phi: ScalarField, q: ScalarField, u: VectorField,
-               p: ScalarField, M: MaterialModel,
-               grad_phi: Optional[np.ndarray] = None,
-               lap_phi: Optional[np.ndarray] = None,
-               grad_u: Optional[tuple] = None) -> State:
-    """The state of these fields with both its array records filled, mu as
-    in chemical_potential.  grad_phi and lap_phi (of phi) and grad_u (of u)
-    are used when given."""
-    arrays = _phi_q_arrays(phi, q, M, grad_phi, lap_phi)
-    mu = ScalarField(phi.grid, -M.c0 * arrays.lap_phi + arrays.dF)
-    return State(t=t, phi=phi, q=q, u=u, p=p, mu=mu, phi_q=arrays,
-                 grad_u=_velocity_gradients(u) if grad_u is None else grad_u)
+               p: ScalarField, M: MaterialModel) -> State:
+    """The state of these fields with both its records filled.  Its mu is
+    the potential of phi; the step uses linear stabilization instead:
+    F'(phi_old) + a*(phi - phi_old) in place of F'(phi) (see step_phi_q)."""
+    return _with_records(t, phi, q, u, p, _phi_q_arrays(phi, q, M),
+                         _velocity_gradients(u))
+
+
+def _next_time(t: float, dt: float) -> float:
+    """t + dt; a t of a whole number n of steps dt gives (n + 1) * dt, so
+    that the k-th state of a run is at exactly k * dt, not at a sum that
+    accumulates rounding."""
+    n = round(t / dt)
+    return (n + 1) * dt if t == n * dt else t + dt
+
+
+# a step that makes max|phi| exceed this has blown up
+PHI_BLOW_UP = 10.0
+
+
+def _check_blow_up(name: str, values: np.ndarray, t: float,
+                   bound: Optional[float] = None) -> None:
+    """BlowUpError at t, the time of the state being made, unless values
+    are finite and, given a bound, max|values| <= bound."""
+    if not np.all(np.isfinite(values)) or (
+            bound is not None and np.abs(values).max() > bound):
+        raise BlowUpError(f"{name} blew up", time=t)
 
 
 def _advect_skew(u: np.ndarray, f: np.ndarray, grad_f: np.ndarray,
@@ -190,28 +209,43 @@ def _is_const(arr: np.ndarray) -> bool:
     return float(np.ptp(arr)) <= 1e-13 * max(1.0, float(np.abs(arr).max()))
 
 
-def step_phi_q(state: State, M: MaterialModel, dt: float,
-               solver_tol: float = 1e-11):
-    """One semi-implicit update of (phi, q) with frozen u.  Constant
-    mobility and relaxation time give direct spectral solves; variable
-    ones CG at solver_tol, preconditioned by that solve at the mean
-    coefficient.  The phi system (I + dt*L*K) phi = rhs, L = -div(m grad),
-    K = a - c0*lap, is solved as (K^-1 + dt*L) y = rhs for y = K phi: it is
-    symmetric positive definite and has the same residual.
+def _solver(coeff: np.ndarray, symbol: Callable, apply_op: Callable,
+            grid: Grid, tol: float, parity: int = 1) -> Callable:
+    """(rhs, x0) -> the x with apply_op(x) = rhs, for an operator with the
+    coefficient field coeff whose symbol at a constant coefficient c is
+    symbol(c, s), s the Laplacian symbol.  A constant coeff gives that
+    direct solve_symbol; a variable one gives cg at tol from x0,
+    preconditioned by the direct solve at the mean of coeff."""
+    const = _is_const(coeff)
+    cbar = float(coeff.flat[0] if const else coeff.mean())
 
-    Returns (phi_new, q_new, grad_phi_new, lap_phi_new), the last two for
-    make_state."""
+    def direct(r):
+        return solve_symbol(r, grid, lambda s: symbol(cbar, s), parity=parity)
+
+    if const:
+        return lambda rhs, x0: direct(rhs)
+    return lambda rhs, x0: cg(apply_op, rhs, direct, tol=tol, x0=x0)
+
+
+def step_phi_q(state: State, M: MaterialModel, dt: float,
+               solver_tol: float = 1e-11) -> State:
+    """One semi-implicit update of (phi, q) with frozen u: the state at
+    t + dt (see _next_time) with the new phi and q, their records, and the
+    old u, p and grad u.  Constant mobility gives one direct spectral solve
+    for phi.  A variable mobility and the q solve go through _solver.  The
+    phi system (I + dt*L*K) phi = rhs, L = -div(m grad), K = a - c0*lap,
+    is then solved as (K^-1 + dt*L) y = rhs for y = K phi: it is symmetric
+    positive definite and has the same residual."""
     grid = state.grid
     phi = state.phi.data
     q = state.q.data
     u = state.u.data
     c0, a = M.c0, M.a
+    t_new = _next_time(state.t, dt)
 
     arrays = state.arrays(M)
     nv = arrays.n
     mv = nv * nv
-    Av = arrays.A
-    tauv = arrays.tau
 
     mu_expl = arrays.dF - a * phi
     cross = arrays.grad_Aq
@@ -233,15 +267,10 @@ def step_phi_q(state: State, M: MaterialModel, dt: float,
             return K_inv(y) - dt * div_arr(mv[None] * grad_arr(y, grid, parity=1),
                                            grid, parity=-1)
 
-        mbar = float(mv.mean())
-        y = cg(apply_S, rhs,
-               lambda r: solve_symbol(r, grid,
-                                      lambda s: 1.0 / (a - c0 * s) - dt * mbar * s),
-               tol=solver_tol, x0=state.mu.data - mu_expl)      # K phi_old
-        phi_new = K_inv(y)
-
-    if not np.all(np.isfinite(phi_new)) or np.abs(phi_new).max() > 10.0:
-        raise BlowUpError("phi blew up", time=state.t + dt)
+        solve_y = _solver(mv, lambda m, s: 1.0 / (a - c0 * s) - dt * m * s,
+                          apply_S, grid, solver_tol)
+        phi_new = K_inv(solve_y(rhs, state.mu.data - mu_expl))  # x0 = K phi_old
+    _check_blow_up("phi", phi_new, t_new, bound=PHI_BLOW_UP)
 
     gphi_new = grad_arr(phi_new, grid, parity=1)
     lap_new = div_arr(gphi_new, grid, parity=-1)
@@ -250,35 +279,29 @@ def step_phi_q(state: State, M: MaterialModel, dt: float,
 
     rhs_q = q + dt * (
         -_advect_skew(u, q, arrays.grad_q, grid, parity=1)
-        - Av * div_arr(w, grid, parity=-1)
+        - arrays.A * div_arr(w, grid, parity=-1)
     )
-    diag = 1.0 + dt / tauv
-    const_tau = _is_const(tauv)
-    dbar = float(diag.flat[0] if const_tau else diag.mean())
+    diag = 1.0 + dt / arrays.tau
+    q_new = _solver(diag, lambda d, s: d - dt * M.eps1 * s,
+                    lambda x: diag * x - dt * M.eps1 * lap_arr(x, grid),
+                    grid, solver_tol)(rhs_q, q)
+    _check_blow_up("q", q_new, t_new)
 
-    def q_inv(x):
-        return solve_symbol(x, grid, lambda s: dbar - dt * M.eps1 * s)
-
-    q_new = q_inv(rhs_q) if const_tau else cg(
-        lambda x: diag * x - dt * M.eps1 * lap_arr(x, grid), rhs_q, q_inv,
-        tol=solver_tol, x0=q)
-
-    if not np.all(np.isfinite(q_new)):
-        raise BlowUpError("q blew up", time=state.t + dt)
-
-    return (ScalarField(grid, phi_new), ScalarField(grid, q_new), gphi_new,
-            lap_new)
+    phi_n, q_n = ScalarField(grid, phi_new), ScalarField(grid, q_new)
+    return _with_records(t_new, phi_n, q_n, state.u, state.p,
+                         _phi_q_arrays(phi_n, q_n, M, gphi_new, lap_new),
+                         state.velocity_gradients())
 
 
 def step_velocity(state: State, M: MaterialModel, dt: float,
-                  solver_tol: float = 1e-11):
-    """Semi-implicit viscous solve followed by a divergence-free projection.
-    The capillary force is mu*grad(phi) in both regimes: its work
-    int mu u.grad(phi) is exactly the mixing power that the explicit phi
-    advection by u removes, so the coupling exchanges energy and creates
-    none.  Constant viscosity gives a direct odd-parity spectral solve per
-    component; variable viscosity CG at solver_tol, preconditioned by that
-    solve at the mean viscosity."""
+                  solver_tol: float = 1e-11) -> State:
+    """Semi-implicit viscous solve followed by a divergence-free projection:
+    the state with the new u, p and grad u, and the same t, phi, q and
+    (phi, q) record.  The capillary force is mu*grad(phi) in both regimes:
+    its work int mu u.grad(phi) is exactly the mixing power that the
+    explicit phi advection by u removes, so the coupling exchanges energy
+    and creates none.  Each component is solved by _solver: a direct
+    odd-parity spectral solve at constant viscosity, else CG."""
     grid = state.grid
     u = state.u.data
     arrays = state.arrays(M)
@@ -291,27 +314,18 @@ def step_velocity(state: State, M: MaterialModel, dt: float,
         advect[i] = _advect_skew(u, u[i], gu, grid, parity=-1)
     rhs = u + dt * (-advect + f_cap)
 
-    u_star = np.empty_like(u)
-    const_eta = _is_const(etav)
-    ebar = float(etav.flat[0] if const_eta else etav.mean())
-
-    def visc_inv(x):
-        return solve_symbol(x, grid, lambda s: 1.0 - dt * ebar * s, parity=-1)
-
     def apply_visc(x):
         gx = grad_arr(x, grid, parity=-1)
         return x - dt * div_arr(etav[None] * gx, grid, parity=1)
 
-    for i in range(grid.d):
-        u_star[i] = visc_inv(rhs[i]) if const_eta else cg(
-            apply_visc, rhs[i], visc_inv, tol=solver_tol, x0=u[i])
-
-    if not np.all(np.isfinite(u_star)):
-        raise BlowUpError("velocity blew up", time=state.t + dt)
+    solve = _solver(etav, lambda e, s: 1.0 - dt * e * s, apply_visc, grid,
+                    solver_tol, parity=-1)
+    u_star = np.stack([solve(rhs[i], u[i]) for i in range(grid.d)])
+    _check_blow_up("velocity", u_star, state.t)
 
     u_new, p_dt = project_divergence_free(VectorField(grid, u_star))
-    p = ScalarField(grid, p_dt.data / dt)
-    return u_new, p
+    return replace(state, u=u_new, p=ScalarField(grid, p_dt.data / dt),
+                   grad_u=_velocity_gradients(u_new))
 
 
 # ---------------------------------------------------------------------------
@@ -622,31 +636,17 @@ def simulate(config: SimConfig,
 
     dt, n_steps = step_plan(config, grid, M, u)
 
-    # the step, the next step and the diagnostics share a state's arrays:
-    # the mid state keeps the old u and its gradients, the state after the
-    # velocity step keeps the mid state's phi and q and their arrays, and a
-    # stored state keeps none
+    # each step returns its state with its arrays (see State), which the
+    # next step and the diagnostics read; a stored state keeps none
     state = make_state(0.0, phi, q, u, ScalarField.full(grid, 0.0), M)
     rows = [_diag_row(state, M, dt)]
     traj = Trajectory(config=config, dt=dt, model=M,
                       states=[replace(state, phi_q=None, grad_u=None)])
 
     for k in range(n_steps):
-        t_new = (k + 1) * dt
-        try:
-            phi_n, q_n, gphi_n, lap_n = step_phi_q(
-                state, M, dt, solver_tol=config.solver_tol)
-            state = make_state(t_new, phi_n, q_n, state.u, state.p, M,
-                               grad_phi=gphi_n, lap_phi=lap_n,
-                               grad_u=state.grad_u)
-            if config.velocity_coupling:
-                u_n, p_n = step_velocity(state, M, dt,
-                                         solver_tol=config.solver_tol)
-                state = replace(state, u=u_n, p=p_n,
-                                grad_u=_velocity_gradients(u_n))
-        except BlowUpError as err:
-            err.time = t_new
-            raise
+        state = step_phi_q(state, M, dt, solver_tol=config.solver_tol)
+        if config.velocity_coupling:
+            state = step_velocity(state, M, dt, solver_tol=config.solver_tol)
         rows.append(_diag_row(state, M, dt))
         if (k + 1) % config.output_every == 0 or k + 1 == n_steps:
             traj.states.append(replace(state, phi_q=None, grad_u=None))

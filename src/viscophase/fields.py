@@ -5,10 +5,10 @@ differences whose ghost values come from wraparound (periodic) or cell-
 center reflection (neumann-noslip: even reflection for scalars, odd for
 fluxes and velocities).  Each is one matvec with a cached sparse matrix
 of +-1 undivided differences per (grid, parity), the ghost values folded
-into its edge rows, followed by the division by 2h.  The Laplacian is the
-literal composition divergence(gradient(.)), so summation by parts holds
-exactly on periodic grids and integrate(laplacian(f)) vanishes on both
-boundary kinds.
+into its edge rows, followed by the division by 2h.  The Laplacian
+lap_arr is the literal composition div_arr(grad_arr(.)), so summation by
+parts holds exactly on periodic grids and the integral of lap_arr(f)
+vanishes on both boundary kinds.
 
 Constant-coefficient operators built from that Laplacian are inverted
 directly in the basis that diagonalises it: rfftn on periodic grids, the
@@ -35,11 +35,10 @@ __all__ = [
     "Grid",
     "ScalarField",
     "VectorField",
-    "gradient",
-    "divergence",
-    "laplacian",
+    "grad_arr",
+    "div_arr",
+    "lap_arr",
     "integrate",
-    "l2_norm",
     "project_divergence_free",
     "solve_poisson",
 ]
@@ -197,20 +196,6 @@ def div_arr(v: np.ndarray, grid: Grid, parity: int = -1) -> np.ndarray:
     return diffs.sum(axis=0)
 
 
-def gradient(f: ScalarField) -> VectorField:
-    """Central-difference gradient with even (Neumann) reflection."""
-    return VectorField(f.grid, grad_arr(f.data, f.grid, parity=1))
-
-
-def divergence(v: VectorField) -> ScalarField:
-    """Adjoint-compatible central-difference divergence (odd reflection)."""
-    return ScalarField(v.grid, div_arr(v.data, v.grid, parity=-1))
-
-
-def laplacian(f: ScalarField) -> ScalarField:
-    return divergence(gradient(f))
-
-
 def lap_arr(f: np.ndarray, grid: Grid) -> np.ndarray:
     return div_arr(grad_arr(f, grid, parity=1), grid, parity=-1)
 
@@ -218,10 +203,6 @@ def lap_arr(f: np.ndarray, grid: Grid) -> np.ndarray:
 def integrate(f: ScalarField) -> float:
     """Midpoint rule."""
     return float(f.data.sum() * f.grid.cell_volume)
-
-
-def l2_norm(f) -> float:
-    return float(np.sqrt((f.data**2).sum() * f.grid.cell_volume))
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +313,8 @@ def solve_poisson(rhs: ScalarField) -> ScalarField:
 def project_divergence_free(v: VectorField):
     """Remove the discrete gradient part of v via a pressure Poisson solve.
 
-    Returns (v - gradient(p), p) with p mean-zero.
+    Returns (v - grad(p), p) with p mean-zero.
     """
-    p = solve_poisson(divergence(v))
+    p = solve_poisson(ScalarField(v.grid, div_arr(v.data, v.grid, parity=-1)))
     u = VectorField(v.grid, v.data - grad_arr(p.data, v.grid, parity=1))
     return u, p

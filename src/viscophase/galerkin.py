@@ -17,13 +17,12 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import ConfigError, QuadratureResolutionError, SolverError
-from .fields import ScalarField
 from .material import MaterialModel
 
 __all__ = [
@@ -45,6 +44,12 @@ def _axis_dmodes(ks: np.ndarray, x: np.ndarray, L: float) -> np.ndarray:
     return -(norm * freq)[:, None] * np.sin(ks[:, None] * np.pi * x[None, :] / L)
 
 
+def _modes(lengths: Sequence[float], ranges) -> list:
+    """(eigenvalue, k-tuple) of each mode with k in ranges, ascending."""
+    return sorted((sum((k * np.pi / L) ** 2 for k, L in zip(kt, lengths)), kt)
+                  for kt in itertools.product(*ranges))
+
+
 class CosineBasis:
     """First m cosine-product eigenfunctions, eigenvalue-ordered, with an
     oversampled midpoint quadrature and a doubled check level."""
@@ -57,11 +62,12 @@ class CosineBasis:
             raise ValueError("mode count must be positive")
         d = len(lengths)
         K = int(np.ceil(m ** (1.0 / d))) + 2
-        cands = []
-        for kt in itertools.product(range(K + 1), repeat=d):
-            lam = sum((k * np.pi / L) ** 2 for k, L in zip(kt, lengths))
-            cands.append((lam, kt))
-        cands.sort()
+        # the m-th eigenvalue of the modes with k <= K on every axis bounds
+        # the true m-th from above, and a mode at or below it has
+        # (k pi / L)^2 <= bound on each axis (one more k covers rounding)
+        bound = _modes(lengths, [range(K + 1)] * d)[m - 1][0]
+        cands = _modes(lengths, [range(int(L * np.sqrt(bound) / np.pi) + 2)
+                                 for L in lengths])
         self.lengths = lengths
         self.d = d
         self.m = m
@@ -118,25 +124,11 @@ class GalerkinState:
     zeta: np.ndarray     # q coefficients
 
 
-def project(f: Union[Callable, ScalarField, np.ndarray],
-            B: CosineBasis) -> np.ndarray:
-    """Coefficients <f, psi_j> under the basis quadrature."""
-    if isinstance(f, ScalarField):
-        if f.grid.shape != tuple(len(ax) for ax in B.axes):
-            # resample by evaluating through the field's own nodes is not
-            # defined here; require a callable or matching sampling
-            raise ValueError("ScalarField sampling does not match the "
-                             "basis quadrature; pass a callable instead")
-        vals = f.data.reshape(-1)
-    elif callable(f):
-        mesh = np.meshgrid(*B.axes, indexing="ij")
-        vals = np.asarray(f(*mesh), dtype=float)
-        if vals.shape != tuple(len(ax) for ax in B.axes):
-            vals = np.broadcast_to(vals, tuple(len(ax) for ax in B.axes))
-        vals = vals.reshape(-1)
-    else:
-        vals = np.asarray(f, dtype=float).reshape(-1)
-    return B.inner(vals)
+def project(f: Callable, B: CosineBasis) -> np.ndarray:
+    """Coefficients <f, psi_j> under the basis quadrature of the function
+    f(*mesh) of the node coordinates."""
+    vals = np.asarray(f(*np.meshgrid(*B.axes, indexing="ij")), dtype=float)
+    return B.inner(np.broadcast_to(vals, tuple(map(len, B.axes))).reshape(-1))
 
 
 def _theta_of(lam: np.ndarray, phi: np.ndarray, B: CosineBasis,

@@ -82,6 +82,31 @@ class TestManifest:
         b = parse_config("grid.shape = 64,64\n")
         assert material_fingerprint(a) == material_fingerprint(b)
 
+    # a value other than the default for every KEYMAP key
+    OTHER_VALUES = {
+        "grid.shape": "32,32", "grid.lengths": "2,1",
+        "grid.bc": "neumann-noslip", "model.regime": "degenerate",
+        "model.potential": "flory-huggins", "model.theta_c": "3",
+        "model.mobility": "quadratic", "model.c0": "0.004",
+        "model.eps1": "0.02", "model.eta": "2", "model.tau": "2",
+        "model.A": "2", "model.alpha": "2", "regularization.delta": "0.01",
+        "stabilization.a": "2", "time.dt": "0.001", "time.dt_safety": "0.5",
+        "time.t_end": "1", "time.steps": "5", "time.output_every": "5",
+        "init.kind": "uniform", "init.mean": "0.5", "init.amplitude": "0.1",
+        "init.width": "0.1", "init.path": "x.vpf", "run.seed": "7",
+        "run.velocity_coupling": "false", "solver.solver_tol": "1e-8",
+    }
+
+    def test_fingerprint_reads_the_material_sections(self):
+        assert set(self.OTHER_VALUES) == set(viscophase.cli.KEYMAP)
+        base = material_fingerprint(SimConfig())
+        for key, value in self.OTHER_VALUES.items():
+            cfg = SimConfig()
+            viscophase.cli._set_key(cfg, f"{key} = {value}", "test")
+            material = key.split(".")[0] in ("model", "regularization",
+                                             "stabilization")
+            assert (material_fingerprint(cfg) != base) == material, key
+
 
 def _write(path, text):
     path.write_text(text)
@@ -313,7 +338,7 @@ class TestWeakStrongCommand:
         assert not scaling["pass"]
         assert scaling["value"] == pytest.approx(0.5, abs=0.05)
 
-    def test_refine_runs_reference_once(self, tmp_path, monkeypatch):
+    def test_reference_runs_once(self, tmp_path, monkeypatch):
         runs = []
 
         def recording_simulate(cfg, *fields):
@@ -325,11 +350,12 @@ class TestWeakStrongCommand:
         cfg = _write(tmp_path / "cfg.txt",
                      "grid.shape = 8,8\ntime.steps = 4\nrun.seed = 3\n")
         main(["weakstrong", "--config", cfg, "--out", str(tmp_path / "ws"),
-              "--eps", "0", "--eps", "1e-3", "--refine", "2"])
+              "--eps", "0", "--eps", "1e-3"])
         assert len(runs) == 3                   # reference + one per eps
-        reference, perturbed = runs[0], runs[1]
-        assert reference.dt == perturbed.dt / 2
-        assert len(reference.times) - 1 == 2 * (len(perturbed.times) - 1)
+        reference = runs[0]
+        for run in runs:
+            assert run.dt == reference.dt
+            assert np.array_equal(run.times, reference.times)
 
     def test_snapshot_read_once(self, tmp_path, monkeypatch):
         # the command reads the initial data and hands all of it to each run
@@ -426,15 +452,13 @@ class TestSweepCommand:
 
 class TestCommandFlags:
     @pytest.mark.parametrize("argv,flag", [
-        (["weakstrong", "--refine", "0"], "--refine"),
-        (["weakstrong", "--refine", "-5"], "--refine"),
         (["galerkin", "--rtol", "0"], "--rtol"),
         (["galerkin", "--t-end", "0"], "--t-end"),
         (["galerkin", "--t-end", "-1"], "--t-end"),
         (["galerkin", "--lengths", "0", "1"], "--lengths"),
         (["galerkin", "--lengths", "1", "1", "1", "1"], "--lengths"),
         (["galerkin", "--seed", "-1"], "--seed"),
-    ], ids=["refine-zero", "refine-negative", "rtol-zero", "t-end-zero",
+    ], ids=["rtol-zero", "t-end-zero",
             "t-end-negative", "lengths-zero", "lengths-four", "seed-negative"])
     def test_bad_flag_exit_2_naming_flag(self, tmp_path, capsys, argv, flag):
         out = tmp_path / "o"

@@ -7,10 +7,9 @@ import viscophase.diagnostics
 import viscophase.dynamics
 import viscophase.fields
 from viscophase.diagnostics import energy
-from viscophase.dynamics import (SimConfig, State, build_grid, build_material,
-                                 chemical_potential, dt_max, initial_state,
-                                 make_state, simulate, step_phi_q,
-                                 step_plan, step_velocity)
+from viscophase.dynamics import (SimConfig, build_grid, build_material,
+                                 dt_max, initial_state, make_state, simulate,
+                                 step_phi_q, step_plan, step_velocity)
 from viscophase.errors import BlowUpError, ConfigError
 from viscophase.fields import (Grid, ScalarField, VectorField, div_arr,
                                grad_arr, integrate, lap_arr)
@@ -23,13 +22,20 @@ def small_cfg(**kw):
     return SimConfig(**base)
 
 
+def at_rest(phi, M):
+    """make_state of phi at t = 0 with q = 0, u = 0 and p = 0."""
+    grid = phi.grid
+    return make_state(0.0, phi, ScalarField.full(grid, 0.0),
+                      VectorField.zeros(grid), ScalarField.full(grid, 0.0), M)
+
+
 class TestChemicalPotential:
     def test_constant_field(self):
         cfg = small_cfg()
         grid = build_grid(cfg)
         M = build_material(cfg)
         phi = ScalarField.full(grid, 0.5)
-        mu = chemical_potential(phi, M)
+        mu = at_rest(phi, M).mu
         # mu = F'(0.5) = 0.125 - 0.5
         assert np.abs(mu.data - (-0.375)).max() < 1e-14
 
@@ -38,7 +44,7 @@ class TestChemicalPotential:
         grid = build_grid(cfg)
         M = build_material(cfg)
         phi = ScalarField.from_function(grid, lambda x, y: 0.1 * np.cos(2 * np.pi * x))
-        mu = chemical_potential(phi, M)
+        mu = at_rest(phi, M).mu
         x = grid.meshgrid()[0]
         c = 0.1 * np.cos(2 * np.pi * x)
         exact = M.c0 * (2 * np.pi) ** 2 * c + (c**3 - c)
@@ -59,14 +65,13 @@ class TestUniformState:
                            ScalarField.full(grid, q0),
                            VectorField.zeros(grid),
                            ScalarField.full(grid, 0.0), M)
-        phi_n, q_n, gphi, lap = step_phi_q(state, M, dt)
-        mid = make_state(dt, phi_n, q_n, state.u, state.p, M,
-                         grad_phi=gphi, lap_phi=lap)
-        u_n, p_n = step_velocity(mid, M, dt)
-        assert np.abs(phi_n.data - 0.2).max() < 1e-14
-        assert np.abs(q_n.data - q0 / (1.0 + dt / cfg.tau)).max() < 1e-14
-        assert np.abs(u_n.data).max() < 1e-14
-        assert np.abs(p_n.data).max() < 1e-14
+        mid = step_phi_q(state, M, dt)
+        new = step_velocity(mid, M, dt)
+        assert mid.t == new.t == dt
+        assert np.abs(new.phi.data - 0.2).max() < 1e-14
+        assert np.abs(new.q.data - q0 / (1.0 + dt / cfg.tau)).max() < 1e-14
+        assert np.abs(new.u.data).max() < 1e-14
+        assert np.abs(new.p.data).max() < 1e-14
 
 
 class TestSharedDerived:
@@ -165,7 +170,7 @@ class TestVariableCoefficientSolves:
         state = make_state(0.0, ScalarField(grid, phi),
                            ScalarField.full(grid, 0.0), VectorField.zeros(grid),
                            ScalarField.full(grid, 0.0), M)
-        phi_new = step_phi_q(state, M, dt, solver_tol=1e-12)[0]
+        phi_new = step_phi_q(state, M, dt, solver_tol=1e-12).phi
         assert np.abs(phi_new.data - ref).max() <= 1e-9 * np.abs(ref).max()
 
     @pytest.mark.parametrize("bc", ["periodic", "neumann-noslip"])
@@ -190,10 +195,7 @@ class TestVariableCoefficientSolves:
         E = [energy(state, M).E_total]
         mass = [integrate(state.phi)]
         for _ in range(steps):
-            phi_n, q_n, _, _ = step_phi_q(state, M, dt)
-            mid = make_state(state.t + dt, phi_n, q_n, state.u, state.p, M)
-            u_n, p_n = step_velocity(mid, M, dt)
-            state = State(t=mid.t, phi=phi_n, q=q_n, u=u_n, p=p_n, mu=mid.mu)
+            state = step_velocity(step_phi_q(state, M, dt), M, dt)
             E.append(energy(state, M).E_total)
             mass.append(integrate(state.phi))
         # one q solve and one viscous solve per velocity component per step
@@ -272,11 +274,30 @@ class TestSimulate:
         assert traj.column("cfl")[-1] > 0
 
     def test_blow_up_detected(self):
+        # the 35th step is the first to blow up: the error carries its time
         cfg = small_cfg(shape=(32, 32), dt=0.5, steps=50,
                         init_kind="spinodal", init_amplitude=0.8, seed=3)
         with pytest.raises(BlowUpError) as exc:
             simulate(cfg)
-        assert exc.value.time is not None
+        assert exc.value.time == 35 * 0.5
+        simulate(dataclasses.replace(cfg, steps=34))
+
+    def test_blow_up_time_is_that_of_the_state_made(self):
+        # a non-finite u spoils phi through its advection, at t + dt, and
+        # the velocity step, which keeps t, at t
+        cfg = small_cfg()
+        grid = build_grid(cfg)
+        M = build_material(cfg)
+        phi, q, u = initial_state(cfg, grid, M)
+        u.data[0, 3, 4] = np.nan
+        state = make_state(0.25, phi, q, u, ScalarField.full(grid, 0.0), M)
+        dt = 0.5
+        with pytest.raises(BlowUpError, match="phi") as exc:
+            step_phi_q(state, M, dt)
+        assert exc.value.time == state.t + dt
+        with pytest.raises(BlowUpError, match="velocity") as exc:
+            step_velocity(state, M, dt)
+        assert exc.value.time == state.t
 
 
 class TestCapillaryForce:
@@ -299,7 +320,7 @@ class TestCapillaryForce:
         rng = np.random.default_rng(1)
         v, _ = viscophase.fields.project_divergence_free(
             VectorField(grid, rng.standard_normal((grid.d,) + grid.shape)))
-        u_new, _ = step_velocity(state, M, 1.0)
+        u_new = step_velocity(state, M, 1.0).u
         work = integrate(ScalarField(grid, (v.data * u_new.data).sum(axis=0)))
         power = integrate(ScalarField(grid, state.mu.data * (
             v.data * grad_arr(phi.data, grid, parity=1)).sum(axis=0)))

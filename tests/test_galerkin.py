@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -39,6 +40,23 @@ class TestBasis:
         assert B.lam[0] == 0.0
         assert tuple(B.kvecs[0]) == (0, 0)
         assert np.all(np.diff(B.lam) >= 0)
+
+    @pytest.mark.parametrize("lengths,m", [
+        ((4.0, 0.25), 16), ((1.0, 0.1), 8), ((1.0, 1.0, 0.2), 100),
+        ((1.0, 1.0), 8), ((1.0, 1.0), 16)],
+        ids=["4x0.25", "1x0.1", "1x1x0.2", "square-8", "square-16"])
+    def test_first_modes_match_enumeration(self, lengths, m):
+        # the m smallest of all modes with k <= 24 on every axis, ties in k
+        # order; no mode outside that box can be among them
+        kmax = 24
+        modes = sorted(
+            (sum((k * np.pi / L) ** 2 for k, L in zip(kt, lengths)), kt)
+            for kt in itertools.product(range(kmax + 1), repeat=len(lengths))
+        )[:m]
+        assert modes[-1][0] < (kmax * np.pi / max(lengths)) ** 2
+        B = CosineBasis(lengths, m)
+        assert B.kvecs.tolist() == [list(kt) for _, kt in modes]
+        assert np.array_equal(B.lam, [lam for lam, _ in modes])
 
     def test_rectangle_eigenvalues(self):
         B = CosineBasis((2.0, 1.0), 6)

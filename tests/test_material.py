@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from viscophase.dynamics import chemical_potential
+from viscophase.dynamics import make_state
 from viscophase.errors import (ConfigError, InvalidDeltaError,
                                PotentialDomainError)
-from viscophase.fields import Grid, ScalarField
+from viscophase.fields import Grid, ScalarField, VectorField
 from viscophase.material import (degenerate_model, double_well,
                                  flory_huggins_split, regular_model,
                                  regularize_mobility, regularize_potential)
@@ -81,8 +81,10 @@ class TestFloryHuggins:
         for bad in (1.2, 0.0):
             phi = np.full(grid.shape, 0.5)
             phi[1, 2] = bad
+            zero = ScalarField.full(grid, 0.0)
             with pytest.raises(PotentialDomainError, match="open interval"):
-                chemical_potential(ScalarField(grid, phi), M)
+                make_state(0.0, ScalarField(grid, phi), zero,
+                           VectorField.zeros(grid), zero, M)
 
 
 class TestRegularization:
