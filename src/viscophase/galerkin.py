@@ -6,10 +6,15 @@ on a rectangle, i.e. normalized cosine products.  The projected system
 evolves coefficient vectors lam (phi), zeta (q) with the chemical
 potential theta recovered algebraically from the orthonormal mass
 identity.  Nonlinear integrals use oversampled midpoint quadrature,
-which makes the discrete cosine inner products exact to rounding.
-Each right-hand-side evaluation sweeps the quadrature once and also
-returns the dissipation, a sum of squares integrated as an extra ODE
-component; the energy is evaluated at output points only.
+which makes the discrete cosine inner products exact to rounding; each
+axis gets as many nodes as its own highest mode needs.  The basis
+values, their gradients and the values on the doubled check level sit
+side by side in one table, so a right-hand-side evaluation is one
+matmul into the quadrature, pointwise arithmetic and one matmul back.
+It also returns the dissipation, a sum of squares integrated as an
+extra ODE component; the energy is evaluated at output points only.
+The system is integrated by LSODA, which switches between Adams and
+BDF steps as the stiffness c0*lam^2 of the high modes demands.
 """
 
 from __future__ import annotations
@@ -52,7 +57,11 @@ def _modes(lengths: Sequence[float], ranges) -> list:
 
 class CosineBasis:
     """First m cosine-product eigenfunctions, eigenvalue-ordered, with an
-    oversampled midpoint quadrature and a doubled check level."""
+    oversampled midpoint quadrature and a doubled check level.
+
+    ``table`` is [Psi | dPsi_1 ... dPsi_d | Psi_f] of shape
+    (m, (1 + d) Nq + Nq_f); ``Psi`` (m, Nq), ``dPsi`` (d, m, Nq) and
+    ``Psi_f`` (m, Nq_f) are views of it."""
 
     def __init__(self, lengths: Sequence[float], m: int, oversample: int = 2):
         lengths = tuple(float(L) for L in lengths)
@@ -73,19 +82,28 @@ class CosineBasis:
         self.m = m
         self.kvecs = np.array([kt for _, kt in cands[:m]], dtype=int)
         self.lam = np.array([lam for lam, _ in cands[:m]])
-        kmax = int(self.kvecs.max())
-        self.n_quad = max(oversample * (kmax + 1), 4)
+        self.n_quad = tuple(max(oversample * (int(k) + 1), 4)
+                            for k in self.kvecs.max(axis=0))
         self.axes, self.w = self._midpoints(self.n_quad)
-        self.Psi = self._table(self.axes)
-        self.dPsi = np.stack([self._table(self.axes, derivative=axis)
-                              for axis in range(d)])
-        self.axes_f, self.w_f = self._midpoints(2 * self.n_quad)
-        self.Psi_f = self._table(self.axes_f)
+        self.axes_f, self.w_f = self._midpoints(
+            tuple(2 * n for n in self.n_quad))
+        nq = self.nq = int(np.prod(self.n_quad))
+        self.table = np.empty((m, (1 + d + 2 ** d) * nq))
+        self.table[:, :nq] = self._table(self.axes)
+        for axis in range(d):
+            self.table[:, (1 + axis) * nq:(2 + axis) * nq] = self._table(
+                self.axes, derivative=axis)
+        self.table[:, (1 + d) * nq:] = self._table(self.axes_f)
+        self.Psi = self.table[:, :nq]
+        self.dPsi = self.table[:, nq:(1 + d) * nq].reshape(
+            m, d, nq).transpose(1, 0, 2)
+        self.Psi_f = self.table[:, (1 + d) * nq:]
 
-    def _midpoints(self, n: int):
-        """Midpoint nodes per axis and the cell weight of an n^d grid."""
-        axes = [(np.arange(n) + 0.5) * L / n for L in self.lengths]
-        return axes, float(np.prod([L / n for L in self.lengths]))
+    def _midpoints(self, n: Sequence[int]):
+        """Midpoint nodes per axis and the cell weight of a grid with n[i]
+        cells along axis i."""
+        axes = [(np.arange(k) + 0.5) * L / k for k, L in zip(n, self.lengths)]
+        return axes, float(np.prod([L / k for k, L in zip(n, self.lengths)]))
 
     def _table(self, axes: Sequence[np.ndarray],
                derivative: Optional[int] = None) -> np.ndarray:
@@ -104,16 +122,11 @@ class CosineBasis:
         shape = tuple(len(ax) for ax in axes)
         return (np.asarray(coeffs) @ self._table(axes)).reshape(shape)
 
-    def values(self, coeffs: np.ndarray, fine: bool = False) -> np.ndarray:
-        return np.asarray(coeffs) @ (self.Psi_f if fine else self.Psi)
+    def values(self, coeffs: np.ndarray) -> np.ndarray:
+        return np.asarray(coeffs) @ self.Psi
 
-    def grads(self, coeffs: np.ndarray) -> np.ndarray:
-        return np.einsum('j,djq->dq', np.asarray(coeffs), self.dPsi)
-
-    def inner(self, vals: np.ndarray, fine: bool = False) -> np.ndarray:
+    def inner(self, vals: np.ndarray) -> np.ndarray:
         """Coefficients <vals, psi_j> by midpoint quadrature."""
-        if fine:
-            return self.w_f * (self.Psi_f @ vals)
         return self.w * (self.Psi @ vals)
 
 
@@ -131,37 +144,40 @@ def project(f: Callable, B: CosineBasis) -> np.ndarray:
     return B.inner(np.broadcast_to(vals, tuple(map(len, B.axes))).reshape(-1))
 
 
-def _theta_of(lam: np.ndarray, phi: np.ndarray, B: CosineBasis,
-              M: MaterialModel, fine: bool = False) -> np.ndarray:
-    return M.c0 * B.lam * lam + B.inner(np.asarray(M.potential.df(phi),
-                                                  dtype=float), fine=fine)
-
-
 _QuadValues = namedtuple("_QuadValues",
-                         "theta phi q gphi gq nv Av dAv tauv wtil D")
+                         "theta theta_f phi q gphi gq nv Av dAv tauv wtil D")
 
 
 def _quad_values(lam: np.ndarray, zeta: np.ndarray, B: CosineBasis,
                  M: MaterialModel) -> _QuadValues:
-    """theta and, at the quadrature points, phi, q, their gradients, n, A,
-    A', tau, wtil = n grad mu - grad(A q) and the dissipation terms D."""
-    phi = B.values(lam)
-    theta = _theta_of(lam, phi, B, M)
-    q = B.values(zeta)
-    gphi = B.grads(lam)
-    gq = B.grads(zeta)
+    """theta, theta on the doubled quadrature (theta_f) and, at the
+    quadrature points, phi, q, their gradients, n, A, A', tau,
+    wtil = n grad mu - grad(A q) and the dissipation terms D."""
+    d, nq = B.d, B.nq
+    vals = np.stack([lam, zeta]) @ B.table
+    phi, q = vals[0, :nq], vals[1, :nq]
+    gphi = vals[0, nq:(1 + d) * nq].reshape(d, nq)
+    gq = vals[1, nq:(1 + d) * nq].reshape(d, nq)
+    dF = np.asarray(M.potential.df(np.concatenate(
+        [phi, vals[0, (1 + d) * nq:]])), dtype=float)
+    # theta_j = c0 lam_eig_j lam_j + <F'(phi), psi_j> by orthonormality
+    linear = M.c0 * B.lam * lam
+    theta = linear + B.inner(dF[:nq])
+    theta_f = linear + B.w_f * (B.Psi_f @ dF[nq:])
+    gtheta = (theta @ B.table[:, nq:(1 + d) * nq]).reshape(d, nq)
     nv = np.asarray(M.n(phi), dtype=float)
     Av = np.asarray(M.A(phi), dtype=float)
     dAv = np.asarray(M.dA(phi), dtype=float)
     tauv = np.asarray(M.tau(phi), dtype=float)
-    gAq = Av[None] * gq + (dAv * q)[None] * gphi       # grad(A(phi) q)
-    wtil = nv[None] * B.grads(theta) - gAq
+    gAq = Av * gq + (dAv * q) * gphi                # grad(A(phi) q)
+    wtil = nv * gtheta - gAq
     D_cross = B.w * float((wtil**2).sum())
     D_q = B.w * float((q * q / tauv).sum())
     D_eps = M.eps1 * B.w * float((gq**2).sum())
     D = {"D_cross": D_cross, "D_q": D_q, "D_eps": D_eps,
          "D_total": D_cross + D_q + D_eps}
-    return _QuadValues(theta, phi, q, gphi, gq, nv, Av, dAv, tauv, wtil, D)
+    return _QuadValues(theta, theta_f, phi, q, gphi, gq, nv, Av, dAv, tauv,
+                       wtil, D)
 
 
 def assemble_rhs(G: GalerkinState, B: CosineBasis, M: MaterialModel,
@@ -179,26 +195,25 @@ def assemble_rhs(G: GalerkinState, B: CosineBasis, M: MaterialModel,
     with mu in the span of the basis, theta_j = c0 lam_eig_j lam_j
     + <F'(phi), psi_j> by orthonormality.
     """
-    lam, zeta = np.asarray(G.lam, float), np.asarray(G.zeta, float)
-    V = _quad_values(lam, zeta, B, M)
-    theta_f = _theta_of(lam, B.values(lam, fine=True), B, M, fine=True)
-    gap = float(np.abs(V.theta - theta_f).max())
+    V = _quad_values(np.asarray(G.lam, float), np.asarray(G.zeta, float),
+                     B, M)
+    gap = float(np.abs(V.theta - V.theta_f).max())
     if gap > quad_tol:
         raise QuadratureResolutionError(
             "nonlinear potential term under-resolved by the basis "
             f"quadrature (Richardson gap {gap:.3e})"
         )
 
-    # d lam / dt: flux n * wtil against grad psi_j
-    dlam = -B.w * np.einsum('dq,djq->j', V.nv[None] * V.wtil, B.dPsi)
-
-    # d zeta / dt
-    dzeta = -B.inner(V.q / V.tauv)
-    # grad(A psi_j) = A grad psi_j + psi_j A'(phi) grad phi
-    dzeta += B.w * np.einsum('dq,djq->j', V.Av[None] * V.wtil, B.dPsi)
-    dzeta += B.w * ((V.wtil * (V.dAv[None] * V.gphi)).sum(axis=0) @ B.Psi.T)
-    dzeta -= M.eps1 * B.w * np.einsum('dq,djq->j', V.gq, B.dPsi)
-
+    # one matmul of the fluxes against [psi_j | grad psi_j], with
+    # grad(A psi_j) = A grad psi_j + psi_j A'(phi) grad phi:
+    #   d lam:  0                                | -n wtil
+    #   d zeta: wtil . A' grad phi - q / tau     | A wtil - eps1 grad q
+    d, nq = B.d, B.nq
+    flux = np.zeros((2, (1 + d) * nq))
+    flux[0, nq:] = (-V.nv * V.wtil).reshape(-1)
+    flux[1, :nq] = (V.wtil * (V.dAv * V.gphi)).sum(axis=0) - V.q / V.tauv
+    flux[1, nq:] = (V.Av * V.wtil - M.eps1 * V.gq).reshape(-1)
+    dlam, dzeta = B.w * (flux @ B.table[:, :(1 + d) * nq].T)
     return dlam, dzeta, V.D
 
 
@@ -230,11 +245,13 @@ class GalerkinRun:
 def integrate_galerkin(initial: GalerkinState, B: CosineBasis,
                        M: MaterialModel, t_end: float, rtol: float = 1e-8,
                        n_output: int = 101) -> GalerkinRun:
-    """Adaptive RK45 integration to t_end with dense energy output.
+    """Adaptive LSODA integration to t_end with dense energy output.
 
-    The accumulated dissipation is integrated as an extra ODE component
-    so the energy balance E(t) + integral(D) holds to integrator accuracy
-    rather than output-sampling accuracy.
+    LSODA (Petzold 1983) takes Adams steps while the system is non-stiff
+    and switches to BDF once the stiff high modes (c0 lam^2) would limit
+    an explicit step.  The accumulated dissipation is integrated as an
+    extra ODE component so the energy balance E(t) + integral(D) holds
+    to integrator accuracy rather than output-sampling accuracy.
     """
     if rtol <= 0:
         raise ValueError("rtol must be positive")
@@ -248,12 +265,13 @@ def integrate_galerkin(initial: GalerkinState, B: CosineBasis,
     y0 = np.concatenate([np.asarray(initial.lam, float),
                          np.asarray(initial.zeta, float), [0.0]])
     t_eval = np.linspace(0.0, t_end, n_output)
-    sol = solve_ivp(rhs, (0.0, t_end), y0, method="RK45", rtol=rtol,
+    sol = solve_ivp(rhs, (0.0, t_end), y0, method="LSODA", rtol=rtol,
                     atol=max(rtol * 1e-3, 1e-14), t_eval=t_eval)
     if not sol.success:
         raise SolverError(
-            f"Galerkin integration failed ({sol.message}); the system may "
-            "be too stiff at this mode count - reduce m or t_end"
+            f"Galerkin integration failed ({sol.message}); LSODA could "
+            "not meet the tolerance, so the state may be blowing up - "
+            "loosen rtol or shorten t_end"
         )
     states, Es, Ds = [], [], []
     for k, t in enumerate(sol.t):

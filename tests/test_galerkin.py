@@ -4,12 +4,13 @@ import itertools
 import numpy as np
 import pytest
 
+from viscophase.cli import _seeded_band_limited
 from viscophase.errors import QuadratureResolutionError
 from viscophase.fields import Grid, grad_arr
 from viscophase.galerkin import (CosineBasis, GalerkinState, assemble_rhs,
                                  convergence_study, energy_galerkin,
                                  integrate_galerkin, project)
-from viscophase.material import Potential, regular_model
+from viscophase.material import Potential, degenerate_model, regular_model
 
 
 def zero_fn(*mesh):
@@ -22,6 +23,22 @@ def linear_material():
     zero = lambda s: np.zeros_like(np.asarray(s, dtype=float))
     pot = dataclasses.replace(M.potential, f=zero, df=zero, d2f=zero)
     return dataclasses.replace(M, potential=pot, A=zero, dA=zero)
+
+
+def variable_material():
+    """Regular double well with n, A, A' and tau all varying in phi."""
+    return regular_model(n=lambda s: 1.0 + 0.3 * np.asarray(s) ** 2,
+                         A=lambda s: 1.0 + 0.5 * np.asarray(s),
+                         dA=lambda s: np.full_like(np.asarray(s, float), 0.5),
+                         tau=lambda s: 1.0 + 0.2 * np.asarray(s) ** 2)
+
+
+def oscillating_material():
+    """F' = cos(80 phi): unresolvable by a small basis's quadrature."""
+    M = regular_model()
+    osc = lambda s: np.cos(80.0 * np.asarray(s, dtype=float))
+    return dataclasses.replace(
+        M, potential=dataclasses.replace(M.potential, df=osc))
 
 
 class TestBasis:
@@ -57,6 +74,26 @@ class TestBasis:
         B = CosineBasis(lengths, m)
         assert B.kvecs.tolist() == [list(kt) for _, kt in modes]
         assert np.array_equal(B.lam, [lam for lam, _ in modes])
+
+    @pytest.mark.parametrize("lengths,m,n_quad", [
+        ((4.0, 0.25), 16, (32, 4)), ((1.0, 0.1), 8, (16, 4)),
+        ((1.0, 1.0, 0.2), 100, (18, 18, 4)), ((1.0, 1.0), 16, (8, 10))],
+        ids=["4x0.25", "1x0.1", "1x1x0.2", "square-16"])
+    def test_quadrature_sized_per_axis(self, lengths, m, n_quad):
+        # each axis gets max(2 (k_max + 1), 4) nodes for its own k_max
+        B = CosineBasis(lengths, m)
+        assert B.n_quad == tuple(max(2 * (int(k) + 1), 4)
+                                 for k in B.kvecs.max(axis=0)) == n_quad
+        nq = int(np.prod(n_quad))
+        assert B.Psi.shape == (m, nq)
+        assert B.dPsi.shape == (len(lengths), m, nq)
+        assert B.Psi_f.shape == (m, 2 ** len(lengths) * nq)
+        for tab in (B.Psi, B.dPsi, B.Psi_f):
+            assert np.shares_memory(tab, B.table)
+        for Psi, w in ((B.Psi, B.w), (B.Psi_f, B.w_f)):
+            assert np.abs(w * (Psi @ Psi.T) - np.eye(m)).max() < 1e-12
+        stiff = B.w * np.einsum('diq,djq->ij', B.dPsi, B.dPsi)
+        assert np.abs(stiff - np.diag(B.lam)).max() < 1e-12 * B.lam.max()
 
     def test_rectangle_eigenvalues(self):
         B = CosineBasis((2.0, 1.0), 6)
@@ -126,13 +163,31 @@ class TestAssembleRhs:
     def test_quadrature_resolution_error(self):
         # wildly oscillatory F' cannot be resolved by the coarse quadrature
         B = CosineBasis((1.0,), 2)
-        M = regular_model()
-        osc = lambda s: np.cos(80.0 * np.asarray(s, dtype=float))
-        pot = dataclasses.replace(M.potential, df=osc)
-        M = dataclasses.replace(M, potential=pot)
         G = GalerkinState(0.0, np.array([0.0, 2.0]), np.zeros(2))
         with pytest.raises(QuadratureResolutionError):
-            assemble_rhs(G, B, M)
+            assemble_rhs(G, B, oscillating_material())
+
+    @pytest.mark.parametrize("model,mean,amplitude", [
+        (regular_model, 0.0, 0.05), (variable_material, 0.0, 0.05),
+        (lambda: degenerate_model(1e-3), 0.5, 0.004)],
+        ids=["regular", "variable", "degenerate"])
+    @pytest.mark.parametrize("lengths,m", [
+        ((1.0,), 8), ((1.0, 0.5), 16), ((1.0, 1.0, 0.5), 20)],
+        ids=["1d", "2d", "3d"])
+    def test_discrete_dissipation_law(self, model, mean, amplitude,
+                                      lengths, m):
+        # dE/dt = theta . dlam + zeta . dzeta = -D_total for every state,
+        # with theta built here from Psi alone
+        M, B = model(), CosineBasis(lengths, m)
+        rng = np.random.default_rng(3)
+        lam = amplitude * rng.standard_normal(m)
+        lam[0] = mean * np.sqrt(np.prod(lengths))
+        zeta = 0.05 * rng.standard_normal(m)
+        dlam, dzeta, D = assemble_rhs(GalerkinState(0.0, lam, zeta), B, M)
+        theta = M.c0 * B.lam * lam + B.inner(M.potential.df(B.values(lam)))
+        balance = theta @ dlam + zeta @ dzeta + D["D_total"]
+        assert D["D_total"] > 0.0
+        assert abs(balance) <= 1e-12 * D["D_total"]
 
 
 class TestIntegration:
@@ -172,6 +227,36 @@ class TestIntegration:
         run = integrate_galerkin(init, B, M, 0.2)
         consts = np.array([s.lam[0] for s in run.states])
         assert np.abs(consts - 0.4).max() < 1e-9
+
+
+    @pytest.fixture(scope="class")
+    def seed0_runs(self):
+        # the m = 16 study of `viscophase galerkin` at its defaults
+        B = CosineBasis((1.0, 1.0), 16)
+        phi0 = _seeded_band_limited(0, (1.0, 1.0))
+        init = GalerkinState(0.0, project(phi0, B), np.zeros(16))
+        return {rtol: integrate_galerkin(init, B, regular_model(), 0.5,
+                                         rtol=rtol)
+                for rtol in (1e-8, 1e-12)}
+
+    def test_default_rtol_matches_tight_run(self, seed0_runs):
+        run, tight = seed0_runs[1e-8], seed0_runs[1e-12]
+        assert np.array_equal(run.times, tight.times)
+        for s, r in zip(run.states, tight.states):
+            assert np.abs(s.lam - r.lam).max() <= 1e-8
+            assert np.abs(s.zeta - r.zeta).max() <= 1e-8
+
+    def test_energy_balance_closes(self, seed0_runs):
+        run = seed0_runs[1e-8]
+        assert np.abs(run.E + run.D_cum - run.E[0]).max() <= 1e-9
+
+    def test_rhs_error_escapes_integrator(self):
+        # the integrator calls the right-hand side from compiled code
+        B = CosineBasis((1.0,), 2)
+        init = GalerkinState(0.0, np.array([0.0, 2.0]), np.zeros(2))
+        with pytest.raises(QuadratureResolutionError,
+                           match=r"under-resolved .* \(Richardson gap "):
+            integrate_galerkin(init, B, oscillating_material(), 0.1)
 
 
 class TestEnergy:
