@@ -17,7 +17,7 @@ from .fields import (
 )
 from .dynamics import (
     State, SimConfig, Trajectory, make_state, step_phi_q, step_velocity,
-    simulate, build_grid, build_material, initial_state, dt_max,
+    run_steps, simulate, build_grid, build_material, initial_state, dt_max,
     validate_config,
 )
 from .diagnostics import (

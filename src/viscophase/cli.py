@@ -23,7 +23,7 @@ from . import __version__
 from .errors import (BlowUpError, ConfigError, InvalidDeltaError,
                      QuadratureResolutionError, SolverError)
 from .dynamics import (COURANT_MAX, SimConfig, Trajectory, build_grid,
-                       build_material, initial_state, simulate,
+                       build_material, initial_state, run_steps,
                        validate_config)
 from .diagnostics import (CheckRecord, bounds_report, check_energy_inequality,
                           gronwall_fit, relative_energy, write_report)
@@ -202,14 +202,35 @@ def _outdir(args) -> Path:
     return out
 
 
-def _write_run_artifacts(out: Path, cfg: SimConfig, traj: Trajectory) -> None:
+def _run_to_csv(path: Path, cfg: SimConfig,
+                snapdir: Optional[Path] = None) -> Trajectory:
+    """Run cfg from its configured initial data, writing each row to the
+    CSV at path as it is made and, given snapdir, the state of each step
+    k = 0, output_every, 2*output_every ... and the last as
+    snapdir/state_<k>.vpf, flushing the CSV at each of those steps."""
+    M = build_material(cfg)
+    dt, n_steps, steps = run_steps(cfg, M, *initial_state(cfg, build_grid(cfg),
+                                                          M))
+    rows = []
+    with open(path, "w") as fh:
+        for k, state, row in steps:
+            if not rows:
+                fh.write(",".join(row) + "\n")
+            fh.write(",".join("%.17g" % v for v in row.values()) + "\n")
+            rows.append(row)
+            if k % cfg.output_every == 0 or k == n_steps:
+                if snapdir is not None:
+                    write_state(snapdir / f"state_{k:06d}.vpf", state)
+                fh.flush()
+    return Trajectory.from_rows(cfg, dt, rows, M)
+
+
+def _write_run_artifacts(out: Path, cfg: SimConfig) -> Trajectory:
+    """manifest.json, then _run_to_csv into diagnostics.csv and snapshots/."""
     (out / "manifest.json").write_text(RunManifest.for_run(cfg, out).emit())
-    traj.write_csv(out / "diagnostics.csv")
     snapdir = out / "snapshots"
     snapdir.mkdir(exist_ok=True)
-    for state in traj.states:
-        step = int(round(state.t / traj.dt))
-        write_state(snapdir / f"state_{step:06d}.vpf", state)
+    return _run_to_csv(out / "diagnostics.csv", cfg, snapdir)
 
 
 def _at_most(name: str, value, threshold: float) -> CheckRecord:
@@ -254,33 +275,36 @@ def _emit(records: List[CheckRecord], out: Optional[Path] = None,
 def cmd_run(args) -> int:
     cfg = _load_config(args)
     out = _outdir(args)
-    traj = simulate(cfg)
-    _write_run_artifacts(out, cfg, traj)
+    traj = _write_run_artifacts(out, cfg)
     return _emit(_trajectory_records(traj), out, "energy_report")
 
 
 def cmd_weakstrong(args) -> int:
     cfg = _load_config(args)
-    cfg.output_every = 1
     out = _outdir(args)
     M = build_material(cfg)
     grid = build_grid(cfg)
     phi0, q0, u0 = initial_state(cfg, grid, M)
-    reference = simulate(cfg, phi0, q0, u0)
-
     rng = np.random.default_rng(cfg.seed + 1)
     bump = rng.standard_normal(grid.shape)
     bump /= max(np.abs(bump).max(), 1.0)
+
+    # the runs advance in lock-step: each pair of current states gives one
+    # sample (t, E_rel, D_rel) of each eps
+    dt, _, reference = run_steps(cfg, M, phi0, q0, u0)
+    perturbed = [run_steps(cfg, M, type(phi0)(grid, phi0.data + eps * bump),
+                           q0, u0)[2] for eps in args.eps]
+    ref_rows, samples = [], [[] for _ in args.eps]
+    for (_, ref_state, ref_row), *states in zip(reference, *perturbed):
+        ref_rows.append(ref_row)
+        for sample, (_, state, _) in zip(samples, states):
+            rep = relative_energy(state, ref_state, M)
+            sample.append((state.t, rep.E_total, rep.D))
+
     records: List[CheckRecord] = []
     finals = {}
-    for eps in args.eps:
-        phi_p = type(phi0)(grid, phi0.data + eps * bump)
-        traj = simulate(cfg, phi_p, q0, u0)
-        reps = [relative_energy(state, ref_state, M)
-                for state, ref_state in zip(traj.states, reference.states)]
-        E_rel = np.array([rep.E_total for rep in reps])
-        D_rel = np.array([rep.D for rep in reps])
-        t = traj.times
+    for eps, sample in zip(args.eps, samples):
+        t, E_rel, D_rel = np.array(sample).T
         dts = np.diff(t)
         D_half = np.concatenate(
             [[0.0], np.cumsum(0.25 * dts * (D_rel[1:] + D_rel[:-1]))])
@@ -304,7 +328,8 @@ def cmd_weakstrong(args) -> int:
                                 abs(ratio / (e1 / e2) ** 2 - 1.0), 0.25))
 
     if cfg.regime == "degenerate":
-        print(f"reference: {bounds_report(reference, M)}")
+        ref = Trajectory.from_rows(cfg, dt, ref_rows, M)
+        print(f"reference: {bounds_report(ref, M)}")
     return _emit(records, out, "weakstrong_report")
 
 
@@ -367,11 +392,9 @@ def cmd_degenerate_sweep(args) -> int:
     overshoots = []
     for delta in args.deltas:
         dcfg = dataclasses.replace(cfg, delta=delta)
-        traj = simulate(dcfg)
+        traj = _run_to_csv(out / f"diagnostics_delta{delta:g}.csv", dcfg)
         br = bounds_report(traj, traj.model)
-        traj.write_csv(out / f"diagnostics_delta{delta:g}.csv")
-        ent_ok = (br.entropy_series is not None
-                  and bool(np.all(np.isfinite(br.entropy_series))))
+        ent_ok = bool(np.all(np.isfinite(br.entropy_series)))
         rows.append((delta, br.overshoot, br.measure_max,
                      br.separation_margin, float(ent_ok)))
         overshoots.append(br.overshoot)
@@ -398,7 +421,7 @@ def cmd_report(args) -> int:
         return EXIT_OK
     series = {name: np.atleast_1d(data[name]) for name in data.dtype.names}
     traj = Trajectory(config=SimConfig(), dt=float(t[1] - t[0]),
-                      states=[], series=series)
+                      series=series)
     code = _emit(_trajectory_records(traj))
     if "cfl" not in series:
         print("[SKIP] max-cfl: not recorded")

@@ -65,7 +65,7 @@ def energy(state: State, M: MaterialModel) -> EnergyBreakdown:
     D_q = float((q * q / arrays.tau).sum() * vol)
     D_eps = float(M.eps1 * (arrays.grad_q**2).sum() * vol)
     D_visc = 0.0
-    for gu in state.velocity_gradients():
+    for gu in state.grad_u:
         D_visc += float((arrays.eta * (gu**2).sum(axis=0)).sum() * vol)
 
     return EnergyBreakdown(E_mix=E_mix, E_bulk=E_bulk, E_kin=E_kin,
@@ -215,8 +215,7 @@ class BoundsReport:
     min_phi: float
     max_phi: float
     overshoot: float                  # max(-min_phi, max_phi - 1)
-    measure_series: np.ndarray        # near-degenerate set per snapshot
-    measure_max: float
+    measure_max: float                # largest near_degenerate measure
     entropy_series: Optional[np.ndarray]
     separation_margin: float          # min(min_phi, 1 - max_phi)
 
@@ -229,33 +228,20 @@ class BoundsReport:
                 f"{self.separation_margin:.4g}, {ent}")
 
 
-def bounds_report(traj: Trajectory, M: MaterialModel,
-                  tol_0: float = 1e-2) -> BoundsReport:
-    """Space-time extrema of phi, near-degenerate-set measure at threshold
-    tol_0, entropy time series, and the separation margin."""
-    if "min_phi" in traj.series:
-        mn = float(traj.column("min_phi").min())
-        mx = float(traj.column("max_phi").max())
-    else:
-        mn = min(float(s.phi.data.min()) for s in traj.states)
-        mx = max(float(s.phi.data.max()) for s in traj.states)
-    vol = traj.states[0].grid.cell_volume
-    measures = np.array([
-        float(((s.phi.data <= tol_0) | (s.phi.data >= 1.0 - tol_0)).sum()) * vol
-        for s in traj.states
-    ])
-    if "entropy" in traj.series:
-        ent = traj.column("entropy")
-    elif M.entropy is not None:
-        ent = np.array([float(M.entropy.g(s.phi.data).sum() * vol)
-                        for s in traj.states])
-    else:
-        ent = None
+def bounds_report(traj: Trajectory, M: MaterialModel) -> BoundsReport:
+    """Space-time extrema of phi, the largest near-degenerate-set measure,
+    the entropy time series and the separation margin, all read from the
+    columns of a run under M.  A model without an entropy writes neither
+    column (see dynamics._diag_row): measure_max is NaN, entropy None."""
+    mn = float(traj.column("min_phi").min())
+    mx = float(traj.column("max_phi").max())
+    has_entropy = M.entropy is not None
     return BoundsReport(
         min_phi=mn, max_phi=mx,
         overshoot=float(max(-mn, mx - 1.0)),
-        measure_series=measures, measure_max=float(measures.max()),
-        entropy_series=ent,
+        measure_max=(float(traj.column("near_degenerate").max())
+                     if has_entropy else float("nan")),
+        entropy_series=traj.column("entropy") if has_entropy else None,
         separation_margin=float(min(mn, 1.0 - mx)),
     )
 

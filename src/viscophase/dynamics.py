@@ -37,15 +37,10 @@ from .material import (MOBILITY_KINDS, MaterialModel, _check_delta,
 __all__ = [
     "State", "SimConfig", "Trajectory", "make_state",
     "step_phi_q", "step_velocity",
-    "simulate", "build_grid", "build_material", "initial_state", "dt_max",
-    "step_plan", "check_model_kinds", "validate_config", "COURANT_MAX",
+    "run_steps", "simulate", "build_grid", "build_material", "initial_state",
+    "dt_max", "step_plan", "check_model_kinds", "validate_config",
+    "COURANT_MAX",
 ]
-
-DIAG_COLUMNS = (
-    "t", "E_mix", "E_bulk", "E_kin", "E_total",
-    "D_cross", "D_q", "D_eps", "D_visc",
-    "mass", "min_phi", "max_phi", "div_u_norm", "cfl",
-)
 
 INIT_KINDS = ("uniform", "spinodal", "tanh-interface", "from-snapshot")
 
@@ -125,10 +120,9 @@ class State:
     phi_q (see PhiQArrays) and grad_u (grad u_i for each component i)
     hold the arrays computed from the fields, so that the step, the next
     step and the diagnostics apply each stencil to a state once;
-    make_state, step_phi_q and step_velocity fill both.  Without them, or
-    with arrays built with another model, arrays() and
-    velocity_gradients() compute them afresh on each read.  The fields
-    must not be changed in place."""
+    make_state, step_phi_q and step_velocity fill both.  arrays() under
+    another model than the one of phi_q computes them afresh on each
+    read.  The fields must not be changed in place."""
 
     t: float
     phi: ScalarField
@@ -136,9 +130,8 @@ class State:
     u: VectorField
     p: ScalarField
     mu: ScalarField
-    phi_q: Optional[PhiQArrays] = dc_field(default=None, compare=False,
-                                           repr=False)
-    grad_u: Optional[tuple] = dc_field(default=None, compare=False, repr=False)
+    phi_q: PhiQArrays = dc_field(compare=False, repr=False)
+    grad_u: tuple = dc_field(compare=False, repr=False)
 
     @property
     def grid(self) -> Grid:
@@ -146,14 +139,9 @@ class State:
 
     def arrays(self, M: MaterialModel) -> PhiQArrays:
         """The state's PhiQArrays if built with M, else fresh ones."""
-        if self.phi_q is not None and self.phi_q.model is M:
+        if self.phi_q.model is M:
             return self.phi_q
         return _phi_q_arrays(self.phi, self.q, M)
-
-    def velocity_gradients(self) -> tuple:
-        if self.grad_u is not None:
-            return self.grad_u
-        return _velocity_gradients(self.u)
 
 
 def _with_records(t: float, phi: ScalarField, q: ScalarField,
@@ -290,7 +278,7 @@ def step_phi_q(state: State, M: MaterialModel, dt: float,
     phi_n, q_n = ScalarField(grid, phi_new), ScalarField(grid, q_new)
     return _with_records(t_new, phi_n, q_n, state.u, state.p,
                          _phi_q_arrays(phi_n, q_n, M, gphi_new, lap_new),
-                         state.velocity_gradients())
+                         state.grad_u)
 
 
 def step_velocity(state: State, M: MaterialModel, dt: float,
@@ -310,7 +298,7 @@ def step_velocity(state: State, M: MaterialModel, dt: float,
     f_cap = state.mu.data[None] * arrays.grad_phi
 
     advect = np.empty_like(u)          # skew-symmetric (u . grad)u
-    for i, gu in enumerate(state.velocity_gradients()):
+    for i, gu in enumerate(state.grad_u):
         advect[i] = _advect_skew(u, u[i], gu, grid, parity=-1)
     rhs = u + dt * (-advect + f_cap)
 
@@ -552,11 +540,20 @@ def initial_state(cfg: SimConfig, grid: Grid, M: MaterialModel):
 
 @dataclass
 class Trajectory:
+    """The diagnostics rows of a run as columns: series maps each column
+    name to its per-step values, in the CSV's column order."""
+
     config: SimConfig
     dt: float
-    states: list = dc_field(default_factory=list)     # snapshots at cadence
-    series: dict = dc_field(default_factory=dict)     # per-step diagnostics
-    model: Optional[MaterialModel] = None             # the model simulate built
+    series: dict = dc_field(default_factory=dict)
+    model: Optional[MaterialModel] = None             # the model of the run
+
+    @classmethod
+    def from_rows(cls, config: SimConfig, dt: float, rows: list,
+                  model: Optional[MaterialModel] = None) -> "Trajectory":
+        return cls(config=config, dt=dt, model=model,
+                   series={key: np.array([r[key] for r in rows])
+                           for key in rows[0]})
 
     @property
     def times(self) -> np.ndarray:
@@ -565,21 +562,19 @@ class Trajectory:
     def column(self, name: str) -> np.ndarray:
         return self.series[name]
 
-    def write_csv(self, path):
-        cols = [c for c in DIAG_COLUMNS if c in self.series]
-        cols += [c for c in self.series if c not in cols]
-        header = ",".join(cols)
-        data = np.column_stack([self.series[c] for c in cols])
-        np.savetxt(path, data, delimiter=",", header=header, comments="",
-                   fmt="%.17g")
+
+NEAR_DEGENERATE = 1e-2
 
 
 def _diag_row(state: State, M: MaterialModel, dt: float) -> dict:
-    """The DIAG_COLUMNS of a state, and the entropy if the model has one;
-    cfl is the Courant number dt * max|u| / h_min of a step dt with its
-    velocity."""
+    """The diagnostics of a state, in column order; cfl is the Courant
+    number dt * max|u| / h_min of a step dt with its velocity.  A model
+    with an entropy adds the entropy and near_degenerate, the measure of
+    {phi <= NEAR_DEGENERATE} | {phi >= 1 - NEAR_DEGENERATE}."""
     from .diagnostics import energy
     eb = energy(state, M)
+    phi = state.phi.data
+    vol = state.grid.cell_volume
     row = {
         "t": state.t,
         "E_mix": eb.E_mix, "E_bulk": eb.E_bulk, "E_kin": eb.E_kin,
@@ -587,14 +582,16 @@ def _diag_row(state: State, M: MaterialModel, dt: float) -> dict:
         "D_cross": eb.D_cross, "D_q": eb.D_q, "D_eps": eb.D_eps,
         "D_visc": eb.D_visc,
         "mass": integrate(state.phi),
-        "min_phi": float(state.phi.data.min()),
-        "max_phi": float(state.phi.data.max()),
+        "min_phi": float(phi.min()),
+        "max_phi": float(phi.max()),
         "div_u_norm": _div_u_norm(state),
         "cfl": dt * float(np.abs(state.u.data).max()) / min(state.grid.h),
     }
     if M.entropy is not None:
-        row["entropy"] = float(
-            M.entropy.g(state.phi.data).sum() * state.grid.cell_volume)
+        row["entropy"] = float(M.entropy.g(phi).sum() * vol)
+        row["near_degenerate"] = float(
+            ((phi <= NEAR_DEGENERATE) | (phi >= 1.0 - NEAR_DEGENERATE)).sum()
+        ) * vol
     return row
 
 
@@ -603,54 +600,46 @@ def _div_u_norm(state: State) -> float:
     return float(np.sqrt((d * d).sum() * state.grid.cell_volume))
 
 
-def simulate(config: SimConfig,
-             phi0: Optional[ScalarField] = None,
-             q0: Optional[ScalarField] = None,
-             u0: Optional[VectorField] = None) -> Trajectory:
-    """Advance the full system to t_end, recording diagnostics each step
-    and snapshots at the output cadence.  The configured initial data is
-    built only when phi0, q0 or u0 is not given.  Rejects what
-    validate_config rejects; the model build checks stabilization.a."""
-    _check_values(config)
-    grid = build_grid(config)
-    M = build_material(config)
-    phi, q, u = phi0, q0, u0
-    if phi is None or q is None or u is None:
-        d_phi, d_q, d_u = initial_state(config, grid, M)
-        phi = d_phi if phi is None else phi
-        q = d_q if q is None else q
-        u = d_u if u is None else u
-    for f in (phi, q):
+def run_steps(config: SimConfig, M: MaterialModel, phi: ScalarField,
+              q: ScalarField, u: VectorField):
+    """(dt, n_steps, steps) of a run of config under M from (phi, q, u):
+    steps yields (k, state, row) for k = 0 ... n_steps, the k-th state
+    and its diagnostics row, and holds only the current state.  The
+    initial data are checked first: they must be finite and, in the
+    degenerate regime, phi in [0, 1] with a finite integral of F + G;
+    step_plan then picks dt and n_steps."""
+    for f in (phi, q, u):
         if not np.all(np.isfinite(f.data)):
             raise ConfigError("initial data must be finite")
-    if not np.all(np.isfinite(u.data)):
-        raise ConfigError("initial data must be finite")
-
     if config.regime == "degenerate":
         if phi.data.min() < 0.0 or phi.data.max() > 1.0:
             raise ConfigError("degenerate regime requires phi0 in [0,1]")
         start_res = float(np.sum(M.potential.f(phi.data)
-                                 + M.entropy.g(phi.data)) * grid.cell_volume)
+                                 + M.entropy.g(phi.data))
+                          * phi.grid.cell_volume)
         if not np.isfinite(start_res):
             raise ConfigError("integral of F(phi0) + G(phi0) must be finite")
+    dt, n_steps = step_plan(config, phi.grid, M, u)
 
-    dt, n_steps = step_plan(config, grid, M, u)
+    def steps():
+        state = make_state(0.0, phi, q, u, ScalarField.full(phi.grid, 0.0), M)
+        yield 0, state, _diag_row(state, M, dt)
+        for k in range(1, n_steps + 1):
+            state = step_phi_q(state, M, dt, solver_tol=config.solver_tol)
+            if config.velocity_coupling:
+                state = step_velocity(state, M, dt,
+                                      solver_tol=config.solver_tol)
+            yield k, state, _diag_row(state, M, dt)
 
-    # each step returns its state with its arrays (see State), which the
-    # next step and the diagnostics read; a stored state keeps none
-    state = make_state(0.0, phi, q, u, ScalarField.full(grid, 0.0), M)
-    rows = [_diag_row(state, M, dt)]
-    traj = Trajectory(config=config, dt=dt, model=M,
-                      states=[replace(state, phi_q=None, grad_u=None)])
+    return dt, n_steps, steps()
 
-    for k in range(n_steps):
-        state = step_phi_q(state, M, dt, solver_tol=config.solver_tol)
-        if config.velocity_coupling:
-            state = step_velocity(state, M, dt, solver_tol=config.solver_tol)
-        rows.append(_diag_row(state, M, dt))
-        if (k + 1) % config.output_every == 0 or k + 1 == n_steps:
-            traj.states.append(replace(state, phi_q=None, grad_u=None))
 
-    keys = rows[0].keys()
-    traj.series = {key: np.array([r[key] for r in rows]) for key in keys}
-    return traj
+def simulate(config: SimConfig) -> Trajectory:
+    """The Trajectory of run_steps from the configured initial data.
+    Rejects what validate_config rejects; the model build checks
+    stabilization.a."""
+    _check_values(config)
+    M = build_material(config)
+    dt, _, steps = run_steps(config, M, *initial_state(
+        config, build_grid(config), M))
+    return Trajectory.from_rows(config, dt, [row for _, _, row in steps], M)

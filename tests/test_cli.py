@@ -1,4 +1,6 @@
 import json
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ import viscophase.snapshots
 from viscophase.cli import (RunManifest, config_to_text, main,
                             material_fingerprint, parse_config)
 from viscophase.diagnostics import RelativeEnergyReport
-from viscophase.dynamics import SimConfig, simulate
+from viscophase.dynamics import SimConfig
 from viscophase.errors import ConfigError, InvalidDeltaError
 
 
@@ -138,12 +140,19 @@ class TestRunCommand:
         assert np.abs(data["E_total"]).max() < 1e-13
 
     def test_mass_drift_fails_run(self, tmp_path, monkeypatch, capsys):
-        def drifting(cfg, *fields):
-            traj = simulate(cfg, *fields)
-            traj.series["mass"][-1] += 1e-9
-            return traj
+        real = viscophase.cli.run_steps
 
-        monkeypatch.setattr(viscophase.cli, "simulate", drifting)
+        def drifting(cfg, M, *fields):
+            dt, n_steps, steps = real(cfg, M, *fields)
+
+            def last_row_drifts():
+                for k, state, row in steps:
+                    if k == n_steps:
+                        row = dict(row, mass=row["mass"] + 1e-9)
+                    yield k, state, row
+            return dt, n_steps, last_row_drifts()
+
+        monkeypatch.setattr(viscophase.cli, "run_steps", drifting)
         out = tmp_path / "out"
         assert main(["run", "--out", str(out), "--override", "grid.shape=16,16",
                      "--override", "time.steps=5"]) == 4
@@ -159,6 +168,38 @@ class TestRunCommand:
                      "init.kind = spinodal\ninit.amplitude = 0.8\n"
                      "run.seed = 3\n")
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+
+    def test_failed_run_keeps_its_rows_and_snapshots(self, tmp_path, capsys):
+        # the 35th step blows up at t = 17.5: the directory holds the
+        # manifest, the 35 rows up to t = 17 and every snapshot before it
+        cfg = _write(tmp_path / "cfg.txt",
+                     "grid.shape = 32,32\ntime.dt = 0.5\ntime.steps = 50\n"
+                     "init.kind = spinodal\ninit.amplitude = 0.8\n"
+                     "run.seed = 3\ntime.output_every = 10\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 3
+        assert "at t=17.5" in capsys.readouterr().err
+        assert RunManifest.parse((out / "manifest.json").read_text()) \
+            .to_config() == parse_config(Path(cfg).read_text())
+        t = np.genfromtxt(out / "diagnostics.csv", delimiter=",",
+                          names=True)["t"]
+        assert len(t) == 35 and t[-1] == 17.0
+        names = sorted(p.name for p in (out / "snapshots").iterdir())
+        assert names == [f"state_{k:06d}.vpf" for k in (0, 10, 20, 30)]
+
+    def test_snapshot_cadence(self, tmp_path):
+        # named by step: every output_every steps, and the last step
+        out = tmp_path / "o"
+        assert main(["run", "--out", str(out), "--override", "grid.shape=8,8",
+                     "--override", "time.steps=25",
+                     "--override", "time.output_every=10"]) == 0
+        names = sorted(p.name for p in (out / "snapshots").iterdir())
+        assert names == [f"state_{k:06d}.vpf" for k in (0, 10, 20, 25)]
+        _, fields = viscophase.snapshots.read_snapshot(
+            out / "snapshots" / "state_000025.vpf")
+        data = np.genfromtxt(out / "diagnostics.csv", delimiter=",",
+                             names=True)
+        assert fields["phi"].min() == data["min_phi"][-1]
 
     def test_determinism(self, tmp_path):
         cfg = _write(tmp_path / "cfg.txt",
@@ -339,23 +380,41 @@ class TestWeakStrongCommand:
         assert scaling["value"] == pytest.approx(0.5, abs=0.05)
 
     def test_reference_runs_once(self, tmp_path, monkeypatch):
-        runs = []
+        # one model build, and the reference and each perturbed run all
+        # step through the same times
+        runs, builds = [], []
+        real_steps = viscophase.cli.run_steps
+        real_model = viscophase.dynamics.degenerate_model
 
-        def recording_simulate(cfg, *fields):
-            traj = simulate(cfg, *fields)
-            runs.append(traj)
-            return traj
+        def recording(cfg, M, *fields):
+            dt, n_steps, steps = real_steps(cfg, M, *fields)
+            times = []
+            runs.append((dt, times))
 
-        monkeypatch.setattr(viscophase.cli, "simulate", recording_simulate)
+            def record():
+                for k, state, row in steps:
+                    times.append(state.t)
+                    yield k, state, row
+            return dt, n_steps, record()
+
+        def counting(*args, **kwargs):
+            builds.append(1)
+            return real_model(*args, **kwargs)
+
+        monkeypatch.setattr(viscophase.cli, "run_steps", recording)
+        monkeypatch.setattr(viscophase.dynamics, "degenerate_model", counting)
         cfg = _write(tmp_path / "cfg.txt",
-                     "grid.shape = 8,8\ntime.steps = 4\nrun.seed = 3\n")
-        main(["weakstrong", "--config", cfg, "--out", str(tmp_path / "ws"),
-              "--eps", "0", "--eps", "1e-3"])
+                     "grid.shape = 8,8\ntime.steps = 4\nrun.seed = 3\n"
+                     "model.regime = degenerate\ninit.mean = 0.5\n")
+        assert main(["weakstrong", "--config", cfg,
+                     "--out", str(tmp_path / "ws"),
+                     "--eps", "0", "--eps", "1e-3"]) == 0
+        assert len(builds) == 1
         assert len(runs) == 3                   # reference + one per eps
         reference = runs[0]
+        assert len(reference[1]) == 5
         for run in runs:
-            assert run.dt == reference.dt
-            assert np.array_equal(run.times, reference.times)
+            assert run == reference
 
     def test_snapshot_read_once(self, tmp_path, monkeypatch):
         # the command reads the initial data and hands all of it to each run
@@ -378,6 +437,26 @@ class TestWeakStrongCommand:
                      "--out", str(tmp_path / "ws"),
                      "--eps", "1e-3", "--eps", "5e-4"]) == 0
         assert len(reads) == 1
+
+
+@pytest.mark.parametrize("command", [
+    ["weakstrong"], ["run", "--override", "time.output_every=1"]],
+    ids=["weakstrong", "run"])
+def test_memory_does_not_grow_with_steps(tmp_path, command):
+    # no consumer keeps the states of the run: the traced peak at 200
+    # steps is within 1 MB of that at 20
+    peaks = []
+    for steps in (20, 200):
+        argv = command + ["--out", str(tmp_path / f"o{steps}"),
+                          "--override", "grid.shape=32,32",
+                          "--override", f"time.steps={steps}"]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 1e6
 
 
 class TestGalerkinCommand:

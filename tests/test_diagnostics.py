@@ -6,7 +6,8 @@ from viscophase.diagnostics import (CheckRecord, bounds_report,
                                     gronwall_fit, relative_energy,
                                     write_report)
 from viscophase.dynamics import (SimConfig, Trajectory, build_grid,
-                                 build_material, make_state, simulate)
+                                 build_material, make_state, run_steps,
+                                 simulate)
 from viscophase.errors import GridMismatchError
 from viscophase.fields import ScalarField, VectorField
 from viscophase.material import regular_model
@@ -89,7 +90,7 @@ class TestEnergyInequality:
         series = {"t": t, "E_total": 1.0 + 0.1 * t,
                   "D_cross": np.zeros(11), "D_q": np.zeros(11),
                   "D_eps": np.zeros(11), "D_visc": np.zeros(11)}
-        traj = Trajectory(config=SimConfig(), dt=0.1, states=[], series=series)
+        traj = Trajectory(config=SimConfig(), dt=0.1, series=series)
         rep = check_energy_inequality(traj)
         assert not rep.monotone
         assert rep.worst_violation > 0
@@ -181,23 +182,31 @@ class TestGronwall:
         assert fit.residual <= 1e-12
 
 
+def _first_row_trajectory(phi_data):
+    """The Trajectory of the first diagnostics row of a degenerate 32^2
+    run from phi_data, and its model."""
+    cfg = SimConfig(shape=(32, 32), regime="degenerate", steps=1)
+    grid = build_grid(cfg)
+    M = build_material(cfg)
+    dt, _, steps = run_steps(cfg, M, ScalarField(grid, phi_data),
+                             ScalarField.full(grid, 0.0), VectorField.zeros(grid))
+    _, _, row = next(steps)
+    return Trajectory.from_rows(cfg, dt, [row], M), M
+
+
 class TestBounds:
-    def test_constant_half(self, setup):
-        grid, M = setup
-        st = _state(grid, M, ScalarField.full(grid, 0.5))
-        traj = Trajectory(config=SimConfig(), dt=1.0, states=[st], series={})
+    def test_constant_half(self):
+        traj, M = _first_row_trajectory(np.full((32, 32), 0.5))
         rep = bounds_report(traj, M)
         assert rep.min_phi == rep.max_phi == 0.5
         assert rep.measure_max == 0.0
         assert rep.separation_margin == 0.5
 
-    def test_single_hot_cell(self, setup):
-        grid, M = setup
-        data = np.full(grid.shape, 0.5)
+    def test_single_hot_cell(self):
+        data = np.full((32, 32), 0.5)
         data[3, 7] = 0.999
-        st = _state(grid, M, ScalarField(grid, data))
-        traj = Trajectory(config=SimConfig(), dt=1.0, states=[st], series={})
-        rep = bounds_report(traj, M, tol_0=1e-2)
+        traj, M = _first_row_trajectory(data)
+        rep = bounds_report(traj, M)
         assert rep.measure_max == pytest.approx(1.0 / 1024.0)
 
     def test_degenerate_run_entropy(self):

@@ -6,10 +6,12 @@ import pytest
 import viscophase.diagnostics
 import viscophase.dynamics
 import viscophase.fields
+from viscophase.cli import _run_to_csv
 from viscophase.diagnostics import energy
-from viscophase.dynamics import (SimConfig, build_grid, build_material,
-                                 dt_max, initial_state, make_state, simulate,
-                                 step_phi_q, step_plan, step_velocity)
+from viscophase.dynamics import (SimConfig, Trajectory, build_grid,
+                                 build_material, dt_max, initial_state,
+                                 make_state, run_steps, simulate, step_phi_q,
+                                 step_plan, step_velocity)
 from viscophase.errors import BlowUpError, ConfigError
 from viscophase.fields import (Grid, ScalarField, VectorField, div_arr,
                                grad_arr, integrate, lap_arr)
@@ -20,6 +22,20 @@ def small_cfg(**kw):
     base = dict(shape=(16, 16), steps=10, output_every=10, seed=0)
     base.update(kw)
     return SimConfig(**base)
+
+
+def run_of(cfg, *fields):
+    """run_steps of cfg from fields (phi, q, u), or else from the
+    configured initial data."""
+    M = build_material(cfg)
+    return run_steps(cfg, M, *(fields or initial_state(cfg, build_grid(cfg),
+                                                       M)))
+
+
+def trajectory_of(cfg, *fields):
+    """The Trajectory of run_of(cfg, *fields)."""
+    dt, _, steps = run_of(cfg, *fields)
+    return Trajectory.from_rows(cfg, dt, [row for _, _, row in steps])
 
 
 def at_rest(phi, M):
@@ -82,21 +98,20 @@ class TestSharedDerived:
     @pytest.mark.parametrize("regime", ["regular", "degenerate"])
     def test_diagnostics_match_fresh_states(self, regime, bc):
         # the per-step columns read gradients shared with the step; each
-        # must equal energy() of a state rebuilt from the stored fields
+        # must equal energy() of a state rebuilt from the yielded fields
         extra = (dict(init_mean=0.5, init_amplitude=0.2)
                  if regime == "degenerate" else dict(init_amplitude=0.3))
-        cfg = small_cfg(regime=regime, bc=bc, steps=8, output_every=1, **extra)
-        traj = simulate(cfg)
+        cfg = small_cfg(regime=regime, bc=bc, steps=8, **extra)
         M = build_material(cfg)
-        assert len(traj.states) == 9
-        assert all(s.phi_q is None and s.grad_u is None
-                   for s in traj.states)
-        fresh = [energy(make_state(s.t, s.phi, s.q, s.u, s.p, M), M)
-                 for s in traj.states]
-        assert np.abs(traj.column("E_kin")).max() > 0
+        rows, fresh = [], []
+        for _, s, row in run_of(cfg)[2]:
+            rows.append(row)
+            fresh.append(energy(make_state(s.t, s.phi, s.q, s.u, s.p, M), M))
+        assert len(rows) == 9
+        assert max(abs(row["E_kin"]) for row in rows) > 0
         for col in self.COLUMNS:
-            assert np.array_equal(traj.column(col),
-                                  [getattr(eb, col) for eb in fresh]), col
+            assert [row[col] for row in rows] == \
+                [getattr(eb, col) for eb in fresh], col
 
     def test_energy_follows_the_model(self):
         cfg = small_cfg(init_amplitude=0.3)
@@ -228,20 +243,13 @@ class TestSimulate:
         for col in t1.series:
             np.testing.assert_array_equal(t1.series[col], t2.series[col])
 
-    def test_snapshot_cadence(self):
-        cfg = small_cfg(steps=40, output_every=10)
-        traj = simulate(cfg)
-        assert len(traj.states) == 5
-        assert traj.states[0].t == 0.0
-        assert traj.states[-1].t == pytest.approx(40 * traj.dt)
-
     def test_initial_condition_exact(self):
         cfg = small_cfg(steps=1)
         grid = build_grid(cfg)
         M = build_material(cfg)
         phi0, q0, u0 = initial_state(cfg, grid, M)
-        traj = simulate(cfg, phi0, q0, u0)
-        np.testing.assert_array_equal(traj.states[0].phi.data, phi0.data)
+        _, state, _ = next(run_of(cfg, phi0, q0, u0)[2])
+        np.testing.assert_array_equal(state.phi.data, phi0.data)
 
     def test_taylor_green_decay(self):
         # uniform phi, decaying vortex: rate within 10% of 2*eta*(2*pi/L)^2
@@ -254,7 +262,7 @@ class TestSimulate:
         u0 = VectorField(grid, np.stack([
             np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y),
             -np.cos(2 * np.pi * x) * np.sin(2 * np.pi * y)]))
-        traj = simulate(cfg, phi0, q0, u0)
+        traj = trajectory_of(cfg, phi0, q0, u0)
         E = traj.column("E_kin")
         t = traj.times
         rate = -np.log(E[-1] / E[0]) / (2.0 * t[-1])
@@ -264,14 +272,13 @@ class TestSimulate:
     def test_cfl_column(self):
         # Courant number of each step with its velocity; h_min is the
         # finer axis
-        cfg = small_cfg(shape=(16, 8), steps=6, output_every=1,
-                        init_amplitude=0.3)
-        traj = simulate(cfg)
+        cfg = small_cfg(shape=(16, 8), steps=6, init_amplitude=0.3)
+        dt, _, steps = run_of(cfg)
         h_min = 1.0 / 16
-        expect = [traj.dt * np.abs(s.u.data).max() / h_min
-                  for s in traj.states]
-        assert np.array_equal(traj.column("cfl"), expect)
-        assert traj.column("cfl")[-1] > 0
+        cfl, expect = zip(*((row["cfl"], dt * np.abs(s.u.data).max() / h_min)
+                            for _, s, row in steps))
+        assert cfl == expect
+        assert cfl[-1] > 0
 
     def test_blow_up_detected(self):
         # the 35th step is the first to blow up: the error carries its time
@@ -342,7 +349,7 @@ class TestCapillaryForce:
             u0 = VectorField(grid, 2.0 * np.stack([
                 np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y),
                 -np.cos(2 * np.pi * x) * np.sin(2 * np.pi * y)]))
-            traj = simulate(cfg, phi0=phi0, u0=u0)
+            traj = trajectory_of(cfg, phi0, ScalarField.full(grid, 0.0), u0)
             residual.append(
                 viscophase.diagnostics.check_energy_inequality(traj)
                 .balance_residual)
@@ -367,7 +374,7 @@ class TestValidation:
         phi0, q0, u0 = initial_state(cfg, grid, M)
         bad = ScalarField(grid, np.full(grid.shape, np.nan))
         with pytest.raises(ConfigError):
-            simulate(cfg, bad, q0, u0)
+            run_steps(cfg, M, bad, q0, u0)
 
     @pytest.mark.parametrize("bad,key", [
         (dict(steps=0), "time.steps"),
@@ -391,13 +398,16 @@ class TestValidation:
         assert 0 < dt < 1e-3
 
     def test_csv_export(self, tmp_path):
-        cfg = small_cfg(steps=5)
+        # the run's writer keeps the row's column order and every digit
+        cfg = small_cfg(steps=5, regime="degenerate", init_mean=0.5)
         traj = simulate(cfg)
         path = tmp_path / "diag.csv"
-        traj.write_csv(path)
+        assert _run_to_csv(path, cfg).series.keys() == traj.series.keys()
         data = np.genfromtxt(path, delimiter=",", names=True)
         assert data.shape == (6,)
-        np.testing.assert_allclose(data["E_total"], traj.column("E_total"))
+        assert list(data.dtype.names) == list(traj.series)
+        for col in traj.series:
+            np.testing.assert_array_equal(data[col], traj.column(col))
 
 
 class TestStepSize:
