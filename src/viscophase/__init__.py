@@ -26,7 +26,7 @@ from .diagnostics import (
     relative_energy, gronwall_fit, bounds_report, write_report,
 )
 from .galerkin import (
-    CosineBasis, GalerkinState, project, assemble_rhs, integrate_galerkin,
+    CosineBasis, project, assemble_rhs, integrate_galerkin,
     energy_galerkin, convergence_study,
 )
 from .snapshots import write_snapshot, read_snapshot, write_state

@@ -22,8 +22,8 @@ import numpy as np
 from . import __version__
 from .errors import (BlowUpError, ConfigError, InvalidDeltaError,
                      QuadratureResolutionError, SolverError)
-from .dynamics import (COURANT_MAX, SimConfig, Trajectory, build_grid,
-                       build_material, initial_state, run_steps,
+from .dynamics import (COURANT_MAX, SimConfig, Trajectory, _diag_row,
+                       build_grid, build_material, initial_state, run_steps,
                        validate_config)
 from .diagnostics import (CheckRecord, bounds_report, check_energy_inequality,
                           gronwall_fit, relative_energy, write_report)
@@ -213,7 +213,8 @@ def _run_to_csv(path: Path, cfg: SimConfig,
                                                           M))
     rows = []
     with open(path, "w") as fh:
-        for k, state, row in steps:
+        for k, state in steps:
+            row = _diag_row(state, M, dt)
             if not rows:
                 fh.write(",".join(row) + "\n")
             fh.write(",".join("%.17g" % v for v in row.values()) + "\n")
@@ -290,14 +291,16 @@ def cmd_weakstrong(args) -> int:
     bump /= max(np.abs(bump).max(), 1.0)
 
     # the runs advance in lock-step: each pair of current states gives one
-    # sample (t, E_rel, D_rel) of each eps
+    # sample (t, E_rel, D_rel) of each eps; only the degenerate regime
+    # reads the reference's diagnostics rows (its bounds report)
     dt, _, reference = run_steps(cfg, M, phi0, q0, u0)
     perturbed = [run_steps(cfg, M, type(phi0)(grid, phi0.data + eps * bump),
                            q0, u0)[2] for eps in args.eps]
     ref_rows, samples = [], [[] for _ in args.eps]
-    for (_, ref_state, ref_row), *states in zip(reference, *perturbed):
-        ref_rows.append(ref_row)
-        for sample, (_, state, _) in zip(samples, states):
+    for (_, ref_state), *states in zip(reference, *perturbed):
+        if cfg.regime == "degenerate":
+            ref_rows.append(_diag_row(ref_state, M, dt))
+        for sample, (_, state) in zip(samples, states):
             rep = relative_energy(state, ref_state, M)
             sample.append((state.t, rep.E_total, rep.D))
 
@@ -369,7 +372,7 @@ def cmd_galerkin(args) -> int:
                               rtol=args.rtol)
     records = []
     for m, run in zip(study["m"], study["runs"]):
-        lam0 = np.array([s.lam[0] for s in run.states])
+        lam0 = run.lam[:, 0]
         np.savetxt(out / f"galerkin_m{m}.csv",
                    np.column_stack([run.times, run.E, run.D, lam0]),
                    delimiter=",", header="t,E_m,D_total,const_mode",

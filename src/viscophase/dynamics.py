@@ -603,11 +603,11 @@ def _div_u_norm(state: State) -> float:
 def run_steps(config: SimConfig, M: MaterialModel, phi: ScalarField,
               q: ScalarField, u: VectorField):
     """(dt, n_steps, steps) of a run of config under M from (phi, q, u):
-    steps yields (k, state, row) for k = 0 ... n_steps, the k-th state
-    and its diagnostics row, and holds only the current state.  The
-    initial data are checked first: they must be finite and, in the
-    degenerate regime, phi in [0, 1] with a finite integral of F + G;
-    step_plan then picks dt and n_steps."""
+    steps yields (k, state) for k = 0 ... n_steps, the k-th state, and
+    holds only the current state; _diag_row(state, M, dt) is its
+    diagnostics row.  The initial data are checked first: they must be
+    finite and, in the degenerate regime, phi in [0, 1] with a finite
+    integral of F + G; step_plan then picks dt and n_steps."""
     for f in (phi, q, u):
         if not np.all(np.isfinite(f.data)):
             raise ConfigError("initial data must be finite")
@@ -623,13 +623,13 @@ def run_steps(config: SimConfig, M: MaterialModel, phi: ScalarField,
 
     def steps():
         state = make_state(0.0, phi, q, u, ScalarField.full(phi.grid, 0.0), M)
-        yield 0, state, _diag_row(state, M, dt)
+        yield 0, state
         for k in range(1, n_steps + 1):
             state = step_phi_q(state, M, dt, solver_tol=config.solver_tol)
             if config.velocity_coupling:
                 state = step_velocity(state, M, dt,
                                       solver_tol=config.solver_tol)
-            yield k, state, _diag_row(state, M, dt)
+            yield k, state
 
     return dt, n_steps, steps()
 
@@ -642,4 +642,5 @@ def simulate(config: SimConfig) -> Trajectory:
     M = build_material(config)
     dt, _, steps = run_steps(config, M, *initial_state(
         config, build_grid(config), M))
-    return Trajectory.from_rows(config, dt, [row for _, _, row in steps], M)
+    return Trajectory.from_rows(
+        config, dt, [_diag_row(state, M, dt) for _, state in steps], M)

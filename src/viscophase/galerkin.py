@@ -9,12 +9,16 @@ identity.  Nonlinear integrals use oversampled midpoint quadrature,
 which makes the discrete cosine inner products exact to rounding; each
 axis gets as many nodes as its own highest mode needs.  The basis
 values, their gradients and the values on the doubled check level sit
-side by side in one table, so a right-hand-side evaluation is one
-matmul into the quadrature, pointwise arithmetic and one matmul back.
-It also returns the dissipation, a sum of squares integrated as an
-extra ODE component; the energy is evaluated at output points only.
-The system is integrated by LSODA, which switches between Adams and
-BDF steps as the stiffness c0*lam^2 of the high modes demands.
+side by side in one table.  The quadrature pass takes a batch of K
+states as (K, m) coefficient arrays, a single state being K = 1, so a
+right-hand-side evaluation of the whole batch is one matmul of the
+stacked rows [lam; zeta] into the quadrature, pointwise arithmetic and
+one matmul back.  It also returns the dissipation, a sum of squares
+integrated as an extra ODE component.  The energies at all output
+points are one batched pass after the integration, over the [Psi | dPsi]
+columns alone, since the energy needs no check level.  The system is
+integrated by LSODA, which switches between Adams and BDF steps as the
+stiffness c0*lam^2 of the high modes demands.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -31,7 +35,7 @@ from .errors import ConfigError, QuadratureResolutionError, SolverError
 from .material import MaterialModel
 
 __all__ = [
-    "CosineBasis", "GalerkinState", "GalerkinRun",
+    "CosineBasis", "GalerkinRun",
     "project", "assemble_rhs", "integrate_galerkin", "energy_galerkin",
     "convergence_study",
 ]
@@ -126,15 +130,9 @@ class CosineBasis:
         return np.asarray(coeffs) @ self.Psi
 
     def inner(self, vals: np.ndarray) -> np.ndarray:
-        """Coefficients <vals, psi_j> by midpoint quadrature."""
-        return self.w * (self.Psi @ vals)
-
-
-@dataclass(frozen=True)
-class GalerkinState:
-    t: float
-    lam: np.ndarray      # phi coefficients
-    zeta: np.ndarray     # q coefficients
+        """Coefficients <vals, psi_j> by midpoint quadrature, of the
+        values (Nq,) of one field or (K, Nq) of a batch."""
+        return self.w * (vals @ self.Psi.T)
 
 
 def project(f: Callable, B: CosineBasis) -> np.ndarray:
@@ -145,47 +143,55 @@ def project(f: Callable, B: CosineBasis) -> np.ndarray:
 
 
 _QuadValues = namedtuple("_QuadValues",
-                         "theta theta_f phi q gphi gq nv Av dAv tauv wtil D")
+                         "gap phi q gphi gq nv Av dA_gphi q_tau wtil D")
 
 
 def _quad_values(lam: np.ndarray, zeta: np.ndarray, B: CosineBasis,
-                 M: MaterialModel) -> _QuadValues:
-    """theta, theta on the doubled quadrature (theta_f) and, at the
-    quadrature points, phi, q, their gradients, n, A, A', tau,
-    wtil = n grad mu - grad(A q) and the dissipation terms D."""
-    d, nq = B.d, B.nq
-    vals = np.stack([lam, zeta]) @ B.table
-    phi, q = vals[0, :nq], vals[1, :nq]
-    gphi = vals[0, nq:(1 + d) * nq].reshape(d, nq)
-    gq = vals[1, nq:(1 + d) * nq].reshape(d, nq)
-    dF = np.asarray(M.potential.df(np.concatenate(
-        [phi, vals[0, (1 + d) * nq:]])), dtype=float)
-    # theta_j = c0 lam_eig_j lam_j + <F'(phi), psi_j> by orthonormality
-    linear = M.c0 * B.lam * lam
-    theta = linear + B.inner(dF[:nq])
-    theta_f = linear + B.w_f * (B.Psi_f @ dF[nq:])
-    gtheta = (theta @ B.table[:, nq:(1 + d) * nq]).reshape(d, nq)
+                 M: MaterialModel, check: bool = True) -> _QuadValues:
+    """For the K states (lam[k], zeta[k]) of a (K, m) batch: the largest
+    gap over the batch between theta and theta on the doubled
+    quadrature (None unless check), the total dissipation D of shape
+    (K,) and, at the quadrature points, phi, q, n, A and q / tau (each
+    (K, 1, Nq)), and the gradients of phi and q, A'(phi) grad phi and
+    wtil = n grad mu - grad(A q) (each (K, d, Nq)).  The stacked rows
+    [lam; zeta] make one matmul into the table, or into its [Psi | dPsi]
+    columns alone without the check."""
+    K, d, nq = len(lam), B.d, B.nq
+    n1 = (1 + d) * nq
+    vals = (np.concatenate([lam, zeta]) @ (B.table if check
+                                           else B.table[:, :n1])
+            ).reshape(2 * K, -1, nq)
+    phi, q = vals[:K, :1], vals[K:, :1]
+    gphi, gq = vals[:K, 1:1 + d], vals[K:, 1:1 + d]
+    dF = np.asarray(M.potential.df(
+        np.concatenate([phi, vals[:K, 1 + d:]], axis=1) if check else phi),
+        dtype=float)
+    # theta_j = c0 lam_eig_j lam_j + <F'(phi), psi_j> by orthonormality;
+    # the linear part is the same on both levels
+    inner = B.inner(dF[:, 0])
+    theta = M.c0 * B.lam * lam + inner
+    gap = (float(np.abs(inner - B.w_f * (dF[:, 1:].reshape(K, -1)
+                                         @ B.Psi_f.T)).max())
+           if check else None)
+    gtheta = (theta @ B.table[:, nq:n1]).reshape(K, d, nq)
     nv = np.asarray(M.n(phi), dtype=float)
     Av = np.asarray(M.A(phi), dtype=float)
-    dAv = np.asarray(M.dA(phi), dtype=float)
-    tauv = np.asarray(M.tau(phi), dtype=float)
-    gAq = Av * gq + (dAv * q) * gphi                # grad(A(phi) q)
+    dA_gphi = np.asarray(M.dA(phi), dtype=float) * gphi
+    q_tau = q / np.asarray(M.tau(phi), dtype=float)
+    gAq = Av * gq + q * dA_gphi                     # grad(A(phi) q)
     wtil = nv * gtheta - gAq
-    D_cross = B.w * float((wtil**2).sum())
-    D_q = B.w * float((q * q / tauv).sum())
-    D_eps = M.eps1 * B.w * float((gq**2).sum())
-    D = {"D_cross": D_cross, "D_q": D_q, "D_eps": D_eps,
-         "D_total": D_cross + D_q + D_eps}
-    return _QuadValues(theta, theta_f, phi, q, gphi, gq, nv, Av, dAv, tauv,
-                       wtil, D)
+    D = B.w * np.concatenate([wtil**2, q * q_tau, M.eps1 * gq**2],
+                             axis=1).sum(axis=(1, 2))
+    return _QuadValues(gap, phi, q, gphi, gq, nv, Av, dA_gphi, q_tau, wtil, D)
 
 
-def assemble_rhs(G: GalerkinState, B: CosineBasis, M: MaterialModel,
-                 quad_tol: float = 1e-6):
-    """Time derivatives (dlam/dt, dzeta/dt) and the dissipation terms D
-    (keys as in ``energy_galerkin``) of one state.
-    QuadratureResolutionError when theta on the doubled quadrature differs
-    from theta by more than quad_tol (a Richardson check).
+def assemble_rhs(lam: np.ndarray, zeta: np.ndarray, B: CosineBasis,
+                 M: MaterialModel, quad_tol: float = 1e-6):
+    """Time derivatives (dlam/dt, dzeta/dt), each (K, m), and the total
+    dissipation D, shape (K,), of the K states of a (K, m) batch; a
+    single state is K = 1.  QuadratureResolutionError when, for any
+    member, theta on the doubled quadrature differs from theta by more
+    than quad_tol (a Richardson check).
 
     Weak form with the velocity dropped:
       d lam_j / dt = -<m(phi) grad mu - n(phi) grad(A q), grad psi_j>
@@ -195,42 +201,42 @@ def assemble_rhs(G: GalerkinState, B: CosineBasis, M: MaterialModel,
     with mu in the span of the basis, theta_j = c0 lam_eig_j lam_j
     + <F'(phi), psi_j> by orthonormality.
     """
-    V = _quad_values(np.asarray(G.lam, float), np.asarray(G.zeta, float),
-                     B, M)
-    gap = float(np.abs(V.theta - V.theta_f).max())
-    if gap > quad_tol:
+    V = _quad_values(lam, zeta, B, M)
+    if V.gap > quad_tol:
         raise QuadratureResolutionError(
             "nonlinear potential term under-resolved by the basis "
-            f"quadrature (Richardson gap {gap:.3e})"
+            f"quadrature (Richardson gap {V.gap:.3e})"
         )
 
     # one matmul of the fluxes against [psi_j | grad psi_j], with
     # grad(A psi_j) = A grad psi_j + psi_j A'(phi) grad phi:
     #   d lam:  0                                | -n wtil
     #   d zeta: wtil . A' grad phi - q / tau     | A wtil - eps1 grad q
-    d, nq = B.d, B.nq
-    flux = np.zeros((2, (1 + d) * nq))
-    flux[0, nq:] = (-V.nv * V.wtil).reshape(-1)
-    flux[1, :nq] = (V.wtil * (V.dAv * V.gphi)).sum(axis=0) - V.q / V.tauv
-    flux[1, nq:] = (V.Av * V.wtil - M.eps1 * V.gq).reshape(-1)
-    dlam, dzeta = B.w * (flux @ B.table[:, :(1 + d) * nq].T)
-    return dlam, dzeta, V.D
+    K, d, nq = len(lam), B.d, B.nq
+    flux = np.zeros((2 * K, 1 + d, nq))
+    flux[:K, 1:] = -V.nv * V.wtil
+    flux[K:, :1] = (V.wtil * V.dA_gphi).sum(axis=1, keepdims=True) - V.q_tau
+    flux[K:, 1:] = V.Av * V.wtil - M.eps1 * V.gq
+    out = B.w * (flux.reshape(2 * K, -1) @ B.table[:, :(1 + d) * nq].T)
+    return out[:K], out[K:], V.D
 
 
-def energy_galerkin(G: GalerkinState, B: CosineBasis, M: MaterialModel):
-    """Energy E_m and dissipation terms of one state."""
-    V = _quad_values(np.asarray(G.lam, float), np.asarray(G.zeta, float),
-                     B, M)
-    E = B.w * float((0.5 * M.c0 * (V.gphi**2).sum(axis=0)
-                     + np.asarray(M.potential.f(V.phi))
-                     + 0.5 * V.q * V.q).sum())
+def energy_galerkin(lam: np.ndarray, zeta: np.ndarray, B: CosineBasis,
+                    M: MaterialModel):
+    """Energies E_m and total dissipations D, each of shape (K,), of the
+    K states of a (K, m) batch, from the [Psi | dPsi] columns alone."""
+    V = _quad_values(lam, zeta, B, M, check=False)
+    E = B.w * (0.5 * M.c0 * (V.gphi**2).sum(axis=1, keepdims=True)
+               + np.asarray(M.potential.f(V.phi))
+               + 0.5 * V.q * V.q).sum(axis=(1, 2))
     return E, V.D
 
 
 @dataclass
 class GalerkinRun:
     times: np.ndarray
-    states: List[GalerkinState]
+    lam: np.ndarray          # phi coefficients, a row per output point
+    zeta: np.ndarray         # q coefficients, a row per output point
     E: np.ndarray
     D: np.ndarray            # total dissipation at output points
     D_cum: np.ndarray        # integral of D, carried by the integrator
@@ -242,10 +248,11 @@ class GalerkinRun:
         return float((self.E + self.D_cum - self.E[0] * (1.0 + 1e-6)).max())
 
 
-def integrate_galerkin(initial: GalerkinState, B: CosineBasis,
+def integrate_galerkin(lam0: np.ndarray, zeta0: np.ndarray, B: CosineBasis,
                        M: MaterialModel, t_end: float, rtol: float = 1e-8,
                        n_output: int = 101) -> GalerkinRun:
-    """Adaptive LSODA integration to t_end with dense energy output.
+    """Adaptive LSODA integration from the coefficients (lam0, zeta0) at
+    t = 0 to t_end, with the energy at n_output points.
 
     LSODA (Petzold 1983) takes Adams steps while the system is non-stiff
     and switches to BDF once the stiff high modes (c0 lam^2) would limit
@@ -258,12 +265,11 @@ def integrate_galerkin(initial: GalerkinState, B: CosineBasis,
     m = B.m
 
     def rhs(t, y):
-        G = GalerkinState(t=t, lam=y[:m], zeta=y[m:2 * m])
-        dlam, dzeta, D = assemble_rhs(G, B, M)
-        return np.concatenate([dlam, dzeta, [D["D_total"]]])
+        dlam, dzeta, D = assemble_rhs(y[None, :m], y[None, m:2 * m], B, M)
+        return np.concatenate([dlam[0], dzeta[0], D])
 
-    y0 = np.concatenate([np.asarray(initial.lam, float),
-                         np.asarray(initial.zeta, float), [0.0]])
+    y0 = np.concatenate([np.asarray(lam0, float), np.asarray(zeta0, float),
+                         [0.0]])
     t_eval = np.linspace(0.0, t_end, n_output)
     sol = solve_ivp(rhs, (0.0, t_end), y0, method="LSODA", rtol=rtol,
                     atol=max(rtol * 1e-3, 1e-14), t_eval=t_eval)
@@ -273,16 +279,10 @@ def integrate_galerkin(initial: GalerkinState, B: CosineBasis,
             "not meet the tolerance, so the state may be blowing up - "
             "loosen rtol or shorten t_end"
         )
-    states, Es, Ds = [], [], []
-    for k, t in enumerate(sol.t):
-        G = GalerkinState(t=float(t), lam=sol.y[:m, k], zeta=sol.y[m:2 * m, k])
-        E, Dterms = energy_galerkin(G, B, M)
-        states.append(G)
-        Es.append(E)
-        Ds.append(Dterms["D_total"])
-    return GalerkinRun(times=np.asarray(sol.t), states=states,
-                       E=np.array(Es), D=np.array(Ds),
-                       D_cum=sol.y[2 * m].copy())
+    lam, zeta = sol.y[:m].T, sol.y[m:2 * m].T
+    E, D = energy_galerkin(lam, zeta, B, M)
+    return GalerkinRun(times=sol.t, lam=lam, zeta=zeta, E=E,
+                       D=D, D_cum=sol.y[2 * m])
 
 
 def convergence_study(m_list: Sequence[int], phi0: Callable, q0: Callable,
@@ -300,10 +300,10 @@ def convergence_study(m_list: Sequence[int], phi0: Callable, q0: Callable,
     axes, w = bases[-1].axes_f, bases[-1].w_f
     runs, finals = [], []
     for B in bases:
-        init = GalerkinState(t=0.0, lam=project(phi0, B), zeta=project(q0, B))
-        run = integrate_galerkin(init, B, M, t_end, rtol=rtol)
+        run = integrate_galerkin(project(phi0, B), project(q0, B), B, M,
+                                 t_end, rtol=rtol)
         runs.append(run)
-        finals.append(B.evaluate(run.states[-1].lam, axes))
+        finals.append(B.evaluate(run.lam[-1], axes))
     diffs = np.array([
         float(np.sqrt(w * ((fb - fa) ** 2).sum()))
         for fa, fb in zip(finals, finals[1:])

@@ -12,9 +12,8 @@ from viscophase.diagnostics import check_energy_inequality, relative_energy
 from viscophase.dynamics import SimConfig, build_grid, build_material, simulate
 from viscophase.fields import (Grid, ScalarField, VectorField, div_arr,
                                grad_arr, lap_arr, project_divergence_free)
-from viscophase.galerkin import (CosineBasis, GalerkinState,
-                                 convergence_study, integrate_galerkin,
-                                 project)
+from viscophase.galerkin import (CosineBasis, convergence_study,
+                                 integrate_galerkin, project)
 from viscophase.material import regular_model
 
 
@@ -186,9 +185,9 @@ def test_6_galerkin_harness():
     M = regular_model()
     # constant-mode q decay
     B1 = CosineBasis((1.0, 1.0), 1)
-    init = GalerkinState(0.0, np.array([0.3]), np.array([0.7]))
-    run1 = integrate_galerkin(init, B1, M, 1.0, rtol=1e-8)
-    z = np.array([s.zeta[0] for s in run1.states])
+    run1 = integrate_galerkin(np.array([0.3]), np.array([0.7]), B1, M, 1.0,
+                              rtol=1e-8)
+    z = run1.zeta[:, 0]
     decay_err = float(np.abs(z - 0.7 * np.exp(-run1.times)).max())
 
     # m = 16 nonlinear energy inequality
@@ -196,8 +195,8 @@ def test_6_galerkin_harness():
     B16 = CosineBasis((1.0, 1.0), 16)
     lam0 = 0.05 * rng.standard_normal(16)
     lam0[0] = 0.0
-    init = GalerkinState(0.0, lam0, 0.05 * rng.standard_normal(16))
-    run16 = integrate_galerkin(init, B16, M, 0.5, rtol=1e-8)
+    run16 = integrate_galerkin(lam0, 0.05 * rng.standard_normal(16), B16, M,
+                               0.5, rtol=1e-8)
     slack = run16.energy_slack
 
     # linear spectral convergence past the band limit

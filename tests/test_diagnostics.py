@@ -5,9 +5,9 @@ from viscophase.diagnostics import (CheckRecord, bounds_report,
                                     check_energy_inequality, energy,
                                     gronwall_fit, relative_energy,
                                     write_report)
-from viscophase.dynamics import (SimConfig, Trajectory, build_grid,
-                                 build_material, make_state, run_steps,
-                                 simulate)
+from viscophase.dynamics import (SimConfig, Trajectory, _diag_row,
+                                 build_grid, build_material, make_state,
+                                 run_steps, simulate)
 from viscophase.errors import GridMismatchError
 from viscophase.fields import ScalarField, VectorField
 from viscophase.material import regular_model
@@ -190,8 +190,8 @@ def _first_row_trajectory(phi_data):
     M = build_material(cfg)
     dt, _, steps = run_steps(cfg, M, ScalarField(grid, phi_data),
                              ScalarField.full(grid, 0.0), VectorField.zeros(grid))
-    _, _, row = next(steps)
-    return Trajectory.from_rows(cfg, dt, [row], M), M
+    _, state = next(steps)
+    return Trajectory.from_rows(cfg, dt, [_diag_row(state, M, dt)], M), M
 
 
 class TestBounds:

@@ -8,10 +8,11 @@ import viscophase.dynamics
 import viscophase.fields
 from viscophase.cli import _run_to_csv
 from viscophase.diagnostics import energy
-from viscophase.dynamics import (SimConfig, Trajectory, build_grid,
-                                 build_material, dt_max, initial_state,
-                                 make_state, run_steps, simulate, step_phi_q,
-                                 step_plan, step_velocity)
+from viscophase.dynamics import (SimConfig, Trajectory, _diag_row,
+                                 build_grid, build_material, dt_max,
+                                 initial_state, make_state, run_steps,
+                                 simulate, step_phi_q, step_plan,
+                                 step_velocity)
 from viscophase.errors import BlowUpError, ConfigError
 from viscophase.fields import (Grid, ScalarField, VectorField, div_arr,
                                grad_arr, integrate, lap_arr)
@@ -35,7 +36,9 @@ def run_of(cfg, *fields):
 def trajectory_of(cfg, *fields):
     """The Trajectory of run_of(cfg, *fields)."""
     dt, _, steps = run_of(cfg, *fields)
-    return Trajectory.from_rows(cfg, dt, [row for _, _, row in steps])
+    M = build_material(cfg)
+    return Trajectory.from_rows(cfg, dt,
+                                [_diag_row(s, M, dt) for _, s in steps])
 
 
 def at_rest(phi, M):
@@ -103,9 +106,10 @@ class TestSharedDerived:
                  if regime == "degenerate" else dict(init_amplitude=0.3))
         cfg = small_cfg(regime=regime, bc=bc, steps=8, **extra)
         M = build_material(cfg)
+        dt, _, steps = run_of(cfg)
         rows, fresh = [], []
-        for _, s, row in run_of(cfg)[2]:
-            rows.append(row)
+        for _, s in steps:
+            rows.append(_diag_row(s, M, dt))
             fresh.append(energy(make_state(s.t, s.phi, s.q, s.u, s.p, M), M))
         assert len(rows) == 9
         assert max(abs(row["E_kin"]) for row in rows) > 0
@@ -248,7 +252,7 @@ class TestSimulate:
         grid = build_grid(cfg)
         M = build_material(cfg)
         phi0, q0, u0 = initial_state(cfg, grid, M)
-        _, state, _ = next(run_of(cfg, phi0, q0, u0)[2])
+        _, state = next(run_of(cfg, phi0, q0, u0)[2])
         np.testing.assert_array_equal(state.phi.data, phi0.data)
 
     def test_taylor_green_decay(self):
@@ -274,9 +278,11 @@ class TestSimulate:
         # finer axis
         cfg = small_cfg(shape=(16, 8), steps=6, init_amplitude=0.3)
         dt, _, steps = run_of(cfg)
+        M = build_material(cfg)
         h_min = 1.0 / 16
-        cfl, expect = zip(*((row["cfl"], dt * np.abs(s.u.data).max() / h_min)
-                            for _, s, row in steps))
+        cfl, expect = zip(*((_diag_row(s, M, dt)["cfl"],
+                             dt * np.abs(s.u.data).max() / h_min)
+                            for _, s in steps))
         assert cfl == expect
         assert cfl[-1] > 0
 

@@ -7,7 +7,7 @@ import pytest
 from viscophase.cli import _seeded_band_limited
 from viscophase.errors import QuadratureResolutionError
 from viscophase.fields import Grid, grad_arr
-from viscophase.galerkin import (CosineBasis, GalerkinState, assemble_rhs,
+from viscophase.galerkin import (CosineBasis, assemble_rhs,
                                  convergence_study, energy_galerkin,
                                  integrate_galerkin, project)
 from viscophase.material import Potential, degenerate_model, regular_model
@@ -137,35 +137,34 @@ class TestAssembleRhs:
     def test_zero_state(self):
         B = CosineBasis((1.0, 1.0), 8)
         M = regular_model()
-        G = GalerkinState(0.0, np.zeros(8), np.zeros(8))
-        dlam, dzeta, _ = assemble_rhs(G, B, M)
+        dlam, dzeta, _ = assemble_rhs(np.zeros((1, 8)), np.zeros((1, 8)),
+                                      B, M)
         assert np.abs(dlam).max() < 1e-12
         assert np.abs(dzeta).max() < 1e-12
 
     def test_constant_mode_relaxation(self):
         B = CosineBasis((1.0, 1.0), 1)
         M = regular_model()
-        G = GalerkinState(0.0, np.array([0.3]), np.array([0.7]))
-        dlam, dzeta, _ = assemble_rhs(G, B, M)
-        assert dlam[0] == pytest.approx(0.0, abs=1e-13)
-        assert dzeta[0] == pytest.approx(-0.7, rel=1e-12)   # -zeta / tau
+        dlam, dzeta, _ = assemble_rhs(np.array([[0.3]]), np.array([[0.7]]),
+                                      B, M)
+        assert dlam[0, 0] == pytest.approx(0.0, abs=1e-13)
+        assert dzeta[0, 0] == pytest.approx(-0.7, rel=1e-12)  # -zeta / tau
 
     def test_linear_biharmonic_spectrum(self):
         B = CosineBasis((1.0, 1.0), 10)
         M = linear_material()
         rng = np.random.default_rng(0)
         lam = rng.standard_normal(10)
-        G = GalerkinState(0.0, lam, np.zeros(10))
-        dlam, _, _ = assemble_rhs(G, B, M)
-        np.testing.assert_allclose(dlam, -M.c0 * B.lam**2 * lam,
+        dlam, _, _ = assemble_rhs(lam[None], np.zeros((1, 10)), B, M)
+        np.testing.assert_allclose(dlam[0], -M.c0 * B.lam**2 * lam,
                                    rtol=1e-10, atol=1e-12)
 
     def test_quadrature_resolution_error(self):
         # wildly oscillatory F' cannot be resolved by the coarse quadrature
         B = CosineBasis((1.0,), 2)
-        G = GalerkinState(0.0, np.array([0.0, 2.0]), np.zeros(2))
         with pytest.raises(QuadratureResolutionError):
-            assemble_rhs(G, B, oscillating_material())
+            assemble_rhs(np.array([[0.0, 2.0]]), np.zeros((1, 2)), B,
+                         oscillating_material())
 
     @pytest.mark.parametrize("model,mean,amplitude", [
         (regular_model, 0.0, 0.05), (variable_material, 0.0, 0.05),
@@ -183,28 +182,60 @@ class TestAssembleRhs:
         lam = amplitude * rng.standard_normal(m)
         lam[0] = mean * np.sqrt(np.prod(lengths))
         zeta = 0.05 * rng.standard_normal(m)
-        dlam, dzeta, D = assemble_rhs(GalerkinState(0.0, lam, zeta), B, M)
+        dlam, dzeta, D = assemble_rhs(lam[None], zeta[None], B, M)
         theta = M.c0 * B.lam * lam + B.inner(M.potential.df(B.values(lam)))
-        balance = theta @ dlam + zeta @ dzeta + D["D_total"]
-        assert D["D_total"] > 0.0
-        assert abs(balance) <= 1e-12 * D["D_total"]
+        balance = theta @ dlam[0] + zeta @ dzeta[0] + D[0]
+        assert D[0] > 0.0
+        assert abs(balance) <= 1e-12 * D[0]
+
+    @pytest.mark.parametrize("model,mean,amplitude", [
+        (regular_model, 0.0, 0.05), (variable_material, 0.0, 0.05),
+        (lambda: degenerate_model(1e-3), 0.5, 0.004)],
+        ids=["regular", "variable", "degenerate"])
+    @pytest.mark.parametrize("lengths,m", [
+        ((1.0,), 8), ((1.0, 0.5), 16), ((1.0, 1.0, 0.5), 20)],
+        ids=["1d", "2d", "3d"])
+    def test_batch_matches_single_states(self, model, mean, amplitude,
+                                         lengths, m):
+        # a (K, m) batch gives what K batches of one give, to rounding
+        M, B = model(), CosineBasis(lengths, m)
+        rng = np.random.default_rng(7)
+        lam = amplitude * rng.standard_normal((5, m))
+        lam[:, 0] = mean * np.sqrt(np.prod(lengths))
+        zeta = 0.05 * rng.standard_normal((5, m))
+        batched = (*assemble_rhs(lam, zeta, B, M),
+                   *energy_galerkin(lam, zeta, B, M))
+        singles = [(*assemble_rhs(lam[k:k + 1], zeta[k:k + 1], B, M),
+                    *energy_galerkin(lam[k:k + 1], zeta[k:k + 1], B, M))
+                   for k in range(5)]
+        for i, name in enumerate(("dlam", "dzeta", "D", "E", "D of E")):
+            assert batched[i].shape[0] == 5, name
+            expect = np.concatenate([single[i] for single in singles])
+            assert np.abs(batched[i] - expect).max() <= (
+                1e-13 * np.abs(expect).max()), name
+
+    def test_one_under_resolved_member_fails_the_batch(self):
+        B, M = CosineBasis((1.0,), 2), oscillating_material()
+        lam, zeta = np.array([[0.0, 0.0], [0.0, 2.0]]), np.zeros((2, 2))
+        assemble_rhs(lam[:1], zeta[:1], B, M)        # F' = 1 is resolved
+        with pytest.raises(QuadratureResolutionError):
+            assemble_rhs(lam, zeta, B, M)
 
 
 class TestIntegration:
     def test_constant_mode_decay(self):
         B = CosineBasis((1.0, 1.0), 1)
         M = regular_model()
-        init = GalerkinState(0.0, np.array([0.3]), np.array([0.7]))
-        run = integrate_galerkin(init, B, M, 1.0, rtol=1e-8)
-        z = np.array([s.zeta[0] for s in run.states])
+        run = integrate_galerkin(np.array([0.3]), np.array([0.7]), B, M,
+                                 1.0, rtol=1e-8)
+        z = run.zeta[:, 0]
         assert np.abs(z - 0.7 * np.exp(-run.times)).max() < 1e-8
 
     def test_zero_initial_data(self):
         B = CosineBasis((1.0, 1.0), 4)
         M = regular_model()
-        init = GalerkinState(0.0, np.zeros(4), np.zeros(4))
-        run = integrate_galerkin(init, B, M, 0.1)
-        assert np.abs(run.states[-1].lam).max() < 1e-12
+        run = integrate_galerkin(np.zeros(4), np.zeros(4), B, M, 0.1)
+        assert np.abs(run.lam[-1]).max() < 1e-12
         assert run.E[0] == pytest.approx(0.25)      # F(0) |Omega|
 
     def test_energy_inequality_nonlinear(self):
@@ -213,8 +244,8 @@ class TestIntegration:
         M = regular_model()
         lam0 = 0.05 * rng.standard_normal(16)
         lam0[0] = 0.0
-        init = GalerkinState(0.0, lam0, 0.05 * rng.standard_normal(16))
-        run = integrate_galerkin(init, B, M, 0.5, rtol=1e-8)
+        run = integrate_galerkin(lam0, 0.05 * rng.standard_normal(16), B, M,
+                                 0.5, rtol=1e-8)
         assert run.energy_slack <= 0.0
 
     def test_mass_invariance(self):
@@ -223,9 +254,8 @@ class TestIntegration:
         M = regular_model()
         lam0 = 0.05 * rng.standard_normal(12)
         lam0[0] = 0.4
-        init = GalerkinState(0.0, lam0, np.zeros(12))
-        run = integrate_galerkin(init, B, M, 0.2)
-        consts = np.array([s.lam[0] for s in run.states])
+        run = integrate_galerkin(lam0, np.zeros(12), B, M, 0.2)
+        consts = run.lam[:, 0]
         assert np.abs(consts - 0.4).max() < 1e-9
 
 
@@ -234,17 +264,16 @@ class TestIntegration:
         # the m = 16 study of `viscophase galerkin` at its defaults
         B = CosineBasis((1.0, 1.0), 16)
         phi0 = _seeded_band_limited(0, (1.0, 1.0))
-        init = GalerkinState(0.0, project(phi0, B), np.zeros(16))
-        return {rtol: integrate_galerkin(init, B, regular_model(), 0.5,
-                                         rtol=rtol)
+        lam0 = project(phi0, B)
+        return {rtol: integrate_galerkin(lam0, np.zeros(16), B,
+                                         regular_model(), 0.5, rtol=rtol)
                 for rtol in (1e-8, 1e-12)}
 
     def test_default_rtol_matches_tight_run(self, seed0_runs):
         run, tight = seed0_runs[1e-8], seed0_runs[1e-12]
         assert np.array_equal(run.times, tight.times)
-        for s, r in zip(run.states, tight.states):
-            assert np.abs(s.lam - r.lam).max() <= 1e-8
-            assert np.abs(s.zeta - r.zeta).max() <= 1e-8
+        assert np.abs(run.lam - tight.lam).max() <= 1e-8
+        assert np.abs(run.zeta - tight.zeta).max() <= 1e-8
 
     def test_energy_balance_closes(self, seed0_runs):
         run = seed0_runs[1e-8]
@@ -253,10 +282,10 @@ class TestIntegration:
     def test_rhs_error_escapes_integrator(self):
         # the integrator calls the right-hand side from compiled code
         B = CosineBasis((1.0,), 2)
-        init = GalerkinState(0.0, np.array([0.0, 2.0]), np.zeros(2))
         with pytest.raises(QuadratureResolutionError,
                            match=r"under-resolved .* \(Richardson gap "):
-            integrate_galerkin(init, B, oscillating_material(), 0.1)
+            integrate_galerkin(np.array([0.0, 2.0]), np.zeros(2), B,
+                               oscillating_material(), 0.1)
 
 
 class TestEnergy:
@@ -266,9 +295,8 @@ class TestEnergy:
         coeff = 0.37
         lam = np.zeros(6)
         lam[2] = coeff
-        G = GalerkinState(0.0, lam, np.zeros(6))
-        E, D = energy_galerkin(G, B, M)
-        assert E == pytest.approx(M.c0 * B.lam[2] * coeff**2 / 2, rel=1e-10)
+        E, _ = energy_galerkin(lam[None], np.zeros((1, 6)), B, M)
+        assert E[0] == pytest.approx(M.c0 * B.lam[2] * coeff**2 / 2, rel=1e-10)
 
     def test_cross_module_consistency(self):
         # energy of the reconstructed fields on a fine grid matches the
@@ -278,8 +306,7 @@ class TestEnergy:
         rng = np.random.default_rng(1)
         lam = 0.1 * rng.standard_normal(5)
         zeta = 0.1 * rng.standard_normal(5)
-        G = GalerkinState(0.0, lam, zeta)
-        E_spec, _ = energy_galerkin(G, B, M)
+        (E_spec,), _ = energy_galerkin(lam[None], zeta[None], B, M)
         grid = Grid((100000,), (1.0,), "neumann-noslip")
         axes = grid.axes()
         phi = B.evaluate(lam, axes)
