@@ -21,9 +21,9 @@ from .dynamics import (
     validate_config,
 )
 from .diagnostics import (
-    EnergyBreakdown, EnergyInequalityReport, RelativeEnergyReport,
-    GronwallFit, BoundsReport, CheckRecord, energy, check_energy_inequality,
-    relative_energy, gronwall_fit, bounds_report, write_report,
+    EnergyBreakdown, EnergyInequalityReport, GronwallFit, BoundsReport,
+    CheckRecord, energy, check_energy_inequality, relative_energy,
+    gronwall_fit, bounds_report, write_report,
 )
 from .galerkin import (
     CosineBasis, project, assemble_rhs, integrate_galerkin,

@@ -214,7 +214,7 @@ def _run_to_csv(path: Path, cfg: SimConfig,
     rows = []
     with open(path, "w") as fh:
         for k, state in steps:
-            row = _diag_row(state, M, dt)
+            row = _diag_row(state, dt)
             if not rows:
                 fh.write(",".join(row) + "\n")
             fh.write(",".join("%.17g" % v for v in row.values()) + "\n")
@@ -291,18 +291,20 @@ def cmd_weakstrong(args) -> int:
     bump /= max(np.abs(bump).max(), 1.0)
 
     # the runs advance in lock-step: each pair of current states gives one
-    # sample (t, E_rel, D_rel) of each eps; only the degenerate regime
-    # reads the reference's diagnostics rows (its bounds report)
+    # sample (t, E_rel, D_rel) of each eps; only a model with an entropy
+    # (the degenerate regime) reads the reference's diagnostics rows (its
+    # bounds report)
+    has_entropy = M.entropy is not None
     dt, _, reference = run_steps(cfg, M, phi0, q0, u0)
     perturbed = [run_steps(cfg, M, type(phi0)(grid, phi0.data + eps * bump),
                            q0, u0)[2] for eps in args.eps]
     ref_rows, samples = [], [[] for _ in args.eps]
     for (_, ref_state), *states in zip(reference, *perturbed):
-        if cfg.regime == "degenerate":
-            ref_rows.append(_diag_row(ref_state, M, dt))
+        if has_entropy:
+            ref_rows.append(_diag_row(ref_state, dt))
         for sample, (_, state) in zip(samples, states):
-            rep = relative_energy(state, ref_state, M)
-            sample.append((state.t, rep.E_total, rep.D))
+            rep = relative_energy(state, ref_state)
+            sample.append((state.t, rep.E_total, rep.D_total))
 
     records: List[CheckRecord] = []
     finals = {}
@@ -330,7 +332,7 @@ def cmd_weakstrong(args) -> int:
         records.append(_at_most(f"Erel-scaling-{e1:g}/{e2:g}",
                                 abs(ratio / (e1 / e2) ** 2 - 1.0), 0.25))
 
-    if cfg.regime == "degenerate":
+    if has_entropy:
         ref = Trajectory.from_rows(cfg, dt, ref_rows, M)
         print(f"reference: {bounds_report(ref, M)}")
     return _emit(records, out, "weakstrong_report")
@@ -386,6 +388,11 @@ def cmd_galerkin(args) -> int:
 
 
 def cmd_degenerate_sweep(args) -> int:
+    # overshoot-monotone reads the list in order and overshoot-final judges
+    # its last entry, the smallest delta
+    if sorted(set(args.deltas), reverse=True) != args.deltas:
+        raise ConfigError(f"--deltas = {','.join(f'{d:g}' for d in args.deltas)}"
+                          ": must be strictly decreasing")
     cfg = _load_config(args, regime="degenerate")
     if cfg.init_kind == "spinodal" and cfg.init_mean == 0.0:
         cfg.init_mean, cfg.init_amplitude = 0.5, 0.2

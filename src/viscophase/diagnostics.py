@@ -12,10 +12,10 @@ import numpy as np
 from .errors import GridMismatchError
 from .fields import grad_arr
 from .material import MaterialModel
-from .dynamics import State, Trajectory
+from .dynamics import PhiQArrays, State, Trajectory
 
 __all__ = [
-    "EnergyBreakdown", "EnergyInequalityReport", "RelativeEnergyReport",
+    "EnergyBreakdown", "EnergyInequalityReport",
     "GronwallFit", "BoundsReport", "CheckRecord",
     "energy", "check_energy_inequality", "relative_energy", "gronwall_fit",
     "bounds_report", "write_report",
@@ -41,36 +41,44 @@ class EnergyBreakdown:
         return self.D_cross + self.D_q + self.D_eps + self.D_visc
 
 
-def energy(state: State, M: MaterialModel) -> EnergyBreakdown:
-    """Total energy components and instantaneous dissipation integrands,
-    all by the midpoint rule on the state's grid.  The gradients and
-    coefficients are the state's array records (see State), which the
-    next time step reuses."""
-    grid = state.grid
-    vol = grid.cell_volume
-    phi = state.phi.data
-    q = state.q.data
-    u = state.u.data
-    arrays = state.arrays(M)
-
-    gphi = arrays.grad_phi
-    E_mix = float(((0.5 * M.c0) * (gphi**2).sum(axis=0)
-                   + np.asarray(M.potential.f(phi))).sum() * vol)
+def _integrals(vol: float, rec: PhiQArrays, grad_phi: np.ndarray,
+               bulk: np.ndarray, q: np.ndarray, u: np.ndarray,
+               grad_mu: np.ndarray, grad_Aq: np.ndarray, grad_q: np.ndarray,
+               grad_u: tuple) -> EnergyBreakdown:
+    """The energy and dissipation integrals by the midpoint rule on cells
+    of volume vol: E_mix of grad_phi with the potential density bulk,
+    E_bulk of q, E_kin of u, D_cross of w = n*grad_mu - grad_Aq, D_q of q,
+    D_eps of grad_q and D_visc of grad_u (grad u_i for each i).  c0, eps1
+    and the coefficients n, tau and eta are those of the record rec."""
+    M = rec.model
+    E_mix = float(((0.5 * M.c0) * (grad_phi**2).sum(axis=0) + bulk).sum()
+                  * vol)
     E_bulk = float((0.5 * q * q).sum() * vol)
     E_kin = float((0.5 * (u**2).sum(axis=0)).sum() * vol)
 
-    w = (arrays.n[None] * grad_arr(state.mu.data, grid, parity=1)
-         - arrays.grad_Aq)
+    w = rec.n[None] * grad_mu - grad_Aq
     D_cross = float((w**2).sum() * vol)
-    D_q = float((q * q / arrays.tau).sum() * vol)
-    D_eps = float(M.eps1 * (arrays.grad_q**2).sum() * vol)
+    D_q = float((q * q / rec.tau).sum() * vol)
+    D_eps = float(M.eps1 * (grad_q**2).sum() * vol)
     D_visc = 0.0
-    for gu in state.grad_u:
-        D_visc += float((arrays.eta * (gu**2).sum(axis=0)).sum() * vol)
+    for gu in grad_u:
+        D_visc += float((rec.eta * (gu**2).sum(axis=0)).sum() * vol)
 
     return EnergyBreakdown(E_mix=E_mix, E_bulk=E_bulk, E_kin=E_kin,
                            D_cross=D_cross, D_q=D_q, D_eps=D_eps,
                            D_visc=D_visc)
+
+
+def energy(state: State) -> EnergyBreakdown:
+    """Total energy components and instantaneous dissipation integrands of
+    a state under its model.  All but grad mu and F(phi) are read from the
+    state's array records (see State), which the next time step reuses."""
+    rec = state.phi_q
+    return _integrals(
+        state.grid.cell_volume, rec, rec.grad_phi,
+        np.asarray(rec.model.potential.f(state.phi.data)), state.q.data,
+        state.u.data, grad_arr(state.mu.data, state.grid, parity=1),
+        rec.grad_Aq, rec.grad_q, state.grad_u)
 
 
 @dataclass(frozen=True)
@@ -78,13 +86,8 @@ class EnergyInequalityReport:
     monotone: bool
     worst_step: int
     worst_violation: float          # max over steps of E_{n+1}-E_n-tol_n
-    step_tol_coeff: float
     balance_residual: float         # max_n |E_n + sum dt*D - E_0|
     fitted_constant: float          # balance_residual / dt
-
-    @property
-    def passed(self) -> bool:
-        return self.monotone
 
     def __str__(self):
         tag = "PASS" if self.monotone else "FAIL"
@@ -94,15 +97,19 @@ class EnergyInequalityReport:
                 f"(first-order constant {self.fitted_constant:.3e})")
 
 
-def check_energy_inequality(traj: Trajectory, M: Optional[MaterialModel] = None,
-                            step_tol_coeff: float = 1e-8) -> EnergyInequalityReport:
-    """Per-step monotonicity E_{n+1} <= E_n + tol*(1+|E_n|) and the
-    cumulative balance E(t) + sum dt*D against E(0)."""
+# the relative tolerance of the per-step energy monotonicity check
+STEP_TOL = 1e-8
+
+
+def check_energy_inequality(traj: Trajectory, M: Optional[MaterialModel] = None
+                            ) -> EnergyInequalityReport:
+    """Per-step monotonicity E_{n+1} <= E_n + STEP_TOL*(1+|E_n|) and the
+    cumulative balance E(t) + sum dt*D against E(0); M is not read."""
     E = traj.column("E_total")
     D = (traj.column("D_cross") + traj.column("D_q")
          + traj.column("D_eps") + traj.column("D_visc"))
     dt = traj.dt
-    excess = E[1:] - E[:-1] - step_tol_coeff * (1.0 + np.abs(E[:-1]))
+    excess = E[1:] - E[:-1] - STEP_TOL * (1.0 + np.abs(E[:-1]))
     worst = int(np.argmax(excess)) if len(excess) else 0
     worst_violation = float(excess[worst]) if len(excess) else 0.0
     cum = E + dt * np.concatenate([[0.0], np.cumsum(D[1:])]) - E[0]
@@ -111,67 +118,42 @@ def check_energy_inequality(traj: Trajectory, M: Optional[MaterialModel] = None,
         monotone=bool(np.all(excess <= 0.0)) if len(excess) else True,
         worst_step=worst + 1,
         worst_violation=worst_violation,
-        step_tol_coeff=step_tol_coeff,
         balance_residual=residual,
         fitted_constant=residual / dt,
     )
 
 
-@dataclass(frozen=True)
-class RelativeEnergyReport:
-    E_mix: float
-    E_bulk: float
-    E_kin: float
-    D: float
-
-    @property
-    def E_total(self) -> float:
-        return self.E_mix + self.E_bulk + self.E_kin
-
-
-def relative_energy(state: State, reference: State,
-                    M: MaterialModel) -> RelativeEnergyReport:
-    """Distance functional between a state and a smoother reference.
+def relative_energy(state: State, reference: State) -> EnergyBreakdown:
+    """Distance functional between a state and a smoother reference, both
+    built under one model: the integrals of energy() applied to the
+    differences of the two states' records.
 
     The mixing part penalizes the gradient difference, the convexity
-    defect of F, and the stabilization a*(phi-psi)^2; the relative
-    dissipation uses the cross difference
-    n(phi)*(grad mu - grad pi) - grad(A(phi)*(q - Q)), where mu and pi
-    are the chemical potentials the two states carry.
+    defect F(phi) - F(psi) - F'(psi)*(phi - psi) of F, and the
+    stabilization a*(phi-psi)^2; the relative dissipation uses the cross
+    difference n(phi)*(grad mu - grad pi) - grad(A(phi)*(q - Q)), where mu
+    and pi are the chemical potentials the two states carry.  The
+    coefficients are those of the state's record.
     """
     if state.grid != reference.grid:
         raise GridMismatchError("state and reference grids differ")
+    if state.model is not reference.model:
+        raise ValueError("state and reference were built under different "
+                         "models")
     grid = state.grid
-    vol = grid.cell_volume
+    rec, ref = state.phi_q, reference.phi_q
+    M = state.model
     phi, psi = state.phi.data, reference.phi.data
-    q, Q = state.q.data, reference.q.data
-    u, U = state.u.data, reference.u.data
-    P = M.potential
-
-    dgrad = grad_arr(phi, grid, 1) - grad_arr(psi, grid, 1)
-    convexity = (np.asarray(P.f(phi)) - np.asarray(P.f(psi))
-                 - np.asarray(P.df(psi)) * (phi - psi))
-    E_mix = float(((0.5 * M.c0) * (dgrad**2).sum(axis=0) + convexity
-                   + M.a * (phi - psi) ** 2).sum() * vol)
-    E_bulk = float((0.5 * (q - Q) ** 2).sum() * vol)
-    E_kin = float((0.5 * ((u - U) ** 2).sum(axis=0)).sum() * vol)
-
-    nv = np.asarray(M.n(phi), dtype=float)
-    Av = np.asarray(M.A(phi), dtype=float)
-    cross = (nv[None] * (grad_arr(state.mu.data, grid, 1)
-                         - grad_arr(reference.mu.data, grid, 1))
-             - grad_arr(Av * (q - Q), grid, 1))
-    etav = np.asarray(M.eta(phi), dtype=float)
-    tauv = np.asarray(M.tau(phi), dtype=float)
-    D = float((cross**2).sum() * vol)
-    D += float(((q - Q) ** 2 / tauv).sum() * vol)
-    dq = grad_arr(q - Q, grid, 1)
-    D += float(M.eps1 * (dq**2).sum() * vol)
-    for i in range(grid.d):
-        du = grad_arr(u[i] - U[i], grid, parity=-1)
-        D += float((etav * (du**2).sum(axis=0)).sum() * vol)
-
-    return RelativeEnergyReport(E_mix=E_mix, E_bulk=E_bulk, E_kin=E_kin, D=D)
+    dq = state.q.data - reference.q.data
+    convexity = (np.asarray(M.potential.f(phi))
+                 - np.asarray(M.potential.f(psi)) - ref.dF * (phi - psi))
+    return _integrals(
+        grid.cell_volume, rec, rec.grad_phi - ref.grad_phi,
+        convexity + M.a * (phi - psi) ** 2, dq,
+        state.u.data - reference.u.data,
+        grad_arr(state.mu.data, grid, 1) - grad_arr(reference.mu.data, grid, 1),
+        grad_arr(rec.A * dq, grid, 1), rec.grad_q - ref.grad_q,
+        tuple(gu - gU for gu, gU in zip(state.grad_u, reference.grad_u)))
 
 
 @dataclass(frozen=True)

@@ -120,9 +120,9 @@ class State:
     phi_q (see PhiQArrays) and grad_u (grad u_i for each component i)
     hold the arrays computed from the fields, so that the step, the next
     step and the diagnostics apply each stencil to a state once;
-    make_state, step_phi_q and step_velocity fill both.  arrays() under
-    another model than the one of phi_q computes them afresh on each
-    read.  The fields must not be changed in place."""
+    make_state, step_phi_q and step_velocity fill both.  model, the model
+    of phi_q, is the one every step and functional of the state uses.
+    The fields must not be changed in place."""
 
     t: float
     phi: ScalarField
@@ -137,11 +137,9 @@ class State:
     def grid(self) -> Grid:
         return self.phi.grid
 
-    def arrays(self, M: MaterialModel) -> PhiQArrays:
-        """The state's PhiQArrays if built with M, else fresh ones."""
-        if self.phi_q.model is M:
-            return self.phi_q
-        return _phi_q_arrays(self.phi, self.q, M)
+    @property
+    def model(self) -> MaterialModel:
+        return self.phi_q.model
 
 
 def _with_records(t: float, phi: ScalarField, q: ScalarField,
@@ -215,8 +213,7 @@ def _solver(coeff: np.ndarray, symbol: Callable, apply_op: Callable,
     return lambda rhs, x0: cg(apply_op, rhs, direct, tol=tol, x0=x0)
 
 
-def step_phi_q(state: State, M: MaterialModel, dt: float,
-               solver_tol: float = 1e-11) -> State:
+def step_phi_q(state: State, dt: float, solver_tol: float = 1e-11) -> State:
     """One semi-implicit update of (phi, q) with frozen u: the state at
     t + dt (see _next_time) with the new phi and q, their records, and the
     old u, p and grad u.  Constant mobility gives one direct spectral solve
@@ -228,10 +225,11 @@ def step_phi_q(state: State, M: MaterialModel, dt: float,
     phi = state.phi.data
     q = state.q.data
     u = state.u.data
+    M = state.model
     c0, a = M.c0, M.a
     t_new = _next_time(state.t, dt)
 
-    arrays = state.arrays(M)
+    arrays = state.phi_q
     nv = arrays.n
     mv = nv * nv
 
@@ -281,8 +279,7 @@ def step_phi_q(state: State, M: MaterialModel, dt: float,
                          state.grad_u)
 
 
-def step_velocity(state: State, M: MaterialModel, dt: float,
-                  solver_tol: float = 1e-11) -> State:
+def step_velocity(state: State, dt: float, solver_tol: float = 1e-11) -> State:
     """Semi-implicit viscous solve followed by a divergence-free projection:
     the state with the new u, p and grad u, and the same t, phi, q and
     (phi, q) record.  The capillary force is mu*grad(phi) in both regimes:
@@ -292,7 +289,7 @@ def step_velocity(state: State, M: MaterialModel, dt: float,
     odd-parity spectral solve at constant viscosity, else CG."""
     grid = state.grid
     u = state.u.data
-    arrays = state.arrays(M)
+    arrays = state.phi_q
     etav = arrays.eta
 
     f_cap = state.mu.data[None] * arrays.grad_phi
@@ -566,13 +563,13 @@ class Trajectory:
 NEAR_DEGENERATE = 1e-2
 
 
-def _diag_row(state: State, M: MaterialModel, dt: float) -> dict:
+def _diag_row(state: State, dt: float) -> dict:
     """The diagnostics of a state, in column order; cfl is the Courant
     number dt * max|u| / h_min of a step dt with its velocity.  A model
     with an entropy adds the entropy and near_degenerate, the measure of
     {phi <= NEAR_DEGENERATE} | {phi >= 1 - NEAR_DEGENERATE}."""
     from .diagnostics import energy
-    eb = energy(state, M)
+    eb = energy(state)
     phi = state.phi.data
     vol = state.grid.cell_volume
     row = {
@@ -587,8 +584,9 @@ def _diag_row(state: State, M: MaterialModel, dt: float) -> dict:
         "div_u_norm": _div_u_norm(state),
         "cfl": dt * float(np.abs(state.u.data).max()) / min(state.grid.h),
     }
-    if M.entropy is not None:
-        row["entropy"] = float(M.entropy.g(phi).sum() * vol)
+    entropy = state.model.entropy
+    if entropy is not None:
+        row["entropy"] = float(entropy.g(phi).sum() * vol)
         row["near_degenerate"] = float(
             ((phi <= NEAR_DEGENERATE) | (phi >= 1.0 - NEAR_DEGENERATE)).sum()
         ) * vol
@@ -596,7 +594,8 @@ def _diag_row(state: State, M: MaterialModel, dt: float) -> dict:
 
 
 def _div_u_norm(state: State) -> float:
-    d = div_arr(state.u.data, state.grid, parity=-1)
+    """The L2 norm of div u, the trace of the recorded grad u."""
+    d = sum(gu[i] for i, gu in enumerate(state.grad_u))
     return float(np.sqrt((d * d).sum() * state.grid.cell_volume))
 
 
@@ -604,14 +603,15 @@ def run_steps(config: SimConfig, M: MaterialModel, phi: ScalarField,
               q: ScalarField, u: VectorField):
     """(dt, n_steps, steps) of a run of config under M from (phi, q, u):
     steps yields (k, state) for k = 0 ... n_steps, the k-th state, and
-    holds only the current state; _diag_row(state, M, dt) is its
-    diagnostics row.  The initial data are checked first: they must be
-    finite and, in the degenerate regime, phi in [0, 1] with a finite
-    integral of F + G; step_plan then picks dt and n_steps."""
+    holds only the current state; _diag_row(state, dt) is its diagnostics
+    row.  The initial data are checked first: they must be finite and,
+    under a model with an entropy (the degenerate regime), phi in [0, 1]
+    with a finite integral of F + G; step_plan then picks dt and
+    n_steps."""
     for f in (phi, q, u):
         if not np.all(np.isfinite(f.data)):
             raise ConfigError("initial data must be finite")
-    if config.regime == "degenerate":
+    if M.entropy is not None:
         if phi.data.min() < 0.0 or phi.data.max() > 1.0:
             raise ConfigError("degenerate regime requires phi0 in [0,1]")
         start_res = float(np.sum(M.potential.f(phi.data)
@@ -625,10 +625,9 @@ def run_steps(config: SimConfig, M: MaterialModel, phi: ScalarField,
         state = make_state(0.0, phi, q, u, ScalarField.full(phi.grid, 0.0), M)
         yield 0, state
         for k in range(1, n_steps + 1):
-            state = step_phi_q(state, M, dt, solver_tol=config.solver_tol)
+            state = step_phi_q(state, dt, solver_tol=config.solver_tol)
             if config.velocity_coupling:
-                state = step_velocity(state, M, dt,
-                                      solver_tol=config.solver_tol)
+                state = step_velocity(state, dt, solver_tol=config.solver_tol)
             yield k, state
 
     return dt, n_steps, steps()
@@ -643,4 +642,4 @@ def simulate(config: SimConfig) -> Trajectory:
     dt, _, steps = run_steps(config, M, *initial_state(
         config, build_grid(config), M))
     return Trajectory.from_rows(
-        config, dt, [_diag_row(state, M, dt) for _, state in steps], M)
+        config, dt, [_diag_row(state, dt) for _, state in steps], M)

@@ -261,7 +261,6 @@ class MaterialModel:
     tau_min: float = 1.0
     growth_max: float = 1.0
     entropy: Optional[Entropy] = None
-    delta: Optional[float] = None
 
     def __post_init__(self):
         # the relative-energy estimate needs a > c4/2 for coercivity
@@ -351,5 +350,5 @@ def degenerate_model(delta: float, theta_c: float = 2.5, c0: float = 2.5e-3,
         c0=float(c0), eps1=float(eps1), a=a, regime="degenerate",
         tau_min=float(tv.min()),
         growth_max=_growth_max(pot, s, mv),
-        entropy=Entropy(g=g), delta=delta,
+        entropy=Entropy(g=g),
     )

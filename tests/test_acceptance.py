@@ -107,14 +107,14 @@ def test_3_relative_energy_identity_coercivity():
     worst_self = 0.0
     for _ in range(20):
         st = rand_state()
-        rep = relative_energy(st, st, M)
+        rep = relative_energy(st, st)
         worst_self = max(worst_self, abs(rep.E_total))
 
     gap = M.a - M.c4 / 2.0
     worst_coerc = np.inf
     for _ in range(100):
         a, b = rand_state(), rand_state()
-        rep = relative_energy(a, b, M)
+        rep = relative_energy(a, b)
         l2sq = float(((a.phi.data - b.phi.data) ** 2).sum() * grid.cell_volume)
         worst_coerc = min(worst_coerc, rep.E_mix - gap * l2sq)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 from pathlib import Path
@@ -10,7 +11,6 @@ import viscophase.dynamics
 import viscophase.snapshots
 from viscophase.cli import (RunManifest, config_to_text, main,
                             material_fingerprint, parse_config)
-from viscophase.diagnostics import RelativeEnergyReport
 from viscophase.dynamics import SimConfig, make_state
 from viscophase.errors import ConfigError, InvalidDeltaError
 from viscophase.fields import ScalarField
@@ -366,10 +366,10 @@ class TestWeakStrongCommand:
         # a relative energy linear in eps halves, not quarters, with eps
         real = viscophase.cli.relative_energy
 
-        def linear(state, reference, M):
-            rep = real(state, reference, M)
-            return RelativeEnergyReport(E_mix=np.sqrt(rep.E_total),
-                                        E_bulk=0.0, E_kin=0.0, D=rep.D)
+        def linear(state, reference):
+            rep = real(state, reference)
+            return dataclasses.replace(rep, E_mix=np.sqrt(rep.E_total),
+                                       E_bulk=0.0, E_kin=0.0)
 
         monkeypatch.setattr(viscophase.cli, "relative_energy", linear)
         cfg = _write(tmp_path / "cfg.txt",
@@ -541,10 +541,16 @@ class TestCommandFlags:
         (["galerkin", "--lengths", "0", "1"], "--lengths"),
         (["galerkin", "--lengths", "1", "1", "1", "1"], "--lengths"),
         (["galerkin", "--seed", "-1"], "--seed"),
+        (["degenerate-sweep", "--deltas", "1e-4,1e-2"], "--deltas"),
+        (["degenerate-sweep", "--deltas", "1e-2,1e-2"], "--deltas"),
     ], ids=["rtol-zero", "t-end-zero",
-            "t-end-negative", "lengths-zero", "lengths-four", "seed-negative"])
+            "t-end-negative", "lengths-zero", "lengths-four", "seed-negative",
+            "deltas-increasing", "deltas-repeated"])
     def test_bad_flag_exit_2_naming_flag(self, tmp_path, capsys, argv, flag):
+        # the sweep's config runs as it is: only the flag is at fault
         out = tmp_path / "o"
-        assert main(argv + ["--out", str(out)]) == 2
+        assert main(argv + ["--out", str(out)] + (
+            ["--override", "grid.shape=8,8", "--override", "time.steps=2"]
+            if argv[0] == "degenerate-sweep" else [])) == 2
         assert flag in capsys.readouterr().err
         assert not out.exists()

@@ -9,8 +9,8 @@ from viscophase.dynamics import (SimConfig, Trajectory, _diag_row,
                                  build_grid, build_material, make_state,
                                  run_steps, simulate)
 from viscophase.errors import GridMismatchError
-from viscophase.fields import ScalarField, VectorField
-from viscophase.material import regular_model
+from viscophase.fields import Grid, ScalarField, VectorField, grad_arr
+from viscophase.material import degenerate_model, regular_model
 import dataclasses
 import json
 
@@ -32,13 +32,13 @@ def setup():
 class TestEnergy:
     def test_minimum_state(self, setup):
         grid, M = setup
-        eb = energy(_state(grid, M, ScalarField.full(grid, 1.0)), M)
+        eb = energy(_state(grid, M, ScalarField.full(grid, 1.0)))
         assert eb.E_total == pytest.approx(0.0, abs=1e-14)
         assert eb.D_total == pytest.approx(0.0, abs=1e-14)
 
     def test_constant_integrand(self, setup):
         grid, M = setup
-        eb = energy(_state(grid, M, ScalarField.full(grid, 0.0)), M)
+        eb = energy(_state(grid, M, ScalarField.full(grid, 0.0)))
         assert eb.E_total == pytest.approx(0.25)
         assert eb.E_mix == pytest.approx(0.25)
 
@@ -53,7 +53,7 @@ class TestEnergy:
             df=lambda s: np.zeros_like(np.asarray(s, float)))
         M = dataclasses.replace(M, potential=zero_pot)
         phi = ScalarField.from_function(grid, lambda x, y: np.cos(2 * np.pi * x))
-        eb = energy(_state(grid, M, phi), M)
+        eb = energy(_state(grid, M, phi))
         assert eb.E_mix == pytest.approx(np.pi**2, rel=1e-3)
 
     def test_totals_additive(self, setup):
@@ -62,7 +62,7 @@ class TestEnergy:
         st = _state(grid, M, ScalarField(grid, rng.standard_normal(grid.shape)),
                     ScalarField(grid, rng.standard_normal(grid.shape)),
                     VectorField(grid, rng.standard_normal((2,) + grid.shape)))
-        eb = energy(st, M)
+        eb = energy(st)
         assert eb.E_total == pytest.approx(eb.E_mix + eb.E_bulk + eb.E_kin)
         assert min(eb.D_cross, eb.D_q, eb.D_eps, eb.D_visc) >= 0.0
 
@@ -102,16 +102,16 @@ class TestRelativeEnergy:
         grid, M = setup
         rng = np.random.default_rng(2)
         st = _state(grid, M, ScalarField(grid, 0.3 * rng.standard_normal(grid.shape)))
-        rep = relative_energy(st, st, M)
+        rep = relative_energy(st, st)
         assert rep.E_total == pytest.approx(0.0, abs=1e-14)
-        assert rep.D == pytest.approx(0.0, abs=1e-14)
+        assert rep.D_total == pytest.approx(0.0, abs=1e-14)
 
     def test_constant_shift_closed_form(self, setup):
         grid, M = setup
         eps = 0.3
         st = _state(grid, M, ScalarField.full(grid, eps))
         ref = _state(grid, M, ScalarField.full(grid, 0.0))
-        rep = relative_energy(st, ref, M)
+        rep = relative_energy(st, ref)
         P = M.potential
         expect = float(P.f(eps) - P.f(0.0) - P.df(0.0) * eps + M.a * eps**2)
         assert rep.E_mix == pytest.approx(expect, rel=1e-12)
@@ -124,7 +124,7 @@ class TestRelativeEnergy:
                                         np.zeros(grid.shape)]))
         st = _state(grid, M, phi, u=u)
         ref = _state(grid, M, phi)
-        rep = relative_energy(st, ref, M)
+        rep = relative_energy(st, ref)
         assert rep.E_total == pytest.approx(0.5 * beta**2)
         assert rep.E_mix == pytest.approx(0.0, abs=1e-14)
 
@@ -135,8 +135,8 @@ class TestRelativeEnergy:
                    ScalarField(grid, rng.standard_normal(grid.shape)))
         b = _state(grid, M, ScalarField(grid, 0.4 * rng.standard_normal(grid.shape)),
                    ScalarField(grid, rng.standard_normal(grid.shape)))
-        fwd = relative_energy(a, b, M)
-        bwd = relative_energy(b, a, M)
+        fwd = relative_energy(a, b)
+        bwd = relative_energy(b, a)
         assert fwd.E_bulk == pytest.approx(bwd.E_bulk, rel=1e-12)
         assert fwd.E_kin == pytest.approx(bwd.E_kin, rel=1e-12)
         assert abs(fwd.E_mix - bwd.E_mix) > 1e-6
@@ -148,7 +148,7 @@ class TestRelativeEnergy:
         for _ in range(20):
             pa = ScalarField(grid, 0.8 * rng.standard_normal(grid.shape))
             pb = ScalarField(grid, 0.8 * rng.standard_normal(grid.shape))
-            rep = relative_energy(_state(grid, M, pa), _state(grid, M, pb), M)
+            rep = relative_energy(_state(grid, M, pa), _state(grid, M, pb))
             l2sq = float(((pa.data - pb.data) ** 2).sum() * grid.cell_volume)
             assert rep.E_mix >= gap * l2sq - 1e-10
 
@@ -157,7 +157,78 @@ class TestRelativeEnergy:
         other = build_grid(SimConfig(shape=(16, 16)))
         with pytest.raises(GridMismatchError):
             relative_energy(_state(grid, M, ScalarField.full(grid, 0.0)),
-                            _state(other, M, ScalarField.full(other, 0.0)), M)
+                            _state(other, M, ScalarField.full(other, 0.0)))
+
+    def test_model_mismatch(self, setup):
+        grid, M = setup
+        zero = ScalarField.full(grid, 0.0)
+        with pytest.raises(ValueError, match="different models"):
+            relative_energy(_state(grid, M, zero),
+                            _state(grid, regular_model(), zero))
+
+    @pytest.mark.parametrize("bc", ["periodic", "neumann-noslip"])
+    @pytest.mark.parametrize("regime", ["regular", "degenerate"])
+    @pytest.mark.parametrize("shape", [(24,), (12, 10), (6, 5, 4)],
+                             ids=["1d", "2d", "3d"])
+    def test_matches_field_by_field_formula(self, shape, regime, bc):
+        grid = Grid(shape, tuple(1.0 - 0.1 * a for a in range(len(shape))), bc)
+        if regime == "degenerate":
+            M, mean, amp = degenerate_model(delta=1e-3), 0.5, 0.2
+        else:
+            M, mean, amp = regular_model(), 0.0, 0.6
+        rng = np.random.default_rng(5)
+
+        def random_state(base=None):
+            noise = rng.uniform(-1.0, 1.0, (2 + grid.d,) + shape)
+            phi = (mean + amp * noise[0] if base is None
+                   else base.phi.data + 0.05 * noise[0])
+            return _state(grid, M, ScalarField(grid, phi),
+                          ScalarField(grid, noise[1]),
+                          VectorField(grid, noise[2:]))
+
+        reference = random_state()
+        state = random_state(reference)
+        got = relative_energy(state, reference)
+        expect = _field_by_field(state, reference, M)
+        for key, value in expect.items():
+            assert getattr(got, key) == pytest.approx(value, rel=1e-12), key
+
+
+def _field_by_field(state, reference, M):
+    """The relative energy of state to reference under M, each term
+    computed afresh from the fields: E_mix, E_bulk, E_kin, E_total and
+    D_total."""
+    grid = state.grid
+    vol = grid.cell_volume
+    phi, psi = state.phi.data, reference.phi.data
+    q, Q = state.q.data, reference.q.data
+    u, U = state.u.data, reference.u.data
+    P = M.potential
+
+    dgrad = grad_arr(phi, grid, 1) - grad_arr(psi, grid, 1)
+    convexity = (np.asarray(P.f(phi)) - np.asarray(P.f(psi))
+                 - np.asarray(P.df(psi)) * (phi - psi))
+    E_mix = float(((0.5 * M.c0) * (dgrad**2).sum(axis=0) + convexity
+                   + M.a * (phi - psi) ** 2).sum() * vol)
+    E_bulk = float((0.5 * (q - Q) ** 2).sum() * vol)
+    E_kin = float((0.5 * ((u - U) ** 2).sum(axis=0)).sum() * vol)
+
+    nv = np.asarray(M.n(phi), dtype=float)
+    Av = np.asarray(M.A(phi), dtype=float)
+    cross = (nv[None] * (grad_arr(state.mu.data, grid, 1)
+                         - grad_arr(reference.mu.data, grid, 1))
+             - grad_arr(Av * (q - Q), grid, 1))
+    etav = np.asarray(M.eta(phi), dtype=float)
+    tauv = np.asarray(M.tau(phi), dtype=float)
+    D = float((cross**2).sum() * vol)
+    D += float(((q - Q) ** 2 / tauv).sum() * vol)
+    dq = grad_arr(q - Q, grid, 1)
+    D += float(M.eps1 * (dq**2).sum() * vol)
+    for i in range(grid.d):
+        du = grad_arr(u[i] - U[i], grid, parity=-1)
+        D += float((etav * (du**2).sum(axis=0)).sum() * vol)
+    return {"E_mix": E_mix, "E_bulk": E_bulk, "E_kin": E_kin,
+            "E_total": E_mix + E_bulk + E_kin, "D_total": D}
 
 
 class TestGronwall:
@@ -191,7 +262,7 @@ def _first_row_trajectory(phi_data):
     dt, _, steps = run_steps(cfg, M, ScalarField(grid, phi_data),
                              ScalarField.full(grid, 0.0), VectorField.zeros(grid))
     _, state = next(steps)
-    return Trajectory.from_rows(cfg, dt, [_diag_row(state, M, dt)], M), M
+    return Trajectory.from_rows(cfg, dt, [_diag_row(state, dt)], M), M
 
 
 class TestBounds:

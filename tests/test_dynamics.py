@@ -38,7 +38,7 @@ def trajectory_of(cfg, *fields):
     dt, _, steps = run_of(cfg, *fields)
     M = build_material(cfg)
     return Trajectory.from_rows(cfg, dt,
-                                [_diag_row(s, M, dt) for _, s in steps])
+                                [_diag_row(s, dt) for _, s in steps])
 
 
 def at_rest(phi, M):
@@ -84,8 +84,8 @@ class TestUniformState:
                            ScalarField.full(grid, q0),
                            VectorField.zeros(grid),
                            ScalarField.full(grid, 0.0), M)
-        mid = step_phi_q(state, M, dt)
-        new = step_velocity(mid, M, dt)
+        mid = step_phi_q(state, dt)
+        new = step_velocity(mid, dt)
         assert mid.t == new.t == dt
         assert np.abs(new.phi.data - 0.2).max() < 1e-14
         assert np.abs(new.q.data - q0 / (1.0 + dt / cfg.tau)).max() < 1e-14
@@ -109,8 +109,8 @@ class TestSharedDerived:
         dt, _, steps = run_of(cfg)
         rows, fresh = [], []
         for _, s in steps:
-            rows.append(_diag_row(s, M, dt))
-            fresh.append(energy(make_state(s.t, s.phi, s.q, s.u, s.p, M), M))
+            rows.append(_diag_row(s, dt))
+            fresh.append(energy(make_state(s.t, s.phi, s.q, s.u, s.p, M)))
         assert len(rows) == 9
         assert max(abs(row["E_kin"]) for row in rows) > 0
         for col in self.COLUMNS:
@@ -118,23 +118,27 @@ class TestSharedDerived:
                 [getattr(eb, col) for eb in fresh], col
 
     def test_energy_follows_the_model(self):
+        # the energy of a state is that of the model that built its record
         cfg = small_cfg(init_amplitude=0.3)
         grid = build_grid(cfg)
         M = build_material(cfg)
         other = regular_model(tau=0.5, A=2.0, eta=3.0)
-        phi, q, _ = initial_state(cfg, grid, M)
+        phi, _, _ = initial_state(cfg, grid, M)
         q = ScalarField(grid, phi.data.copy())
-        state = make_state(0.0, phi, q, VectorField.zeros(grid),
-                           ScalarField.full(grid, 0.0), M)
-        assert state.phi_q.model is M     # the arrays were built with M
-        again = make_state(0.0, phi, q, VectorField.zeros(grid),
-                           ScalarField.full(grid, 0.0), M)
-        assert energy(state, other) == energy(again, other)
-        assert energy(state, other) != energy(state, M)
+
+        def state_under(model):
+            return make_state(0.0, phi, q, VectorField.zeros(grid),
+                              ScalarField.full(grid, 0.0), model)
+
+        state = state_under(other)
+        assert state.model is other
+        assert energy(state) == energy(state_under(other))
+        assert energy(state) != energy(state_under(M))
 
     def test_stencil_calls_per_step(self, monkeypatch):
-        # 18 distinct stencils per regular periodic step (the step before
-        # shared gradients applied 27)
+        # 17 distinct stencils per regular periodic step (the step before
+        # shared gradients applied 27, and 18 while div u was a stencil
+        # of its own rather than the trace of the recorded grad u)
         calls = []
         for name in ("grad_arr", "div_arr"):
             real = getattr(viscophase.fields, name)
@@ -152,7 +156,7 @@ class TestSharedDerived:
             calls.clear()
             simulate(small_cfg(steps=steps))
             per_run.append(len(calls))
-        assert (per_run[1] - per_run[0]) / 10 <= 18
+        assert (per_run[1] - per_run[0]) / 10 <= 17
 
 
 class TestVariableCoefficientSolves:
@@ -189,7 +193,7 @@ class TestVariableCoefficientSolves:
         state = make_state(0.0, ScalarField(grid, phi),
                            ScalarField.full(grid, 0.0), VectorField.zeros(grid),
                            ScalarField.full(grid, 0.0), M)
-        phi_new = step_phi_q(state, M, dt, solver_tol=1e-12).phi
+        phi_new = step_phi_q(state, dt, solver_tol=1e-12).phi
         assert np.abs(phi_new.data - ref).max() <= 1e-9 * np.abs(ref).max()
 
     @pytest.mark.parametrize("bc", ["periodic", "neumann-noslip"])
@@ -211,11 +215,11 @@ class TestVariableCoefficientSolves:
         state = make_state(0.0, phi, q, VectorField.zeros(grid),
                            ScalarField.full(grid, 0.0), M)
         dt, steps = 1e-3, 30
-        E = [energy(state, M).E_total]
+        E = [energy(state).E_total]
         mass = [integrate(state.phi)]
         for _ in range(steps):
-            state = step_velocity(step_phi_q(state, M, dt), M, dt)
-            E.append(energy(state, M).E_total)
+            state = step_velocity(step_phi_q(state, dt), dt)
+            E.append(energy(state).E_total)
             mass.append(integrate(state.phi))
         # one q solve and one viscous solve per velocity component per step
         assert len(solves) == steps * (1 + grid.d)
@@ -280,7 +284,7 @@ class TestSimulate:
         dt, _, steps = run_of(cfg)
         M = build_material(cfg)
         h_min = 1.0 / 16
-        cfl, expect = zip(*((_diag_row(s, M, dt)["cfl"],
+        cfl, expect = zip(*((_diag_row(s, dt)["cfl"],
                              dt * np.abs(s.u.data).max() / h_min)
                             for _, s in steps))
         assert cfl == expect
@@ -306,10 +310,10 @@ class TestSimulate:
         state = make_state(0.25, phi, q, u, ScalarField.full(grid, 0.0), M)
         dt = 0.5
         with pytest.raises(BlowUpError, match="phi") as exc:
-            step_phi_q(state, M, dt)
+            step_phi_q(state, dt)
         assert exc.value.time == state.t + dt
         with pytest.raises(BlowUpError, match="velocity") as exc:
-            step_velocity(state, M, dt)
+            step_velocity(state, dt)
         assert exc.value.time == state.t
 
 
@@ -333,7 +337,7 @@ class TestCapillaryForce:
         rng = np.random.default_rng(1)
         v, _ = viscophase.fields.project_divergence_free(
             VectorField(grid, rng.standard_normal((grid.d,) + grid.shape)))
-        u_new = step_velocity(state, M, 1.0).u
+        u_new = step_velocity(state, 1.0).u
         work = integrate(ScalarField(grid, (v.data * u_new.data).sum(axis=0)))
         power = integrate(ScalarField(grid, state.mu.data * (
             v.data * grad_arr(phi.data, grid, parity=1)).sum(axis=0)))
@@ -372,6 +376,21 @@ class TestValidation:
                         init_mean=1.5)
         with pytest.raises(ConfigError):
             simulate(cfg)
+
+    def test_model_decides_the_degenerate_checks(self):
+        # run_steps checks the initial data against the model it runs, not
+        # the regime of the config: a degenerate model rejects phi0 < 0
+        # under a regular config, and a regular model runs a degenerate one
+        cfg = small_cfg(steps=2)
+        grid = build_grid(cfg)
+        phi0, q0, u0 = initial_state(cfg, grid, build_material(cfg))
+        assert phi0.data.min() < 0.0
+        with pytest.raises(ConfigError, match=r"phi0 in \[0,1\]"):
+            run_steps(cfg, degenerate_model(delta=1e-3), phi0, q0, u0)
+        dt, _, steps = run_steps(dataclasses.replace(cfg, regime="degenerate"),
+                                 regular_model(), phi0, q0, u0)
+        rows = [_diag_row(s, dt) for _, s in steps]
+        assert len(rows) == 3 and "entropy" not in rows[-1]
 
     def test_nonfinite_rejected(self):
         cfg = small_cfg()
