@@ -20,9 +20,9 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from . import __version__
-from .errors import (BlowUpError, ConfigError, InvalidDeltaError,
-                     QuadratureResolutionError, SolverError)
-from .dynamics import (COURANT_MAX, SimConfig, Trajectory, _diag_row,
+from .errors import (BlowUpError, ConfigError, QuadratureResolutionError,
+                     SolverError)
+from .dynamics import (COURANT_MAX, KEYMAP, SimConfig, Trajectory, _diag_row,
                        build_grid, build_material, initial_state, run_steps,
                        validate_config)
 from .diagnostics import (CheckRecord, bounds_report, check_energy_inequality,
@@ -40,53 +40,6 @@ EXIT_CHECK = 4
 # ---------------------------------------------------------------------------
 # config parsing
 
-def _tuple_int(s): return tuple(int(x) for x in s.replace(",", " ").split())
-def _tuple_float(s): return tuple(float(x) for x in s.replace(",", " ").split())
-def _opt_float(s): return None if s.lower() in ("auto", "none") else float(s)
-def _opt_int(s): return None if s.lower() in ("auto", "none") else int(s)
-
-
-def _bool(s):
-    low = s.lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {s!r}")
-
-
-# dotted key -> (SimConfig attribute, parser)
-KEYMAP = {
-    "grid.shape": ("shape", _tuple_int),
-    "grid.lengths": ("lengths", _tuple_float),
-    "grid.bc": ("bc", str),
-    "model.regime": ("regime", str),
-    "model.potential": ("potential_kind", str),
-    "model.theta_c": ("theta_c", float),
-    "model.mobility": ("mobility_kind", str),
-    "model.c0": ("c0", float),
-    "model.eps1": ("eps1", float),
-    "model.eta": ("eta", float),
-    "model.tau": ("tau", float),
-    "model.A": ("A_const", float),
-    "model.alpha": ("alpha", float),
-    "regularization.delta": ("delta", float),
-    "stabilization.a": ("a", _opt_float),
-    "time.dt": ("dt", _opt_float),
-    "time.dt_safety": ("dt_safety", float),
-    "time.t_end": ("t_end", _opt_float),
-    "time.steps": ("steps", _opt_int),
-    "time.output_every": ("output_every", int),
-    "init.kind": ("init_kind", str),
-    "init.mean": ("init_mean", float),
-    "init.amplitude": ("init_amplitude", float),
-    "init.width": ("init_width", float),
-    "init.path": ("init_path", str),
-    "run.seed": ("seed", int),
-    "run.velocity_coupling": ("velocity_coupling", _bool),
-    "solver.solver_tol": ("solver_tol", float),
-}
-
 _FORMATTERS = {
     "shape": lambda v: ",".join(str(x) for x in v),
     "lengths": lambda v: ",".join(repr(float(x)) for x in v),
@@ -95,7 +48,7 @@ _FORMATTERS = {
 
 def parse_config(text: str) -> SimConfig:
     """Flat dotted-key config text -> fully defaulted, validated SimConfig."""
-    return validate_config(_parse_unvalidated(text))
+    return validate_config(_apply_lines(SimConfig(), text))
 
 
 def _set_key(cfg: SimConfig, item: str, where: str) -> None:
@@ -106,15 +59,15 @@ def _set_key(cfg: SimConfig, item: str, where: str) -> None:
     key, value = key.strip(), value.strip()
     if key not in KEYMAP:
         raise ConfigError(f"{where}: unknown key {key!r}")
-    attr, parser = KEYMAP[key]
+    attr, parser, _ = KEYMAP[key]
     try:
         setattr(cfg, attr, parser(value))
     except ValueError as err:
         raise ConfigError(f"{where}: bad value for {key}: {err}")
 
 
-def _parse_unvalidated(text: str) -> SimConfig:
-    cfg = SimConfig()
+def _apply_lines(cfg: SimConfig, text: str) -> SimConfig:
+    """cfg with each ``key = value`` line of text applied on it."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
@@ -125,7 +78,7 @@ def _parse_unvalidated(text: str) -> SimConfig:
 def config_to_text(cfg: SimConfig) -> Dict[str, str]:
     """Canonical dotted-key string form of a config (for the manifest)."""
     out = {}
-    for key, (attr, _) in KEYMAP.items():
+    for key, (attr, _, _) in KEYMAP.items():
         v = getattr(cfg, attr)
         if attr in _FORMATTERS:
             out[key] = _FORMATTERS[attr](v)
@@ -180,19 +133,16 @@ class RunManifest:
 # ---------------------------------------------------------------------------
 # shared plumbing
 
-def _load_config(args, regime: Optional[str] = None) -> SimConfig:
-    """Config file, then overrides, seed and the regime a command fixes,
-    validated once at the end."""
-    if getattr(args, "config", None):
-        cfg = _parse_unvalidated(Path(args.config).read_text())
-    else:
-        cfg = SimConfig()
-    for item in getattr(args, "override", None) or []:
+def _load_config(args, base: SimConfig) -> SimConfig:
+    """The command's base config, then the config file, the overrides and
+    the seed applied on it, validated once at the end."""
+    cfg = dataclasses.replace(base)
+    if args.config:
+        _apply_lines(cfg, Path(args.config).read_text())
+    for item in args.override or []:
         _set_key(cfg, item, "--override")
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg.seed = args.seed
-    if regime is not None:
-        cfg.regime = regime
     return validate_config(cfg)
 
 
@@ -274,14 +224,14 @@ def _emit(records: List[CheckRecord], out: Optional[Path] = None,
 # subcommands
 
 def cmd_run(args) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(args, SimConfig())
     out = _outdir(args)
     traj = _write_run_artifacts(out, cfg)
     return _emit(_trajectory_records(traj), out, "energy_report")
 
 
 def cmd_weakstrong(args) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(args, SimConfig())
     out = _outdir(args)
     M = build_material(cfg)
     grid = build_grid(cfg)
@@ -387,15 +337,20 @@ def cmd_galerkin(args) -> int:
     return _emit(records, out, "galerkin_report")
 
 
+# the config that degenerate-sweep's file and overrides apply on
+SWEEP_BASE = SimConfig(regime="degenerate", init_mean=0.5, init_amplitude=0.2)
+
+
 def cmd_degenerate_sweep(args) -> int:
     # overshoot-monotone reads the list in order and overshoot-final judges
     # its last entry, the smallest delta
     if sorted(set(args.deltas), reverse=True) != args.deltas:
         raise ConfigError(f"--deltas = {','.join(f'{d:g}' for d in args.deltas)}"
                           ": must be strictly decreasing")
-    cfg = _load_config(args, regime="degenerate")
-    if cfg.init_kind == "spinodal" and cfg.init_mean == 0.0:
-        cfg.init_mean, cfg.init_amplitude = 0.5, 0.2
+    cfg = _load_config(args, SWEEP_BASE)
+    if cfg.regime != SWEEP_BASE.regime:
+        raise ConfigError(f"model.regime = {cfg.regime!r}: degenerate-sweep "
+                          f"runs only the {SWEEP_BASE.regime} regime")
     out = _outdir(args)
     rows = []
     records = []
@@ -425,14 +380,17 @@ def cmd_report(args) -> int:
     if not path.exists():
         raise ConfigError(f"no diagnostics.csv in {args.dir}")
     data = np.genfromtxt(path, delimiter=",", names=True)
-    t = np.atleast_1d(data["t"])
-    if len(t) < 2:
-        print("[PASS] single-row diagnostics: nothing to check")
-        return EXIT_OK
     series = {name: np.atleast_1d(data[name]) for name in data.dtype.names}
-    traj = Trajectory(config=SimConfig(), dt=float(t[1] - t[0]),
-                      series=series)
-    code = _emit(_trajectory_records(traj))
+    try:
+        t = series["t"]
+        if len(t) < 2:
+            print("[PASS] single-row diagnostics: nothing to check")
+            return EXIT_OK
+        records = _trajectory_records(Trajectory(
+            config=SimConfig(), dt=float(t[1] - t[0]), series=series))
+    except KeyError as err:
+        raise ConfigError(f"{path}: no {err.args[0]} column") from None
+    code = _emit(records)
     if "cfl" not in series:
         print("[SKIP] max-cfl: not recorded")
     return code
@@ -440,10 +398,10 @@ def cmd_report(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def _add_common(p, seed_default: Optional[int] = None):
+def _add_common(p):
     p.add_argument("--config", help="path to a dotted-key config file")
     p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--seed", type=int, default=seed_default)
+    p.add_argument("--seed", type=int)
     p.add_argument("--override", action="append", metavar="KEY=VALUE",
                    help="config override, repeatable")
 
@@ -498,7 +456,7 @@ def main(argv=None) -> int:
         args.m = [8, 16]
     try:
         return args.func(args)
-    except (ConfigError, InvalidDeltaError, FileNotFoundError) as err:
+    except (ConfigError, FileNotFoundError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except (BlowUpError, SolverError, QuadratureResolutionError) as err:

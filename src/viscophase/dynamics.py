@@ -39,7 +39,7 @@ __all__ = [
     "step_phi_q", "step_velocity",
     "run_steps", "simulate", "build_grid", "build_material", "initial_state",
     "dt_max", "step_plan", "check_model_kinds", "validate_config",
-    "COURANT_MAX",
+    "KEYMAP", "COURANT_MAX",
 ]
 
 INIT_KINDS = ("uniform", "spinodal", "tanh-interface", "from-snapshot")
@@ -337,7 +337,6 @@ class SimConfig:
     init_width: float = 0.05
     init_path: str = ""
     # material
-    potential_kind: str = "auto"
     theta_c: float = 2.5
     mobility_kind: str = "auto"
     delta: float = 1e-3
@@ -346,63 +345,97 @@ class SimConfig:
     a: Optional[float] = None
     eta: float = 1.0
     tau: float = 1.0
-    A_const: float = 1.0
-    alpha: float = 1.0
+    alpha: float = 1.0                   # A = alpha * n (n = 1: regular)
+
+
+def _tuple_int(s): return tuple(int(x) for x in s.replace(",", " ").split())
+def _tuple_float(s): return tuple(float(x) for x in s.replace(",", " ").split())
+def _opt_float(s): return None if s.lower() in ("auto", "none") else float(s)
+def _opt_int(s): return None if s.lower() in ("auto", "none") else int(s)
+
+
+def _bool(s):
+    low = s.lower()
+    if low in ("1", "true", "yes", "on"):
+        return True
+    if low in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {s!r}")
+
+
+# a key's rule: a test of its value and the reason a value fails it
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_POSITIVE_OR_AUTO = (lambda v: v is None or v > 0, "must be positive or auto")
+_NON_NEGATIVE = (lambda v: v >= 0, "must be non-negative")
+_INIT_KIND = (lambda v: v in INIT_KINDS, f"must be one of {INIT_KINDS}")
+
+# dotted key -> (SimConfig attribute, parser, rule).  A key without a rule
+# is checked where it is used: the grid keys by Grid, model.regime and
+# model.mobility by check_model_kinds, regularization.delta by
+# material._check_delta and stabilization.a by the model (a > c4/2).  The
+# growth-rate bound of the step divides by c0, and the implicit viscous,
+# relaxation and stress-diffusion solves need eta, tau and eps1 > 0.
+KEYMAP = {
+    "grid.shape": ("shape", _tuple_int, None),
+    "grid.lengths": ("lengths", _tuple_float, None),
+    "grid.bc": ("bc", str, None),
+    "model.regime": ("regime", str, None),
+    "model.theta_c": ("theta_c", float, None),
+    "model.mobility": ("mobility_kind", str, None),
+    "model.c0": ("c0", float, _POSITIVE),
+    "model.eps1": ("eps1", float, _POSITIVE),
+    "model.eta": ("eta", float, _POSITIVE),
+    "model.tau": ("tau", float, _POSITIVE),
+    "model.alpha": ("alpha", float, None),
+    "regularization.delta": ("delta", float, None),
+    "stabilization.a": ("a", _opt_float, None),
+    "time.dt": ("dt", _opt_float, _POSITIVE_OR_AUTO),
+    "time.dt_safety": ("dt_safety", float, _POSITIVE),
+    "time.t_end": ("t_end", _opt_float, _POSITIVE_OR_AUTO),
+    "time.steps": ("steps", _opt_int, _POSITIVE_OR_AUTO),
+    "time.output_every": ("output_every", int, _POSITIVE),
+    "init.kind": ("init_kind", str, _INIT_KIND),
+    "init.mean": ("init_mean", float, None),
+    "init.amplitude": ("init_amplitude", float, None),
+    "init.width": ("init_width", float, None),
+    "init.path": ("init_path", str, None),
+    "run.seed": ("seed", int, _NON_NEGATIVE),
+    "run.velocity_coupling": ("velocity_coupling", _bool, None),
+    "solver.solver_tol": ("solver_tol", float, _POSITIVE),
+}
 
 
 def build_grid(cfg: SimConfig) -> Grid:
     return Grid(shape=tuple(cfg.shape), lengths=tuple(cfg.lengths), bc=cfg.bc)
 
 
-# regime -> accepted (model.potential, model.mobility) values
-MODEL_KINDS = {"regular": (("auto", "double-well"), ("auto",)),
-               "degenerate": (("auto", "flory-huggins"),
-                              ("auto",) + MOBILITY_KINDS)}
+# regime -> accepted model.mobility values
+MODEL_KINDS = {"regular": ("auto",),
+               "degenerate": ("auto",) + MOBILITY_KINDS}
 
 
 def check_model_kinds(cfg: SimConfig) -> None:
-    """ConfigError naming the key unless the regime, potential and
-    mobility are ones MODEL_KINDS lists; builds nothing."""
+    """ConfigError naming the key unless the regime and mobility are ones
+    MODEL_KINDS lists; builds nothing."""
     if cfg.regime not in MODEL_KINDS:
-        raise ConfigError(f"unknown regime {cfg.regime!r}")
-    for key, value, allowed in zip(("model.potential", "model.mobility"),
-                                   (cfg.potential_kind, cfg.mobility_kind),
-                                   MODEL_KINDS[cfg.regime]):
-        if value not in allowed:
-            raise ConfigError(f"{key} = {value!r}: the {cfg.regime} regime "
-                              f"takes one of {allowed}")
+        raise ConfigError(f"model.regime = {cfg.regime!r}: must be one of "
+                          f"{tuple(MODEL_KINDS)}")
+    allowed = MODEL_KINDS[cfg.regime]
+    if cfg.mobility_kind not in allowed:
+        raise ConfigError(f"model.mobility = {cfg.mobility_kind!r}: the "
+                          f"{cfg.regime} regime takes one of {allowed}")
 
 
 def _check_values(cfg: SimConfig) -> None:
     """ConfigError naming the key of the first bad value; builds the grid,
     which checks the grid keys, and no model."""
     build_grid(cfg)
-    # the growth-rate bound of the step divides by c0, and the implicit
-    # viscous, relaxation and stress-diffusion solves need eta, tau and
-    # eps1 > 0
-    for key, value in (("model.c0", cfg.c0), ("model.eta", cfg.eta),
-                       ("model.tau", cfg.tau), ("model.eps1", cfg.eps1)):
-        if not value > 0:
-            raise ConfigError(f"{key} = {value}: must be positive")
+    for key, (attr, _, rule) in KEYMAP.items():
+        value = getattr(cfg, attr)
+        if rule is not None and not rule[0](value):
+            raise ConfigError(f"{key} = {value!r}: {rule[1]}")
     check_model_kinds(cfg)
     _check_delta(cfg.delta)
-    if cfg.dt is not None and cfg.dt <= 0:
-        raise ConfigError("time.dt must be positive")
-    if cfg.steps is not None and cfg.steps <= 0:
-        raise ConfigError(f"time.steps = {cfg.steps}: must be positive")
-    if cfg.dt_safety <= 0:
-        raise ConfigError("time.dt_safety must be positive")
-    if cfg.t_end is not None and not cfg.t_end > 0:
-        raise ConfigError(f"time.t_end = {cfg.t_end}: must be positive")
-    if cfg.output_every <= 0:
-        raise ConfigError("time.output_every must be positive")
-    if cfg.init_kind not in INIT_KINDS:
-        raise ConfigError(f"init.kind = {cfg.init_kind!r}: must be one of "
-                          f"{INIT_KINDS}")
-    if not cfg.solver_tol > 0:
-        raise ConfigError("solver.solver_tol must be positive")
-    if cfg.seed < 0:
-        raise ConfigError(f"run.seed = {cfg.seed}: must be non-negative")
 
 
 def validate_config(cfg: SimConfig) -> SimConfig:
@@ -419,7 +452,7 @@ def build_material(cfg: SimConfig) -> MaterialModel:
     check_model_kinds(cfg)
     if cfg.regime == "regular":
         return regular_model(c0=cfg.c0, eps1=cfg.eps1, a=cfg.a,
-                             eta=cfg.eta, tau=cfg.tau, A=cfg.A_const, dA=0.0)
+                             eta=cfg.eta, tau=cfg.tau, A=cfg.alpha, dA=0.0)
     mobility = "s(1-s)" if cfg.mobility_kind == "auto" else cfg.mobility_kind
     return degenerate_model(delta=cfg.delta, theta_c=cfg.theta_c,
                             c0=cfg.c0, eps1=cfg.eps1, a=cfg.a,

@@ -5,10 +5,6 @@ class PotentialDomainError(ValueError):
     """Logarithmic potential evaluated outside (0, 1)."""
 
 
-class InvalidDeltaError(ValueError):
-    """Regularization parameter outside (0, 1/2)."""
-
-
 class SolverError(RuntimeError):
     """An iterative linear solve failed to reach its tolerance."""
 
@@ -31,6 +27,10 @@ class QuadratureResolutionError(RuntimeError):
 
 class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
+
+
+class InvalidDeltaError(ConfigError):
+    """Regularization parameter outside (0, 1/2)."""
 
 
 class SnapshotError(ConfigError):

@@ -234,9 +234,8 @@ _QUADRATIC = _Mobility(
     g=lambda s: -np.log(s) - np.log1p(-s) + 2.0 * _FH.f1(s),
     dg=lambda s: -1.0 / s + 1.0 / (1.0 - s) + 2.0 * _FH.df1(s),
     d2g=lambda s: 1.0 / s ** 2 + 1.0 / (1.0 - s) ** 2 + 2.0 * _FH.d2f1(s))
-# mobility kind -> its record; two aliases each
-_MOBILITIES = {"s(1-s)": _LOGISTIC, "linear": _LOGISTIC,
-               "s2(1-s)2": _QUADRATIC, "quadratic": _QUADRATIC}
+# mobility kind -> its record
+_MOBILITIES = {"s(1-s)": _LOGISTIC, "s2(1-s)2": _QUADRATIC}
 MOBILITY_KINDS = tuple(_MOBILITIES)
 
 

@@ -89,10 +89,10 @@ class TestManifest:
     OTHER_VALUES = {
         "grid.shape": "32,32", "grid.lengths": "2,1",
         "grid.bc": "neumann-noslip", "model.regime": "degenerate",
-        "model.potential": "flory-huggins", "model.theta_c": "3",
-        "model.mobility": "quadratic", "model.c0": "0.004",
+        "model.theta_c": "3",
+        "model.mobility": "s2(1-s)2", "model.c0": "0.004",
         "model.eps1": "0.02", "model.eta": "2", "model.tau": "2",
-        "model.A": "2", "model.alpha": "2", "regularization.delta": "0.01",
+        "model.alpha": "2", "regularization.delta": "0.01",
         "stabilization.a": "2", "time.dt": "0.001", "time.dt_safety": "0.5",
         "time.t_end": "1", "time.steps": "5", "time.output_every": "5",
         "init.kind": "uniform", "init.mean": "0.5", "init.amplitude": "0.1",
@@ -236,11 +236,22 @@ class TestRunCommand:
         (["init.kind=foo"], "init.kind"),
         (["time.steps=auto", "time.t_end=0"], "time.t_end"),
         (["run.seed=-1"], "run.seed"),
+        (["model.regime=degenerate", "init.mean=0.5",
+          "model.potential=flory-huggins"], "model.potential"),
+        (["model.A=2"], "model.A"),
+        (["model.regime=degenerate", "init.mean=0.5",
+          "model.mobility=linear"], "model.mobility"),
+        (["model.regime=degenerate", "init.mean=0.5",
+          "model.mobility=quadratic"], "model.mobility"),
+        (["model.regime=bulk"], "model.regime"),
+        (["time.dt=0"], "time.dt"),
     ], ids=["bc", "shape", "degenerate-mobility", "output-every", "tol-zero",
             "tol-negative", "degenerate-potential", "regular-mobility",
             "eta-zero", "tau-zero", "c0-negative", "lengths-zero",
             "steps-zero", "steps-negative", "eps1-negative", "a-below-c4-half",
-            "init-kind", "t-end-zero", "seed-negative"])
+            "init-kind", "t-end-zero", "seed-negative", "removed-potential",
+            "removed-A", "removed-mobility-linear",
+            "removed-mobility-quadratic", "regime", "dt-zero"])
     def test_bad_value_exit_2_naming_key(self, tmp_path, capsys, overrides,
                                          key):
         out = tmp_path / "o"
@@ -346,6 +357,13 @@ class TestReportCommand:
 
     def test_missing_dir(self, tmp_path):
         assert main(["report", "--dir", str(tmp_path / "nope")]) == 2
+
+    def test_missing_column_exit_2_naming_it(self, tmp_path, capsys):
+        path = tmp_path / "diagnostics.csv"
+        path.write_text("t,E_total\n0,1.0\n0.1,0.9\n0.2,0.8\n")
+        assert main(["report", "--dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "D_cross" in err
 
 
 class TestWeakStrongCommand:
@@ -512,11 +530,37 @@ class TestSweepCommand:
         code = main(["degenerate-sweep", "--out", str(out),
                      "--override", "grid.shape=16,16",
                      "--override", "time.steps=5",
-                     "--override", "model.mobility=quadratic",
+                     "--override", "model.mobility=s2(1-s)2",
                      "--deltas", "1e-2"])
         assert code == 0
         assert json.loads((out / "sweep_report.jsonl").read_text()
                           .splitlines()[0])["pass"]
+
+    def _first_min_phi(self, out, overrides):
+        argv = ["degenerate-sweep", "--out", str(out), "--deltas", "1e-2",
+                "--override", "grid.shape=16,16",
+                "--override", "time.steps=2"]
+        for item in overrides:
+            argv += ["--override", item]
+        assert main(argv) == 0
+        return np.genfromtxt(out / "diagnostics_delta0.01.csv", delimiter=",",
+                             names=True)["min_phi"][0]
+
+    def test_sweep_honours_init_overrides(self, tmp_path):
+        # the base mean 0.5 and amplitude 0.2 give min phi 0.3; a user's
+        # amplitude replaces the base one
+        assert self._first_min_phi(tmp_path / "a", []) == pytest.approx(0.3)
+        assert self._first_min_phi(tmp_path / "b", ["init.amplitude=0.05"]) \
+            == pytest.approx(0.45)
+
+    def test_sweep_rejects_another_regime(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        assert main(["degenerate-sweep", "--out", str(out),
+                     "--override", "grid.shape=8,8",
+                     "--override", "time.steps=2",
+                     "--override", "model.regime=regular"]) == 2
+        assert "model.regime" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_model_built_once_per_delta(self, tmp_path, monkeypatch):
         calls = []
