@@ -23,8 +23,8 @@ from . import __version__
 from .errors import (BlowUpError, ConfigError, QuadratureResolutionError,
                      SolverError)
 from .dynamics import (COURANT_MAX, KEYMAP, SimConfig, Trajectory, _diag_row,
-                       build_grid, build_material, initial_state, run_steps,
-                       validate_config)
+                       build_grid, build_material, check_run_length,
+                       initial_state, run_steps, validate_config)
 from .diagnostics import (CheckRecord, bounds_report, check_energy_inequality,
                           gronwall_fit, relative_energy, write_report)
 from .galerkin import CosineBasis, convergence_study
@@ -134,8 +134,9 @@ class RunManifest:
 # shared plumbing
 
 def _load_config(args, base: SimConfig) -> SimConfig:
-    """The command's base config, then the config file, the overrides and
-    the seed applied on it, validated once at the end."""
+    """The config of a command that runs: its base config, then the config
+    file, the overrides and the seed applied on it, validated once at the
+    end, run length included, before the command writes anything."""
     cfg = dataclasses.replace(base)
     if args.config:
         _apply_lines(cfg, Path(args.config).read_text())
@@ -143,7 +144,9 @@ def _load_config(args, base: SimConfig) -> SimConfig:
         _set_key(cfg, item, "--override")
     if args.seed is not None:
         cfg.seed = args.seed
-    return validate_config(cfg)
+    validate_config(cfg)
+    check_run_length(cfg)
+    return cfg
 
 
 def _outdir(args) -> Path:

@@ -28,7 +28,7 @@ from .errors import (BlowUpError, ConfigError, PotentialDomainError,
                      SnapshotError)
 from .fields import (
     Grid, ScalarField, VectorField,
-    grad_arr, div_arr, lap_arr, cg, solve_symbol,
+    grad_arr, div_arr, cg, lap_symbol, solve_symbol,
     project_divergence_free, integrate,
 )
 from .material import (MOBILITY_KINDS, MaterialModel, _check_delta,
@@ -38,7 +38,8 @@ __all__ = [
     "State", "SimConfig", "Trajectory", "make_state",
     "step_phi_q", "step_velocity",
     "run_steps", "simulate", "build_grid", "build_material", "initial_state",
-    "dt_max", "step_plan", "check_model_kinds", "validate_config",
+    "dt_max", "step_plan", "check_model_kinds", "check_run_length",
+    "validate_config",
     "KEYMAP", "COURANT_MAX",
 ]
 
@@ -195,22 +196,32 @@ def _is_const(arr: np.ndarray) -> bool:
     return float(np.ptp(arr)) <= 1e-13 * max(1.0, float(np.abs(arr).max()))
 
 
-def _solver(coeff: np.ndarray, symbol: Callable, apply_op: Callable,
+def _solver(coeff: np.ndarray, symbol: Callable, remainder: Callable,
             grid: Grid, tol: float, parity: int = 1) -> Callable:
-    """(rhs, x0) -> the x with apply_op(x) = rhs, for an operator with the
-    coefficient field coeff whose symbol at a constant coefficient c is
-    symbol(c, s), s the Laplacian symbol.  A constant coeff gives that
-    direct solve_symbol; a variable one gives cg at tol from x0,
-    preconditioned by the direct solve at the mean of coeff."""
+    """(rhs, x0) -> the x with S x = rhs, where S is an SPD operator with
+    the coefficient field coeff, stated by two parts: symbol(c, s), its
+    symbol at a constant coefficient c (s the Laplacian symbol of
+    parity), and remainder(dc, x), what S adds to that constant-
+    coefficient operator at c = mean(coeff), dc = coeff - c.  A constant
+    coeff gives the direct solve_symbol at c.  A variable one gives cg at
+    tol from x0 on S = P^-1 + R: P^-1 is the spectral operator at the
+    mean, whose inverse preconditions, and R = remainder(dc, .).  The
+    symbol is evaluated once here, not per solve or iteration."""
     const = _is_const(coeff)
     cbar = float(coeff.flat[0] if const else coeff.mean())
-
-    def direct(r):
-        return solve_symbol(r, grid, lambda s: symbol(cbar, s), parity=parity)
-
+    sym = symbol(cbar, lap_symbol(grid, parity))
     if const:
-        return lambda rhs, x0: direct(rhs)
-    return lambda rhs, x0: cg(apply_op, rhs, direct, tol=tol, x0=x0)
+        return lambda rhs, x0: solve_symbol(rhs, grid, sym, parity=parity)
+    dc = coeff - cbar
+
+    def precond(r):
+        return solve_symbol(r, grid, sym, parity=parity)
+
+    def base(x):
+        return solve_symbol(x, grid, sym, parity=parity, inverse=False)
+
+    return lambda rhs, x0: cg(lambda x: remainder(dc, x), rhs, precond,
+                              tol=tol, x0=x0, base=base)
 
 
 def step_phi_q(state: State, dt: float, solver_tol: float = 1e-11) -> State:
@@ -219,8 +230,11 @@ def step_phi_q(state: State, dt: float, solver_tol: float = 1e-11) -> State:
     old u, p and grad u.  Constant mobility gives one direct spectral solve
     for phi.  A variable mobility and the q solve go through _solver.  The
     phi system (I + dt*L*K) phi = rhs, L = -div(m grad), K = a - c0*lap,
-    is then solved as (K^-1 + dt*L) y = rhs for y = K phi: it is symmetric
-    positive definite and has the same residual."""
+    is then solved as S y = rhs for y = K phi, S = K^-1 + dt*L: it is
+    symmetric positive definite and has the same residual.  Its spectral
+    part at the mean mobility m_bar is K^-1 - dt*m_bar*lap, and its
+    remainder -dt*div((m - m_bar) grad) is the one stencil pair of an
+    iteration; K^-1 is applied once more, to y, for phi."""
     grid = state.grid
     phi = state.phi.data
     q = state.q.data
@@ -246,16 +260,13 @@ def step_phi_q(state: State, dt: float, solver_tol: float = 1e-11) -> State:
         phi_new = solve_symbol(rhs, grid,
                                lambda s: 1.0 + dt * mbar * (c0 * s * s - a * s))
     else:
-        def K_inv(y):
-            return solve_symbol(y, grid, lambda s: a - c0 * s)
-
-        def apply_S(y):
-            return K_inv(y) - dt * div_arr(mv[None] * grad_arr(y, grid, parity=1),
-                                           grid, parity=-1)
-
-        solve_y = _solver(mv, lambda m, s: 1.0 / (a - c0 * s) - dt * m * s,
-                          apply_S, grid, solver_tol)
-        phi_new = K_inv(solve_y(rhs, state.mu.data - mu_expl))  # x0 = K phi_old
+        solve_y = _solver(
+            mv, lambda m, s: 1.0 / (a - c0 * s) - dt * m * s,
+            lambda dm, y: -dt * div_arr(dm[None] * grad_arr(y, grid, parity=1),
+                                        grid, parity=-1),
+            grid, solver_tol)
+        y = solve_y(rhs, state.mu.data - mu_expl)        # x0 = K phi_old
+        phi_new = solve_symbol(y, grid, lambda s: a - c0 * s)
     _check_blow_up("phi", phi_new, t_new, bound=PHI_BLOW_UP)
 
     gphi_new = grad_arr(phi_new, grid, parity=1)
@@ -269,8 +280,7 @@ def step_phi_q(state: State, dt: float, solver_tol: float = 1e-11) -> State:
     )
     diag = 1.0 + dt / arrays.tau
     q_new = _solver(diag, lambda d, s: d - dt * M.eps1 * s,
-                    lambda x: diag * x - dt * M.eps1 * lap_arr(x, grid),
-                    grid, solver_tol)(rhs_q, q)
+                    lambda dd, x: dd * x, grid, solver_tol)(rhs_q, q)
     _check_blow_up("q", q_new, t_new)
 
     phi_n, q_n = ScalarField(grid, phi_new), ScalarField(grid, q_new)
@@ -299,12 +309,11 @@ def step_velocity(state: State, dt: float, solver_tol: float = 1e-11) -> State:
         advect[i] = _advect_skew(u, u[i], gu, grid, parity=-1)
     rhs = u + dt * (-advect + f_cap)
 
-    def apply_visc(x):
-        gx = grad_arr(x, grid, parity=-1)
-        return x - dt * div_arr(etav[None] * gx, grid, parity=1)
-
-    solve = _solver(etav, lambda e, s: 1.0 - dt * e * s, apply_visc, grid,
-                    solver_tol, parity=-1)
+    solve = _solver(
+        etav, lambda e, s: 1.0 - dt * e * s,
+        lambda de, x: -dt * div_arr(de[None] * grad_arr(x, grid, parity=-1),
+                                    grid, parity=1),
+        grid, solver_tol, parity=-1)
     u_star = np.stack([solve(rhs[i], u[i]) for i in range(grid.d)])
     _check_blow_up("velocity", u_star, state.t)
 
@@ -487,6 +496,22 @@ def dt_max(cfg: SimConfig, grid: Grid, M: MaterialModel,
     return min(bounds)
 
 
+def check_run_length(cfg: SimConfig) -> None:
+    """ConfigError naming the keys unless cfg fixes the run's length:
+    time.steps, or else time.t_end, at least time.dt when that is set.
+    A config that only describes a model or a state needs neither, so
+    validate_config does not ask for one; the commands that run check
+    this before they write anything, and step_plan before it plans."""
+    if cfg.steps is not None:
+        return
+    if cfg.t_end is None:
+        raise ConfigError("time.steps and time.t_end are both auto: set one "
+                          "of them")
+    if cfg.dt is not None and cfg.t_end < cfg.dt:
+        raise ConfigError(f"time.t_end = {cfg.t_end!r}: must be at least "
+                          f"time.dt = {cfg.dt!r}")
+
+
 def step_plan(cfg: SimConfig, grid: Grid, M: MaterialModel,
               u0: Optional[VectorField] = None):
     """(dt, n_steps).  The step is time.dt, or with time.dt = auto the
@@ -494,6 +519,7 @@ def step_plan(cfg: SimConfig, grid: Grid, M: MaterialModel,
     an explicit step is rounded to the nearest count, while an automatic
     one is shortened to t_end / n with n = ceil(t_end / bound), so the run
     ends on t_end and no step exceeds the bound."""
+    check_run_length(cfg)
     dt = cfg.dt
     auto = dt is None
     if auto:
@@ -502,15 +528,11 @@ def step_plan(cfg: SimConfig, grid: Grid, M: MaterialModel,
         raise ConfigError("dt must be positive")
     if cfg.steps is not None:
         return dt, int(cfg.steps)
-    if cfg.t_end is None:
-        raise ConfigError("set either steps or t_end")
     if auto:
         # the factor keeps a t_end that is a whole number of bounds, up to
         # rounding, from taking one more step
         n = math.ceil(cfg.t_end / dt * (1.0 - 1e-12))
         return cfg.t_end / n, n
-    if cfg.t_end < dt:
-        raise ConfigError("t_end must be at least dt")
     return dt, int(round(cfg.t_end / dt))
 
 

@@ -11,11 +11,15 @@ parts holds exactly on periodic grids and the integral of lap_arr(f)
 vanishes on both boundary kinds.
 
 Constant-coefficient operators built from that Laplacian are inverted
-directly in the basis that diagonalises it: rfftn on periodic grids, the
-type-II DCT (even parity: scalars, pressure) or DST (odd parity: velocity
-components) on Neumann grids.  The variable-coefficient systems of the
-time step are solved by conjugate gradients preconditioned with those
-direct inverses at the mean coefficient.
+(or applied) directly in the basis that diagonalises it: rfftn on
+periodic grids, the type-II DCT (even parity: scalars, pressure) or DST
+(odd parity: velocity components) on Neumann grids.  A variable-
+coefficient system of the time step is written as S = P^-1 + R: P^-1 is
+that spectral operator at the mean coefficient, R the remainder at the
+coefficient minus its mean.  Conjugate gradients preconditioned by P
+solves it with one spectral transform pair (the preconditioner) and one
+application of R per iteration, since its recurrences already give P^-1
+of each search direction (Eisenstat, SIAM J. Sci. Stat. Comput. 1981).
 """
 
 from __future__ import annotations
@@ -241,24 +245,30 @@ def lap_symbol(grid: Grid, parity: int = 1) -> np.ndarray:
     return out
 
 
-def solve_symbol(b: np.ndarray, grid: Grid, symbol_fn: Callable,
-                 parity: int = 1) -> np.ndarray:
+def solve_symbol(b: np.ndarray, grid: Grid, symbol: np.ndarray | Callable,
+                 parity: int = 1, inverse: bool = True) -> np.ndarray:
     """Apply the inverse of a constant-coefficient operator built from the
-    compatible Laplacian.  symbol_fn maps the Laplacian symbol to the
-    operator symbol; modes where the operator symbol vanishes are dropped.
+    compatible Laplacian.  symbol is the operator's symbol in the layout
+    of lap_symbol(grid, parity), or a callable mapping that Laplacian
+    symbol to it; modes where the operator symbol vanishes are dropped.
+    inverse=False applies the operator itself: it multiplies by the
+    symbol and drops no mode.
 
     Periodic grids use rfftn.  Neumann grids use the orthonormal type-II
     DCT for even-parity fields (scalars) and the type-II DST for
     odd-parity fields (velocity components).
     """
-    s = symbol_fn(lap_symbol(grid, parity))
+    s = symbol(lap_symbol(grid, parity)) if callable(symbol) else symbol
     if grid.bc == "periodic":
         bh = np.fft.rfftn(b)
     elif parity == 1:
         bh = sfft.dctn(b, type=2, norm="ortho")
     else:
         bh = sfft.dstn(b, type=2, norm="ortho")
-    xh = np.divide(bh, s, out=np.zeros_like(bh), where=np.abs(s) > 1e-14)
+    if inverse:
+        xh = np.divide(bh, s, out=np.zeros_like(bh), where=np.abs(s) > 1e-14)
+    else:
+        xh = bh * s
     if grid.bc == "periodic":
         return np.fft.irfftn(xh, s=grid.shape, axes=tuple(range(grid.d)))
     if parity == 1:
@@ -266,35 +276,48 @@ def solve_symbol(b: np.ndarray, grid: Grid, symbol_fn: Callable,
     return sfft.idstn(xh, type=2, norm="ortho")
 
 
-def cg(apply_op: Callable, b: np.ndarray, precond: Callable,
+def cg(remainder: Callable, b: np.ndarray, precond: Callable,
        tol: float = 1e-10, maxiter: int = 10000,
-       x0: Optional[np.ndarray] = None) -> np.ndarray:
+       x0: Optional[np.ndarray] = None,
+       base: Optional[Callable] = None) -> np.ndarray:
     """Matrix-free preconditioned conjugate gradients on shaped arrays for
-    the symmetric positive definite variable-coefficient systems; precond
-    applies an SPD approximation of the inverse.  Stops at
-    ||b - apply_op(x)|| <= tol*||b||, else raises SolverError."""
-    x = np.zeros_like(b) if x0 is None else x0.copy()
-    r = b - apply_op(x)
+    a symmetric positive definite system S x = b split as
+    S = P^-1 + remainder: precond applies the SPD preconditioner P and
+    base its exact inverse P^-1.  Stops at ||b - S x|| <= tol*||b||, else
+    raises SolverError.
+
+    Each iteration applies remainder once and precond once, and base not
+    at all: with z = P r and the search direction p = z + beta*p, the
+    product w = P^-1 p follows from w = r + beta*w, since P^-1 z = r.  So
+    S p = w + remainder(p).  base is read once, for P^-1 x0; without x0
+    it is not needed."""
+    if x0 is None:
+        x, r = np.zeros_like(b), b
+    else:
+        x = x0.copy()
+        r = b - base(x) - remainder(x)
     bnorm = np.sqrt((b * b).sum())
     if bnorm == 0.0:
         return np.zeros_like(b)
     rnorm = np.sqrt((r * r).sum())
     if rnorm <= tol * bnorm:
         return x
-    z = precond(r)
-    p = z
-    rz = (r * z).sum()
+    p = precond(r)
+    w = r                            # P^-1 p; r is rebound, never changed
+    rz = (r * p).sum()
     for _ in range(maxiter):
-        Ap = apply_op(p)
-        alpha = rz / (p * Ap).sum()
+        Sp = w + remainder(p)
+        alpha = rz / (p * Sp).sum()
         x += alpha * p
-        r -= alpha * Ap
+        r = r - alpha * Sp
         rnorm = np.sqrt((r * r).sum())
         if rnorm <= tol * bnorm:
             return x
         z = precond(r)
         rz_new = (r * z).sum()
-        p = z + (rz_new / rz) * p
+        beta = rz_new / rz
+        p = z + beta * p
+        w = r + beta * w
         rz = rz_new
     raise SolverError(f"cg failed to reach tol={tol} in {maxiter} iterations "
                       f"(residual {rnorm / bnorm:.3e})")

@@ -24,12 +24,13 @@ stiffness c0*lam^2 of the high modes demands.
 from __future__ import annotations
 
 import itertools
+import warnings
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import ODEintWarning, odeint
 
 from .errors import ConfigError, QuadratureResolutionError, SolverError
 from .material import MaterialModel
@@ -259,9 +260,16 @@ def integrate_galerkin(lam0: np.ndarray, zeta0: np.ndarray, B: CosineBasis,
     an explicit step.  The accumulated dissipation is integrated as an
     extra ODE component so the energy balance E(t) + integral(D) holds
     to integrator accuracy rather than output-sampling accuracy.
+
+    It runs through odeint, which keeps no LSODA workspace once it
+    returns, never steps past t_end (tcrit) and caps no step count
+    (mxstep); a failure raises SolverError with LSODA's message.  An rtol
+    below 100 machine epsilons is raised to that, since double precision
+    cannot meet a tighter one.
     """
     if rtol <= 0:
         raise ValueError("rtol must be positive")
+    rtol = max(rtol, 100 * np.finfo(float).eps)
     m = B.m
 
     def rhs(t, y):
@@ -271,18 +279,22 @@ def integrate_galerkin(lam0: np.ndarray, zeta0: np.ndarray, B: CosineBasis,
     y0 = np.concatenate([np.asarray(lam0, float), np.asarray(zeta0, float),
                          [0.0]])
     t_eval = np.linspace(0.0, t_end, n_output)
-    sol = solve_ivp(rhs, (0.0, t_end), y0, method="LSODA", rtol=rtol,
-                    atol=max(rtol * 1e-3, 1e-14), t_eval=t_eval)
-    if not sol.success:
+    with warnings.catch_warnings():
+        # a failure is reported through info["message"] below
+        warnings.simplefilter("ignore", ODEintWarning)
+        y, info = odeint(rhs, y0, t_eval, rtol=rtol,
+                         atol=max(rtol * 1e-3, 1e-14), tcrit=[t_end],
+                         mxstep=2**31 - 1, full_output=True, tfirst=True)
+    if info["message"] != "Integration successful.":
         raise SolverError(
-            f"Galerkin integration failed ({sol.message}); LSODA could "
+            f"Galerkin integration failed ({info['message']}); LSODA could "
             "not meet the tolerance, so the state may be blowing up - "
             "loosen rtol or shorten t_end"
         )
-    lam, zeta = sol.y[:m].T, sol.y[m:2 * m].T
+    lam, zeta = y[:, :m], y[:, m:2 * m]
     E, D = energy_galerkin(lam, zeta, B, M)
-    return GalerkinRun(times=sol.t, lam=lam, zeta=zeta, E=E,
-                       D=D, D_cum=sol.y[2 * m])
+    return GalerkinRun(times=t_eval, lam=lam, zeta=zeta, E=E,
+                       D=D, D_cum=y[:, 2 * m])
 
 
 def convergence_study(m_list: Sequence[int], phi0: Callable, q0: Callable,

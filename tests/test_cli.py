@@ -598,3 +598,19 @@ class TestCommandFlags:
             if argv[0] == "degenerate-sweep" else [])) == 2
         assert flag in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "weakstrong", "degenerate-sweep"])
+@pytest.mark.parametrize("overrides,message", [
+    ([], "time.steps and time.t_end"),
+    (["time.dt=1e-3", "time.t_end=1e-4"], "time.t_end"),
+], ids=["no-length", "t-end-below-dt"])
+def test_run_length_checked_before_any_write(tmp_path, capsys, command,
+                                             overrides, message):
+    out = tmp_path / "o"
+    argv = [command, "--out", str(out), "--override", "grid.shape=8,8"]
+    for item in overrides:
+        argv += ["--override", item]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()

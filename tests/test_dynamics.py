@@ -15,7 +15,7 @@ from viscophase.dynamics import (SimConfig, Trajectory, _diag_row,
                                  step_velocity)
 from viscophase.errors import BlowUpError, ConfigError
 from viscophase.fields import (Grid, ScalarField, VectorField, div_arr,
-                               grad_arr, integrate, lap_arr)
+                               grad_arr, integrate, lap_arr, solve_symbol)
 from viscophase.material import degenerate_model, regular_model
 
 
@@ -225,6 +225,87 @@ class TestVariableCoefficientSolves:
         assert len(solves) == steps * (1 + grid.d)
         assert np.diff(E).max() <= 0.0
         assert np.abs(np.array(mass) - mass[0]).max() <= 1e-14
+
+
+    @pytest.mark.parametrize("bc", ["periodic", "neumann-noslip"])
+    def test_split_solves_meet_tol_on_the_true_residual(self, bc,
+                                                        monkeypatch):
+        # the phi, variable-tau q and variable-eta viscous solves of a
+        # degenerate step: the residual of each returned x, computed from
+        # the unsplit operator, is within tol, so a drift of cg's
+        # recurrences cannot pass unseen
+        solves = []
+        real_cg = viscophase.dynamics.cg
+
+        def recording_cg(remainder, b, *args, **kwargs):
+            x = real_cg(remainder, b, *args, **kwargs)
+            solves.append((b, x))
+            return x
+
+        monkeypatch.setattr(viscophase.dynamics, "cg", recording_cg)
+        grid = Grid((16, 12), (1.0, 0.8), bc)
+        M = degenerate_model(
+            delta=1e-3, tau=lambda s: 0.5 + 0.3 * np.asarray(s),
+            eta=lambda s: 1.0 + 0.5 * np.sin(3.0 * np.asarray(s)))
+        x, y = grid.meshgrid()
+        wave = np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y / 0.8)
+        state = make_state(
+            0.0, ScalarField(grid, 0.5 + 0.3 * wave),
+            ScalarField(grid, 0.2 * np.sin(2 * np.pi * x)),
+            VectorField(grid, np.stack([0.1 * wave, -0.2 * wave])),
+            ScalarField.full(grid, 0.0), M)
+        dt, tol = 2e-3, 1e-11
+        mid = step_phi_q(state, dt, solver_tol=tol)
+        step_velocity(mid, dt, solver_tol=tol)
+
+        mv, tau, eta = state.phi_q.n ** 2, state.phi_q.tau, mid.phi_q.eta
+
+        def S_phi(y):
+            K_inv = solve_symbol(y, grid, lambda s: M.a - M.c0 * s)
+            return K_inv - dt * div_arr(mv[None] * grad_arr(y, grid, 1),
+                                        grid, -1)
+
+        def S_q(x):
+            return (1.0 + dt / tau) * x - dt * M.eps1 * lap_arr(x, grid)
+
+        def S_u(x):
+            return x - dt * div_arr(eta[None] * grad_arr(x, grid, -1),
+                                    grid, 1)
+
+        assert len(solves) == 2 + grid.d
+        for (b, x), S in zip(solves, [S_phi, S_q] + [S_u] * grid.d):
+            assert np.linalg.norm(b - S(x)) <= tol * np.linalg.norm(b)
+
+    def test_variable_tau_q_iterations_apply_no_stencil(self, monkeypatch):
+        # the remainder of the q operator is pointwise: (d - d_bar) x
+        stencils, during_cg = [], []
+        for mod in (viscophase.fields, viscophase.dynamics):
+            for name in ("grad_arr", "div_arr"):
+                real = getattr(viscophase.fields, name)
+
+                def counted(*args, _real=real, **kwargs):
+                    stencils.append(1)
+                    return _real(*args, **kwargs)
+
+                monkeypatch.setattr(mod, name, counted)
+        real_cg = viscophase.dynamics.cg
+
+        def counting_cg(*args, **kwargs):
+            before = len(stencils)
+            x = real_cg(*args, **kwargs)
+            during_cg.append(len(stencils) - before)
+            return x
+
+        monkeypatch.setattr(viscophase.dynamics, "cg", counting_cg)
+        grid = Grid((16, 16), (1.0, 1.0), "neumann-noslip")
+        M = regular_model(tau=lambda s: 0.5 + 0.3 * np.tanh(np.asarray(s)))
+        x, y = grid.meshgrid()
+        phi = ScalarField(grid, 0.6 * np.cos(np.pi * x) * np.cos(np.pi * y))
+        state = make_state(0.0, phi, ScalarField(grid, 0.3 * np.cos(np.pi * x)),
+                           VectorField.zeros(grid), ScalarField.full(grid, 0.0),
+                           M)
+        step_phi_q(state, 1e-3)
+        assert during_cg == [0]
 
 
 class TestSimulate:

@@ -213,7 +213,8 @@ class TestSolvers:
     def test_spectral_solves_match_krylov_on_neumann(self, lengths):
         # the direct DCT/DST solves of the constant-coefficient time step,
         # against a dense solve of the matrix-free phi operator and against
-        # CG, unpreconditioned here, for the others
+        # CG for the others, preconditioned by the identity: the first
+        # argument of cg is then the operator minus the identity
         shape = (16, 12) if len(lengths) == 2 else (10, 8, 6)
         g = Grid(shape, lengths, "neumann-noslip")
         rng = np.random.default_rng(5)
@@ -238,23 +239,24 @@ class TestSolvers:
         assert close(phi, ref)
 
         q = solve_symbol(b, g, lambda s: diag - dt * eps1 * s)
-        ref = cg(lambda x: diag * x - dt * eps1 * lap_arr(x, g), b, identity,
-                 tol=1e-12)
+        ref = cg(lambda x: (diag - 1.0) * x - dt * eps1 * lap_arr(x, g), b,
+                 identity, tol=1e-12)
         assert close(q, ref)
 
         u = solve_symbol(b, g, lambda s: 1.0 - dt * eta * s, parity=-1)
-        ref = cg(lambda x: x - dt * eta * lap_odd(x), b, identity, tol=1e-12)
+        ref = cg(lambda x: -dt * eta * lap_odd(x), b, identity, tol=1e-12)
         assert close(u, ref)
 
         p = solve_poisson(ScalarField(g, b)).data
-        ref = cg(lambda x: -lap_arr(x, g), -(b - b.mean()), identity, tol=1e-12)
+        ref = cg(lambda x: -lap_arr(x, g) - x, -(b - b.mean()), identity,
+                 tol=1e-12)
         assert close(p, ref - ref.mean())
 
     def test_cg_reports_residual_when_maxiter_too_small(self):
         g = Grid((16, 16), (1.0, 1.0), "neumann-noslip")
         b = np.random.default_rng(6).standard_normal(g.shape)
         with pytest.raises(SolverError, match=r"in 3 iterations \(residual \d"):
-            cg(lambda x: x - 1e-2 * lap_arr(x, g), b, lambda r: r, tol=1e-12,
+            cg(lambda x: -1e-2 * lap_arr(x, g), b, lambda r: r, tol=1e-12,
                maxiter=3)
 
     def test_lap_symbol_cached_read_only(self):

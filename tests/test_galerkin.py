@@ -1,11 +1,13 @@
 import dataclasses
 import itertools
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from viscophase.cli import _seeded_band_limited
-from viscophase.errors import QuadratureResolutionError
+from viscophase.errors import QuadratureResolutionError, SolverError
 from viscophase.fields import Grid, grad_arr
 from viscophase.galerkin import (CosineBasis, assemble_rhs,
                                  convergence_study, energy_galerkin,
@@ -278,6 +280,45 @@ class TestIntegration:
     def test_energy_balance_closes(self, seed0_runs):
         run = seed0_runs[1e-8]
         assert np.abs(run.E + run.D_cum - run.E[0]).max() <= 1e-9
+
+    def test_repeated_runs_hold_no_integrator_memory(self):
+        # LSODA's workspace must not outlive the run that used it, so a
+        # process running many studies does not grow
+        B = CosineBasis((1.0, 1.0), 8)
+        M = regular_model()
+        lam0 = project(_seeded_band_limited(0, (1.0, 1.0)), B)
+
+        def run():
+            integrate_galerkin(lam0, np.zeros(8), B, M, 0.1)
+
+        run()
+        only_scipy = [tracemalloc.Filter(True, "*scipy/integrate/*")]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.take_snapshot().filter_traces(only_scipy)
+            for _ in range(5):
+                run()
+            after = tracemalloc.take_snapshot().filter_traces(only_scipy)
+        finally:
+            tracemalloc.stop()
+        held = sum(d.size_diff for d in after.compare_to(before, "lineno"))
+        assert held < 1024
+
+    def test_failure_is_a_solver_error_without_warning(self):
+        # q grows like exp(100 t) under a negative relaxation time, until
+        # LSODA gives up
+        M = dataclasses.replace(
+            regular_model(),
+            tau=lambda s: np.full_like(np.asarray(s, dtype=float), -1e-2))
+        B = CosineBasis((1.0,), 1)
+        with warnings.catch_warnings(record=True) as caught, \
+                np.errstate(over="ignore", invalid="ignore"):
+            warnings.simplefilter("always")
+            with pytest.raises(SolverError, match="Galerkin integration "
+                               "failed .*; LSODA could not meet"):
+                integrate_galerkin(np.array([0.3]), np.array([0.7]), B, M,
+                                   100.0)
+        assert not [w for w in caught if "ODEint" in w.category.__name__]
 
     def test_rhs_error_escapes_integrator(self):
         # the integrator calls the right-hand side from compiled code
