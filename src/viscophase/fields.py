@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -55,6 +55,10 @@ class Grid:
     shape: Tuple[int, ...]           # cells per axis
     lengths: Tuple[float, ...]       # domain extent per axis
     bc: str = "periodic"
+    # derived once in __post_init__: the integrals read the cell volume
+    # and the operator caches hash the grid several times per step
+    cell_volume: float = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         """ConfigError naming the config key of the first bad value."""
@@ -69,6 +73,12 @@ class Grid:
             raise ConfigError(f"grid.bc = {self.bc!r}: must be one of {BCS}")
         object.__setattr__(self, "shape", tuple(int(n) for n in self.shape))
         object.__setattr__(self, "lengths", tuple(float(L) for L in self.lengths))
+        object.__setattr__(self, "cell_volume", math.prod(self.h))
+        object.__setattr__(self, "_hash",
+                           hash((self.shape, self.lengths, self.bc)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def d(self) -> int:
@@ -77,10 +87,6 @@ class Grid:
     @property
     def h(self) -> Tuple[float, ...]:
         return tuple(L / n for L, n in zip(self.lengths, self.shape))
-
-    @property
-    def cell_volume(self) -> float:
-        return float(np.prod(self.h))
 
     @property
     def volume(self) -> float:

@@ -19,6 +19,13 @@ points are one batched pass after the integration, over the [Psi | dPsi]
 columns alone, since the energy needs no check level.  The system is
 integrated by LSODA, which switches between Adams and BDF steps as the
 stiffness c0*lam^2 of the high modes demands.
+
+Importing this module loads no SciPy.  scipy.integrate, with the
+scipy.optimize, scipy.linalg and scipy.sparse.linalg it imports, is
+loaded by the first call of integrate_galerkin in a process.  The
+package imports this module, but the grid commands and simulate never
+integrate an ODE, so they load only scipy.fft, scipy.sparse and
+scipy.ndimage.
 """
 
 from __future__ import annotations
@@ -30,7 +37,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import ODEintWarning, odeint
 
 from .errors import ConfigError, QuadratureResolutionError, SolverError
 from .material import MaterialModel
@@ -267,6 +273,9 @@ def integrate_galerkin(lam0: np.ndarray, zeta0: np.ndarray, B: CosineBasis,
     below 100 machine epsilons is raised to that, since double precision
     cannot meet a tighter one.
     """
+    # imported here, so that a grid run never loads it (module docstring)
+    from scipy.integrate import ODEintWarning, odeint
+
     if rtol <= 0:
         raise ValueError("rtol must be positive")
     rtol = max(rtol, 100 * np.finfo(float).eps)

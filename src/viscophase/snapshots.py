@@ -35,6 +35,9 @@ class SnapshotHeader:
 
 
 def write_snapshot(path, shape, lengths, fields: Dict[str, np.ndarray]) -> None:
+    """Write the fields, each of the grid's shape, to path.  Every field is
+    checked before the file is opened, so a bad one (ValueError) leaves
+    no file behind and an existing file at path as it was."""
     shape = tuple(int(n) for n in shape)
     lengths = tuple(float(L) for L in lengths)
     d = len(shape)
@@ -42,20 +45,22 @@ def write_snapshot(path, shape, lengths, fields: Dict[str, np.ndarray]) -> None:
         raise ValueError("snapshot supports 1-3 dimensions")
     ns = shape + (1,) * (3 - d)
     Ls = lengths + (0.0,) * (3 - d)
+    names = [name.encode("utf-8") for name in fields]
+    arrays = [np.ascontiguousarray(np.asarray(data, dtype="<f8"))
+              for data in fields.values()]
+    for name, arr in zip(fields, arrays):
+        if arr.shape != shape:
+            raise ValueError(f"field {name!r} shape {arr.shape} != {shape}")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<i", d))
         fh.write(struct.pack("<3i", *ns))
         fh.write(struct.pack("<3d", *Ls))
         fh.write(struct.pack("<i", len(fields)))
-        for name in fields:
-            raw = name.encode("utf-8")
+        for raw in names:
             fh.write(struct.pack("<i", len(raw)))
             fh.write(raw)
-        for name, data in fields.items():
-            arr = np.ascontiguousarray(np.asarray(data, dtype="<f8"))
-            if arr.shape != shape:
-                raise ValueError(f"field {name!r} shape {arr.shape} != {shape}")
+        for arr in arrays:
             fh.write(arr.tobytes())
 
 

@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -614,3 +617,33 @@ def test_run_length_checked_before_any_write(tmp_path, capsys, command,
     assert main(argv) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+# In a fresh interpreter: whether scipy.fft, scipy.sparse and scipy.ndimage
+# (all that a grid run calls) already load scipy.integrate under this SciPy,
+# whether it is loaded after a grid run and a weak-strong run, and the exit
+# codes of those two and of a Galerkin study made afterwards.
+_LAZY_IMPORT_SCRIPT = """
+import json, sys
+import scipy.fft, scipy.ndimage, scipy.sparse
+baseline = "scipy.integrate" in sys.modules
+from viscophase.cli import main
+grid = ["--override", "grid.shape=8,8", "--override", "time.steps=2"]
+codes = [main(["run", "--out", "run"] + grid),
+         main(["weakstrong", "--out", "ws"] + grid)]
+loaded = "scipy.integrate" in sys.modules
+codes.append(main(["galerkin", "--out", "gal", "--m", "4", "--m", "8"]))
+print(json.dumps({"baseline": baseline, "loaded": loaded, "codes": codes}))
+"""
+
+
+def test_grid_commands_do_not_load_scipy_integrate(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _LAZY_IMPORT_SCRIPT],
+                          cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["codes"] == [0, 0, 0]
+    assert result["baseline"] or not result["loaded"]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,22 @@ class TestGrid:
         assert g.h == (2.0 / 32, 1.0 / 16)
         assert g.cell_volume == pytest.approx(2.0 / 512)
         assert g.volume == pytest.approx(2.0)
+
+    def test_derived_values_follow_the_fields(self):
+        # the cell volume and hash are computed once per grid, so a grid
+        # made by replace() must get its own, and equal grids equal ones
+        for shape, lengths in (((7,), (1.3,)), ((6, 5, 9), (1.1, 0.7, 0.3))):
+            g = Grid(shape, lengths)
+            assert g.cell_volume == float(np.prod(g.h))
+        g = Grid((32, 16), (2.0, 1.0), "periodic")
+        assert g.cell_volume == float(np.prod(g.h))
+        assert "cell_volume" not in repr(g)
+        finer = dataclasses.replace(g, shape=(64, 16))
+        assert finer.cell_volume == float(np.prod(finer.h)) != g.cell_volume
+        same = Grid([32, 16], [2, 1])
+        assert same == g and hash(same) == hash(g)
+        assert lap_symbol(same) is lap_symbol(g)
+        assert finer != g and dataclasses.replace(g, bc="neumann-noslip") != g
 
     def test_validation(self):
         with pytest.raises(ValueError):

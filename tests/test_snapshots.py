@@ -160,6 +160,23 @@ def test_shape_mismatch(tmp_path):
                        {"phi": np.zeros((4, 5))})
 
 
+def test_shape_mismatch_writes_nothing(tmp_path):
+    # the bad field comes after a good one, so a check made while writing
+    # would already have written the header, the names and phi's payload
+    bad = {"phi": np.zeros((4, 4)), "q": np.zeros((3, 4))}
+    path = tmp_path / "new.vpf"
+    with pytest.raises(ValueError, match="'q'"):
+        write_snapshot(path, (4, 4), (1.0, 1.0), bad)
+    assert not path.exists()
+    path = tmp_path / "good.vpf"
+    write_snapshot(path, (4, 4), (1.0, 1.0),
+                   {"phi": np.full((4, 4), 0.25), "q": np.ones((4, 4))})
+    raw = path.read_bytes()
+    with pytest.raises(ValueError, match="'q'"):
+        write_snapshot(path, (4, 4), (1.0, 1.0), bad)
+    assert path.read_bytes() == raw
+
+
 def test_write_state(tmp_path):
     cfg = SimConfig(shape=(8, 8), steps=1)
     grid = build_grid(cfg)
