@@ -17,12 +17,12 @@ Scheme: first-order operator splitting per step.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .errors import (BlowUpError, ConfigError, PotentialDomainError,
                      SnapshotError)
@@ -536,11 +536,49 @@ def step_plan(cfg: SimConfig, grid: Grid, M: MaterialModel,
     return dt, int(round(cfg.t_end / dt))
 
 
+# the spinodal noise's Gaussian smoothing: its width in cells, and the
+# truncation radius int(4 sigma + 0.5) of scipy.ndimage.gaussian_filter
+NOISE_SIGMA = 2.0
+NOISE_RADIUS = int(4.0 * NOISE_SIGMA + 0.5)
+
+
+@functools.lru_cache(maxsize=32)
+def _smoothing_matrix(n: int, periodic: bool) -> np.ndarray:
+    """The n x n matrix of the truncated Gaussian (NOISE_SIGMA,
+    NOISE_RADIUS, weights summing to 1) along one axis of n cells.  A tap
+    past an edge folds back in by wrapping (periodic) or by half-sample
+    reflection, period 2n (Neumann), which also covers n below the
+    radius.  Cached per (n, periodic); read-only."""
+    offsets = np.arange(-NOISE_RADIUS, NOISE_RADIUS + 1)
+    weights = np.exp(-0.5 / NOISE_SIGMA ** 2 * offsets ** 2)
+    weights /= weights.sum()
+    cols = (np.arange(n)[:, None] + offsets) % (n if periodic else 2 * n)
+    cols = np.where(cols < n, cols, 2 * n - 1 - cols)
+    out = np.zeros((n, n))
+    rows = np.repeat(np.arange(n), offsets.size)
+    np.add.at(out, (rows, cols.ravel()), np.tile(weights, n))
+    out.setflags(write=False)
+    return out
+
+
+def _smooth_noise(white: np.ndarray, grid: Grid) -> np.ndarray:
+    """white smoothed by _smoothing_matrix along each axis in turn, as a
+    C-contiguous array: scipy.ndimage.gaussian_filter(white, NOISE_SIGMA)
+    in mode wrap (periodic) or reflect (Neumann) up to rounding, within
+    3e-16 on unit white noise."""
+    out = white
+    for a, n in enumerate(grid.shape):
+        M = _smoothing_matrix(n, grid.bc == "periodic")
+        out = np.moveaxis(np.tensordot(M, out, axes=(1, a)), 0, a)
+    return np.ascontiguousarray(out)
+
+
 def _spinodal_noise(grid: Grid, mean: float, amplitude: float, seed: int) -> np.ndarray:
+    """mean plus amplitude times seeded white noise, smoothed over about
+    NOISE_SIGMA cells (_smooth_noise), made mean-zero and scaled to a
+    largest magnitude of 1."""
     rng = np.random.default_rng(seed)
-    white = rng.standard_normal(grid.shape)
-    mode = "wrap" if grid.bc == "periodic" else "reflect"
-    smooth = gaussian_filter(white, sigma=2.0, mode=mode)
+    smooth = _smooth_noise(rng.standard_normal(grid.shape), grid)
     smooth -= smooth.mean()
     peak = np.abs(smooth).max()
     if peak > 0:

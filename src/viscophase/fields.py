@@ -3,23 +3,25 @@
 Cell-centered collocated layout.  Gradient and divergence are central
 differences whose ghost values come from wraparound (periodic) or cell-
 center reflection (neumann-noslip: even reflection for scalars, odd for
-fluxes and velocities).  Each is one matvec with a cached sparse matrix
-of +-1 undivided differences per (grid, parity), the ghost values folded
-into its edge rows, followed by the division by 2h.  The Laplacian
-lap_arr is the literal composition div_arr(grad_arr(.)), so summation by
-parts holds exactly on periodic grids and the integral of lap_arr(f)
-vanishes on both boundary kinds.
+fluxes and velocities).  Each is two gathers from cached index tables
+per (grid, parity), the cell after minus the cell before along each
+axis, with the ghost values folded into the edge entries, followed by
+the division by 2h.  The Laplacian lap_arr is the literal composition
+div_arr(grad_arr(.)), so summation by parts holds exactly on periodic
+grids and the integral of lap_arr(f) vanishes on both boundary kinds.
 
 Constant-coefficient operators built from that Laplacian are inverted
 (or applied) directly in the basis that diagonalises it: rfftn on
 periodic grids, the type-II DCT (even parity: scalars, pressure) or DST
-(odd parity: velocity components) on Neumann grids.  A variable-
-coefficient system of the time step is written as S = P^-1 + R: P^-1 is
-that spectral operator at the mean coefficient, R the remainder at the
-coefficient minus its mean.  Conjugate gradients preconditioned by P
-solves it with one spectral transform pair (the preconditioner) and one
-application of R per iteration, since its recurrences already give P^-1
-of each search direction (Eisenstat, SIAM J. Sci. Stat. Comput. 1981).
+(odd parity: velocity components) on Neumann grids.  Only the DCT/DST
+need SciPy: scipy.fft is imported at the first Neumann transform, so a
+periodic grid runs on NumPy alone.  A variable-coefficient system of the
+time step is written as S = P^-1 + R: P^-1 is that spectral operator at
+the mean coefficient, R the remainder at the coefficient minus its mean.
+Conjugate gradients preconditioned by P solves it with one spectral
+transform pair (the preconditioner) and one application of R per
+iteration, since its recurrences already give P^-1 of each search
+direction (Eisenstat, SIAM J. Sci. Stat. Comput. 1981).
 """
 
 from __future__ import annotations
@@ -30,8 +32,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-import scipy.fft as sfft
-import scipy.sparse as sp
 
 from .errors import ConfigError, SolverError
 
@@ -139,50 +139,39 @@ class VectorField:
 
 
 @functools.lru_cache(maxsize=128)
-def _diff_op(grid: Grid, parity: int, stacked: bool = False) -> sp.csr_matrix:
-    """Undivided central differences f[i+1] - f[i-1] on the flattened grid,
-    one block of rows per axis.  Row k of block a holds +1 at the cell
-    after k along axis a and -1 at the cell before it; past an edge that
-    cell is the ghost, so the entry moves to the wrapped cell (periodic)
-    or to k itself times parity (cell-center reflection).  Two entries of
-    +-1 per row make a matvec exactly f[i+1] - f[i-1].
+def _diff_index(grid: Grid, parity: int, stacked: bool):
+    """Gather tables (plus, minus) of the undivided central differences
+    f[i+1] - f[i-1], one block per axis, each of shape (d,) + grid.shape:
+    src.take(plus) - src.take(minus) is that difference, where src is the
+    flattened input followed by its negation.  Entry k of block a of plus
+    is the cell after k along axis a and of minus the cell before it; past
+    an edge that cell is the ghost, so the index moves to the wrapped cell
+    (periodic) or to k itself, in the negated copy where parity makes the
+    ghost -f[k] (cell-center reflection).  Only Neumann grids at odd parity
+    read the negated copy.
 
-    stacked: the blocks are stacked into one (d*N x N) matrix that maps a
-    scalar to its d differences (gradient).  Otherwise they form the
-    block-diagonal (d*N x d*N) matrix that maps d components to theirs
-    (divergence); it shares its values and row pointers with the stacked
-    one.  Cached per (grid, parity, stacked); the returned matrix is
+    stacked: every block reads the one scalar input (gradient).  Otherwise
+    block a reads component a of a (d,) + grid.shape input (divergence).
+    Cached per (grid, parity, stacked); the returned arrays are
     read-only."""
     size = math.prod(grid.shape)
-    rows = grid.d * size
-    if not stacked:
-        grad = _diff_op(grid, parity, True)
-        # block a reads component a, stored a*size entries further on
-        cols = grad.indices + np.repeat(np.arange(0, rows, size), 2 * size)
-        op = sp.csr_matrix((grad.data, cols.astype(grad.indices.dtype),
-                            grad.indptr), shape=(rows, rows))
-        op.indices.setflags(write=False)
-        return op
-    k = np.arange(size)
-    cols = np.empty((grid.d, size, 2), dtype=np.intp)
-    vals = np.empty((grid.d, size, 2))
+    k = np.arange(size).reshape(grid.shape)
+    plus = np.empty((grid.d,) + grid.shape, dtype=np.intp)
+    minus = np.empty_like(plus)
+    # the negated copy starts after the whole flattened input
+    ghost = 0 if parity == 1 else (size if stacked else grid.d * size)
     for a, n in enumerate(grid.shape):
-        stride = math.prod(grid.shape[a + 1:])
-        i = (k // stride) % n
-        last, first = i == n - 1, i == 0
-        cols[a, :, 0], cols[a, :, 1] = k + stride, k - stride
-        vals[a] = (1.0, -1.0)
-        if grid.bc == "periodic":
-            cols[a, last, 0] -= n * stride
-            cols[a, first, 1] += n * stride
-        else:
-            cols[a, last, 0], vals[a, last, 0] = k[last], parity
-            cols[a, first, 1], vals[a, first, 1] = k[first], -parity
-    op = sp.csr_matrix((vals.ravel(), cols.ravel(), np.arange(0, 2 * rows + 1, 2)),
-                       shape=(rows, size))
-    for arr in (op.data, op.indices, op.indptr):
+        after, before = np.roll(k, -1, axis=a), np.roll(k, 1, axis=a)
+        if grid.bc != "periodic":
+            lead = (slice(None),) * a
+            last, first = lead + (n - 1,), lead + (0,)
+            after[last] = k[last] + ghost
+            before[first] = k[first] + ghost
+        base = 0 if stacked else a * size
+        plus[a], minus[a] = after + base, before + base
+    for arr in (plus, minus):
         arr.setflags(write=False)
-    return op
+    return plus, minus
 
 
 @functools.lru_cache(maxsize=64)
@@ -194,16 +183,26 @@ def _two_h(grid: Grid) -> np.ndarray:
     return out
 
 
-def grad_arr(f: np.ndarray, grid: Grid, parity: int = 1) -> np.ndarray:
-    out = (_diff_op(grid, parity, True) @ f.ravel()).reshape((grid.d,) + grid.shape)
+def _differences(src: np.ndarray, grid: Grid, parity: int,
+                 stacked: bool) -> np.ndarray:
+    """Undivided central differences of src over the gather tables, then
+    divided by 2h: shape (d,) + grid.shape."""
+    plus, minus = _diff_index(grid, parity, stacked)
+    flat = src.ravel()
+    if grid.bc != "periodic" and parity == -1:
+        flat = np.concatenate((flat, -flat))
+    out = flat.take(plus)
+    out -= flat.take(minus)
     out /= _two_h(grid)
     return out
 
 
+def grad_arr(f: np.ndarray, grid: Grid, parity: int = 1) -> np.ndarray:
+    return _differences(f, grid, parity, True)
+
+
 def div_arr(v: np.ndarray, grid: Grid, parity: int = -1) -> np.ndarray:
-    diffs = (_diff_op(grid, parity) @ v.ravel()).reshape(v.shape)
-    diffs /= _two_h(grid)
-    return diffs.sum(axis=0)
+    return _differences(v, grid, parity, False).sum(axis=0)
 
 
 def lap_arr(f: np.ndarray, grid: Grid) -> np.ndarray:
@@ -251,6 +250,14 @@ def lap_symbol(grid: Grid, parity: int = 1) -> np.ndarray:
     return out
 
 
+@functools.cache
+def _scipy_fft():
+    """scipy.fft, imported at the first Neumann transform in a process:
+    periodic grids transform with numpy.fft alone."""
+    import scipy.fft
+    return scipy.fft
+
+
 def solve_symbol(b: np.ndarray, grid: Grid, symbol: np.ndarray | Callable,
                  parity: int = 1, inverse: bool = True) -> np.ndarray:
     """Apply the inverse of a constant-coefficient operator built from the
@@ -260,17 +267,19 @@ def solve_symbol(b: np.ndarray, grid: Grid, symbol: np.ndarray | Callable,
     inverse=False applies the operator itself: it multiplies by the
     symbol and drops no mode.
 
-    Periodic grids use rfftn.  Neumann grids use the orthonormal type-II
-    DCT for even-parity fields (scalars) and the type-II DST for
-    odd-parity fields (velocity components).
+    Periodic grids use numpy's rfftn.  Neumann grids use scipy.fft's
+    orthonormal type-II DCT for even-parity fields (scalars) and type-II
+    DST for odd-parity fields (velocity components).
     """
     s = symbol(lap_symbol(grid, parity)) if callable(symbol) else symbol
     if grid.bc == "periodic":
         bh = np.fft.rfftn(b)
-    elif parity == 1:
-        bh = sfft.dctn(b, type=2, norm="ortho")
     else:
-        bh = sfft.dstn(b, type=2, norm="ortho")
+        sfft = _scipy_fft()
+        if parity == 1:
+            bh = sfft.dctn(b, type=2, norm="ortho")
+        else:
+            bh = sfft.dstn(b, type=2, norm="ortho")
     if inverse:
         xh = np.divide(bh, s, out=np.zeros_like(bh), where=np.abs(s) > 1e-14)
     else:

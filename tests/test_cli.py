@@ -619,31 +619,60 @@ def test_run_length_checked_before_any_write(tmp_path, capsys, command,
     assert not out.exists()
 
 
-# In a fresh interpreter: whether scipy.fft, scipy.sparse and scipy.ndimage
-# (all that a grid run calls) already load scipy.integrate under this SciPy,
-# whether it is loaded after a grid run and a weak-strong run, and the exit
-# codes of those two and of a Galerkin study made afterwards.
-_LAZY_IMPORT_SCRIPT = """
+# In a fresh interpreter: the SciPy modules loaded after importing the
+# package and making a periodic run, weak-strong run and degenerate sweep,
+# then after a Neumann run, and the exit codes of those four and of a
+# Galerkin study made afterwards.
+_LOADED_MODULES_SCRIPT = """
 import json, sys
-import scipy.fft, scipy.ndimage, scipy.sparse
-baseline = "scipy.integrate" in sys.modules
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+import viscophase
 from viscophase.cli import main
-grid = ["--override", "grid.shape=8,8", "--override", "time.steps=2"]
+grid = ["--override", "grid.shape=8,8", "--override", "time.steps=2",
+        "--override", "init.kind=spinodal"]
 codes = [main(["run", "--out", "run"] + grid),
-         main(["weakstrong", "--out", "ws"] + grid)]
-loaded = "scipy.integrate" in sys.modules
+         main(["weakstrong", "--out", "ws"] + grid),
+         main(["degenerate-sweep", "--out", "sweep", "--deltas", "1e-2"]
+              + grid)]
+periodic = scipy_modules()
+codes.append(main(["run", "--out", "neumann", "--override",
+                   "grid.bc=neumann-noslip"] + grid))
+neumann = scipy_modules()
 codes.append(main(["galerkin", "--out", "gal", "--m", "4", "--m", "8"]))
-print(json.dumps({"baseline": baseline, "loaded": loaded, "codes": codes}))
+print(json.dumps({"periodic": periodic, "neumann": neumann, "codes": codes}))
+"""
+
+# In a fresh interpreter: the SciPy modules that scipy.fft loads itself.
+_SCIPY_FFT_SCRIPT = """
+import json, sys
+import scipy.fft
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
 
-def test_grid_commands_do_not_load_scipy_integrate(tmp_path):
+def _fresh_interpreter(script, cwd):
+    """The JSON on the last line that script prints, run by a new Python
+    with this checkout's sources first on the path."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _LAZY_IMPORT_SCRIPT],
-                          cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
+    proc = subprocess.run([sys.executable, "-c", script], cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.splitlines()[-1])
-    assert result["codes"] == [0, 0, 0]
-    assert result["baseline"] or not result["loaded"]
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_commands_load_only_the_scipy_they_call(tmp_path):
+    result = _fresh_interpreter(_LOADED_MODULES_SCRIPT, tmp_path)
+    assert result["codes"] == [0] * 5
+    # periodic grids run on NumPy alone
+    assert result["periodic"] == []
+    # a Neumann grid loads scipy.fft for its DCT/DST, and nothing beyond
+    # what scipy.fft loads itself
+    assert "scipy.fft" in result["neumann"]
+    baseline = set(_fresh_interpreter(_SCIPY_FFT_SCRIPT, tmp_path))
+    for name in ("scipy.sparse", "scipy.ndimage", "scipy.integrate"):
+        assert name in baseline or name not in result["neumann"], name

@@ -9,6 +9,7 @@ import viscophase.fields
 from viscophase.cli import _run_to_csv
 from viscophase.diagnostics import energy
 from viscophase.dynamics import (SimConfig, Trajectory, _diag_row,
+                                 _smooth_noise, _smoothing_matrix,
                                  build_grid, build_material, dt_max,
                                  initial_state, make_state, run_steps,
                                  simulate, step_phi_q, step_plan,
@@ -396,6 +397,32 @@ class TestSimulate:
         with pytest.raises(BlowUpError, match="velocity") as exc:
             step_velocity(state, dt)
         assert exc.value.time == state.t
+
+
+class TestSpinodalNoise:
+    @pytest.mark.parametrize("bc", ["periodic", "neumann-noslip"])
+    @pytest.mark.parametrize("shape", [(7,), (12,), (16, 12), (64, 64),
+                                       (6, 5, 4)],
+                             ids=["1d-7", "1d-12", "2d", "2d-64", "3d"])
+    def test_smoothing_matches_gaussian_filter(self, shape, bc):
+        # the axes of 1d-7 and 3d are shorter than the 8-cell kernel
+        # radius, so the wrap or the reflection folds the kernel in more
+        # than once
+        from scipy.ndimage import gaussian_filter
+        g = Grid(shape, (1.0,) * len(shape), bc)
+        white = np.random.default_rng(5).standard_normal(shape)
+        mode = "wrap" if bc == "periodic" else "reflect"
+        smooth = _smooth_noise(white, g)
+        assert smooth.flags.c_contiguous
+        reference = gaussian_filter(white, 2.0, mode=mode)
+        assert np.abs(smooth - reference).max() <= 1e-15
+
+    def test_smoothing_matrix_cached_read_only(self):
+        for periodic in (True, False):
+            M = _smoothing_matrix(9, periodic)
+            assert M is _smoothing_matrix(9, periodic)
+            assert not M.flags.writeable
+            assert np.allclose(M.sum(axis=1), 1.0, rtol=0, atol=1e-15)
 
 
 class TestCapillaryForce:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from viscophase.errors import ConfigError, SolverError
-from viscophase.fields import (Grid, ScalarField, VectorField, _diff_op,
+from viscophase.fields import (Grid, ScalarField, VectorField, _diff_index,
                                _two_h, cg, div_arr, grad_arr, integrate,
                                lap_arr, lap_symbol, project_divergence_free,
                                solve_poisson, solve_symbol)
@@ -164,14 +164,20 @@ class TestOperators:
         assert np.array_equal(lap_arr(f, g), _ref_div(_ref_grad(f, g, 1), g, -1))
 
     def test_difference_operator_cached_read_only(self):
-        g = Grid((8, 6), (1.0, 1.0), "neumann-noslip")
-        assert _diff_op(g, -1) is _diff_op(g, -1)
-        assert _diff_op(g, 1) is not _diff_op(g, -1)
-        assert _diff_op(g, 1, True) is _diff_op(g, 1, True)
-        for op in (_diff_op(g, 1), _diff_op(g, 1, True)):
-            assert not any(a.flags.writeable
-                           for a in (op.data, op.indices, op.indptr))
-        assert _diff_op(g, 1, True).shape == (2 * 48, 48)
+        for bc in ("periodic", "neumann-noslip"):
+            g = Grid((8, 6), (1.0, 1.0), bc)
+            tables = {(parity, stacked): _diff_index(g, parity, stacked)
+                      for parity in (1, -1) for stacked in (True, False)}
+            assert len({id(t) for t in tables.values()}) == 4
+            for (parity, stacked), table in tables.items():
+                assert _diff_index(g, parity, stacked) is table
+                for arr in table:
+                    assert arr.shape == (2, 8, 6) and not arr.flags.writeable
+                # only Neumann grids at odd parity read the negated copy,
+                # which starts after the flattened input
+                top = max(arr.max() for arr in table)
+                size = 48 if stacked else 2 * 48
+                assert (top >= size) == (bc != "periodic" and parity == -1)
         assert _two_h(g) is _two_h(g) and not _two_h(g).flags.writeable
 
     def test_integrate(self):
