@@ -13,7 +13,6 @@ import dataclasses
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -104,30 +103,14 @@ def material_fingerprint(cfg: SimConfig) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-@dataclass
-class RunManifest:
-    config: Dict[str, str]
-    fingerprint: str
-    seed: int
-    outdir: str
-    version: str
-
-    def emit(self) -> str:
-        return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2)
-
-    @classmethod
-    def parse(cls, text: str) -> "RunManifest":
-        return cls(**json.loads(text))
-
-    @classmethod
-    def for_run(cls, cfg: SimConfig, outdir) -> "RunManifest":
-        return cls(config=config_to_text(cfg),
-                   fingerprint=material_fingerprint(cfg),
-                   seed=cfg.seed, outdir=str(outdir), version=__version__)
-
-    def to_config(self) -> SimConfig:
-        text = "\n".join(f"{k} = {v}" for k, v in self.config.items())
-        return parse_config(text)
+def run_manifest(cfg: SimConfig, outdir) -> str:
+    """The JSON text of a run's manifest.json: its config in canonical
+    text form, material fingerprint, seed, output directory and package
+    version."""
+    return json.dumps({"config": config_to_text(cfg),
+                       "fingerprint": material_fingerprint(cfg),
+                       "seed": cfg.seed, "outdir": str(outdir),
+                       "version": __version__}, sort_keys=True, indent=2)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +122,12 @@ def _load_config(args, base: SimConfig) -> SimConfig:
     end, run length included, before the command writes anything."""
     cfg = dataclasses.replace(base)
     if args.config:
-        _apply_lines(cfg, Path(args.config).read_text())
+        try:
+            text = Path(args.config).read_text()
+        except OSError as err:
+            raise ConfigError(
+                f"--config = {args.config}: {err.strerror}") from None
+        _apply_lines(cfg, text)
     for item in args.override or []:
         _set_key(cfg, item, "--override")
     if args.seed is not None:
@@ -151,7 +139,10 @@ def _load_config(args, base: SimConfig) -> SimConfig:
 
 def _outdir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"--out = {args.out}: {err.strerror}") from None
     return out
 
 
@@ -181,7 +172,7 @@ def _run_to_csv(path: Path, cfg: SimConfig,
 
 def _write_run_artifacts(out: Path, cfg: SimConfig) -> Trajectory:
     """manifest.json, then _run_to_csv into diagnostics.csv and snapshots/."""
-    (out / "manifest.json").write_text(RunManifest.for_run(cfg, out).emit())
+    (out / "manifest.json").write_text(run_manifest(cfg, out))
     snapdir = out / "snapshots"
     snapdir.mkdir(exist_ok=True)
     return _run_to_csv(out / "diagnostics.csv", cfg, snapdir)
@@ -291,16 +282,19 @@ def cmd_weakstrong(args) -> int:
     return _emit(records, out, "weakstrong_report")
 
 
-def _seeded_band_limited(seed: int, lengths, n_modes: int = 6,
-                         mean: float = 0.0, amplitude: float = 0.05):
+DATUM_MODES = 6           # galerkin's datum: modes that --m 8 and 16 hold
+DATUM_AMPLITUDE = 0.05    # its peak about --mean: a small perturbation
+
+
+def _seeded_band_limited(seed: int, lengths, mean: float = 0.0):
     """Callable initial datum: a few low cosine modes, seeded."""
-    B = CosineBasis(lengths, n_modes)
+    B = CosineBasis(lengths, DATUM_MODES)
     rng = np.random.default_rng(seed)
-    coeffs = rng.standard_normal(n_modes)
+    coeffs = rng.standard_normal(DATUM_MODES)
     coeffs[0] = 0.0
     peak = np.abs(B.values(coeffs)).max()
     if peak > 0:
-        coeffs *= amplitude / peak
+        coeffs *= DATUM_AMPLITUDE / peak
 
     def f(*mesh):
         axes = [np.unique(m) for m in mesh]
@@ -459,7 +453,7 @@ def main(argv=None) -> int:
         args.m = [8, 16]
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError) as err:
+    except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except (BlowUpError, SolverError, QuadratureResolutionError) as err:

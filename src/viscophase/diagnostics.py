@@ -160,28 +160,25 @@ def relative_energy(state: State, reference: State) -> EnergyBreakdown:
 class GronwallFit:
     C: float
     residual: float
-    degenerate: bool = False          # E_rel(0) below atol: uniqueness branch
+    degenerate: bool = False          # E_rel(0) <= GRONWALL_ATOL: uniqueness
     max_E: float = 0.0
 
-    def __str__(self):
-        if self.degenerate:
-            return (f"gronwall fit: degenerate (E_rel(0) ~ 0); "
-                    f"max E_rel = {self.max_E:.3e}")
-        return f"gronwall fit: C = {self.C:.4g}, residual = {self.residual:.3e}"
+
+GRONWALL_ATOL = 1e-12     # an E_rel(0) at most this is no perturbation
 
 
 def gronwall_fit(times: Sequence[float], E_rel: Sequence[float],
-                 D_half: Sequence[float], atol: float = 1e-12) -> GronwallFit:
+                 D_half: Sequence[float]) -> GronwallFit:
     """Smallest constant C with E(t_n) + D_half(t_n) <= E(0)*exp(C t_n)
     for all n; D_half is the accumulated half-dissipation integral.
 
-    When E(0) vanishes the exponent is undefined and the uniqueness
-    branch reports max E instead.
+    When E(0) vanishes (at most GRONWALL_ATOL) the exponent is undefined
+    and the uniqueness branch reports max E instead.
     """
     t = np.asarray(times, dtype=float)
     E = np.asarray(E_rel, dtype=float)
     D = np.asarray(D_half, dtype=float)
-    if E[0] <= atol:
+    if E[0] <= GRONWALL_ATOL:
         return GronwallFit(C=0.0, residual=0.0, degenerate=True,
                            max_E=float(E.max()))
     lhs = E + D

@@ -90,14 +90,10 @@ class PhiQArrays:
 
 
 def _phi_q_arrays(phi: ScalarField, q: ScalarField, M: MaterialModel,
-                 grad_phi: Optional[np.ndarray] = None,
-                 lap_phi: Optional[np.ndarray] = None) -> PhiQArrays:
-    """The PhiQArrays of (phi, q) under M; grad_phi and lap_phi, if given,
-    are those of phi."""
+                 grad_phi: np.ndarray, lap_phi: np.ndarray) -> PhiQArrays:
+    """The PhiQArrays of (phi, q) under M; grad_phi and lap_phi are those
+    of phi."""
     grid = phi.grid
-    if grad_phi is None:
-        grad_phi = grad_arr(phi.data, grid, parity=1)
-        lap_phi = div_arr(grad_phi, grid, parity=-1)
     dF = _dF(M, phi.data)
     n, A, tau, eta = (np.asarray(c(phi.data), dtype=float)
                       for c in (M.n, M.A, M.tau, M.eta))
@@ -158,8 +154,10 @@ def make_state(t: float, phi: ScalarField, q: ScalarField, u: VectorField,
     """The state of these fields with both its records filled.  Its mu is
     the potential of phi; the step uses linear stabilization instead:
     F'(phi_old) + a*(phi - phi_old) in place of F'(phi) (see step_phi_q)."""
-    return _with_records(t, phi, q, u, p, _phi_q_arrays(phi, q, M),
-                         _velocity_gradients(u))
+    gphi = grad_arr(phi.data, phi.grid, parity=1)
+    arrays = _phi_q_arrays(phi, q, M, gphi,
+                           div_arr(gphi, phi.grid, parity=-1))
+    return _with_records(t, phi, q, u, p, arrays, _velocity_gradients(u))
 
 
 def _next_time(t: float, dt: float) -> float:
@@ -255,10 +253,11 @@ def step_phi_q(state: State, dt: float, solver_tol: float = 1e-11) -> State:
         - div_arr(nv[None] * cross, grid, parity=-1)
     )
 
+    s = lap_symbol(grid)
     if _is_const(mv):
         mbar = float(mv.flat[0])
         phi_new = solve_symbol(rhs, grid,
-                               lambda s: 1.0 + dt * mbar * (c0 * s * s - a * s))
+                               1.0 + dt * mbar * (c0 * s * s - a * s))
     else:
         solve_y = _solver(
             mv, lambda m, s: 1.0 / (a - c0 * s) - dt * m * s,
@@ -266,7 +265,7 @@ def step_phi_q(state: State, dt: float, solver_tol: float = 1e-11) -> State:
                                         grid, parity=-1),
             grid, solver_tol)
         y = solve_y(rhs, state.mu.data - mu_expl)        # x0 = K phi_old
-        phi_new = solve_symbol(y, grid, lambda s: a - c0 * s)
+        phi_new = solve_symbol(y, grid, a - c0 * s)
     _check_blow_up("phi", phi_new, t_new, bound=PHI_BLOW_UP)
 
     gphi_new = grad_arr(phi_new, grid, parity=1)
@@ -373,8 +372,9 @@ def _bool(s):
 
 
 # a key's rule: a test of its value and the reason a value fails it
-_POSITIVE = (lambda v: v > 0, "must be positive")
-_POSITIVE_OR_AUTO = (lambda v: v is None or v > 0, "must be positive or auto")
+_POSITIVE = (lambda v: 0 < v < math.inf, "must be positive and finite")
+_POSITIVE_OR_AUTO = (lambda v: v is None or 0 < v < math.inf,
+                     "must be positive and finite, or auto")
 _NON_NEGATIVE = (lambda v: v >= 0, "must be non-negative")
 _INIT_KIND = (lambda v: v in INIT_KINDS, f"must be one of {INIT_KINDS}")
 
@@ -497,11 +497,14 @@ def dt_max(cfg: SimConfig, grid: Grid, M: MaterialModel,
 
 
 def check_run_length(cfg: SimConfig) -> None:
-    """ConfigError naming the keys unless cfg fixes the run's length:
-    time.steps, or else time.t_end, at least time.dt when that is set.
-    A config that only describes a model or a state needs neither, so
-    validate_config does not ask for one; the commands that run check
+    """ConfigError naming the keys unless cfg fixes the run's length: one
+    of time.steps and time.t_end, a t_end at least time.dt when that is
+    set.  A config that only describes a model or a state needs neither,
+    so validate_config does not ask for one; the commands that run check
     this before they write anything, and step_plan before it plans."""
+    if cfg.steps is not None and cfg.t_end is not None:
+        raise ConfigError(f"time.steps = {cfg.steps!r} and time.t_end = "
+                          f"{cfg.t_end!r} are both set: set one of them")
     if cfg.steps is not None:
         return
     if cfg.t_end is None:
@@ -515,7 +518,7 @@ def check_run_length(cfg: SimConfig) -> None:
 def step_plan(cfg: SimConfig, grid: Grid, M: MaterialModel,
               u0: Optional[VectorField] = None):
     """(dt, n_steps).  The step is time.dt, or with time.dt = auto the
-    bound dt_safety * dt_max.  The count is time.steps, or else t_end / dt:
+    bound dt_safety * dt_max.  The count is time.steps, or t_end / dt:
     an explicit step is rounded to the nearest count, while an automatic
     one is shortened to t_end / n with n = ceil(t_end / bound), so the run
     ends on t_end and no step exceeds the bound."""
@@ -604,7 +607,11 @@ def initial_state(cfg: SimConfig, grid: Grid, M: MaterialModel):
     elif cfg.init_kind == "from-snapshot":
         from .snapshots import read_snapshot
         path = cfg.init_path
-        snap_grid, fields_map = read_snapshot(path)
+        try:
+            snap_grid, fields_map = read_snapshot(path)
+        except OSError as err:
+            raise ConfigError(
+                f"init.path = {path!r}: {err.strerror}") from None
         if (snap_grid.shape, snap_grid.lengths) != (grid.shape, grid.lengths):
             raise ConfigError(
                 f"{path}: snapshot grid {snap_grid.shape} with lengths "
@@ -644,10 +651,6 @@ class Trajectory:
         return cls(config=config, dt=dt, model=model,
                    series={key: np.array([r[key] for r in rows])
                            for key in rows[0]})
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.series["t"]
 
     def column(self, name: str) -> np.ndarray:
         return self.series[name]

@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -67,8 +67,9 @@ class Grid:
         if min(self.shape) < 4:
             raise ConfigError(f"grid.shape = {self.shape}: need at least 4 "
                               "cells per axis")
-        if not all(L > 0 for L in self.lengths):
-            raise ConfigError(f"grid.lengths = {self.lengths}: must be positive")
+        if not all(0 < L < math.inf for L in self.lengths):
+            raise ConfigError(f"grid.lengths = {self.lengths}: must be "
+                              "positive and finite")
         if self.bc not in BCS:
             raise ConfigError(f"grid.bc = {self.bc!r}: must be one of {BCS}")
         object.__setattr__(self, "shape", tuple(int(n) for n in self.shape))
@@ -87,10 +88,6 @@ class Grid:
     @property
     def h(self) -> Tuple[float, ...]:
         return tuple(L / n for L, n in zip(self.lengths, self.shape))
-
-    @property
-    def volume(self) -> float:
-        return float(np.prod(self.lengths))
 
     def axes(self):
         """Cell-center coordinates per axis."""
@@ -117,9 +114,6 @@ class ScalarField:
     def full(cls, grid: Grid, value: float) -> "ScalarField":
         return cls(grid, np.full(grid.shape, float(value)))
 
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.data.copy())
-
 
 @dataclass(frozen=True)
 class VectorField:
@@ -133,9 +127,6 @@ class VectorField:
     @classmethod
     def zeros(cls, grid: Grid) -> "VectorField":
         return cls(grid, np.zeros((grid.d,) + grid.shape))
-
-    def copy(self) -> "VectorField":
-        return VectorField(self.grid, self.data.copy())
 
 
 @functools.lru_cache(maxsize=128)
@@ -152,6 +143,7 @@ def _diff_index(grid: Grid, parity: int, stacked: bool):
 
     stacked: every block reads the one scalar input (gradient).  Otherwise
     block a reads component a of a (d,) + grid.shape input (divergence).
+    The third entry is 2h per axis, shaped to divide the differences.
     Cached per (grid, parity, stacked); the returned arrays are
     read-only."""
     size = math.prod(grid.shape)
@@ -169,31 +161,24 @@ def _diff_index(grid: Grid, parity: int, stacked: bool):
             before[first] = k[first] + ghost
         base = 0 if stacked else a * size
         plus[a], minus[a] = after + base, before + base
-    for arr in (plus, minus):
+    two_h = np.array([2.0 * h for h in grid.h]).reshape(
+        (grid.d,) + (1,) * grid.d)
+    for arr in (plus, minus, two_h):
         arr.setflags(write=False)
-    return plus, minus
-
-
-@functools.lru_cache(maxsize=64)
-def _two_h(grid: Grid) -> np.ndarray:
-    """2h per axis, shaped to divide a (d,) + grid.shape array; cached per
-    grid and read-only."""
-    out = np.array([2.0 * h for h in grid.h]).reshape((grid.d,) + (1,) * grid.d)
-    out.setflags(write=False)
-    return out
+    return plus, minus, two_h
 
 
 def _differences(src: np.ndarray, grid: Grid, parity: int,
                  stacked: bool) -> np.ndarray:
     """Undivided central differences of src over the gather tables, then
     divided by 2h: shape (d,) + grid.shape."""
-    plus, minus = _diff_index(grid, parity, stacked)
+    plus, minus, two_h = _diff_index(grid, parity, stacked)
     flat = src.ravel()
     if grid.bc != "periodic" and parity == -1:
         flat = np.concatenate((flat, -flat))
     out = flat.take(plus)
     out -= flat.take(minus)
-    out /= _two_h(grid)
+    out /= two_h
     return out
 
 
@@ -258,20 +243,18 @@ def _scipy_fft():
     return scipy.fft
 
 
-def solve_symbol(b: np.ndarray, grid: Grid, symbol: np.ndarray | Callable,
+def solve_symbol(b: np.ndarray, grid: Grid, symbol: np.ndarray,
                  parity: int = 1, inverse: bool = True) -> np.ndarray:
     """Apply the inverse of a constant-coefficient operator built from the
-    compatible Laplacian.  symbol is the operator's symbol in the layout
-    of lap_symbol(grid, parity), or a callable mapping that Laplacian
-    symbol to it; modes where the operator symbol vanishes are dropped.
-    inverse=False applies the operator itself: it multiplies by the
-    symbol and drops no mode.
+    compatible Laplacian.  symbol is the operator's symbol array in the
+    layout of lap_symbol(grid, parity), built from that Laplacian symbol;
+    modes where it vanishes are dropped.  inverse=False applies the
+    operator itself: it multiplies by the symbol and drops no mode.
 
     Periodic grids use numpy's rfftn.  Neumann grids use scipy.fft's
     orthonormal type-II DCT for even-parity fields (scalars) and type-II
     DST for odd-parity fields (velocity components).
     """
-    s = symbol(lap_symbol(grid, parity)) if callable(symbol) else symbol
     if grid.bc == "periodic":
         bh = np.fft.rfftn(b)
     else:
@@ -281,9 +264,10 @@ def solve_symbol(b: np.ndarray, grid: Grid, symbol: np.ndarray | Callable,
         else:
             bh = sfft.dstn(b, type=2, norm="ortho")
     if inverse:
-        xh = np.divide(bh, s, out=np.zeros_like(bh), where=np.abs(s) > 1e-14)
+        xh = np.divide(bh, symbol, out=np.zeros_like(bh),
+                       where=np.abs(symbol) > 1e-14)
     else:
-        xh = bh * s
+        xh = bh * symbol
     if grid.bc == "periodic":
         return np.fft.irfftn(xh, s=grid.shape, axes=tuple(range(grid.d)))
     if parity == 1:
@@ -292,25 +276,20 @@ def solve_symbol(b: np.ndarray, grid: Grid, symbol: np.ndarray | Callable,
 
 
 def cg(remainder: Callable, b: np.ndarray, precond: Callable,
-       tol: float = 1e-10, maxiter: int = 10000,
-       x0: Optional[np.ndarray] = None,
-       base: Optional[Callable] = None) -> np.ndarray:
+       x0: np.ndarray, base: Callable, tol: float = 1e-10,
+       maxiter: int = 10000) -> np.ndarray:
     """Matrix-free preconditioned conjugate gradients on shaped arrays for
     a symmetric positive definite system S x = b split as
-    S = P^-1 + remainder: precond applies the SPD preconditioner P and
-    base its exact inverse P^-1.  Stops at ||b - S x|| <= tol*||b||, else
-    raises SolverError.
+    S = P^-1 + remainder, started from x0: precond applies the SPD
+    preconditioner P and base its exact inverse P^-1.  Stops at
+    ||b - S x|| <= tol*||b||, else raises SolverError.
 
     Each iteration applies remainder once and precond once, and base not
     at all: with z = P r and the search direction p = z + beta*p, the
     product w = P^-1 p follows from w = r + beta*w, since P^-1 z = r.  So
-    S p = w + remainder(p).  base is read once, for P^-1 x0; without x0
-    it is not needed."""
-    if x0 is None:
-        x, r = np.zeros_like(b), b
-    else:
-        x = x0.copy()
-        r = b - base(x) - remainder(x)
+    S p = w + remainder(p).  base is read once, for the residual of x0."""
+    x = x0.copy()
+    r = b - base(x) - remainder(x)
     bnorm = np.sqrt((b * b).sum())
     if bnorm == 0.0:
         return np.zeros_like(b)
@@ -344,7 +323,7 @@ def solve_poisson(rhs: ScalarField) -> ScalarField:
     Laplacian cannot reach (its mean; on periodic grids also the
     checkerboard modes) is dropped."""
     grid = rhs.grid
-    p = solve_symbol(rhs.data, grid, lambda s: s)
+    p = solve_symbol(rhs.data, grid, lap_symbol(grid))
     return ScalarField(grid, p - p.mean())
 
 

@@ -149,6 +149,9 @@ def project(f: Callable, B: CosineBasis) -> np.ndarray:
     return B.inner(np.broadcast_to(vals, tuple(map(len, B.axes))).reshape(-1))
 
 
+QUAD_TOL = 1e-6     # Richardson gap of theta past which F' is under-resolved
+N_OUTPUT = 101      # output times of integrate_galerkin, 0 and t_end included
+
 _QuadValues = namedtuple("_QuadValues",
                          "gap phi q gphi gq nv Av dA_gphi q_tau wtil D")
 
@@ -193,12 +196,12 @@ def _quad_values(lam: np.ndarray, zeta: np.ndarray, B: CosineBasis,
 
 
 def assemble_rhs(lam: np.ndarray, zeta: np.ndarray, B: CosineBasis,
-                 M: MaterialModel, quad_tol: float = 1e-6):
+                 M: MaterialModel):
     """Time derivatives (dlam/dt, dzeta/dt), each (K, m), and the total
     dissipation D, shape (K,), of the K states of a (K, m) batch; a
     single state is K = 1.  QuadratureResolutionError when, for any
     member, theta on the doubled quadrature differs from theta by more
-    than quad_tol (a Richardson check).
+    than QUAD_TOL (a Richardson check).
 
     Weak form with the velocity dropped:
       d lam_j / dt = -<m(phi) grad mu - n(phi) grad(A q), grad psi_j>
@@ -209,7 +212,7 @@ def assemble_rhs(lam: np.ndarray, zeta: np.ndarray, B: CosineBasis,
     + <F'(phi), psi_j> by orthonormality.
     """
     V = _quad_values(lam, zeta, B, M)
-    if V.gap > quad_tol:
+    if V.gap > QUAD_TOL:
         raise QuadratureResolutionError(
             "nonlinear potential term under-resolved by the basis "
             f"quadrature (Richardson gap {V.gap:.3e})"
@@ -256,10 +259,10 @@ class GalerkinRun:
 
 
 def integrate_galerkin(lam0: np.ndarray, zeta0: np.ndarray, B: CosineBasis,
-                       M: MaterialModel, t_end: float, rtol: float = 1e-8,
-                       n_output: int = 101) -> GalerkinRun:
+                       M: MaterialModel, t_end: float,
+                       rtol: float = 1e-8) -> GalerkinRun:
     """Adaptive LSODA integration from the coefficients (lam0, zeta0) at
-    t = 0 to t_end, with the energy at n_output points.
+    t = 0 to t_end, with the energy at N_OUTPUT points.
 
     LSODA (Petzold 1983) takes Adams steps while the system is non-stiff
     and switches to BDF once the stiff high modes (c0 lam^2) would limit
@@ -287,7 +290,7 @@ def integrate_galerkin(lam0: np.ndarray, zeta0: np.ndarray, B: CosineBasis,
 
     y0 = np.concatenate([np.asarray(lam0, float), np.asarray(zeta0, float),
                          [0.0]])
-    t_eval = np.linspace(0.0, t_end, n_output)
+    t_eval = np.linspace(0.0, t_end, N_OUTPUT)
     with warnings.catch_warnings():
         # a failure is reported through info["message"] below
         warnings.simplefilter("ignore", ODEintWarning)

@@ -66,10 +66,6 @@ class Potential:
     delta: Optional[float] = None
     domain: Optional[tuple] = None
 
-    @property
-    def has_split(self) -> bool:
-        return self.f1 is not None
-
 
 def double_well() -> Potential:
     """Quartic double well F(s) = (s^2 - 1)^2 / 4 with minima at +-1."""
@@ -172,7 +168,7 @@ def regularize_potential(P: Potential, delta: float) -> Potential:
     F_{1,delta} equals F1 on [delta, 1-delta] and is C^2, with
     F_{1,delta}'' constant beyond the knots."""
     delta = _check_delta(delta)
-    if not P.has_split:
+    if P.f1 is None:
         raise ValueError("regularize_potential needs a split (F1 + F2) potential")
     f1d, df1d, d2f1d = _quadratic_extension(P.f1, P.df1, P.d2f1, delta)
     return replace(
@@ -269,10 +265,6 @@ class MaterialModel:
                 f"stabilization.a = {a} violates the coercivity requirement "
                 f"a > c4/2 = {self.c4 / 2.0} for this potential")
         object.__setattr__(self, "a", a)
-
-    def m(self, s):
-        ns = np.asarray(self.n(s), dtype=float)
-        return ns * ns
 
     @property
     def c4(self) -> float:

@@ -29,10 +29,6 @@ class SnapshotHeader:
     shape: Tuple[int, ...]
     lengths: Tuple[float, ...]
 
-    @property
-    def d(self) -> int:
-        return len(self.shape)
-
 
 def write_snapshot(path, shape, lengths, fields: Dict[str, np.ndarray]) -> None:
     """Write the fields, each of the grid's shape, to path.  Every field is

@@ -12,8 +12,9 @@ import pytest
 import viscophase.cli
 import viscophase.dynamics
 import viscophase.snapshots
-from viscophase.cli import (RunManifest, config_to_text, main,
-                            material_fingerprint, parse_config)
+from viscophase import __version__
+from viscophase.cli import (config_to_text, main, material_fingerprint,
+                            parse_config, run_manifest)
 from viscophase.dynamics import SimConfig, make_state
 from viscophase.errors import ConfigError, InvalidDeltaError
 from viscophase.fields import ScalarField
@@ -48,6 +49,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="line 1"):
             parse_config("time.steps = soon\n")
 
+    def test_line_without_equals_reported(self):
+        with pytest.raises(ConfigError,
+                           match="line 2: expected 'key = value'"):
+            parse_config("grid.bc = periodic\ngrid.shape 32,32\n")
+
     def test_delta_constraint(self):
         with pytest.raises(InvalidDeltaError):
             parse_config("regularization.delta = 0.7\n")
@@ -66,16 +72,22 @@ class TestParseConfig:
 
 class TestManifest:
     def test_round_trip(self, tmp_path):
-        cfg = parse_config("grid.shape = 32,32\ntime.steps = 5\n")
-        m = RunManifest.for_run(cfg, tmp_path)
-        back = RunManifest.parse(m.emit())
-        assert back == m
+        cfg = parse_config("grid.shape = 32,32\ntime.steps = 5\n"
+                           "run.seed = 4\n")
+        text = run_manifest(cfg, tmp_path)
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2)
+        manifest = json.loads(text)
+        assert (manifest["config"]["grid.shape"],
+                manifest["config"]["time.steps"]) == ("32,32", "5")
+        assert manifest == {
+            "config": config_to_text(cfg),
+            "fingerprint": material_fingerprint(cfg), "seed": 4,
+            "outdir": str(tmp_path), "version": __version__}
 
     def test_config_round_trip(self):
         cfg = parse_config("grid.shape = 24,24\nmodel.c0 = 0.004\n"
                            "time.steps = 9\n")
-        m = RunManifest.for_run(cfg, "out")
-        assert m.to_config() == cfg
+        assert _manifest_config(run_manifest(cfg, "out")) == cfg
 
     def test_fingerprint_tracks_material(self):
         base = parse_config("")
@@ -112,6 +124,12 @@ class TestManifest:
             material = key.split(".")[0] in ("model", "regularization",
                                              "stabilization")
             assert (material_fingerprint(cfg) != base) == material, key
+
+
+def _manifest_config(text):
+    """The config a manifest.json text records, parsed back."""
+    return parse_config("\n".join(
+        f"{k} = {v}" for k, v in json.loads(text)["config"].items()))
 
 
 def _write(path, text):
@@ -186,8 +204,8 @@ class TestRunCommand:
         out = tmp_path / "o"
         assert main(["run", "--config", cfg, "--out", str(out)]) == 3
         assert "at t=17.5" in capsys.readouterr().err
-        assert RunManifest.parse((out / "manifest.json").read_text()) \
-            .to_config() == parse_config(Path(cfg).read_text())
+        assert _manifest_config((out / "manifest.json").read_text()) \
+            == parse_config(Path(cfg).read_text())
         t = np.genfromtxt(out / "diagnostics.csv", delimiter=",",
                           names=True)["t"]
         assert len(t) == 35 and t[-1] == 17.0
@@ -248,13 +266,21 @@ class TestRunCommand:
           "model.mobility=quadratic"], "model.mobility"),
         (["model.regime=bulk"], "model.regime"),
         (["time.dt=0"], "time.dt"),
+        (["time.steps=auto", "time.t_end=inf"], "time.t_end"),
+        (["time.steps=auto", "time.t_end=1e-3", "time.dt_safety=inf"],
+         "time.dt_safety"),
+        (["time.dt=nan"], "time.dt"),
+        (["grid.lengths=inf,1"], "grid.lengths"),
+        (["run.velocity_coupling=maybe"], "run.velocity_coupling"),
     ], ids=["bc", "shape", "degenerate-mobility", "output-every", "tol-zero",
             "tol-negative", "degenerate-potential", "regular-mobility",
             "eta-zero", "tau-zero", "c0-negative", "lengths-zero",
             "steps-zero", "steps-negative", "eps1-negative", "a-below-c4-half",
             "init-kind", "t-end-zero", "seed-negative", "removed-potential",
             "removed-A", "removed-mobility-linear",
-            "removed-mobility-quadratic", "regime", "dt-zero"])
+            "removed-mobility-quadratic", "regime", "dt-zero", "t-end-inf",
+            "dt-safety-inf", "dt-nan", "lengths-inf",
+            "velocity-coupling-not-boolean"])
     def test_bad_value_exit_2_naming_key(self, tmp_path, capsys, overrides,
                                          key):
         out = tmp_path / "o"
@@ -360,6 +386,19 @@ class TestReportCommand:
 
     def test_missing_dir(self, tmp_path):
         assert main(["report", "--dir", str(tmp_path / "nope")]) == 2
+
+    def test_single_row_passes_with_nothing_to_check(self, tmp_path, capsys):
+        # the first row of a run's diagnostics, as a run cut after its
+        # initial state leaves it
+        out = tmp_path / "out"
+        assert main(["run", "--out", str(out), "--override", "grid.shape=8,8",
+                     "--override", "time.steps=2"]) == 0
+        path = out / "diagnostics.csv"
+        path.write_text("\n".join(path.read_text().splitlines()[:2]) + "\n")
+        capsys.readouterr()
+        assert main(["report", "--dir", str(out)]) == 0
+        assert capsys.readouterr().out == (
+            "[PASS] single-row diagnostics: nothing to check\n")
 
     def test_missing_column_exit_2_naming_it(self, tmp_path, capsys):
         path = tmp_path / "diagnostics.csv"
@@ -607,7 +646,8 @@ class TestCommandFlags:
 @pytest.mark.parametrize("overrides,message", [
     ([], "time.steps and time.t_end"),
     (["time.dt=1e-3", "time.t_end=1e-4"], "time.t_end"),
-], ids=["no-length", "t-end-below-dt"])
+    (["time.steps=2", "time.t_end=5"], "time.steps = 2 and time.t_end = 5.0"),
+], ids=["no-length", "t-end-below-dt", "steps-and-t-end"])
 def test_run_length_checked_before_any_write(tmp_path, capsys, command,
                                              overrides, message):
     out = tmp_path / "o"
@@ -617,6 +657,34 @@ def test_run_length_checked_before_any_write(tmp_path, capsys, command,
     assert main(argv) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["config-dir", "out-file",
+                                  "galerkin-out-file", "init-path-dir",
+                                  "init-path-empty"])
+def test_path_of_wrong_kind_exit_2_naming_it(tmp_path, capsys, case):
+    # a directory where a file is read, a file where a directory is made
+    # and an empty snapshot path each name the flag or key and the path
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    run = ["run", "--override", "grid.shape=8,8", "--override",
+           "time.steps=2"]
+    from_snapshot = run + ["--out", str(tmp_path / "o"), "--override",
+                           "init.kind=from-snapshot", "--override"]
+    argv, name, path = {
+        "config-dir": (run + ["--config", str(tmp_path), "--out",
+                              str(tmp_path / "o")], "--config", tmp_path),
+        "out-file": (run + ["--out", str(afile)], "--out", afile),
+        "galerkin-out-file": (["galerkin", "--m", "4", "--out", str(afile)],
+                              "--out", afile),
+        "init-path-dir": (from_snapshot + [f"init.path={tmp_path}"],
+                          "init.path", tmp_path),
+        "init-path-empty": (from_snapshot + ["init.path="], "init.path",
+                            "''"),
+    }[case]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert name in err and str(path) in err
 
 
 # In a fresh interpreter: the SciPy modules loaded after importing the

@@ -16,7 +16,8 @@ from viscophase.dynamics import (SimConfig, Trajectory, _diag_row,
                                  step_velocity)
 from viscophase.errors import BlowUpError, ConfigError
 from viscophase.fields import (Grid, ScalarField, VectorField, div_arr,
-                               grad_arr, integrate, lap_arr, solve_symbol)
+                               grad_arr, integrate, lap_arr, lap_symbol,
+                               solve_symbol)
 from viscophase.material import degenerate_model, regular_model
 
 
@@ -176,9 +177,9 @@ class TestVariableCoefficientSolves:
         M = dataclasses.replace(
             M, potential=dataclasses.replace(M.potential, df=zero), A=zero)
         phi = np.random.default_rng(3).uniform(0.0, 1.0, shape)
-        m_max = M.m(np.linspace(0.0, 1.0, 2001)).max()
+        m_max = (M.n(np.linspace(0.0, 1.0, 2001)) ** 2).max()
         dt = dt_factor * min(grid.h) ** 4 / (16.0 * M.c0 * m_max)
-        mv = M.m(phi)
+        mv = M.n(phi) ** 2
         a, c0 = M.a, M.c0
 
         def flux_div(x):
@@ -262,7 +263,7 @@ class TestVariableCoefficientSolves:
         mv, tau, eta = state.phi_q.n ** 2, state.phi_q.tau, mid.phi_q.eta
 
         def S_phi(y):
-            K_inv = solve_symbol(y, grid, lambda s: M.a - M.c0 * s)
+            K_inv = solve_symbol(y, grid, M.a - M.c0 * lap_symbol(grid))
             return K_inv - dt * div_arr(mv[None] * grad_arr(y, grid, 1),
                                         grid, -1)
 
@@ -341,6 +342,21 @@ class TestSimulate:
         _, state = next(run_of(cfg, phi0, q0, u0)[2])
         np.testing.assert_array_equal(state.phi.data, phi0.data)
 
+    def test_tanh_interface(self):
+        # phi0 = mean + amplitude * tanh((x - L/2) / width) along x, and a
+        # step from it lowers the energy
+        cfg = small_cfg(init_kind="tanh-interface", init_mean=0.1,
+                        init_amplitude=0.8, init_width=0.05,
+                        lengths=(2.0, 1.0), steps=1)
+        grid = build_grid(cfg)
+        phi0, _, _ = initial_state(cfg, grid, build_material(cfg))
+        x = grid.meshgrid()[0]
+        np.testing.assert_allclose(
+            phi0.data, 0.1 + 0.8 * np.tanh((x - 1.0) / 0.05),
+            rtol=0, atol=1e-15)
+        E = simulate(cfg).column("E_total")
+        assert len(E) == 2 and E[1] < E[0]
+
     def test_taylor_green_decay(self):
         # uniform phi, decaying vortex: rate within 10% of 2*eta*(2*pi/L)^2
         cfg = SimConfig(shape=(64, 64), steps=100, output_every=100,
@@ -354,7 +370,7 @@ class TestSimulate:
             -np.cos(2 * np.pi * x) * np.sin(2 * np.pi * y)]))
         traj = trajectory_of(cfg, phi0, q0, u0)
         E = traj.column("E_kin")
-        t = traj.times
+        t = traj.column("t")
         rate = -np.log(E[-1] / E[0]) / (2.0 * t[-1])
         expect = 2.0 * (2 * np.pi) ** 2
         assert rate == pytest.approx(expect, rel=0.1)
@@ -578,7 +594,7 @@ class TestStepSize:
                         init_mean=0.5, init_amplitude=0.2, t_end=2.4e-3,
                         output_every=1000, seed=0)
         traj = simulate(run)
-        assert len(traj.times) == 21
+        assert len(traj.column("t")) == 21
         assert viscophase.diagnostics.check_energy_inequality(traj).monotone
         assert traj.column("div_u_norm").max() <= 1e-14
 
@@ -620,7 +636,7 @@ class TestStepSize:
         for run in (dataclasses.replace(cfg, dt=dt_old, steps=steps_old),
                     dataclasses.replace(cfg, t_end=t_end)):
             traj = simulate(run)
-            assert traj.times[-1] == pytest.approx(t_end, rel=1e-12)
+            assert traj.column("t")[-1] == pytest.approx(t_end, rel=1e-12)
             E = traj.column("E_total")
             assert np.diff(E).max() <= 0.0
             drops.append(E[0] - E[-1])

@@ -148,7 +148,7 @@ class TestEntropy:
         s, knot_gap = s[knot_gap > 1e-5], knot_gap[knot_gap > 1e-5]
         h = 1e-3 * np.minimum(knot_gap, 1.0)
         d2g = (g(s + h) - 2.0 * g(s) + g(s - h)) / h**2
-        assert np.abs(d2g * M.m(s) - 1.0).max() < 1e-4
+        assert np.abs(d2g * M.n(s) ** 2 - 1.0).max() < 1e-4
 
     @pytest.mark.parametrize("delta", [1e-2, 1e-4])
     def test_logistic_entropy_is_shifted_potential(self, delta):
@@ -168,7 +168,7 @@ class TestModels:
         assert M.c0 == pytest.approx(2.5e-3)
         assert M.eps1 == pytest.approx(1e-2)
         assert M.a == pytest.approx(1.5)           # c4/2 + 1
-        assert M.m(0.3) == pytest.approx(1.0)
+        assert M.n(0.3) ** 2 == pytest.approx(1.0)
 
     def test_regular_bad_stabilization_detected(self):
         # c4 = 1 for the double well
@@ -192,7 +192,7 @@ class TestModels:
 
     def test_degenerate_quadratic_mobility(self):
         M = degenerate_model(delta=1e-3, mobility="s2(1-s)2")
-        assert M.m(0.5) == pytest.approx(0.25**2)
+        assert M.n(0.5) ** 2 == pytest.approx(0.25**2)
 
     def test_degenerate_entropy_bundled(self):
         M = degenerate_model(delta=1e-2)
