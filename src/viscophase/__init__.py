@@ -12,8 +12,8 @@ from .material import (
     degenerate_model,
 )
 from .fields import (
-    Grid, ScalarField, VectorField, grad_arr, div_arr, lap_arr, integrate,
-    solve_poisson, project_divergence_free,
+    Grid, grad_arr, div_arr, lap_arr, integrate, solve_poisson,
+    project_divergence_free,
 )
 from .dynamics import (
     State, SimConfig, Trajectory, make_state, step_phi_q, step_velocity,

@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -146,15 +147,21 @@ def _outdir(args) -> Path:
     return out
 
 
-def _run_to_csv(path: Path, cfg: SimConfig,
+def _build_run(cfg: SimConfig) -> tuple:
+    """(M, dt, n_steps, steps): cfg's model and run_steps from its initial
+    data, made (a snapshot read), checked and planned here, so that a run
+    that cannot start raises before its command writes anything."""
+    M = build_material(cfg)
+    return (M,) + run_steps(cfg, M, *initial_state(cfg, build_grid(cfg), M))
+
+
+def _run_to_csv(path: Path, cfg: SimConfig, run: tuple,
                 snapdir: Optional[Path] = None) -> Trajectory:
-    """Run cfg from its configured initial data, writing each row to the
-    CSV at path as it is made and, given snapdir, the state of each step
+    """Step run, the _build_run of cfg, writing each row to the CSV at
+    path as it is made and, given snapdir, the state of each step
     k = 0, output_every, 2*output_every ... and the last as
     snapdir/state_<k>.vpf, flushing the CSV at each of those steps."""
-    M = build_material(cfg)
-    dt, n_steps, steps = run_steps(cfg, M, *initial_state(cfg, build_grid(cfg),
-                                                          M))
+    M, dt, n_steps, steps = run
     rows = []
     with open(path, "w") as fh:
         for k, state in steps:
@@ -170,12 +177,13 @@ def _run_to_csv(path: Path, cfg: SimConfig,
     return Trajectory.from_rows(cfg, dt, rows, M)
 
 
-def _write_run_artifacts(out: Path, cfg: SimConfig) -> Trajectory:
-    """manifest.json, then _run_to_csv into diagnostics.csv and snapshots/."""
+def _write_run_artifacts(out: Path, cfg: SimConfig, run: tuple) -> Trajectory:
+    """manifest.json, then _run_to_csv of run, the _build_run of cfg, into
+    diagnostics.csv and snapshots/."""
     (out / "manifest.json").write_text(run_manifest(cfg, out))
     snapdir = out / "snapshots"
     snapdir.mkdir(exist_ok=True)
-    return _run_to_csv(out / "diagnostics.csv", cfg, snapdir)
+    return _run_to_csv(out / "diagnostics.csv", cfg, run, snapdir)
 
 
 def _at_most(name: str, value, threshold: float) -> CheckRecord:
@@ -219,14 +227,14 @@ def _emit(records: List[CheckRecord], out: Optional[Path] = None,
 
 def cmd_run(args) -> int:
     cfg = _load_config(args, SimConfig())
+    run = _build_run(cfg)
     out = _outdir(args)
-    traj = _write_run_artifacts(out, cfg)
+    traj = _write_run_artifacts(out, cfg, run)
     return _emit(_trajectory_records(traj), out, "energy_report")
 
 
 def cmd_weakstrong(args) -> int:
     cfg = _load_config(args, SimConfig())
-    out = _outdir(args)
     M = build_material(cfg)
     grid = build_grid(cfg)
     phi0, q0, u0 = initial_state(cfg, grid, M)
@@ -240,8 +248,9 @@ def cmd_weakstrong(args) -> int:
     # bounds report)
     has_entropy = M.entropy is not None
     dt, _, reference = run_steps(cfg, M, phi0, q0, u0)
-    perturbed = [run_steps(cfg, M, type(phi0)(grid, phi0.data + eps * bump),
-                           q0, u0)[2] for eps in args.eps]
+    perturbed = [run_steps(cfg, M, phi0 + eps * bump, q0, u0)[2]
+                 for eps in args.eps]
+    out = _outdir(args)
     ref_rows, samples = [], [[] for _ in args.eps]
     for (_, ref_state), *states in zip(reference, *perturbed):
         if has_entropy:
@@ -305,12 +314,16 @@ def _seeded_band_limited(seed: int, lengths, mean: float = 0.0):
 
 def cmd_galerkin(args) -> int:
     lengths = tuple(args.lengths)
-    if not 1 <= len(lengths) <= 3 or not all(L > 0 for L in lengths):
+    if not 1 <= len(lengths) <= 3 or not all(0 < L < math.inf
+                                             for L in lengths):
         raise ConfigError(f"--lengths = {' '.join(map(str, lengths))}: "
-                          "need 1-3 positive lengths")
+                          "need 1-3 positive finite lengths")
     for flag, value in (("--t-end", args.t_end), ("--rtol", args.rtol)):
-        if not value > 0:
-            raise ConfigError(f"{flag} = {value}: must be positive")
+        if not 0 < value < math.inf:
+            raise ConfigError(f"{flag} = {value}: must be positive and "
+                              "finite")
+    if not math.isfinite(args.mean):
+        raise ConfigError(f"--mean = {args.mean}: must be finite")
     if args.seed < 0:
         raise ConfigError(f"--seed = {args.seed}: must be non-negative")
     out = _outdir(args)
@@ -354,7 +367,8 @@ def cmd_degenerate_sweep(args) -> int:
     overshoots = []
     for delta in args.deltas:
         dcfg = dataclasses.replace(cfg, delta=delta)
-        traj = _run_to_csv(out / f"diagnostics_delta{delta:g}.csv", dcfg)
+        traj = _run_to_csv(out / f"diagnostics_delta{delta:g}.csv", dcfg,
+                           _build_run(dcfg))
         br = bounds_report(traj, traj.model)
         ent_ok = bool(np.all(np.isfinite(br.entropy_series)))
         rows.append((delta, br.overshoot, br.measure_max,

@@ -12,7 +12,7 @@ import numpy as np
 from .errors import GridMismatchError
 from .fields import grad_arr
 from .material import MaterialModel
-from .dynamics import PhiQArrays, State, Trajectory
+from .dynamics import State, Trajectory
 
 __all__ = [
     "EnergyBreakdown", "EnergyInequalityReport",
@@ -41,28 +41,29 @@ class EnergyBreakdown:
         return self.D_cross + self.D_q + self.D_eps + self.D_visc
 
 
-def _integrals(vol: float, rec: PhiQArrays, grad_phi: np.ndarray,
-               bulk: np.ndarray, q: np.ndarray, u: np.ndarray,
-               grad_mu: np.ndarray, grad_Aq: np.ndarray, grad_q: np.ndarray,
+def _integrals(state: State, grad_phi: np.ndarray, bulk: np.ndarray,
+               q: np.ndarray, u: np.ndarray, grad_mu: np.ndarray,
+               grad_Aq: np.ndarray, grad_q: np.ndarray,
                grad_u: tuple) -> EnergyBreakdown:
-    """The energy and dissipation integrals by the midpoint rule on cells
-    of volume vol: E_mix of grad_phi with the potential density bulk,
-    E_bulk of q, E_kin of u, D_cross of w = n*grad_mu - grad_Aq, D_q of q,
-    D_eps of grad_q and D_visc of grad_u (grad u_i for each i).  c0, eps1
-    and the coefficients n, tau and eta are those of the record rec."""
-    M = rec.model
+    """The energy and dissipation integrals by the midpoint rule on the
+    cells of state's grid: E_mix of grad_phi with the potential density
+    bulk, E_bulk of q, E_kin of u, D_cross of w = n*grad_mu - grad_Aq, D_q
+    of q, D_eps of grad_q and D_visc of grad_u (grad u_i for each i).  c0,
+    eps1 and the coefficients n, tau and eta are those of state."""
+    vol = state.grid.cell_volume
+    M = state.model
     E_mix = float(((0.5 * M.c0) * (grad_phi**2).sum(axis=0) + bulk).sum()
                   * vol)
     E_bulk = float((0.5 * q * q).sum() * vol)
     E_kin = float((0.5 * (u**2).sum(axis=0)).sum() * vol)
 
-    w = rec.n[None] * grad_mu - grad_Aq
+    w = state.n[None] * grad_mu - grad_Aq
     D_cross = float((w**2).sum() * vol)
-    D_q = float((q * q / rec.tau).sum() * vol)
+    D_q = float((q * q / state.tau).sum() * vol)
     D_eps = float(M.eps1 * (grad_q**2).sum() * vol)
     D_visc = 0.0
     for gu in grad_u:
-        D_visc += float((rec.eta * (gu**2).sum(axis=0)).sum() * vol)
+        D_visc += float((state.eta * (gu**2).sum(axis=0)).sum() * vol)
 
     return EnergyBreakdown(E_mix=E_mix, E_bulk=E_bulk, E_kin=E_kin,
                            D_cross=D_cross, D_q=D_q, D_eps=D_eps,
@@ -72,13 +73,11 @@ def _integrals(vol: float, rec: PhiQArrays, grad_phi: np.ndarray,
 def energy(state: State) -> EnergyBreakdown:
     """Total energy components and instantaneous dissipation integrands of
     a state under its model.  All but grad mu and F(phi) are read from the
-    state's array records (see State), which the next time step reuses."""
-    rec = state.phi_q
+    state's derived arrays (see State), which the next time step reuses."""
     return _integrals(
-        state.grid.cell_volume, rec, rec.grad_phi,
-        np.asarray(rec.model.potential.f(state.phi.data)), state.q.data,
-        state.u.data, grad_arr(state.mu.data, state.grid, parity=1),
-        rec.grad_Aq, rec.grad_q, state.grad_u)
+        state, state.grad_phi, np.asarray(state.model.potential.f(state.phi)),
+        state.q, state.u, grad_arr(state.mu, state.grid, parity=1),
+        state.grad_Aq, state.grad_q, state.grad_u)
 
 
 @dataclass(frozen=True)
@@ -126,34 +125,31 @@ def check_energy_inequality(traj: Trajectory, M: Optional[MaterialModel] = None
 def relative_energy(state: State, reference: State) -> EnergyBreakdown:
     """Distance functional between a state and a smoother reference, both
     built under one model: the integrals of energy() applied to the
-    differences of the two states' records.
+    differences of the two states' arrays.
 
     The mixing part penalizes the gradient difference, the convexity
     defect F(phi) - F(psi) - F'(psi)*(phi - psi) of F, and the
     stabilization a*(phi-psi)^2; the relative dissipation uses the cross
     difference n(phi)*(grad mu - grad pi) - grad(A(phi)*(q - Q)), where mu
     and pi are the chemical potentials the two states carry.  The
-    coefficients are those of the state's record.
+    coefficients are those of state.
     """
     if state.grid != reference.grid:
         raise GridMismatchError("state and reference grids differ")
     if state.model is not reference.model:
         raise ValueError("state and reference were built under different "
                          "models")
-    grid = state.grid
-    rec, ref = state.phi_q, reference.phi_q
-    M = state.model
-    phi, psi = state.phi.data, reference.phi.data
-    dq = state.q.data - reference.q.data
+    grid, M, ref = state.grid, state.model, reference
+    phi, psi = state.phi, ref.phi
+    dq = state.q - ref.q
     convexity = (np.asarray(M.potential.f(phi))
                  - np.asarray(M.potential.f(psi)) - ref.dF * (phi - psi))
     return _integrals(
-        grid.cell_volume, rec, rec.grad_phi - ref.grad_phi,
-        convexity + M.a * (phi - psi) ** 2, dq,
-        state.u.data - reference.u.data,
-        grad_arr(state.mu.data, grid, 1) - grad_arr(reference.mu.data, grid, 1),
-        grad_arr(rec.A * dq, grid, 1), rec.grad_q - ref.grad_q,
-        tuple(gu - gU for gu, gU in zip(state.grad_u, reference.grad_u)))
+        state, state.grad_phi - ref.grad_phi,
+        convexity + M.a * (phi - psi) ** 2, dq, state.u - ref.u,
+        grad_arr(state.mu, grid, 1) - grad_arr(ref.mu, grid, 1),
+        grad_arr(state.A * dq, grid, 1), state.grad_q - ref.grad_q,
+        tuple(gu - gU for gu, gU in zip(state.grad_u, ref.grad_u)))
 
 
 @dataclass(frozen=True)

@@ -27,8 +27,7 @@ import numpy as np
 from .errors import (BlowUpError, ConfigError, PotentialDomainError,
                      SnapshotError)
 from .fields import (
-    Grid, ScalarField, VectorField,
-    grad_arr, div_arr, cg, lap_symbol, solve_symbol,
+    Grid, grad_arr, div_arr, cg, lap_symbol, solve_symbol,
     project_divergence_free, integrate,
 )
 from .material import (MOBILITY_KINDS, MaterialModel, _check_delta,
@@ -71,13 +70,43 @@ def _dF(M: MaterialModel, s: np.ndarray) -> np.ndarray:
     return np.asarray(P.df(s), dtype=float)
 
 
-@dataclass(frozen=True)
-class PhiQArrays:
-    """The arrays of a state's (phi, q) that its step, the next step and
-    the diagnostics read: grad phi, lap phi, F'(phi), the coefficients
-    n, A, tau, eta at phi, grad q and grad(A(phi) q), all under model."""
+def _phi_q_arrays(phi: np.ndarray, q: np.ndarray, M: MaterialModel,
+                  grid: Grid, grad_phi: np.ndarray, lap_phi: np.ndarray):
+    """The State fields of (phi, q) under M on grid as keywords, mu
+    = -c0*lap(phi) + F'(phi) included; grad_phi and lap_phi are those of
+    phi."""
+    dF = _dF(M, phi)
+    n, A, tau, eta = (np.asarray(c(phi), dtype=float)
+                      for c in (M.n, M.A, M.tau, M.eta))
+    return dict(phi=phi, q=q, mu=-M.c0 * lap_phi + dF,
+                grad_phi=grad_phi, lap_phi=lap_phi, dF=dF,
+                n=n, A=A, tau=tau, eta=eta,
+                grad_q=grad_arr(q, grid, parity=1),
+                grad_Aq=grad_arr(A * q, grid, parity=1))
 
+
+def _velocity_gradients(u: np.ndarray, grid: Grid) -> tuple:
+    """grad u_i (odd parity) for each component i."""
+    return tuple(grad_arr(ui, grid, parity=-1) for ui in u)
+
+
+@dataclass(frozen=True)
+class State:
+    """One time slice: plain arrays on one grid, under the model that every
+    step and functional of the state uses.  u has shape (d,) + grid.shape,
+    the others grid.shape; mu is -c0*lap(phi) + F'(phi).  The arrays after
+    mu (grad_u: grad u_i per component) are derived from the fields once,
+    by make_state, step_phi_q and step_velocity, for the step, the next
+    step and the diagnostics to share.  No array is changed in place."""
+
+    t: float
+    grid: Grid
     model: MaterialModel
+    phi: np.ndarray
+    q: np.ndarray
+    u: np.ndarray
+    p: np.ndarray
+    mu: np.ndarray
     grad_phi: np.ndarray
     lap_phi: np.ndarray
     dF: np.ndarray
@@ -87,77 +116,20 @@ class PhiQArrays:
     eta: np.ndarray
     grad_q: np.ndarray
     grad_Aq: np.ndarray
+    grad_u: tuple
 
 
-def _phi_q_arrays(phi: ScalarField, q: ScalarField, M: MaterialModel,
-                 grad_phi: np.ndarray, lap_phi: np.ndarray) -> PhiQArrays:
-    """The PhiQArrays of (phi, q) under M; grad_phi and lap_phi are those
-    of phi."""
-    grid = phi.grid
-    dF = _dF(M, phi.data)
-    n, A, tau, eta = (np.asarray(c(phi.data), dtype=float)
-                      for c in (M.n, M.A, M.tau, M.eta))
-    return PhiQArrays(
-        model=M, grad_phi=grad_phi, lap_phi=lap_phi, dF=dF,
-        n=n, A=A, tau=tau, eta=eta,
-        grad_q=grad_arr(q.data, grid, parity=1),
-        grad_Aq=grad_arr(A * q.data, grid, parity=1))
-
-
-def _velocity_gradients(u: VectorField) -> tuple:
-    """grad u_i (odd parity) for each component i."""
-    return tuple(grad_arr(ui, u.grid, parity=-1) for ui in u.data)
-
-
-@dataclass(frozen=True)
-class State:
-    """One time slice.  mu is the chemical potential -c0*lap(phi) + F'(phi)
-    of phi, made with the state's arrays.
-
-    phi_q (see PhiQArrays) and grad_u (grad u_i for each component i)
-    hold the arrays computed from the fields, so that the step, the next
-    step and the diagnostics apply each stencil to a state once;
-    make_state, step_phi_q and step_velocity fill both.  model, the model
-    of phi_q, is the one every step and functional of the state uses.
-    The fields must not be changed in place."""
-
-    t: float
-    phi: ScalarField
-    q: ScalarField
-    u: VectorField
-    p: ScalarField
-    mu: ScalarField
-    phi_q: PhiQArrays = dc_field(compare=False, repr=False)
-    grad_u: tuple = dc_field(compare=False, repr=False)
-
-    @property
-    def grid(self) -> Grid:
-        return self.phi.grid
-
-    @property
-    def model(self) -> MaterialModel:
-        return self.phi_q.model
-
-
-def _with_records(t: float, phi: ScalarField, q: ScalarField,
-                  u: VectorField, p: ScalarField, arrays: PhiQArrays,
-                  grad_u: tuple) -> State:
-    """The state of these fields with the records arrays (of phi and q)
-    and grad_u (of u), and mu = -c0*lap(phi) + F'(phi) from arrays."""
-    mu = ScalarField(phi.grid, -arrays.model.c0 * arrays.lap_phi + arrays.dF)
-    return State(t=t, phi=phi, q=q, u=u, p=p, mu=mu, phi_q=arrays,
-                 grad_u=grad_u)
-
-
-def make_state(t: float, phi: ScalarField, q: ScalarField, u: VectorField,
-               p: ScalarField, M: MaterialModel) -> State:
-    """The state of these fields with both its records filled.  Its mu is
-    the potential of phi; the step uses linear stabilization instead:
-    F'(phi_old) + a*(phi - phi_old) in place of F'(phi) (see step_phi_q)."""
-    gphi = grad_arr(phi.data, phi.grid, parity=1)
-    arrays = _phi_q_arrays(phi, q, M, gphi,
-                           div_arr(gphi, phi.grid, parity=-1))
-    return _with_records(t, phi, q, u, p, arrays, _velocity_gradients(u))
+def make_state(t: float, phi: np.ndarray, q: np.ndarray, u: np.ndarray,
+               p: np.ndarray, M: MaterialModel, grid: Grid) -> State:
+    """The state of these arrays on grid under M, with its derived arrays
+    filled.  Its mu is the potential of phi; the step uses linear
+    stabilization instead: F'(phi_old) + a*(phi - phi_old) in place of
+    F'(phi) (see step_phi_q)."""
+    gphi = grad_arr(phi, grid, parity=1)
+    return State(t=t, grid=grid, model=M, u=u, p=p,
+                 grad_u=_velocity_gradients(u, grid),
+                 **_phi_q_arrays(phi, q, M, grid, gphi,
+                                 div_arr(gphi, grid, parity=-1)))
 
 
 def _next_time(t: float, dt: float) -> float:
@@ -224,33 +196,29 @@ def _solver(coeff: np.ndarray, symbol: Callable, remainder: Callable,
 
 def step_phi_q(state: State, dt: float, solver_tol: float = 1e-11) -> State:
     """One semi-implicit update of (phi, q) with frozen u: the state at
-    t + dt (see _next_time) with the new phi and q, their records, and the
-    old u, p and grad u.  Constant mobility gives one direct spectral solve
-    for phi.  A variable mobility and the q solve go through _solver.  The
-    phi system (I + dt*L*K) phi = rhs, L = -div(m grad), K = a - c0*lap,
-    is then solved as S y = rhs for y = K phi, S = K^-1 + dt*L: it is
-    symmetric positive definite and has the same residual.  Its spectral
-    part at the mean mobility m_bar is K^-1 - dt*m_bar*lap, and its
-    remainder -dt*div((m - m_bar) grad) is the one stencil pair of an
-    iteration; K^-1 is applied once more, to y, for phi."""
-    grid = state.grid
-    phi = state.phi.data
-    q = state.q.data
-    u = state.u.data
+    t + dt (see _next_time) with the new phi and q, their derived arrays,
+    and the old u, p and grad u.  Constant mobility gives one direct
+    spectral solve for phi.  A variable mobility and the q solve go
+    through _solver.  The phi system (I + dt*L*K) phi = rhs,
+    L = -div(m grad), K = a - c0*lap, is then solved as S y = rhs for
+    y = K phi, S = K^-1 + dt*L: it is symmetric positive definite and has
+    the same residual.  Its spectral part at the mean mobility m_bar is
+    K^-1 - dt*m_bar*lap, and its remainder -dt*div((m - m_bar) grad) is
+    the one stencil pair of an iteration; K^-1 is applied once more, to
+    y, for phi."""
+    grid, phi, q, u = state.grid, state.phi, state.q, state.u
     M = state.model
     c0, a = M.c0, M.a
     t_new = _next_time(state.t, dt)
 
-    arrays = state.phi_q
-    nv = arrays.n
+    nv = state.n
     mv = nv * nv
 
-    mu_expl = arrays.dF - a * phi
-    cross = arrays.grad_Aq
+    mu_expl = state.dF - a * phi
     rhs = phi + dt * (
-        -(u * arrays.grad_phi).sum(axis=0)
+        -(u * state.grad_phi).sum(axis=0)
         + div_arr(mv[None] * grad_arr(mu_expl, grid, parity=1), grid, parity=-1)
-        - div_arr(nv[None] * cross, grid, parity=-1)
+        - div_arr(nv[None] * state.grad_Aq, grid, parity=-1)
     )
 
     s = lap_symbol(grid)
@@ -264,44 +232,39 @@ def step_phi_q(state: State, dt: float, solver_tol: float = 1e-11) -> State:
             lambda dm, y: -dt * div_arr(dm[None] * grad_arr(y, grid, parity=1),
                                         grid, parity=-1),
             grid, solver_tol)
-        y = solve_y(rhs, state.mu.data - mu_expl)        # x0 = K phi_old
+        y = solve_y(rhs, state.mu - mu_expl)        # x0 = K phi_old
         phi_new = solve_symbol(y, grid, a - c0 * s)
     _check_blow_up("phi", phi_new, t_new, bound=PHI_BLOW_UP)
 
     gphi_new = grad_arr(phi_new, grid, parity=1)
     lap_new = div_arr(gphi_new, grid, parity=-1)
     mu_eff = -c0 * lap_new + a * phi_new + mu_expl
-    w = nv[None] * grad_arr(mu_eff, grid, parity=1) - cross
+    w = nv[None] * grad_arr(mu_eff, grid, parity=1) - state.grad_Aq
 
     rhs_q = q + dt * (
-        -_advect_skew(u, q, arrays.grad_q, grid, parity=1)
-        - arrays.A * div_arr(w, grid, parity=-1)
+        -_advect_skew(u, q, state.grad_q, grid, parity=1)
+        - state.A * div_arr(w, grid, parity=-1)
     )
-    diag = 1.0 + dt / arrays.tau
+    diag = 1.0 + dt / state.tau
     q_new = _solver(diag, lambda d, s: d - dt * M.eps1 * s,
                     lambda dd, x: dd * x, grid, solver_tol)(rhs_q, q)
     _check_blow_up("q", q_new, t_new)
 
-    phi_n, q_n = ScalarField(grid, phi_new), ScalarField(grid, q_new)
-    return _with_records(t_new, phi_n, q_n, state.u, state.p,
-                         _phi_q_arrays(phi_n, q_n, M, gphi_new, lap_new),
-                         state.grad_u)
+    return replace(state, t=t_new, **_phi_q_arrays(phi_new, q_new, M, grid,
+                                                    gphi_new, lap_new))
 
 
 def step_velocity(state: State, dt: float, solver_tol: float = 1e-11) -> State:
     """Semi-implicit viscous solve followed by a divergence-free projection:
-    the state with the new u, p and grad u, and the same t, phi, q and
-    (phi, q) record.  The capillary force is mu*grad(phi) in both regimes:
-    its work int mu u.grad(phi) is exactly the mixing power that the
-    explicit phi advection by u removes, so the coupling exchanges energy
-    and creates none.  Each component is solved by _solver: a direct
-    odd-parity spectral solve at constant viscosity, else CG."""
-    grid = state.grid
-    u = state.u.data
-    arrays = state.phi_q
-    etav = arrays.eta
+    the state with the new u, p and grad u, and the rest unchanged.  The
+    capillary force is mu*grad(phi) in both regimes: its work
+    int mu u.grad(phi) is exactly the mixing power that the explicit phi
+    advection by u removes, so the coupling exchanges energy and creates
+    none.  Each component is solved by _solver: a direct odd-parity
+    spectral solve at constant viscosity, else CG."""
+    grid, u = state.grid, state.u
 
-    f_cap = state.mu.data[None] * arrays.grad_phi
+    f_cap = state.mu[None] * state.grad_phi
 
     advect = np.empty_like(u)          # skew-symmetric (u . grad)u
     for i, gu in enumerate(state.grad_u):
@@ -309,16 +272,16 @@ def step_velocity(state: State, dt: float, solver_tol: float = 1e-11) -> State:
     rhs = u + dt * (-advect + f_cap)
 
     solve = _solver(
-        etav, lambda e, s: 1.0 - dt * e * s,
+        state.eta, lambda e, s: 1.0 - dt * e * s,
         lambda de, x: -dt * div_arr(de[None] * grad_arr(x, grid, parity=-1),
                                     grid, parity=1),
         grid, solver_tol, parity=-1)
     u_star = np.stack([solve(rhs[i], u[i]) for i in range(grid.d)])
     _check_blow_up("velocity", u_star, state.t)
 
-    u_new, p_dt = project_divergence_free(VectorField(grid, u_star))
-    return replace(state, u=u_new, p=ScalarField(grid, p_dt.data / dt),
-                   grad_u=_velocity_gradients(u_new))
+    u_new, p_dt = project_divergence_free(u_star, grid)
+    return replace(state, u=u_new, p=p_dt / dt,
+                   grad_u=_velocity_gradients(u_new, grid))
 
 
 # ---------------------------------------------------------------------------
@@ -375,38 +338,41 @@ def _bool(s):
 _POSITIVE = (lambda v: 0 < v < math.inf, "must be positive and finite")
 _POSITIVE_OR_AUTO = (lambda v: v is None or 0 < v < math.inf,
                      "must be positive and finite, or auto")
+_FINITE = (math.isfinite, "must be finite")
+_FINITE_OR_AUTO = (lambda v: v is None or math.isfinite(v),
+                   "must be finite, or auto")
 _NON_NEGATIVE = (lambda v: v >= 0, "must be non-negative")
 _INIT_KIND = (lambda v: v in INIT_KINDS, f"must be one of {INIT_KINDS}")
 
 # dotted key -> (SimConfig attribute, parser, rule).  A key without a rule
 # is checked where it is used: the grid keys by Grid, model.regime and
 # model.mobility by check_model_kinds, regularization.delta by
-# material._check_delta and stabilization.a by the model (a > c4/2).  The
-# growth-rate bound of the step divides by c0, and the implicit viscous,
-# relaxation and stress-diffusion solves need eta, tau and eps1 > 0.
+# material._check_delta.  The model holds stabilization.a to a > c4/2, the
+# step divides by c0 and init.width, and the implicit viscous, relaxation
+# and stress-diffusion solves need eta, tau and eps1 > 0.
 KEYMAP = {
     "grid.shape": ("shape", _tuple_int, None),
     "grid.lengths": ("lengths", _tuple_float, None),
     "grid.bc": ("bc", str, None),
     "model.regime": ("regime", str, None),
-    "model.theta_c": ("theta_c", float, None),
+    "model.theta_c": ("theta_c", float, _FINITE),
     "model.mobility": ("mobility_kind", str, None),
     "model.c0": ("c0", float, _POSITIVE),
     "model.eps1": ("eps1", float, _POSITIVE),
     "model.eta": ("eta", float, _POSITIVE),
     "model.tau": ("tau", float, _POSITIVE),
-    "model.alpha": ("alpha", float, None),
+    "model.alpha": ("alpha", float, _FINITE),
     "regularization.delta": ("delta", float, None),
-    "stabilization.a": ("a", _opt_float, None),
+    "stabilization.a": ("a", _opt_float, _FINITE_OR_AUTO),
     "time.dt": ("dt", _opt_float, _POSITIVE_OR_AUTO),
     "time.dt_safety": ("dt_safety", float, _POSITIVE),
     "time.t_end": ("t_end", _opt_float, _POSITIVE_OR_AUTO),
     "time.steps": ("steps", _opt_int, _POSITIVE_OR_AUTO),
     "time.output_every": ("output_every", int, _POSITIVE),
     "init.kind": ("init_kind", str, _INIT_KIND),
-    "init.mean": ("init_mean", float, None),
-    "init.amplitude": ("init_amplitude", float, None),
-    "init.width": ("init_width", float, None),
+    "init.mean": ("init_mean", float, _FINITE),
+    "init.amplitude": ("init_amplitude", float, _FINITE),
+    "init.width": ("init_width", float, _POSITIVE),
     "init.path": ("init_path", str, None),
     "run.seed": ("seed", int, _NON_NEGATIVE),
     "run.velocity_coupling": ("velocity_coupling", _bool, None),
@@ -470,7 +436,7 @@ def build_material(cfg: SimConfig) -> MaterialModel:
 
 
 def dt_max(cfg: SimConfig, grid: Grid, M: MaterialModel,
-           u0: Optional[VectorField] = None) -> float:
+           u0: Optional[np.ndarray] = None) -> float:
     """The largest automatic step: the least of
 
     - tau_min / 2, from the relaxation of q;
@@ -490,7 +456,7 @@ def dt_max(cfg: SimConfig, grid: Grid, M: MaterialModel,
     if M.growth_max > 0:
         bounds.append(GROWTH_FRACTION * 4.0 * M.c0 / M.growth_max)
     if u0 is not None:
-        umax = float(np.abs(u0.data).max())
+        umax = float(np.abs(u0).max())
         if umax > 0:
             bounds.append(COURANT_MAX * h_min / umax)
     return min(bounds)
@@ -516,19 +482,22 @@ def check_run_length(cfg: SimConfig) -> None:
 
 
 def step_plan(cfg: SimConfig, grid: Grid, M: MaterialModel,
-              u0: Optional[VectorField] = None):
+              u0: Optional[np.ndarray] = None):
     """(dt, n_steps).  The step is time.dt, or with time.dt = auto the
     bound dt_safety * dt_max.  The count is time.steps, or t_end / dt:
     an explicit step is rounded to the nearest count, while an automatic
     one is shortened to t_end / n with n = ceil(t_end / bound), so the run
-    ends on t_end and no step exceeds the bound."""
+    ends on t_end and no step exceeds the bound.  ConfigError naming the
+    key that sets the step when it is not positive and finite."""
     check_run_length(cfg)
     dt = cfg.dt
     auto = dt is None
     if auto:
         dt = cfg.dt_safety * dt_max(cfg, grid, M, u0=u0)
-    if dt <= 0:
-        raise ConfigError("dt must be positive")
+    if not 0 < dt < math.inf:
+        key = "time.dt_safety" if auto else "time.dt"
+        raise ConfigError(f"{key}: the step {dt!r} is not positive and "
+                          "finite")
     if cfg.steps is not None:
         return dt, int(cfg.steps)
     if auto:
@@ -590,9 +559,10 @@ def _spinodal_noise(grid: Grid, mean: float, amplitude: float, seed: int) -> np.
 
 
 def initial_state(cfg: SimConfig, grid: Grid, M: MaterialModel):
-    """phi0, q0, u0 from the configured initial-data library.  Only a
-    snapshot sets q and u; it must hold phi and, if any velocity component,
-    all of them."""
+    """The arrays (phi0, q0, u0) on grid from the configured initial-data
+    library: phi0 and q0 of the grid's shape, u0 of (d,) + grid.shape.
+    Only a snapshot sets q and u; it must hold phi and, if any velocity
+    component, all of them."""
     q0 = np.zeros(grid.shape)
     u0 = np.zeros((grid.d,) + grid.shape)
     if cfg.init_kind == "uniform":
@@ -631,8 +601,7 @@ def initial_state(cfg: SimConfig, grid: Grid, M: MaterialModel):
     else:
         raise ConfigError(f"init.kind = {cfg.init_kind!r}: must be one of "
                           f"{INIT_KINDS}")
-    phi = ScalarField(grid, np.asarray(phi0, dtype=float))
-    return phi, ScalarField(grid, q0), VectorField(grid, u0)
+    return np.asarray(phi0, dtype=float), q0, u0
 
 
 @dataclass
@@ -666,7 +635,7 @@ def _diag_row(state: State, dt: float) -> dict:
     {phi <= NEAR_DEGENERATE} | {phi >= 1 - NEAR_DEGENERATE}."""
     from .diagnostics import energy
     eb = energy(state)
-    phi = state.phi.data
+    phi = state.phi
     vol = state.grid.cell_volume
     row = {
         "t": state.t,
@@ -674,11 +643,11 @@ def _diag_row(state: State, dt: float) -> dict:
         "E_total": eb.E_total,
         "D_cross": eb.D_cross, "D_q": eb.D_q, "D_eps": eb.D_eps,
         "D_visc": eb.D_visc,
-        "mass": integrate(state.phi),
+        "mass": integrate(phi, state.grid),
         "min_phi": float(phi.min()),
         "max_phi": float(phi.max()),
         "div_u_norm": _div_u_norm(state),
-        "cfl": dt * float(np.abs(state.u.data).max()) / min(state.grid.h),
+        "cfl": dt * float(np.abs(state.u).max()) / min(state.grid.h),
     }
     entropy = state.model.entropy
     if entropy is not None:
@@ -695,30 +664,36 @@ def _div_u_norm(state: State) -> float:
     return float(np.sqrt((d * d).sum() * state.grid.cell_volume))
 
 
-def run_steps(config: SimConfig, M: MaterialModel, phi: ScalarField,
-              q: ScalarField, u: VectorField):
-    """(dt, n_steps, steps) of a run of config under M from (phi, q, u):
-    steps yields (k, state) for k = 0 ... n_steps, the k-th state, and
-    holds only the current state; _diag_row(state, dt) is its diagnostics
-    row.  The initial data are checked first: they must be finite and,
+def run_steps(config: SimConfig, M: MaterialModel, phi: np.ndarray,
+              q: np.ndarray, u: np.ndarray):
+    """(dt, n_steps, steps) of a run of config under M from the arrays
+    (phi, q, u) on build_grid(config): steps yields (k, state) for
+    k = 0 ... n_steps, the k-th state, and holds only the current state;
+    _diag_row(state, dt) is its diagnostics row.  The initial data are
+    checked first, ConfigError naming the first bad one: phi and q must
+    have the grid's shape and u (d,) + grid.shape, all must be finite and,
     under a model with an entropy (the degenerate regime), phi in [0, 1]
     with a finite integral of F + G; step_plan then picks dt and
     n_steps."""
-    for f in (phi, q, u):
-        if not np.all(np.isfinite(f.data)):
+    grid = build_grid(config)
+    for name, f, shape in (("phi", phi, grid.shape), ("q", q, grid.shape),
+                           ("u", u, (grid.d,) + grid.shape)):
+        if np.shape(f) != shape:
+            raise ConfigError(f"initial {name} has shape {np.shape(f)}: "
+                              f"the grid needs {shape}")
+        if not np.all(np.isfinite(f)):
             raise ConfigError("initial data must be finite")
     if M.entropy is not None:
-        if phi.data.min() < 0.0 or phi.data.max() > 1.0:
+        if phi.min() < 0.0 or phi.max() > 1.0:
             raise ConfigError("degenerate regime requires phi0 in [0,1]")
-        start_res = float(np.sum(M.potential.f(phi.data)
-                                 + M.entropy.g(phi.data))
-                          * phi.grid.cell_volume)
+        start_res = float(np.sum(M.potential.f(phi) + M.entropy.g(phi))
+                          * grid.cell_volume)
         if not np.isfinite(start_res):
             raise ConfigError("integral of F(phi0) + G(phi0) must be finite")
-    dt, n_steps = step_plan(config, phi.grid, M, u)
+    dt, n_steps = step_plan(config, grid, M, u)
 
     def steps():
-        state = make_state(0.0, phi, q, u, ScalarField.full(phi.grid, 0.0), M)
+        state = make_state(0.0, phi, q, u, np.zeros(grid.shape), M, grid)
         yield 0, state
         for k in range(1, n_steps + 1):
             state = step_phi_q(state, dt, solver_tol=config.solver_tol)

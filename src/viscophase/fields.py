@@ -1,5 +1,8 @@
 """Discrete fields on uniform rectangular grids and compatible operators.
 
+A field is a plain NumPy array of the grid's shape (scalar) or of
+(d,) + grid.shape (vector); every operator takes it as (array, grid).
+
 Cell-centered collocated layout.  Gradient and divergence are central
 differences whose ghost values come from wraparound (periodic) or cell-
 center reflection (neumann-noslip: even reflection for scalars, odd for
@@ -37,8 +40,6 @@ from .errors import ConfigError, SolverError
 
 __all__ = [
     "Grid",
-    "ScalarField",
-    "VectorField",
     "grad_arr",
     "div_arr",
     "lap_arr",
@@ -95,38 +96,6 @@ class Grid:
 
     def meshgrid(self):
         return np.meshgrid(*self.axes(), indexing="ij")
-
-
-@dataclass(frozen=True)
-class ScalarField:
-    grid: Grid
-    data: np.ndarray
-
-    def __post_init__(self):
-        if self.data.shape != self.grid.shape:
-            raise ValueError("data shape does not match grid")
-
-    @classmethod
-    def from_function(cls, grid: Grid, fn: Callable) -> "ScalarField":
-        return cls(grid, np.asarray(fn(*grid.meshgrid()), dtype=float))
-
-    @classmethod
-    def full(cls, grid: Grid, value: float) -> "ScalarField":
-        return cls(grid, np.full(grid.shape, float(value)))
-
-
-@dataclass(frozen=True)
-class VectorField:
-    grid: Grid
-    data: np.ndarray                 # shape (d,) + grid.shape
-
-    def __post_init__(self):
-        if self.data.shape != (self.grid.d,) + self.grid.shape:
-            raise ValueError("data shape does not match grid")
-
-    @classmethod
-    def zeros(cls, grid: Grid) -> "VectorField":
-        return cls(grid, np.zeros((grid.d,) + grid.shape))
 
 
 @functools.lru_cache(maxsize=128)
@@ -194,9 +163,9 @@ def lap_arr(f: np.ndarray, grid: Grid) -> np.ndarray:
     return div_arr(grad_arr(f, grid, parity=1), grid, parity=-1)
 
 
-def integrate(f: ScalarField) -> float:
-    """Midpoint rule."""
-    return float(f.data.sum() * f.grid.cell_volume)
+def integrate(f: np.ndarray, grid: Grid) -> float:
+    """Midpoint rule for a scalar f on grid."""
+    return float(f.sum() * grid.cell_volume)
 
 
 # ---------------------------------------------------------------------------
@@ -317,21 +286,20 @@ def cg(remainder: Callable, b: np.ndarray, precond: Callable,
                       f"(residual {rnorm / bnorm:.3e})")
 
 
-def solve_poisson(rhs: ScalarField) -> ScalarField:
-    """Solve laplacian(p) = rhs with mean-zero p by a direct symbol solve
-    (FFT on periodic grids, DCT on Neumann grids).  The part of rhs the
-    Laplacian cannot reach (its mean; on periodic grids also the
+def solve_poisson(rhs: np.ndarray, grid: Grid) -> np.ndarray:
+    """The mean-zero p with laplacian(p) = rhs on grid, by a direct symbol
+    solve (FFT on periodic grids, DCT on Neumann grids).  The part of rhs
+    the Laplacian cannot reach (its mean; on periodic grids also the
     checkerboard modes) is dropped."""
-    grid = rhs.grid
-    p = solve_symbol(rhs.data, grid, lap_symbol(grid))
-    return ScalarField(grid, p - p.mean())
+    p = solve_symbol(rhs, grid, lap_symbol(grid))
+    return p - p.mean()
 
 
-def project_divergence_free(v: VectorField):
-    """Remove the discrete gradient part of v via a pressure Poisson solve.
+def project_divergence_free(v: np.ndarray, grid: Grid):
+    """Remove the discrete gradient part of the vector v, of shape
+    (d,) + grid.shape, via a pressure Poisson solve.
 
     Returns (v - grad(p), p) with p mean-zero.
     """
-    p = solve_poisson(ScalarField(v.grid, div_arr(v.data, v.grid, parity=-1)))
-    u = VectorField(v.grid, v.data - grad_arr(p.data, v.grid, parity=1))
-    return u, p
+    p = solve_poisson(div_arr(v, grid, parity=-1), grid)
+    return v - grad_arr(p, grid, parity=1), p

@@ -103,9 +103,9 @@ def read_snapshot(path):
 def write_state(path, state) -> None:
     """One file per state: phi, q, velocity components, p, mu."""
     grid = state.grid
-    fields = {"phi": state.phi.data, "q": state.q.data}
+    fields = {"phi": state.phi, "q": state.q}
     for i in range(grid.d):
-        fields["u_" + "xyz"[i]] = state.u.data[i]
-    fields["p"] = state.p.data
-    fields["mu"] = state.mu.data
+        fields["u_" + "xyz"[i]] = state.u[i]
+    fields["p"] = state.p
+    fields["mu"] = state.mu
     write_snapshot(path, grid.shape, grid.lengths, fields)

@@ -17,7 +17,6 @@ from viscophase.cli import (config_to_text, main, material_fingerprint,
                             parse_config, run_manifest)
 from viscophase.dynamics import SimConfig, make_state
 from viscophase.errors import ConfigError, InvalidDeltaError
-from viscophase.fields import ScalarField
 
 
 class TestParseConfig:
@@ -171,9 +170,9 @@ class TestRunCommand:
                 # phi + c on the last step adds c |Omega| = 1e-9 of mass
                 for k, state in steps:
                     if k == n_steps:
-                        phi = ScalarField(state.grid, state.phi.data + 1e-9)
-                        state = make_state(state.t, phi, state.q, state.u,
-                                           state.p, M)
+                        state = make_state(state.t, state.phi + 1e-9,
+                                           state.q, state.u, state.p, M,
+                                           state.grid)
                     yield k, state
             return dt, n_steps, last_state_drifts()
 
@@ -272,6 +271,18 @@ class TestRunCommand:
         (["time.dt=nan"], "time.dt"),
         (["grid.lengths=inf,1"], "grid.lengths"),
         (["run.velocity_coupling=maybe"], "run.velocity_coupling"),
+        (["model.regime=degenerate", "init.mean=0.5", "model.theta_c=1",
+          "model.tau=1e300", "time.dt_safety=1e10", "time.steps=auto",
+          "time.t_end=1e-3"], "time.dt_safety"),
+        (["model.regime=degenerate", "init.mean=0.5", "model.theta_c=nan"],
+         "model.theta_c"),
+        (["model.alpha=nan"], "model.alpha"),
+        (["model.regime=degenerate", "init.mean=0.5", "model.alpha=inf"],
+         "model.alpha"),
+        (["stabilization.a=inf"], "stabilization.a"),
+        (["init.mean=nan"], "init.mean"),
+        (["init.amplitude=inf"], "init.amplitude"),
+        (["init.kind=tanh-interface", "init.width=0"], "init.width"),
     ], ids=["bc", "shape", "degenerate-mobility", "output-every", "tol-zero",
             "tol-negative", "degenerate-potential", "regular-mobility",
             "eta-zero", "tau-zero", "c0-negative", "lengths-zero",
@@ -280,7 +291,9 @@ class TestRunCommand:
             "removed-A", "removed-mobility-linear",
             "removed-mobility-quadratic", "regime", "dt-zero", "t-end-inf",
             "dt-safety-inf", "dt-nan", "lengths-inf",
-            "velocity-coupling-not-boolean"])
+            "velocity-coupling-not-boolean", "auto-step-inf", "theta-c-nan",
+            "alpha-nan", "degenerate-alpha-inf", "a-inf", "init-mean-nan",
+            "init-amplitude-inf", "init-width-zero"])
     def test_bad_value_exit_2_naming_key(self, tmp_path, capsys, overrides,
                                          key):
         out = tmp_path / "o"
@@ -627,10 +640,16 @@ class TestCommandFlags:
         (["galerkin", "--lengths", "0", "1"], "--lengths"),
         (["galerkin", "--lengths", "1", "1", "1", "1"], "--lengths"),
         (["galerkin", "--seed", "-1"], "--seed"),
+        (["galerkin", "--t-end", "inf"], "--t-end"),
+        (["galerkin", "--rtol", "inf"], "--rtol"),
+        (["galerkin", "--lengths", "inf", "1"], "--lengths"),
+        (["galerkin", "--mean", "nan"], "--mean"),
+        (["galerkin", "--mean", "inf"], "--mean"),
         (["degenerate-sweep", "--deltas", "1e-4,1e-2"], "--deltas"),
         (["degenerate-sweep", "--deltas", "1e-2,1e-2"], "--deltas"),
     ], ids=["rtol-zero", "t-end-zero",
             "t-end-negative", "lengths-zero", "lengths-four", "seed-negative",
+            "t-end-inf", "rtol-inf", "lengths-inf", "mean-nan", "mean-inf",
             "deltas-increasing", "deltas-repeated"])
     def test_bad_flag_exit_2_naming_flag(self, tmp_path, capsys, argv, flag):
         # the sweep's config runs as it is: only the flag is at fault
@@ -685,6 +704,8 @@ def test_path_of_wrong_kind_exit_2_naming_it(tmp_path, capsys, case):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert name in err and str(path) in err
+    if case.startswith("init-path"):
+        assert not (tmp_path / "o").exists()
 
 
 # In a fresh interpreter: the SciPy modules loaded after importing the

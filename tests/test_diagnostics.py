@@ -9,16 +9,16 @@ from viscophase.dynamics import (SimConfig, Trajectory, _diag_row,
                                  build_grid, build_material, make_state,
                                  run_steps, simulate)
 from viscophase.errors import GridMismatchError
-from viscophase.fields import Grid, ScalarField, VectorField, grad_arr
+from viscophase.fields import Grid, grad_arr
 from viscophase.material import degenerate_model, regular_model
 import dataclasses
 import json
 
 
 def _state(grid, M, phi, q=None, u=None):
-    qf = ScalarField.full(grid, 0.0) if q is None else q
-    uf = VectorField.zeros(grid) if u is None else u
-    return make_state(0.0, phi, qf, uf, ScalarField.full(grid, 0.0), M)
+    qf = np.full(grid.shape, 0.0) if q is None else q
+    uf = np.zeros((grid.d,) + grid.shape) if u is None else u
+    return make_state(0.0, phi, qf, uf, np.full(grid.shape, 0.0), M, grid)
 
 
 @pytest.fixture
@@ -32,13 +32,13 @@ def setup():
 class TestEnergy:
     def test_minimum_state(self, setup):
         grid, M = setup
-        eb = energy(_state(grid, M, ScalarField.full(grid, 1.0)))
+        eb = energy(_state(grid, M, np.full(grid.shape, 1.0)))
         assert eb.E_total == pytest.approx(0.0, abs=1e-14)
         assert eb.D_total == pytest.approx(0.0, abs=1e-14)
 
     def test_constant_integrand(self, setup):
         grid, M = setup
-        eb = energy(_state(grid, M, ScalarField.full(grid, 0.0)))
+        eb = energy(_state(grid, M, np.full(grid.shape, 0.0)))
         assert eb.E_total == pytest.approx(0.25)
         assert eb.E_mix == pytest.approx(0.25)
 
@@ -52,16 +52,16 @@ class TestEnergy:
             f=lambda s: np.zeros_like(np.asarray(s, float)),
             df=lambda s: np.zeros_like(np.asarray(s, float)))
         M = dataclasses.replace(M, potential=zero_pot)
-        phi = ScalarField.from_function(grid, lambda x, y: np.cos(2 * np.pi * x))
+        phi = np.cos(2 * np.pi * grid.meshgrid()[0])
         eb = energy(_state(grid, M, phi))
         assert eb.E_mix == pytest.approx(np.pi**2, rel=1e-3)
 
     def test_totals_additive(self, setup):
         grid, M = setup
         rng = np.random.default_rng(0)
-        st = _state(grid, M, ScalarField(grid, rng.standard_normal(grid.shape)),
-                    ScalarField(grid, rng.standard_normal(grid.shape)),
-                    VectorField(grid, rng.standard_normal((2,) + grid.shape)))
+        st = _state(grid, M, rng.standard_normal(grid.shape),
+                    rng.standard_normal(grid.shape),
+                    rng.standard_normal((2,) + grid.shape))
         eb = energy(st)
         assert eb.E_total == pytest.approx(eb.E_mix + eb.E_bulk + eb.E_kin)
         assert min(eb.D_cross, eb.D_q, eb.D_eps, eb.D_visc) >= 0.0
@@ -101,7 +101,7 @@ class TestRelativeEnergy:
     def test_self_distance_zero(self, setup):
         grid, M = setup
         rng = np.random.default_rng(2)
-        st = _state(grid, M, ScalarField(grid, 0.3 * rng.standard_normal(grid.shape)))
+        st = _state(grid, M, 0.3 * rng.standard_normal(grid.shape))
         rep = relative_energy(st, st)
         assert rep.E_total == pytest.approx(0.0, abs=1e-14)
         assert rep.D_total == pytest.approx(0.0, abs=1e-14)
@@ -109,8 +109,8 @@ class TestRelativeEnergy:
     def test_constant_shift_closed_form(self, setup):
         grid, M = setup
         eps = 0.3
-        st = _state(grid, M, ScalarField.full(grid, eps))
-        ref = _state(grid, M, ScalarField.full(grid, 0.0))
+        st = _state(grid, M, np.full(grid.shape, eps))
+        ref = _state(grid, M, np.full(grid.shape, 0.0))
         rep = relative_energy(st, ref)
         P = M.potential
         expect = float(P.f(eps) - P.f(0.0) - P.df(0.0) * eps + M.a * eps**2)
@@ -119,9 +119,9 @@ class TestRelativeEnergy:
     def test_kinetic_only(self, setup):
         grid, M = setup
         beta = 0.7
-        phi = ScalarField.full(grid, 0.2)
-        u = VectorField(grid, np.stack([np.full(grid.shape, beta),
-                                        np.zeros(grid.shape)]))
+        phi = np.full(grid.shape, 0.2)
+        u = np.stack([np.full(grid.shape, beta),
+                                        np.zeros(grid.shape)])
         st = _state(grid, M, phi, u=u)
         ref = _state(grid, M, phi)
         rep = relative_energy(st, ref)
@@ -131,10 +131,10 @@ class TestRelativeEnergy:
     def test_bulk_kin_symmetric_mix_not(self, setup):
         grid, M = setup
         rng = np.random.default_rng(3)
-        a = _state(grid, M, ScalarField(grid, 0.4 * rng.standard_normal(grid.shape)),
-                   ScalarField(grid, rng.standard_normal(grid.shape)))
-        b = _state(grid, M, ScalarField(grid, 0.4 * rng.standard_normal(grid.shape)),
-                   ScalarField(grid, rng.standard_normal(grid.shape)))
+        a = _state(grid, M, 0.4 * rng.standard_normal(grid.shape),
+                   rng.standard_normal(grid.shape))
+        b = _state(grid, M, 0.4 * rng.standard_normal(grid.shape),
+                   rng.standard_normal(grid.shape))
         fwd = relative_energy(a, b)
         bwd = relative_energy(b, a)
         assert fwd.E_bulk == pytest.approx(bwd.E_bulk, rel=1e-12)
@@ -146,22 +146,22 @@ class TestRelativeEnergy:
         rng = np.random.default_rng(4)
         gap = M.a - M.c4 / 2.0
         for _ in range(20):
-            pa = ScalarField(grid, 0.8 * rng.standard_normal(grid.shape))
-            pb = ScalarField(grid, 0.8 * rng.standard_normal(grid.shape))
+            pa = 0.8 * rng.standard_normal(grid.shape)
+            pb = 0.8 * rng.standard_normal(grid.shape)
             rep = relative_energy(_state(grid, M, pa), _state(grid, M, pb))
-            l2sq = float(((pa.data - pb.data) ** 2).sum() * grid.cell_volume)
+            l2sq = float(((pa - pb) ** 2).sum() * grid.cell_volume)
             assert rep.E_mix >= gap * l2sq - 1e-10
 
     def test_grid_mismatch(self, setup):
         grid, M = setup
         other = build_grid(SimConfig(shape=(16, 16)))
         with pytest.raises(GridMismatchError):
-            relative_energy(_state(grid, M, ScalarField.full(grid, 0.0)),
-                            _state(other, M, ScalarField.full(other, 0.0)))
+            relative_energy(_state(grid, M, np.full(grid.shape, 0.0)),
+                            _state(other, M, np.full(other.shape, 0.0)))
 
     def test_model_mismatch(self, setup):
         grid, M = setup
-        zero = ScalarField.full(grid, 0.0)
+        zero = np.full(grid.shape, 0.0)
         with pytest.raises(ValueError, match="different models"):
             relative_energy(_state(grid, M, zero),
                             _state(grid, regular_model(), zero))
@@ -181,10 +181,10 @@ class TestRelativeEnergy:
         def random_state(base=None):
             noise = rng.uniform(-1.0, 1.0, (2 + grid.d,) + shape)
             phi = (mean + amp * noise[0] if base is None
-                   else base.phi.data + 0.05 * noise[0])
-            return _state(grid, M, ScalarField(grid, phi),
-                          ScalarField(grid, noise[1]),
-                          VectorField(grid, noise[2:]))
+                   else base.phi + 0.05 * noise[0])
+            return _state(grid, M, phi,
+                          noise[1],
+                          noise[2:])
 
         reference = random_state()
         state = random_state(reference)
@@ -200,9 +200,9 @@ def _field_by_field(state, reference, M):
     D_total."""
     grid = state.grid
     vol = grid.cell_volume
-    phi, psi = state.phi.data, reference.phi.data
-    q, Q = state.q.data, reference.q.data
-    u, U = state.u.data, reference.u.data
+    phi, psi = state.phi, reference.phi
+    q, Q = state.q, reference.q
+    u, U = state.u, reference.u
     P = M.potential
 
     dgrad = grad_arr(phi, grid, 1) - grad_arr(psi, grid, 1)
@@ -215,8 +215,8 @@ def _field_by_field(state, reference, M):
 
     nv = np.asarray(M.n(phi), dtype=float)
     Av = np.asarray(M.A(phi), dtype=float)
-    cross = (nv[None] * (grad_arr(state.mu.data, grid, 1)
-                         - grad_arr(reference.mu.data, grid, 1))
+    cross = (nv[None] * (grad_arr(state.mu, grid, 1)
+                         - grad_arr(reference.mu, grid, 1))
              - grad_arr(Av * (q - Q), grid, 1))
     etav = np.asarray(M.eta(phi), dtype=float)
     tauv = np.asarray(M.tau(phi), dtype=float)
@@ -259,8 +259,8 @@ def _first_row_trajectory(phi_data):
     cfg = SimConfig(shape=(32, 32), regime="degenerate", steps=1)
     grid = build_grid(cfg)
     M = build_material(cfg)
-    dt, _, steps = run_steps(cfg, M, ScalarField(grid, phi_data),
-                             ScalarField.full(grid, 0.0), VectorField.zeros(grid))
+    dt, _, steps = run_steps(cfg, M, phi_data, np.full(grid.shape, 0.0),
+                             np.zeros((grid.d,) + grid.shape))
     _, state = next(steps)
     return Trajectory.from_rows(cfg, dt, [_diag_row(state, dt)], M), M
 

@@ -7,7 +7,7 @@ import pytest
 from viscophase.dynamics import make_state
 from viscophase.errors import (ConfigError, InvalidDeltaError,
                                PotentialDomainError)
-from viscophase.fields import Grid, ScalarField, VectorField
+from viscophase.fields import Grid
 from viscophase.material import (degenerate_model, double_well,
                                  flory_huggins_split, regular_model,
                                  regularize_mobility, regularize_potential)
@@ -81,10 +81,10 @@ class TestFloryHuggins:
         for bad in (1.2, 0.0):
             phi = np.full(grid.shape, 0.5)
             phi[1, 2] = bad
-            zero = ScalarField.full(grid, 0.0)
+            zero = np.full(grid.shape, 0.0)
             with pytest.raises(PotentialDomainError, match="open interval"):
-                make_state(0.0, ScalarField(grid, phi), zero,
-                           VectorField.zeros(grid), zero, M)
+                make_state(0.0, phi, zero, np.zeros((grid.d,) + grid.shape),
+                           zero, M, grid)
 
 
 class TestRegularization:

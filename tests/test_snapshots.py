@@ -6,7 +6,6 @@ import pytest
 from viscophase.cli import main
 from viscophase.dynamics import SimConfig, build_grid, build_material, make_state
 from viscophase.errors import SnapshotError
-from viscophase.fields import Grid, ScalarField, VectorField
 from viscophase.snapshots import (read_snapshot, write_snapshot, write_state)
 
 
@@ -83,6 +82,7 @@ def test_truncated_init_snapshot_exit_2(tmp_path):
                    f"init.kind = from-snapshot\ninit.path = {path}\n")
     assert main(["run", "--config", str(cfg), "--out",
                  str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
 
 
 def _run_from_snapshot(tmp_path, path, capsys):
@@ -109,6 +109,7 @@ def test_non_utf8_field_name_exit_2(tmp_path, capsys):
         read_snapshot(path)
     code, err = _run_from_snapshot(tmp_path, path, capsys)
     assert code == 2 and "badname.vpf" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_snapshot_without_phi_exit_2(tmp_path, capsys):
@@ -116,6 +117,7 @@ def test_snapshot_without_phi_exit_2(tmp_path, capsys):
     write_snapshot(path, (4, 6), (1.0, 1.5), {"q": np.zeros((4, 6))})
     code, err = _run_from_snapshot(tmp_path, path, capsys)
     assert code == 2 and "nophi.vpf" in err and "fields: q" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_snapshot_with_partial_velocity_exit_2(tmp_path, capsys):
@@ -124,6 +126,7 @@ def test_snapshot_with_partial_velocity_exit_2(tmp_path, capsys):
                    {"phi": np.full((4, 6), 0.1), "u_x": np.zeros((4, 6))})
     code, err = _run_from_snapshot(tmp_path, path, capsys)
     assert code == 2 and "halfu.vpf" in err and "'u_y'" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_restart_continues_source_run(tmp_path):
@@ -152,6 +155,7 @@ def test_snapshot_lengths_mismatch_exit_2(tmp_path, capsys):
     write_snapshot(path, (4, 6), (3.0, 2.0), {"phi": np.full((4, 6), 0.1)})
     code, err = _run_from_snapshot(tmp_path, path, capsys)
     assert code == 2 and "long.vpf" in err and "(3.0, 2.0)" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_shape_mismatch(tmp_path):
@@ -181,12 +185,12 @@ def test_write_state(tmp_path):
     cfg = SimConfig(shape=(8, 8), steps=1)
     grid = build_grid(cfg)
     M = build_material(cfg)
-    state = make_state(0.0, ScalarField.full(grid, 0.3),
-                       ScalarField.full(grid, 0.0), VectorField.zeros(grid),
-                       ScalarField.full(grid, 0.0), M)
+    state = make_state(0.0, np.full(grid.shape, 0.3), np.full(grid.shape, 0.0),
+                       np.zeros((grid.d,) + grid.shape),
+                       np.full(grid.shape, 0.0), M, grid)
     path = tmp_path / "state.vpf"
     write_state(path, state)
     header, fields = read_snapshot(path)
     assert set(fields) == {"phi", "q", "u_x", "u_y", "p", "mu"}
-    np.testing.assert_array_equal(fields["phi"], state.phi.data)
-    np.testing.assert_allclose(fields["mu"], state.mu.data)
+    np.testing.assert_array_equal(fields["phi"], state.phi)
+    np.testing.assert_allclose(fields["mu"], state.mu)
