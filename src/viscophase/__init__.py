@@ -16,19 +16,19 @@ from .fields import (
     project_divergence_free,
 )
 from .dynamics import (
-    State, SimConfig, Trajectory, make_state, step_phi_q, step_velocity,
+    State, SimConfig, make_state, step_phi_q, step_velocity,
     run_steps, simulate, build_grid, build_material, initial_state, dt_max,
     validate_config,
 )
 from .diagnostics import (
-    EnergyBreakdown, EnergyInequalityReport, GronwallFit, BoundsReport,
-    CheckRecord, energy, check_energy_inequality, relative_energy,
-    gronwall_fit, bounds_report, write_report,
+    Trajectory, EnergyBreakdown, EnergyInequalityReport, GronwallFit,
+    BoundsReport, CheckRecord, energy, check_energy_inequality,
+    relative_energy, gronwall_fit, bounds_report, write_report,
 )
 from .galerkin import (
     CosineBasis, project, assemble_rhs, integrate_galerkin,
     energy_galerkin, convergence_study,
 )
-from .snapshots import write_snapshot, read_snapshot, write_state
+from .snapshots import write_snapshot, read_snapshot, write_state, read_state
 
 __version__ = "0.1.0"

@@ -22,11 +22,12 @@ import numpy as np
 from . import __version__
 from .errors import (BlowUpError, ConfigError, QuadratureResolutionError,
                      SolverError)
-from .dynamics import (COURANT_MAX, KEYMAP, SimConfig, Trajectory, _diag_row,
-                       build_grid, build_material, check_run_length,
-                       initial_state, run_steps, validate_config)
-from .diagnostics import (CheckRecord, bounds_report, check_energy_inequality,
-                          gronwall_fit, relative_energy, write_report)
+from .dynamics import (COURANT_MAX, KEYMAP, SimConfig, _FINITE,
+                       _NON_NEGATIVE, _POSITIVE, build_grid, build_material,
+                       check_rule, initial_state, run_steps, validate_config)
+from .diagnostics import (CheckRecord, Trajectory, _diag_row, bounds_report,
+                          check_energy_inequality, gronwall_fit,
+                          relative_energy, write_report)
 from .galerkin import CosineBasis, convergence_study
 from .material import regular_model
 from .snapshots import write_state
@@ -39,12 +40,6 @@ EXIT_CHECK = 4
 
 # ---------------------------------------------------------------------------
 # config parsing
-
-_FORMATTERS = {
-    "shape": lambda v: ",".join(str(x) for x in v),
-    "lengths": lambda v: ",".join(repr(float(x)) for x in v),
-}
-
 
 def parse_config(text: str) -> SimConfig:
     """Flat dotted-key config text -> fully defaulted, validated SimConfig."""
@@ -75,22 +70,22 @@ def _apply_lines(cfg: SimConfig, text: str) -> SimConfig:
     return cfg
 
 
+def _format(v) -> str:
+    """The config text of a value, which its key's parser reads back: a
+    tuple's items joined by commas, None as auto, a float by repr."""
+    if isinstance(v, tuple):
+        return ",".join(_format(x) for x in v)
+    if v is None:
+        return "auto"
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return repr(v) if isinstance(v, float) else str(v)
+
+
 def config_to_text(cfg: SimConfig) -> Dict[str, str]:
     """Canonical dotted-key string form of a config (for the manifest)."""
-    out = {}
-    for key, (attr, _, _) in KEYMAP.items():
-        v = getattr(cfg, attr)
-        if attr in _FORMATTERS:
-            out[key] = _FORMATTERS[attr](v)
-        elif v is None:
-            out[key] = "auto"
-        elif isinstance(v, bool):
-            out[key] = "true" if v else "false"
-        elif isinstance(v, float):
-            out[key] = repr(v)
-        else:
-            out[key] = str(v)
-    return out
+    return {key: _format(getattr(cfg, attr))
+            for key, (attr, _, _) in KEYMAP.items()}
 
 
 # the KEYMAP sections that define the material model
@@ -120,7 +115,8 @@ def run_manifest(cfg: SimConfig, outdir) -> str:
 def _load_config(args, base: SimConfig) -> SimConfig:
     """The config of a command that runs: its base config, then the config
     file, the overrides and the seed applied on it, validated once at the
-    end, run length included, before the command writes anything."""
+    end.  The run length is checked by step_plan, when the command plans
+    its runs before it writes anything."""
     cfg = dataclasses.replace(base)
     if args.config:
         try:
@@ -133,9 +129,7 @@ def _load_config(args, base: SimConfig) -> SimConfig:
         _set_key(cfg, item, "--override")
     if args.seed is not None:
         cfg.seed = args.seed
-    validate_config(cfg)
-    check_run_length(cfg)
-    return cfg
+    return validate_config(cfg)
 
 
 def _outdir(args) -> Path:
@@ -161,7 +155,7 @@ def _run_to_csv(path: Path, cfg: SimConfig, run: tuple,
     path as it is made and, given snapdir, the state of each step
     k = 0, output_every, 2*output_every ... and the last as
     snapdir/state_<k>.vpf, flushing the CSV at each of those steps."""
-    M, dt, n_steps, steps = run
+    _, dt, n_steps, steps = run
     rows = []
     with open(path, "w") as fh:
         for k, state in steps:
@@ -174,7 +168,7 @@ def _run_to_csv(path: Path, cfg: SimConfig, run: tuple,
                 if snapdir is not None:
                     write_state(snapdir / f"state_{k:06d}.vpf", state)
                 fh.flush()
-    return Trajectory.from_rows(cfg, dt, rows, M)
+    return Trajectory.from_rows(cfg, dt, rows)
 
 
 def _write_run_artifacts(out: Path, cfg: SimConfig, run: tuple) -> Trajectory:
@@ -286,7 +280,7 @@ def cmd_weakstrong(args) -> int:
                                 abs(ratio / (e1 / e2) ** 2 - 1.0), 0.25))
 
     if has_entropy:
-        ref = Trajectory.from_rows(cfg, dt, ref_rows, M)
+        ref = Trajectory.from_rows(cfg, dt, ref_rows)
         print(f"reference: {bounds_report(ref, M)}")
     return _emit(records, out, "weakstrong_report")
 
@@ -318,14 +312,11 @@ def cmd_galerkin(args) -> int:
                                              for L in lengths):
         raise ConfigError(f"--lengths = {' '.join(map(str, lengths))}: "
                           "need 1-3 positive finite lengths")
-    for flag, value in (("--t-end", args.t_end), ("--rtol", args.rtol)):
-        if not 0 < value < math.inf:
-            raise ConfigError(f"{flag} = {value}: must be positive and "
-                              "finite")
-    if not math.isfinite(args.mean):
-        raise ConfigError(f"--mean = {args.mean}: must be finite")
-    if args.seed < 0:
-        raise ConfigError(f"--seed = {args.seed}: must be non-negative")
+    for flag, value, rule in (("--t-end", args.t_end, _POSITIVE),
+                              ("--rtol", args.rtol, _POSITIVE),
+                              ("--mean", args.mean, _FINITE),
+                              ("--seed", args.seed, _NON_NEGATIVE)):
+        check_rule(flag, value, rule)
     out = _outdir(args)
     M = regular_model()
     phi0 = _seeded_band_limited(args.seed, lengths, mean=args.mean)
@@ -361,15 +352,17 @@ def cmd_degenerate_sweep(args) -> int:
     if cfg.regime != SWEEP_BASE.regime:
         raise ConfigError(f"model.regime = {cfg.regime!r}: degenerate-sweep "
                           f"runs only the {SWEEP_BASE.regime} regime")
+    # every run is built (checked and planned, not stepped) before the
+    # output directory is made
+    dcfgs = [dataclasses.replace(cfg, delta=delta) for delta in args.deltas]
+    runs = [_build_run(dcfg) for dcfg in dcfgs]
     out = _outdir(args)
     rows = []
     records = []
     overshoots = []
-    for delta in args.deltas:
-        dcfg = dataclasses.replace(cfg, delta=delta)
-        traj = _run_to_csv(out / f"diagnostics_delta{delta:g}.csv", dcfg,
-                           _build_run(dcfg))
-        br = bounds_report(traj, traj.model)
+    for delta, dcfg, run in zip(args.deltas, dcfgs, runs):
+        traj = _run_to_csv(out / f"diagnostics_delta{delta:g}.csv", dcfg, run)
+        br = bounds_report(traj, run[0])
         ent_ok = bool(np.all(np.isfinite(br.entropy_series)))
         rows.append((delta, br.overshoot, br.measure_max,
                      br.separation_margin, float(ent_ok)))

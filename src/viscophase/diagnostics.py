@@ -1,21 +1,22 @@
 """Energy, dissipation, relative-energy and phase-bound functionals
-evaluated on states and trajectories, plus pass/fail report rendering."""
+evaluated on states and trajectories, the diagnostics row of a state and
+the Trajectory of a run's rows, plus pass/fail report rendering.  State
+and SimConfig in annotations are dynamics', which imports this module."""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, field as dc_field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import GridMismatchError
-from .fields import grad_arr
+from .fields import grad_arr, integrate
 from .material import MaterialModel
-from .dynamics import State, Trajectory
 
 __all__ = [
-    "EnergyBreakdown", "EnergyInequalityReport",
+    "Trajectory", "EnergyBreakdown", "EnergyInequalityReport",
     "GronwallFit", "BoundsReport", "CheckRecord",
     "energy", "check_energy_inequality", "relative_energy", "gronwall_fit",
     "bounds_report", "write_report",
@@ -78,6 +79,64 @@ def energy(state: State) -> EnergyBreakdown:
         state, state.grad_phi, np.asarray(state.model.potential.f(state.phi)),
         state.q, state.u, grad_arr(state.mu, state.grid, parity=1),
         state.grad_Aq, state.grad_q, state.grad_u)
+
+
+@dataclass
+class Trajectory:
+    """The diagnostics rows of a run as columns: series maps each column
+    name to its per-step values, in the CSV's column order."""
+
+    config: SimConfig
+    dt: float
+    series: dict = dc_field(default_factory=dict)
+
+    @classmethod
+    def from_rows(cls, config: SimConfig, dt: float,
+                  rows: list) -> "Trajectory":
+        return cls(config=config, dt=dt,
+                   series={key: np.array([r[key] for r in rows])
+                           for key in rows[0]})
+
+    def column(self, name: str) -> np.ndarray:
+        return self.series[name]
+
+
+NEAR_DEGENERATE = 1e-2
+
+
+def _diag_row(state: State, dt: float) -> dict:
+    """The diagnostics of a state, in column order; cfl is the Courant
+    number dt * max|u| / h_min of a step dt with its velocity.  A model
+    with an entropy adds the entropy and near_degenerate, the measure of
+    {phi <= NEAR_DEGENERATE} | {phi >= 1 - NEAR_DEGENERATE}."""
+    eb = energy(state)
+    phi = state.phi
+    vol = state.grid.cell_volume
+    row = {
+        "t": state.t,
+        "E_mix": eb.E_mix, "E_bulk": eb.E_bulk, "E_kin": eb.E_kin,
+        "E_total": eb.E_total,
+        "D_cross": eb.D_cross, "D_q": eb.D_q, "D_eps": eb.D_eps,
+        "D_visc": eb.D_visc,
+        "mass": integrate(phi, state.grid),
+        "min_phi": float(phi.min()),
+        "max_phi": float(phi.max()),
+        "div_u_norm": _div_u_norm(state),
+        "cfl": dt * float(np.abs(state.u).max()) / min(state.grid.h),
+    }
+    entropy = state.model.entropy
+    if entropy is not None:
+        row["entropy"] = float(entropy.g(phi).sum() * vol)
+        row["near_degenerate"] = float(
+            ((phi <= NEAR_DEGENERATE) | (phi >= 1.0 - NEAR_DEGENERATE)).sum()
+        ) * vol
+    return row
+
+
+def _div_u_norm(state: State) -> float:
+    """The L2 norm of div u, the trace of the recorded grad u."""
+    d = sum(gu[i] for i, gu in enumerate(state.grad_u))
+    return float(np.sqrt((d * d).sum() * state.grid.cell_volume))
 
 
 @dataclass(frozen=True)
@@ -207,7 +266,7 @@ def bounds_report(traj: Trajectory, M: MaterialModel) -> BoundsReport:
     """Space-time extrema of phi, the largest near-degenerate-set measure,
     the entropy time series and the separation margin, all read from the
     columns of a run under M.  A model without an entropy writes neither
-    column (see dynamics._diag_row): measure_max is NaN, entropy None."""
+    column (see _diag_row): measure_max is NaN, entropy None."""
     mn = float(traj.column("min_phi").min())
     mx = float(traj.column("max_phi").max())
     has_entropy = M.entropy is not None

@@ -19,26 +19,28 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import (dataclass, field as dc_field, fields as dc_fields,
+                         replace)
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (BlowUpError, ConfigError, PotentialDomainError,
-                     SnapshotError)
+from .diagnostics import Trajectory, _diag_row
+from .errors import BlowUpError, ConfigError, PotentialDomainError
 from .fields import (
     Grid, grad_arr, div_arr, cg, lap_symbol, solve_symbol,
-    project_divergence_free, integrate,
+    project_divergence_free,
 )
 from .material import (MOBILITY_KINDS, MaterialModel, _check_delta,
                        degenerate_model, regular_model)
+from .snapshots import read_state
 
 __all__ = [
     "State", "SimConfig", "Trajectory", "make_state",
     "step_phi_q", "step_velocity",
     "run_steps", "simulate", "build_grid", "build_material", "initial_state",
-    "dt_max", "step_plan", "check_model_kinds", "check_run_length",
-    "validate_config",
+    "dt_max", "step_plan", "check_model_kinds", "check_rule",
+    "check_run_length", "validate_config",
     "KEYMAP", "COURANT_MAX",
 ]
 
@@ -79,7 +81,7 @@ def _phi_q_arrays(phi: np.ndarray, q: np.ndarray, M: MaterialModel,
     n, A, tau, eta = (np.asarray(c(phi), dtype=float)
                       for c in (M.n, M.A, M.tau, M.eta))
     return dict(phi=phi, q=q, mu=-M.c0 * lap_phi + dF,
-                grad_phi=grad_phi, lap_phi=lap_phi, dF=dF,
+                grad_phi=grad_phi, dF=dF,
                 n=n, A=A, tau=tau, eta=eta,
                 grad_q=grad_arr(q, grid, parity=1),
                 grad_Aq=grad_arr(A * q, grid, parity=1))
@@ -108,7 +110,6 @@ class State:
     p: np.ndarray
     mu: np.ndarray
     grad_phi: np.ndarray
-    lap_phi: np.ndarray
     dF: np.ndarray
     n: np.ndarray
     A: np.ndarray
@@ -287,42 +288,8 @@ def step_velocity(state: State, dt: float, solver_tol: float = 1e-11) -> State:
 # ---------------------------------------------------------------------------
 # configuration and orchestration
 
-@dataclass
-class SimConfig:
-    shape: tuple = (64, 64)
-    lengths: tuple = (1.0, 1.0)
-    bc: str = "periodic"
-    regime: str = "regular"
-    dt: Optional[float] = None           # None (auto): see step_plan
-    dt_safety: float = 1.0
-    t_end: Optional[float] = None
-    steps: Optional[int] = None
-    output_every: int = 50
-    seed: int = 0
-    velocity_coupling: bool = True
-    solver_tol: float = 1e-11
-    # initial data
-    init_kind: str = "spinodal"          # uniform | spinodal | tanh-interface | from-snapshot
-    init_mean: float = 0.0
-    init_amplitude: float = 0.01
-    init_width: float = 0.05
-    init_path: str = ""
-    # material
-    theta_c: float = 2.5
-    mobility_kind: str = "auto"
-    delta: float = 1e-3
-    c0: float = 2.5e-3
-    eps1: float = 1e-2
-    a: Optional[float] = None
-    eta: float = 1.0
-    tau: float = 1.0
-    alpha: float = 1.0                   # A = alpha * n (n = 1: regular)
-
-
 def _tuple_int(s): return tuple(int(x) for x in s.replace(",", " ").split())
 def _tuple_float(s): return tuple(float(x) for x in s.replace(",", " ").split())
-def _opt_float(s): return None if s.lower() in ("auto", "none") else float(s)
-def _opt_int(s): return None if s.lower() in ("auto", "none") else int(s)
 
 
 def _bool(s):
@@ -336,48 +303,69 @@ def _bool(s):
 
 # a key's rule: a test of its value and the reason a value fails it
 _POSITIVE = (lambda v: 0 < v < math.inf, "must be positive and finite")
-_POSITIVE_OR_AUTO = (lambda v: v is None or 0 < v < math.inf,
-                     "must be positive and finite, or auto")
 _FINITE = (math.isfinite, "must be finite")
-_FINITE_OR_AUTO = (lambda v: v is None or math.isfinite(v),
-                   "must be finite, or auto")
 _NON_NEGATIVE = (lambda v: v >= 0, "must be non-negative")
 _INIT_KIND = (lambda v: v in INIT_KINDS, f"must be one of {INIT_KINDS}")
 
-# dotted key -> (SimConfig attribute, parser, rule).  A key without a rule
-# is checked where it is used: the grid keys by Grid, model.regime and
-# model.mobility by check_model_kinds, regularization.delta by
-# material._check_delta.  The model holds stabilization.a to a > c4/2, the
-# step divides by c0 and init.width, and the implicit viscous, relaxation
-# and stress-diffusion solves need eta, tau and eps1 > 0.
-KEYMAP = {
-    "grid.shape": ("shape", _tuple_int, None),
-    "grid.lengths": ("lengths", _tuple_float, None),
-    "grid.bc": ("bc", str, None),
-    "model.regime": ("regime", str, None),
-    "model.theta_c": ("theta_c", float, _FINITE),
-    "model.mobility": ("mobility_kind", str, None),
-    "model.c0": ("c0", float, _POSITIVE),
-    "model.eps1": ("eps1", float, _POSITIVE),
-    "model.eta": ("eta", float, _POSITIVE),
-    "model.tau": ("tau", float, _POSITIVE),
-    "model.alpha": ("alpha", float, _FINITE),
-    "regularization.delta": ("delta", float, None),
-    "stabilization.a": ("a", _opt_float, _FINITE_OR_AUTO),
-    "time.dt": ("dt", _opt_float, _POSITIVE_OR_AUTO),
-    "time.dt_safety": ("dt_safety", float, _POSITIVE),
-    "time.t_end": ("t_end", _opt_float, _POSITIVE_OR_AUTO),
-    "time.steps": ("steps", _opt_int, _POSITIVE_OR_AUTO),
-    "time.output_every": ("output_every", int, _POSITIVE),
-    "init.kind": ("init_kind", str, _INIT_KIND),
-    "init.mean": ("init_mean", float, _FINITE),
-    "init.amplitude": ("init_amplitude", float, _FINITE),
-    "init.width": ("init_width", float, _POSITIVE),
-    "init.path": ("init_path", str, None),
-    "run.seed": ("seed", int, _NON_NEGATIVE),
-    "run.velocity_coupling": ("velocity_coupling", _bool, None),
-    "solver.solver_tol": ("solver_tol", float, _POSITIVE),
-}
+
+def _key(key: str, default, parse: Callable, rule=None):
+    """A SimConfig field: its default, dotted config key, the parser of
+    the key's text and its rule (None: checked where it is used)."""
+    return dc_field(default=default,
+                    metadata={"key": key, "parse": parse, "rule": rule})
+
+
+def _auto_key(key: str, parse: Callable, rule):
+    """A _key whose default is auto (None): the text auto or none parses
+    to None, any other by parse, and None passes the rule."""
+    test, reason = rule
+    return _key(key, None,
+                lambda s: None if s.lower() in ("auto", "none") else parse(s),
+                (lambda v: v is None or test(v), reason + ", or auto"))
+
+
+@dataclass
+class SimConfig:
+    """A run's configuration, one field per config key.  A key without a
+    rule is checked where it is used: the grid keys by Grid, model.regime
+    and model.mobility by check_model_kinds, regularization.delta by
+    material._check_delta.  The model holds stabilization.a to a > c4/2,
+    the step divides by c0 and init.width, and the implicit viscous,
+    relaxation and stress-diffusion solves need eta, tau and eps1 > 0."""
+
+    shape: tuple = _key("grid.shape", (64, 64), _tuple_int)
+    lengths: tuple = _key("grid.lengths", (1.0, 1.0), _tuple_float)
+    bc: str = _key("grid.bc", "periodic", str)
+    regime: str = _key("model.regime", "regular", str)
+    theta_c: float = _key("model.theta_c", 2.5, float, _FINITE)
+    mobility_kind: str = _key("model.mobility", "auto", str)
+    c0: float = _key("model.c0", 2.5e-3, float, _POSITIVE)
+    eps1: float = _key("model.eps1", 1e-2, float, _POSITIVE)
+    eta: float = _key("model.eta", 1.0, float, _POSITIVE)
+    tau: float = _key("model.tau", 1.0, float, _POSITIVE)
+    # A = alpha * n (n = 1: regular)
+    alpha: float = _key("model.alpha", 1.0, float, _FINITE)
+    delta: float = _key("regularization.delta", 1e-3, float)
+    a: Optional[float] = _auto_key("stabilization.a", float, _FINITE)
+    # auto: see step_plan
+    dt: Optional[float] = _auto_key("time.dt", float, _POSITIVE)
+    dt_safety: float = _key("time.dt_safety", 1.0, float, _POSITIVE)
+    t_end: Optional[float] = _auto_key("time.t_end", float, _POSITIVE)
+    steps: Optional[int] = _auto_key("time.steps", int, _POSITIVE)
+    output_every: int = _key("time.output_every", 50, int, _POSITIVE)
+    init_kind: str = _key("init.kind", "spinodal", str, _INIT_KIND)
+    init_mean: float = _key("init.mean", 0.0, float, _FINITE)
+    init_amplitude: float = _key("init.amplitude", 0.01, float, _FINITE)
+    init_width: float = _key("init.width", 0.05, float, _POSITIVE)
+    init_path: str = _key("init.path", "", str)
+    seed: int = _key("run.seed", 0, int, _NON_NEGATIVE)
+    velocity_coupling: bool = _key("run.velocity_coupling", True, _bool)
+    solver_tol: float = _key("solver.solver_tol", 1e-11, float, _POSITIVE)
+
+
+# dotted key -> (SimConfig attribute, parser, rule), in field order
+KEYMAP = {f.metadata["key"]: (f.name, f.metadata["parse"], f.metadata["rule"])
+          for f in dc_fields(SimConfig)}
 
 
 def build_grid(cfg: SimConfig) -> Grid:
@@ -401,14 +389,20 @@ def check_model_kinds(cfg: SimConfig) -> None:
                           f"{cfg.regime} regime takes one of {allowed}")
 
 
+def check_rule(name: str, value, rule) -> None:
+    """ConfigError naming name and value unless value passes rule."""
+    test, reason = rule
+    if not test(value):
+        raise ConfigError(f"{name} = {value!r}: {reason}")
+
+
 def _check_values(cfg: SimConfig) -> None:
     """ConfigError naming the key of the first bad value; builds the grid,
     which checks the grid keys, and no model."""
     build_grid(cfg)
     for key, (attr, _, rule) in KEYMAP.items():
-        value = getattr(cfg, attr)
-        if rule is not None and not rule[0](value):
-            raise ConfigError(f"{key} = {value!r}: {rule[1]}")
+        if rule is not None:
+            check_rule(key, getattr(cfg, attr), rule)
     check_model_kinds(cfg)
     _check_delta(cfg.delta)
 
@@ -561,8 +555,7 @@ def _spinodal_noise(grid: Grid, mean: float, amplitude: float, seed: int) -> np.
 def initial_state(cfg: SimConfig, grid: Grid, M: MaterialModel):
     """The arrays (phi0, q0, u0) on grid from the configured initial-data
     library: phi0 and q0 of the grid's shape, u0 of (d,) + grid.shape.
-    Only a snapshot sets q and u; it must hold phi and, if any velocity
-    component, all of them."""
+    Only a snapshot sets q and u (see snapshots.read_state)."""
     q0 = np.zeros(grid.shape)
     u0 = np.zeros((grid.d,) + grid.shape)
     if cfg.init_kind == "uniform":
@@ -575,93 +568,15 @@ def initial_state(cfg: SimConfig, grid: Grid, M: MaterialModel):
         phi0 = cfg.init_mean + cfg.init_amplitude * np.tanh(
             (x - 0.5 * L) / cfg.init_width)
     elif cfg.init_kind == "from-snapshot":
-        from .snapshots import read_snapshot
-        path = cfg.init_path
         try:
-            snap_grid, fields_map = read_snapshot(path)
+            phi0, q0, u0 = read_state(cfg.init_path, grid)
         except OSError as err:
-            raise ConfigError(
-                f"init.path = {path!r}: {err.strerror}") from None
-        if (snap_grid.shape, snap_grid.lengths) != (grid.shape, grid.lengths):
-            raise ConfigError(
-                f"{path}: snapshot grid {snap_grid.shape} with lengths "
-                f"{snap_grid.lengths} does not match the configured grid "
-                f"{grid.shape} with lengths {grid.lengths}")
-        u_names = ["u_" + "xyz"[i] for i in range(grid.d)]
-        has_u = any(name in fields_map for name in u_names)
-        for name in ["phi"] + (u_names if has_u else []):
-            if name not in fields_map:
-                raise SnapshotError(
-                    f"{path}: snapshot has no {name!r} field "
-                    f"(fields: {', '.join(fields_map) or 'none'})")
-        phi0 = fields_map["phi"]
-        q0 = fields_map.get("q", q0)
-        if has_u:
-            u0 = np.stack([fields_map[name] for name in u_names])
+            raise ConfigError(f"init.path = {cfg.init_path!r}: "
+                              f"{err.strerror}") from None
     else:
         raise ConfigError(f"init.kind = {cfg.init_kind!r}: must be one of "
                           f"{INIT_KINDS}")
     return np.asarray(phi0, dtype=float), q0, u0
-
-
-@dataclass
-class Trajectory:
-    """The diagnostics rows of a run as columns: series maps each column
-    name to its per-step values, in the CSV's column order."""
-
-    config: SimConfig
-    dt: float
-    series: dict = dc_field(default_factory=dict)
-    model: Optional[MaterialModel] = None             # the model of the run
-
-    @classmethod
-    def from_rows(cls, config: SimConfig, dt: float, rows: list,
-                  model: Optional[MaterialModel] = None) -> "Trajectory":
-        return cls(config=config, dt=dt, model=model,
-                   series={key: np.array([r[key] for r in rows])
-                           for key in rows[0]})
-
-    def column(self, name: str) -> np.ndarray:
-        return self.series[name]
-
-
-NEAR_DEGENERATE = 1e-2
-
-
-def _diag_row(state: State, dt: float) -> dict:
-    """The diagnostics of a state, in column order; cfl is the Courant
-    number dt * max|u| / h_min of a step dt with its velocity.  A model
-    with an entropy adds the entropy and near_degenerate, the measure of
-    {phi <= NEAR_DEGENERATE} | {phi >= 1 - NEAR_DEGENERATE}."""
-    from .diagnostics import energy
-    eb = energy(state)
-    phi = state.phi
-    vol = state.grid.cell_volume
-    row = {
-        "t": state.t,
-        "E_mix": eb.E_mix, "E_bulk": eb.E_bulk, "E_kin": eb.E_kin,
-        "E_total": eb.E_total,
-        "D_cross": eb.D_cross, "D_q": eb.D_q, "D_eps": eb.D_eps,
-        "D_visc": eb.D_visc,
-        "mass": integrate(phi, state.grid),
-        "min_phi": float(phi.min()),
-        "max_phi": float(phi.max()),
-        "div_u_norm": _div_u_norm(state),
-        "cfl": dt * float(np.abs(state.u).max()) / min(state.grid.h),
-    }
-    entropy = state.model.entropy
-    if entropy is not None:
-        row["entropy"] = float(entropy.g(phi).sum() * vol)
-        row["near_degenerate"] = float(
-            ((phi <= NEAR_DEGENERATE) | (phi >= 1.0 - NEAR_DEGENERATE)).sum()
-        ) * vol
-    return row
-
-
-def _div_u_norm(state: State) -> float:
-    """The L2 norm of div u, the trace of the recorded grad u."""
-    d = sum(gu[i] for i, gu in enumerate(state.grad_u))
-    return float(np.sqrt((d * d).sum() * state.grid.cell_volume))
 
 
 def run_steps(config: SimConfig, M: MaterialModel, phi: np.ndarray,
@@ -713,4 +628,4 @@ def simulate(config: SimConfig) -> Trajectory:
     dt, _, steps = run_steps(config, M, *initial_state(
         config, build_grid(config), M))
     return Trajectory.from_rows(
-        config, dt, [_diag_row(state, dt) for _, state in steps], M)
+        config, dt, [_diag_row(state, dt) for _, state in steps])

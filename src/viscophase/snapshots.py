@@ -16,12 +16,15 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .errors import SnapshotError
+from .errors import ConfigError, SnapshotError
 
 MAGIC = b"VPF1"
 
+# the field names of the velocity components, one per axis
+U_NAMES = ("u_x", "u_y", "u_z")
+
 __all__ = ["SnapshotHeader", "write_snapshot", "read_snapshot",
-           "write_state", "MAGIC"]
+           "write_state", "read_state", "MAGIC"]
 
 
 @dataclass(frozen=True)
@@ -104,8 +107,31 @@ def write_state(path, state) -> None:
     """One file per state: phi, q, velocity components, p, mu."""
     grid = state.grid
     fields = {"phi": state.phi, "q": state.q}
-    for i in range(grid.d):
-        fields["u_" + "xyz"[i]] = state.u[i]
+    fields.update(zip(U_NAMES, state.u))
     fields["p"] = state.p
     fields["mu"] = state.mu
     write_snapshot(path, grid.shape, grid.lengths, fields)
+
+
+def read_state(path, grid):
+    """(phi, q, u) on grid from the snapshot at path, q and u zero where
+    it has none.  ConfigError unless its grid has grid's shape and
+    lengths; SnapshotError unless it holds phi and, if any velocity
+    component, all of them."""
+    snap_grid, fields = read_snapshot(path)
+    if (snap_grid.shape, snap_grid.lengths) != (grid.shape, grid.lengths):
+        raise ConfigError(
+            f"{path}: snapshot grid {snap_grid.shape} with lengths "
+            f"{snap_grid.lengths} does not match the configured grid "
+            f"{grid.shape} with lengths {grid.lengths}")
+    u_names = U_NAMES[:grid.d]
+    has_u = any(name in fields for name in u_names)
+    for name in ("phi",) + (u_names if has_u else ()):
+        if name not in fields:
+            raise SnapshotError(
+                f"{path}: snapshot has no {name!r} field "
+                f"(fields: {', '.join(fields) or 'none'})")
+    q = fields.get("q", np.zeros(grid.shape))
+    u = (np.stack([fields[name] for name in u_names]) if has_u
+         else np.zeros((grid.d,) + grid.shape))
+    return fields["phi"], q, u

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import os
@@ -113,6 +114,31 @@ class TestManifest:
         "init.width": "0.1", "init.path": "x.vpf", "run.seed": "7",
         "run.velocity_coupling": "false", "solver.solver_tol": "1e-8",
     }
+
+    def test_fingerprint_of_defaults_pinned(self):
+        assert material_fingerprint(SimConfig()) == "298e53fc305b6ea5"
+
+    def test_text_of_other_values_pinned(self):
+        # a field reorder or a formatting change would move every manifest
+        cfg = SimConfig()
+        for key, value in self.OTHER_VALUES.items():
+            viscophase.cli._set_key(cfg, f"{key} = {value}", "test")
+        assert list(config_to_text(cfg).items()) == [
+            ("grid.shape", "32,32"), ("grid.lengths", "2.0,1.0"),
+            ("grid.bc", "neumann-noslip"), ("model.regime", "degenerate"),
+            ("model.theta_c", "3.0"), ("model.mobility", "s2(1-s)2"),
+            ("model.c0", "0.004"), ("model.eps1", "0.02"),
+            ("model.eta", "2.0"), ("model.tau", "2.0"),
+            ("model.alpha", "2.0"), ("regularization.delta", "0.01"),
+            ("stabilization.a", "2.0"), ("time.dt", "0.001"),
+            ("time.dt_safety", "0.5"), ("time.t_end", "1.0"),
+            ("time.steps", "5"), ("time.output_every", "5"),
+            ("init.kind", "uniform"), ("init.mean", "0.5"),
+            ("init.amplitude", "0.1"), ("init.width", "0.1"),
+            ("init.path", "x.vpf"), ("run.seed", "7"),
+            ("run.velocity_coupling", "false"),
+            ("solver.solver_tol", "1e-08")]
+        assert material_fingerprint(cfg) == "e1d6a968fe361b81"
 
     def test_fingerprint_reads_the_material_sections(self):
         assert set(self.OTHER_VALUES) == set(viscophase.cli.KEYMAP)
@@ -631,6 +657,18 @@ class TestSweepCommand:
               "--deltas", "1e-2,1e-3"])
         assert len(calls) == 2
 
+    def test_run_that_cannot_start_writes_nothing(self, tmp_path, capsys):
+        # every delta's run is planned before the output directory is made
+        out = tmp_path / "o"
+        assert main(["degenerate-sweep", "--out", str(out),
+                     "--override", "model.theta_c=1",
+                     "--override", "model.tau=1e300",
+                     "--override", "time.dt_safety=1e10",
+                     "--override", "time.t_end=1e-3",
+                     "--override", "grid.shape=8,8"]) == 2
+        assert "time.dt_safety" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCommandFlags:
     @pytest.mark.parametrize("argv,flag", [
@@ -765,3 +803,26 @@ def test_commands_load_only_the_scipy_they_call(tmp_path):
     baseline = set(_fresh_interpreter(_SCIPY_FFT_SCRIPT, tmp_path))
     for name in ("scipy.sparse", "scipy.ndimage", "scipy.integrate"):
         assert name in baseline or name not in result["neumann"], name
+
+
+def test_no_function_imports_a_package_module():
+    # the package's modules import each other at their tops only; the
+    # lazy SciPy imports inside functions are absolute and stay allowed
+    lazy = []
+    for path in sorted(Path(viscophase.cli.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                    relative = node.level > 0
+                elif isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                    relative = False
+                else:
+                    continue
+                if relative or any(name.split(".")[0] == "viscophase"
+                                   for name in names):
+                    lazy.append(f"{path.name}:{node.lineno}")
+    assert lazy == []

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from viscophase.diagnostics import (CheckRecord, bounds_report,
-                                    check_energy_inequality, energy,
-                                    gronwall_fit, relative_energy,
+from viscophase.diagnostics import (CheckRecord, Trajectory, _diag_row,
+                                    bounds_report, check_energy_inequality,
+                                    energy, gronwall_fit, relative_energy,
                                     write_report)
-from viscophase.dynamics import (SimConfig, Trajectory, _diag_row,
-                                 build_grid, build_material, make_state,
-                                 run_steps, simulate)
+from viscophase.dynamics import (SimConfig, build_grid, build_material,
+                                 make_state, run_steps, simulate)
 from viscophase.errors import GridMismatchError
 from viscophase.fields import Grid, grad_arr
 from viscophase.material import degenerate_model, regular_model
@@ -262,7 +261,7 @@ def _first_row_trajectory(phi_data):
     dt, _, steps = run_steps(cfg, M, phi_data, np.full(grid.shape, 0.0),
                              np.zeros((grid.d,) + grid.shape))
     _, state = next(steps)
-    return Trajectory.from_rows(cfg, dt, [_diag_row(state, dt)], M), M
+    return Trajectory.from_rows(cfg, dt, [_diag_row(state, dt)]), M
 
 
 class TestBounds:

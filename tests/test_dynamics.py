@@ -7,9 +7,8 @@ import viscophase.diagnostics
 import viscophase.dynamics
 import viscophase.fields
 from viscophase.cli import _build_run, _run_to_csv
-from viscophase.diagnostics import energy
-from viscophase.dynamics import (SimConfig, Trajectory, _diag_row,
-                                 _smooth_noise, _smoothing_matrix,
+from viscophase.diagnostics import Trajectory, _diag_row, energy
+from viscophase.dynamics import (SimConfig, _smooth_noise, _smoothing_matrix,
                                  build_grid, build_material, dt_max,
                                  initial_state, make_state, run_steps,
                                  simulate, step_phi_q, step_plan,

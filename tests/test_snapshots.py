@@ -6,7 +6,8 @@ import pytest
 from viscophase.cli import main
 from viscophase.dynamics import SimConfig, build_grid, build_material, make_state
 from viscophase.errors import SnapshotError
-from viscophase.snapshots import (read_snapshot, write_snapshot, write_state)
+from viscophase.snapshots import (read_snapshot, read_state, write_snapshot,
+                                  write_state)
 
 
 @pytest.mark.parametrize("shape,lengths", [
@@ -194,3 +195,20 @@ def test_write_state(tmp_path):
     assert set(fields) == {"phi", "q", "u_x", "u_y", "p", "mu"}
     np.testing.assert_array_equal(fields["phi"], state.phi)
     np.testing.assert_allclose(fields["mu"], state.mu)
+
+
+def test_read_state_round_trip(tmp_path):
+    grid = build_grid(SimConfig(shape=(8, 6), lengths=(1.0, 2.0)))
+    rng = np.random.default_rng(1)
+    phi, q = rng.standard_normal(grid.shape), rng.standard_normal(grid.shape)
+    u = rng.standard_normal((grid.d,) + grid.shape)
+    path = tmp_path / "state.vpf"
+    write_snapshot(path, grid.shape, grid.lengths,
+                   {"phi": phi, "q": q, "u_x": u[0], "u_y": u[1]})
+    for got, want in zip(read_state(path, grid), (phi, q, u)):
+        np.testing.assert_array_equal(got, want)
+    # a snapshot of phi alone starts at rest with no stress
+    write_snapshot(path, grid.shape, grid.lengths, {"phi": phi})
+    got_phi, got_q, got_u = read_state(path, grid)
+    np.testing.assert_array_equal(got_phi, phi)
+    assert not got_q.any() and got_u.shape == u.shape and not got_u.any()
