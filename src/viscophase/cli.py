@@ -228,6 +228,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_weakstrong(args) -> int:
+    for eps in args.eps:
+        for rule in (_FINITE, _NON_NEGATIVE):
+            check_rule("--eps", eps, rule)
     cfg = _load_config(args, SimConfig())
     M = build_material(cfg)
     grid = build_grid(cfg)

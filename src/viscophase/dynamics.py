@@ -177,16 +177,19 @@ def _solver(coeff: np.ndarray, symbol: Callable, remainder: Callable,
     coeff gives the direct solve_symbol at c.  A variable one gives cg at
     tol from x0 on S = P^-1 + R: P^-1 is the spectral operator at the
     mean, whose inverse preconditions, and R = remainder(dc, .).  The
-    symbol is evaluated once here, not per solve or iteration."""
+    symbol and its reciprocal (S is SPD, so no mode vanishes) are
+    evaluated once here, not per solve or iteration."""
     const = _is_const(coeff)
     cbar = float(coeff.flat[0] if const else coeff.mean())
     sym = symbol(cbar, lap_symbol(grid, parity))
-    if const:
-        return lambda rhs, x0: solve_symbol(rhs, grid, sym, parity=parity)
-    dc = coeff - cbar
+    inv = 1.0 / sym
 
     def precond(r):
-        return solve_symbol(r, grid, sym, parity=parity)
+        return solve_symbol(r, grid, inv, parity=parity, inverse=False)
+
+    if const:
+        return lambda rhs, x0: precond(rhs)
+    dc = coeff - cbar
 
     def base(x):
         return solve_symbol(x, grid, sym, parity=parity, inverse=False)

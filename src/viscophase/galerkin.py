@@ -24,8 +24,7 @@ Importing this module loads no SciPy.  scipy.integrate, with the
 scipy.optimize, scipy.linalg and scipy.sparse.linalg it imports, is
 loaded by the first call of integrate_galerkin in a process.  The
 package imports this module, but the grid commands and simulate never
-integrate an ODE: on periodic grids they load no SciPy at all, and on
-Neumann grids only scipy.fft.
+integrate an ODE: on grids of both boundary kinds they load no SciPy.
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from viscophase.errors import ConfigError, SolverError
-from viscophase.fields import (Grid, _diff_index, cg, div_arr, grad_arr,
+from viscophase.fields import (Grid, _bases, _diff_index, cg, div_arr,
+                               grad_arr,
                                integrate, lap_arr, lap_symbol,
                                project_divergence_free, solve_poisson,
                                solve_symbol)
@@ -230,14 +231,20 @@ class TestSolvers:
         sol = solve_poisson(rhs, g)
         assert np.abs(lap_arr(sol, g) - rhs).max() < 1e-8
 
-    @pytest.mark.parametrize("lengths", [(1.0, 1.5), (1.0, 0.8, 1.2)])
-    def test_spectral_solves_match_krylov_on_neumann(self, lengths):
-        # the direct DCT/DST solves of the constant-coefficient time step,
-        # against a dense solve of the matrix-free phi operator and against
-        # CG for the others, preconditioned by the identity: the first
-        # argument of cg is then the operator minus the identity
-        shape = (16, 12) if len(lengths) == 2 else (10, 8, 6)
-        g = Grid(shape, lengths, "neumann-noslip")
+    @pytest.mark.parametrize("bc", ["periodic", "neumann-noslip"])
+    @pytest.mark.parametrize("shape, lengths", [
+        ((16, 12), (1.0, 1.5)),
+        ((10, 8, 6), (1.0, 0.8, 1.2)),
+        ((9, 7), (1.0, 1.3)),                 # odd: no periodic Nyquist row
+        ((4, 4), (1.0, 0.6)),                 # the fewest cells per axis
+        ((11,), (1.3,)),                      # one axis
+    ], ids=["2d", "3d", "odd", "fewest", "1d"])
+    def test_spectral_solves_match_krylov(self, bc, shape, lengths):
+        # the direct solves of the constant-coefficient time step, against
+        # a dense solve of the matrix-free phi operator and against CG for
+        # the others, preconditioned by the identity: the first argument
+        # of cg is then the operator minus the identity
+        g = Grid(shape, lengths, bc)
         rng = np.random.default_rng(5)
         b = rng.standard_normal(shape)
         dt, m, c0, a, eps1, eta = 1e-3, 0.7, 2.5e-3, 1.2, 1e-2, 2.0
@@ -270,10 +277,34 @@ class TestSolvers:
                  np.zeros_like(b), identity, tol=1e-12)
         assert close(u, ref)
 
-        p = solve_poisson(b, g)
-        ref = cg(lambda x: -lap_arr(x, g) - x, -(b - b.mean()), identity,
+        # solve_poisson drops the mean of its right-hand side; the rest
+        # is in the Laplacian's range on both boundary kinds (periodic
+        # grids of even n also miss the checkerboards)
+        rhs = lap_arr(b, g) + 0.3
+        p = solve_poisson(rhs, g)
+        ref = cg(lambda x: -lap_arr(x, g) - x, -(rhs - rhs.mean()), identity,
                  np.zeros_like(b), identity, tol=1e-12)
         assert close(p, ref - ref.mean())
+
+    @pytest.mark.parametrize("bc", ["periodic", "neumann-noslip"])
+    @pytest.mark.parametrize("parity", [1, -1])
+    @pytest.mark.parametrize("n", [4, 7, 12])
+    def test_bases_diagonalise_the_laplacian(self, bc, parity, n):
+        # Q L Q^T = diag(lap_symbol) for the 1-D wide-stencil Laplacian L
+        # of parity, with Q orthonormal, cached and read-only
+        g = Grid((n,), (1.3,), bc)
+        (Q,), (lam,) = _bases(g, parity)
+        assert _bases(Grid((n,), (1.3,), bc), parity)[0][0] is Q
+        assert not Q.flags.writeable and not lam.flags.writeable
+        assert np.abs(Q @ Q.T - np.eye(n)).max() <= 1e-13
+        if parity == 1:
+            L = dense(lambda x: lap_arr(x, g), (n,))
+        else:
+            L = dense(lambda x: div_arr(grad_arr(x, g, parity=-1), g,
+                                        parity=1), (n,))
+        D = Q @ L @ Q.T
+        assert np.array_equal(lap_symbol(g, parity), lam)
+        assert np.abs(D - np.diag(lam)).max() <= 1e-13 * np.abs(L).max()
 
     def test_cg_reports_residual_when_maxiter_too_small(self):
         g = Grid((16, 16), (1.0, 1.0), "neumann-noslip")
