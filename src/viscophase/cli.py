@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -348,7 +349,7 @@ SWEEP_BASE = SimConfig(regime="degenerate", init_mean=0.5, init_amplitude=0.2)
 def cmd_degenerate_sweep(args) -> int:
     # overshoot-monotone reads the list in order and overshoot-final judges
     # its last entry, the smallest delta
-    if sorted(set(args.deltas), reverse=True) != args.deltas:
+    if tuple(sorted(set(args.deltas), reverse=True)) != args.deltas:
         raise ConfigError(f"--deltas = {','.join(f'{d:g}' for d in args.deltas)}"
                           ": must be strictly decreasing")
     cfg = _load_config(args, SWEEP_BASE)
@@ -413,7 +414,10 @@ def _add_common(p):
                    help="config override, repeatable")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    main call: no default is a mutable object that a call could change."""
     ap = argparse.ArgumentParser(
         prog="viscophase",
         description="Phase-separation / bulk-stress / flow simulator")
@@ -438,15 +442,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="mode count, repeatable")
     p.add_argument("--t-end", type=float, default=0.5)
     p.add_argument("--rtol", type=float, default=1e-8)
-    p.add_argument("--lengths", type=float, nargs="+", default=[1.0, 1.0])
+    p.add_argument("--lengths", type=float, nargs="+", default=(1.0, 1.0))
     p.add_argument("--mean", type=float, default=0.0)
     p.set_defaults(func=cmd_galerkin)
 
     p = sub.add_parser("degenerate-sweep",
                        help="delta-sequence bound verification")
     _add_common(p)
-    p.add_argument("--deltas", type=lambda s: [float(x) for x in s.split(",")],
-                   default=[1e-2, 1e-3, 1e-4])
+    p.add_argument("--deltas",
+                   type=lambda s: tuple(float(x) for x in s.split(",")),
+                   default=(1e-2, 1e-3, 1e-4))
     p.set_defaults(func=cmd_degenerate_sweep)
 
     p = sub.add_parser("report", help="re-check a diagnostics CSV")

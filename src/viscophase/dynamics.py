@@ -76,15 +76,17 @@ def _phi_q_arrays(phi: np.ndarray, q: np.ndarray, M: MaterialModel,
                   grid: Grid, grad_phi: np.ndarray, lap_phi: np.ndarray):
     """The State fields of (phi, q) under M on grid as keywords, mu
     = -c0*lap(phi) + F'(phi) included; grad_phi and lap_phi are those of
-    phi."""
+    phi.  A constant bulk modulus (0-d A) gives grad(A q) = A grad(q)
+    without a stencil of its own."""
     dF = _dF(M, phi)
     n, A, tau, eta = (np.asarray(c(phi), dtype=float)
                       for c in (M.n, M.A, M.tau, M.eta))
+    grad_q = grad_arr(q, grid, parity=1)
     return dict(phi=phi, q=q, mu=-M.c0 * lap_phi + dF,
                 grad_phi=grad_phi, dF=dF,
-                n=n, A=A, tau=tau, eta=eta,
-                grad_q=grad_arr(q, grid, parity=1),
-                grad_Aq=grad_arr(A * q, grid, parity=1))
+                n=n, A=A, tau=tau, eta=eta, grad_q=grad_q,
+                grad_Aq=(A * grad_q if A.ndim == 0
+                         else grad_arr(A * q, grid, parity=1)))
 
 
 def _velocity_gradients(u: np.ndarray, grid: Grid) -> tuple:
@@ -96,7 +98,8 @@ def _velocity_gradients(u: np.ndarray, grid: Grid) -> tuple:
 class State:
     """One time slice: plain arrays on one grid, under the model that every
     step and functional of the state uses.  u has shape (d,) + grid.shape,
-    the others grid.shape; mu is -c0*lap(phi) + F'(phi).  The arrays after
+    the others grid.shape, except that a constant coefficient (n, A, tau
+    or eta) is a 0-d array; mu is -c0*lap(phi) + F'(phi).  The arrays after
     mu (grad_u: grad u_i per component) are derived from the fields once,
     by make_state, step_phi_q and step_velocity, for the step, the next
     step and the diagnostics to share.  No array is changed in place."""
@@ -164,7 +167,10 @@ def _advect_skew(u: np.ndarray, f: np.ndarray, grad_f: np.ndarray,
 
 
 def _is_const(arr: np.ndarray) -> bool:
-    return float(np.ptp(arr)) <= 1e-13 * max(1.0, float(np.abs(arr).max()))
+    """True for a 0-d coefficient, without a scan, and for an array whose
+    spread is within rounding of its magnitude."""
+    return arr.ndim == 0 or (
+        float(np.ptp(arr)) <= 1e-13 * max(1.0, float(np.abs(arr).max())))
 
 
 def _solver(coeff: np.ndarray, symbol: Callable, remainder: Callable,
@@ -371,8 +377,16 @@ KEYMAP = {f.metadata["key"]: (f.name, f.metadata["parse"], f.metadata["rule"])
           for f in dc_fields(SimConfig)}
 
 
+@functools.lru_cache(maxsize=64)
+def _grid(shape: tuple, lengths: tuple, bc: str) -> Grid:
+    return Grid(shape=shape, lengths=lengths, bc=bc)
+
+
 def build_grid(cfg: SimConfig) -> Grid:
-    return Grid(shape=tuple(cfg.shape), lengths=tuple(cfg.lengths), bc=cfg.bc)
+    """The Grid of cfg's grid keys: one object per (shape, lengths, bc), so
+    that the operator caches keyed by the grid find it by identity rather
+    than by comparing its fields."""
+    return _grid(tuple(cfg.shape), tuple(cfg.lengths), cfg.bc)
 
 
 # regime -> accepted model.mobility values

@@ -30,12 +30,11 @@ __all__ = [
 
 
 def _const(value: float) -> Callable:
-    v = float(value)
-
-    def f(s):
-        return np.full_like(np.asarray(s, dtype=float), v)
-
-    return f
+    """The coefficient s -> value as a NumPy scalar for any s: it
+    broadcasts against the arrays it multiplies, and the time step reads
+    a 0-d coefficient as constant without scanning it."""
+    v = np.float64(value)
+    return lambda s: v
 
 
 def _as_callable(c) -> Callable:
@@ -237,7 +236,9 @@ MOBILITY_KINDS = tuple(_MOBILITIES)
 
 @dataclass(frozen=True)
 class MaterialModel:
-    """All parameter functions of the model plus the scalar constants."""
+    """All parameter functions of the model plus the scalar constants.
+    A coefficient given as a number (see _const) returns a NumPy scalar,
+    not an array of the argument's shape."""
 
     n: Callable                 # mobility root
     eta: Callable               # viscosity
@@ -272,8 +273,9 @@ class MaterialModel:
 
 
 def _sampled(fn: Callable, lo: float, hi: float, k: int = 2001):
+    """k samples s on [lo, hi] and fn(s) broadcast to their shape."""
     s = np.linspace(lo, hi, k)
-    return s, np.asarray(fn(s), dtype=float)
+    return s, np.broadcast_to(np.asarray(fn(s), dtype=float), s.shape)
 
 
 def _growth_max(pot: Potential, s: np.ndarray, mv: np.ndarray) -> float:

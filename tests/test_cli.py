@@ -712,6 +712,52 @@ class TestCommandFlags:
         assert not out.exists()
 
 
+class TestSharedParser:
+    """main parses with one parser per process; each call sees only its
+    own flags and the defaults."""
+
+    def test_built_once(self):
+        assert viscophase.cli.build_parser() is viscophase.cli.build_parser()
+
+    def test_no_default_is_a_list(self):
+        parsers = [viscophase.cli.build_parser()]
+        for parser in parsers:
+            for action in parser._actions:
+                assert not isinstance(action.default, list), action.dest
+                if action.choices and isinstance(action.choices, dict):
+                    parsers.extend(action.choices.values())
+        assert len(parsers) == 6
+
+    def test_calls_see_only_their_own_flags(self, monkeypatch):
+        # each command hands its parsed flags to _load_config (weakstrong,
+        # degenerate-sweep) or _outdir (galerkin) once they pass their
+        # checks; stop it there and keep what it saw
+        seen = []
+
+        def record(args, *rest):
+            seen.append({k: getattr(args, k, None)
+                         for k in ("m", "lengths", "eps", "deltas")})
+            raise ConfigError("recorded")
+
+        monkeypatch.setattr(viscophase.cli, "_load_config", record)
+        monkeypatch.setattr(viscophase.cli, "_outdir", record)
+        calls = [
+            (["galerkin", "--m", "4", "--m", "6", "--lengths", "2", "1"],
+             dict(m=[4, 6], lengths=[2.0, 1.0])),
+            (["galerkin", "--m", "5"], dict(m=[5], lengths=(1.0, 1.0))),
+            (["galerkin"], dict(m=[8, 16], lengths=(1.0, 1.0))),
+            (["weakstrong", "--eps", "1e-2"], dict(eps=[1e-2])),
+            (["weakstrong"], dict(eps=[1e-3, 5e-4])),
+            (["degenerate-sweep", "--deltas", "1e-1,1e-2"],
+             dict(deltas=(1e-1, 1e-2))),
+            (["degenerate-sweep"], dict(deltas=(1e-2, 1e-3, 1e-4))),
+        ]
+        for argv, want in calls:
+            assert main(argv) == 2
+            got = seen.pop()
+            assert {k: got[k] for k in want} == want, argv
+
+
 @pytest.mark.parametrize("command", ["run", "weakstrong", "degenerate-sweep"])
 @pytest.mark.parametrize("overrides,message", [
     ([], "time.steps and time.t_end"),
