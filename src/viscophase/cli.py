@@ -24,12 +24,13 @@ from . import __version__
 from .errors import (BlowUpError, ConfigError, QuadratureResolutionError,
                      SolverError)
 from .dynamics import (COURANT_MAX, KEYMAP, SimConfig, _FINITE,
-                       _NON_NEGATIVE, _POSITIVE, build_grid, build_material,
-                       check_rule, initial_state, run_steps, validate_config)
+                       _NON_NEGATIVE, _POSITIVE, _build_run, build_grid,
+                       build_material, check_rule, initial_state, run_steps,
+                       validate_config)
 from .diagnostics import (CheckRecord, Trajectory, _diag_row, bounds_report,
                           check_energy_inequality, gronwall_fit,
                           relative_energy, write_report)
-from .galerkin import CosineBasis, convergence_study
+from .galerkin import CosineBasis, check_mode_counts, convergence_study
 from .material import regular_model
 from .snapshots import write_state
 
@@ -142,25 +143,17 @@ def _outdir(args) -> Path:
     return out
 
 
-def _build_run(cfg: SimConfig) -> tuple:
-    """(M, dt, n_steps, steps): cfg's model and run_steps from its initial
-    data, made (a snapshot read), checked and planned here, so that a run
-    that cannot start raises before its command writes anything."""
-    M = build_material(cfg)
-    return (M,) + run_steps(cfg, M, *initial_state(cfg, build_grid(cfg), M))
-
-
 def _run_to_csv(path: Path, cfg: SimConfig, run: tuple,
                 snapdir: Optional[Path] = None) -> Trajectory:
     """Step run, the _build_run of cfg, writing each row to the CSV at
     path as it is made and, given snapdir, the state of each step
     k = 0, output_every, 2*output_every ... and the last as
     snapdir/state_<k>.vpf, flushing the CSV at each of those steps."""
-    _, dt, n_steps, steps = run
+    _, n_steps, steps = run
     rows = []
     with open(path, "w") as fh:
         for k, state in steps:
-            row = _diag_row(state, dt)
+            row = _diag_row(state)
             if not rows:
                 fh.write(",".join(row) + "\n")
             fh.write(",".join("%.17g" % v for v in row.values()) + "\n")
@@ -169,7 +162,7 @@ def _run_to_csv(path: Path, cfg: SimConfig, run: tuple,
                 if snapdir is not None:
                     write_state(snapdir / f"state_{k:06d}.vpf", state)
                 fh.flush()
-    return Trajectory.from_rows(cfg, dt, rows)
+    return Trajectory.from_rows(rows)
 
 
 def _write_run_artifacts(out: Path, cfg: SimConfig, run: tuple) -> Trajectory:
@@ -245,14 +238,14 @@ def cmd_weakstrong(args) -> int:
     # (the degenerate regime) reads the reference's diagnostics rows (its
     # bounds report)
     has_entropy = M.entropy is not None
-    dt, _, reference = run_steps(cfg, M, phi0, q0, u0)
-    perturbed = [run_steps(cfg, M, phi0 + eps * bump, q0, u0)[2]
+    _, reference = run_steps(cfg, M, phi0, q0, u0)
+    perturbed = [run_steps(cfg, M, phi0 + eps * bump, q0, u0)[1]
                  for eps in args.eps]
     out = _outdir(args)
     ref_rows, samples = [], [[] for _ in args.eps]
     for (_, ref_state), *states in zip(reference, *perturbed):
         if has_entropy:
-            ref_rows.append(_diag_row(ref_state, dt))
+            ref_rows.append(_diag_row(ref_state))
         for sample, (_, state) in zip(samples, states):
             rep = relative_energy(state, ref_state)
             sample.append((state.t, rep.E_total, rep.D_total))
@@ -284,7 +277,7 @@ def cmd_weakstrong(args) -> int:
                                 abs(ratio / (e1 / e2) ** 2 - 1.0), 0.25))
 
     if has_entropy:
-        ref = Trajectory.from_rows(cfg, dt, ref_rows)
+        ref = Trajectory.from_rows(ref_rows)
         print(f"reference: {bounds_report(ref, M)}")
     return _emit(records, out, "weakstrong_report")
 
@@ -321,6 +314,7 @@ def cmd_galerkin(args) -> int:
                               ("--mean", args.mean, _FINITE),
                               ("--seed", args.seed, _NON_NEGATIVE)):
         check_rule(flag, value, rule)
+    check_mode_counts(args.m, "--m")
     out = _outdir(args)
     M = regular_model()
     phi0 = _seeded_band_limited(args.seed, lengths, mean=args.mean)
@@ -391,11 +385,14 @@ def cmd_report(args) -> int:
     series = {name: np.atleast_1d(data[name]) for name in data.dtype.names}
     try:
         t = series["t"]
-        if len(t) < 2:
+        if len(t) == 0:
+            raise ConfigError(f"{path}: no rows")
+        if len(t) == 1:
             print("[PASS] single-row diagnostics: nothing to check")
             return EXIT_OK
-        records = _trajectory_records(Trajectory(
-            config=SimConfig(), dt=float(t[1] - t[0]), series=series))
+        if not np.all(np.diff(t) > 0):
+            raise ConfigError(f"{path}: column t is not strictly increasing")
+        records = _trajectory_records(Trajectory(series=series))
     except KeyError as err:
         raise ConfigError(f"{path}: no {err.args[0]} column") from None
     code = _emit(records)

@@ -6,7 +6,7 @@ and SimConfig in annotations are dynamics', which imports this module."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict, field as dc_field
+from dataclasses import dataclass, asdict
 from typing import Optional, Sequence
 
 import numpy as np
@@ -84,17 +84,16 @@ def energy(state: State) -> EnergyBreakdown:
 @dataclass
 class Trajectory:
     """The diagnostics rows of a run as columns: series maps each column
-    name to its per-step values, in the CSV's column order."""
+    name to its per-step values, in the CSV's column order, time in t.
+    config and dt are unread, kept for benchmarks/workloads.py."""
 
-    config: SimConfig
-    dt: float
-    series: dict = dc_field(default_factory=dict)
+    series: dict
+    config: Optional[SimConfig] = None
+    dt: Optional[float] = None
 
     @classmethod
-    def from_rows(cls, config: SimConfig, dt: float,
-                  rows: list) -> "Trajectory":
-        return cls(config=config, dt=dt,
-                   series={key: np.array([r[key] for r in rows])
+    def from_rows(cls, rows: list) -> "Trajectory":
+        return cls(series={key: np.array([r[key] for r in rows])
                            for key in rows[0]})
 
     def column(self, name: str) -> np.ndarray:
@@ -104,9 +103,9 @@ class Trajectory:
 NEAR_DEGENERATE = 1e-2
 
 
-def _diag_row(state: State, dt: float) -> dict:
+def _diag_row(state: State) -> dict:
     """The diagnostics of a state, in column order; cfl is the Courant
-    number dt * max|u| / h_min of a step dt with its velocity.  A model
+    number dt * max|u| / h_min of the state's step dt and velocity.  A model
     with an entropy adds the entropy and near_degenerate, the measure of
     {phi <= NEAR_DEGENERATE} | {phi >= 1 - NEAR_DEGENERATE}."""
     eb = energy(state)
@@ -122,7 +121,7 @@ def _diag_row(state: State, dt: float) -> dict:
         "min_phi": float(phi.min()),
         "max_phi": float(phi.max()),
         "div_u_norm": _div_u_norm(state),
-        "cfl": dt * float(np.abs(state.u).max()) / min(state.grid.h),
+        "cfl": state.dt * float(np.abs(state.u).max()) / min(state.grid.h),
     }
     entropy = state.model.entropy
     if entropy is not None:
@@ -144,15 +143,13 @@ class EnergyInequalityReport:
     monotone: bool
     worst_step: int
     worst_violation: float          # max over steps of E_{n+1}-E_n-tol_n
-    balance_residual: float         # max_n |E_n + sum dt*D - E_0|
-    fitted_constant: float          # balance_residual / dt
+    balance_residual: float         # max_n |E_n + sum (t_k-t_{k-1})*D_k - E_0|
 
     def __str__(self):
         tag = "PASS" if self.monotone else "FAIL"
         return (f"[{tag}] energy inequality: worst per-step excess "
                 f"{self.worst_violation:.3e} at step {self.worst_step}; "
-                f"cumulative balance residual {self.balance_residual:.3e} "
-                f"(first-order constant {self.fitted_constant:.3e})")
+                f"cumulative balance residual {self.balance_residual:.3e}")
 
 
 # the relative tolerance of the per-step energy monotonicity check
@@ -162,22 +159,21 @@ STEP_TOL = 1e-8
 def check_energy_inequality(traj: Trajectory, M: Optional[MaterialModel] = None
                             ) -> EnergyInequalityReport:
     """Per-step monotonicity E_{n+1} <= E_n + STEP_TOL*(1+|E_n|) and the
-    cumulative balance E(t) + sum dt*D against E(0); M is not read."""
+    cumulative balance E(t) + sum (t_k - t_{k-1})*D_k against E(0); M is
+    not read (benchmarks/workloads.py passes it)."""
     E = traj.column("E_total")
     D = (traj.column("D_cross") + traj.column("D_q")
          + traj.column("D_eps") + traj.column("D_visc"))
-    dt = traj.dt
     excess = E[1:] - E[:-1] - STEP_TOL * (1.0 + np.abs(E[:-1]))
     worst = int(np.argmax(excess)) if len(excess) else 0
     worst_violation = float(excess[worst]) if len(excess) else 0.0
-    cum = E + dt * np.concatenate([[0.0], np.cumsum(D[1:])]) - E[0]
-    residual = float(np.abs(cum).max())
+    dissipated = np.cumsum(np.diff(traj.column("t")) * D[1:])
+    cum = E + np.concatenate([[0.0], dissipated]) - E[0]
     return EnergyInequalityReport(
         monotone=bool(np.all(excess <= 0.0)) if len(excess) else True,
         worst_step=worst + 1,
         worst_violation=worst_violation,
-        balance_residual=residual,
-        fitted_constant=residual / dt,
+        balance_residual=float(np.abs(cum).max()),
     )
 
 

@@ -102,9 +102,11 @@ class State:
     or eta) is a 0-d array; mu is -c0*lap(phi) + F'(phi).  The arrays after
     mu (grad_u: grad u_i per component) are derived from the fields once,
     by make_state, step_phi_q and step_velocity, for the step, the next
-    step and the diagnostics to share.  No array is changed in place."""
+    step and the diagnostics to share.  No array is changed in place.  dt
+    is the step that made the state, or at a run's start its first step."""
 
     t: float
+    dt: float
     grid: Grid
     model: MaterialModel
     phi: np.ndarray
@@ -124,13 +126,14 @@ class State:
 
 
 def make_state(t: float, phi: np.ndarray, q: np.ndarray, u: np.ndarray,
-               p: np.ndarray, M: MaterialModel, grid: Grid) -> State:
+               p: np.ndarray, M: MaterialModel, grid: Grid,
+               dt: float = 0.0) -> State:
     """The state of these arrays on grid under M, with its derived arrays
     filled.  Its mu is the potential of phi; the step uses linear
     stabilization instead: F'(phi_old) + a*(phi - phi_old) in place of
     F'(phi) (see step_phi_q)."""
     gphi = grad_arr(phi, grid, parity=1)
-    return State(t=t, grid=grid, model=M, u=u, p=p,
+    return State(t=t, dt=dt, grid=grid, model=M, u=u, p=p,
                  grad_u=_velocity_gradients(u, grid),
                  **_phi_q_arrays(phi, q, M, grid, gphi,
                                  div_arr(gphi, grid, parity=-1)))
@@ -260,8 +263,8 @@ def step_phi_q(state: State, dt: float, solver_tol: float = 1e-11) -> State:
                     lambda dd, x: dd * x, grid, solver_tol)(rhs_q, q)
     _check_blow_up("q", q_new, t_new)
 
-    return replace(state, t=t_new, **_phi_q_arrays(phi_new, q_new, M, grid,
-                                                    gphi_new, lap_new))
+    return replace(state, t=t_new, dt=dt, **_phi_q_arrays(
+        phi_new, q_new, M, grid, gphi_new, lap_new))
 
 
 def step_velocity(state: State, dt: float, solver_tol: float = 1e-11) -> State:
@@ -598,10 +601,10 @@ def initial_state(cfg: SimConfig, grid: Grid, M: MaterialModel):
 
 def run_steps(config: SimConfig, M: MaterialModel, phi: np.ndarray,
               q: np.ndarray, u: np.ndarray):
-    """(dt, n_steps, steps) of a run of config under M from the arrays
+    """(n_steps, steps) of a run of config under M from the arrays
     (phi, q, u) on build_grid(config): steps yields (k, state) for
     k = 0 ... n_steps, the k-th state, and holds only the current state;
-    _diag_row(state, dt) is its diagnostics row.  The initial data are
+    _diag_row(state) is its diagnostics row.  The initial data are
     checked first, ConfigError naming the first bad one: phi and q must
     have the grid's shape and u (d,) + grid.shape, all must be finite and,
     under a model with an entropy (the degenerate regime), phi in [0, 1]
@@ -625,7 +628,7 @@ def run_steps(config: SimConfig, M: MaterialModel, phi: np.ndarray,
     dt, n_steps = step_plan(config, grid, M, u)
 
     def steps():
-        state = make_state(0.0, phi, q, u, np.zeros(grid.shape), M, grid)
+        state = make_state(0.0, phi, q, u, np.zeros(grid.shape), M, grid, dt)
         yield 0, state
         for k in range(1, n_steps + 1):
             state = step_phi_q(state, dt, solver_tol=config.solver_tol)
@@ -633,7 +636,16 @@ def run_steps(config: SimConfig, M: MaterialModel, phi: np.ndarray,
                 state = step_velocity(state, dt, solver_tol=config.solver_tol)
             yield k, state
 
-    return dt, n_steps, steps()
+    return n_steps, steps()
+
+
+def _build_run(config: SimConfig) -> tuple:
+    """(M, n_steps, steps): config's model and run_steps from its initial
+    data, made (a snapshot read), checked and planned here, so that a run
+    that cannot start raises before its caller writes anything."""
+    M = build_material(config)
+    return (M,) + run_steps(config, M, *initial_state(
+        config, build_grid(config), M))
 
 
 def simulate(config: SimConfig) -> Trajectory:
@@ -641,8 +653,5 @@ def simulate(config: SimConfig) -> Trajectory:
     Rejects what validate_config rejects; the model build checks
     stabilization.a."""
     _check_values(config)
-    M = build_material(config)
-    dt, _, steps = run_steps(config, M, *initial_state(
-        config, build_grid(config), M))
-    return Trajectory.from_rows(
-        config, dt, [_diag_row(state, dt) for _, state in steps])
+    _, _, steps = _build_run(config)
+    return Trajectory.from_rows([_diag_row(state) for _, state in steps])

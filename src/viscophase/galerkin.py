@@ -43,7 +43,7 @@ from .material import MaterialModel
 __all__ = [
     "CosineBasis", "GalerkinRun",
     "project", "assemble_rhs", "integrate_galerkin", "energy_galerkin",
-    "convergence_study",
+    "check_mode_counts", "convergence_study",
 ]
 
 
@@ -308,6 +308,16 @@ def integrate_galerkin(lam0: np.ndarray, zeta0: np.ndarray, B: CosineBasis,
                        D=D, D_cum=y[:, 2 * m])
 
 
+def check_mode_counts(m_list: Sequence[int], name: str = "mode counts"
+                      ) -> None:
+    """ConfigError naming name unless the mode counts m_list are positive
+    and strictly increasing."""
+    m_list = list(m_list)
+    if not m_list or m_list[0] < 1 or sorted(set(m_list)) != m_list:
+        raise ConfigError(f"{name} = {m_list}: must be positive and "
+                          "strictly increasing")
+
+
 def convergence_study(m_list: Sequence[int], phi0: Callable, q0: Callable,
                       M: MaterialModel, lengths: Sequence[float],
                       t_end: float, rtol: float = 1e-8):
@@ -315,10 +325,8 @@ def convergence_study(m_list: Sequence[int], phi0: Callable, q0: Callable,
     functions, the pairwise L2 differences of phi at t_end on the last
     basis's fine quadrature ("diffs") and whether they shrink ("monotone").
     Mode counts not positive and strictly increasing raise ConfigError."""
+    check_mode_counts(m_list)
     m_list = list(m_list)
-    if not m_list or m_list[0] < 1 or sorted(set(m_list)) != m_list:
-        raise ConfigError(f"mode counts {m_list} must be positive and "
-                          "strictly increasing")
     bases = [CosineBasis(lengths, m) for m in m_list]
     axes, w = bases[-1].axes_f, bases[-1].w_f
     runs, finals = [], []

@@ -48,8 +48,7 @@ def spinodal_run():
     """Regular-regime spinodal benchmark: 64^2 periodic, 1000 steps."""
     cfg = SimConfig(shape=(64, 64), dt=DT_64, steps=1000, output_every=1000,
                     init_kind="spinodal", seed=3)
-    traj = simulate(cfg)
-    return cfg, traj, build_material(cfg)
+    return simulate(cfg)
 
 
 @pytest.fixture(scope="module")
@@ -57,17 +56,13 @@ def halving_runs():
     """The same benchmark at dt, dt/2, dt/4 over a fixed time window."""
     base = SimConfig(shape=(64, 64), steps=100, output_every=1000,
                      init_kind="spinodal", seed=3)
-    grid = build_grid(base)
-    M = build_material(base)
-    runs = []
-    for k in range(3):
-        cfg = dataclasses.replace(base, dt=DT_64 / 2**k, steps=100 * 2**k)
-        runs.append((cfg, simulate(cfg)))
-    return runs, M
+    return [simulate(dataclasses.replace(base, dt=DT_64 / 2**k,
+                                         steps=100 * 2**k))
+            for k in range(3)]
 
 
 def test_1_mass_conservation(spinodal_run):
-    cfg, traj, M = spinodal_run
+    traj = spinodal_run
     mass = traj.column("mass")
     drift = float(np.abs(mass - mass[0]).max())
     ok = _verdict(1, "mass conservation", drift <= 1e-10,
@@ -76,11 +71,10 @@ def test_1_mass_conservation(spinodal_run):
 
 
 def test_2_energy_inequality(spinodal_run, halving_runs):
-    cfg, traj, M = spinodal_run
-    rep = check_energy_inequality(traj, M)
-    runs, M2 = halving_runs
-    residuals = [check_energy_inequality(t, M2).balance_residual
-                 for _, t in runs]
+    traj = spinodal_run
+    rep = check_energy_inequality(traj)
+    residuals = [check_energy_inequality(t).balance_residual
+                 for t in halving_runs]
     orders = np.log2(np.array(residuals[:-1]) / np.array(residuals[1:]))
     order = float(orders.mean())
     ok = rep.monotone and 0.7 <= order <= 1.3
@@ -254,10 +248,9 @@ def test_8_small_3d_smoke():
     cfg = SimConfig(shape=(24, 24, 24), lengths=(1.0, 1.0, 1.0), steps=100,
                     output_every=100, init_kind="spinodal", seed=11)
     traj = simulate(cfg)
-    M = build_material(cfg)
     mass = traj.column("mass")
     drift = float(np.abs(mass - mass[0]).max())
-    rep = check_energy_inequality(traj, M)
+    rep = check_energy_inequality(traj)
     ok = drift <= 1e-10 and rep.monotone
     ok = _verdict(8, "small-3D smoke", ok,
                   f"mass drift {drift:.2e}, worst per-step excess "

@@ -187,10 +187,10 @@ class TestRunCommand:
         assert np.abs(data["E_total"]).max() < 1e-13
 
     def test_mass_drift_fails_run(self, tmp_path, monkeypatch, capsys):
-        real = viscophase.cli.run_steps
+        real = viscophase.dynamics.run_steps
 
         def drifting(cfg, M, *fields):
-            dt, n_steps, steps = real(cfg, M, *fields)
+            n_steps, steps = real(cfg, M, *fields)
 
             def last_state_drifts():
                 # phi + c on the last step adds c |Omega| = 1e-9 of mass
@@ -198,11 +198,11 @@ class TestRunCommand:
                     if k == n_steps:
                         state = make_state(state.t, state.phi + 1e-9,
                                            state.q, state.u, state.p, M,
-                                           state.grid)
+                                           state.grid, dt=state.dt)
                     yield k, state
-            return dt, n_steps, last_state_drifts()
+            return n_steps, last_state_drifts()
 
-        monkeypatch.setattr(viscophase.cli, "run_steps", drifting)
+        monkeypatch.setattr(viscophase.dynamics, "run_steps", drifting)
         out = tmp_path / "out"
         assert main(["run", "--out", str(out), "--override", "grid.shape=16,16",
                      "--override", "time.steps=5"]) == 4
@@ -439,6 +439,47 @@ class TestReportCommand:
         assert capsys.readouterr().out == (
             "[PASS] single-row diagnostics: nothing to check\n")
 
+    @staticmethod
+    def _write_rows(directory, t=(), E=(), D=()):
+        """directory/diagnostics.csv with the columns report reads: t, E_total
+        and D_cross from t, E and D (1.0 and 0 where E and D are empty), the
+        other dissipations 0 and a constant mass."""
+        path = directory / "diagnostics.csv"
+        lines = ["t,E_total,D_cross,D_q,D_eps,D_visc,mass"] + [
+            f"{tk!r},{Ek!r},{Dk!r},0,0,0,0.5"
+            for tk, Ek, Dk in zip(t, E or [1.0] * len(t), D or [0] * len(t))]
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def test_header_without_rows_exit_2_naming_file(self, tmp_path, capsys):
+        path = self._write_rows(tmp_path)
+        assert main(["report", "--dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(path) in captured.err and "no rows" in captured.err
+
+    @pytest.mark.parametrize("times", [(0.0, 0.0, 0.1), (0.0, 0.2, 0.1)],
+                             ids=["repeated", "decreasing"])
+    def test_t_not_increasing_exit_2_naming_file_and_column(
+            self, tmp_path, capsys, times):
+        path = self._write_rows(tmp_path, times)
+        assert main(["report", "--dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "column t " in err
+        assert "strictly increasing" in err
+
+    def test_balance_on_a_non_uniform_time_axis(self, tmp_path, capsys):
+        # each D_k is weighted by its own step t_k - t_{k-1}: 0.1, then 0.2
+        t, E, D = (0.0, 0.1, 0.3), (1.0, 0.95, 0.8), (0.0, 0.25, 0.5)
+        self._write_rows(tmp_path, t, E, D)
+        expected = max(abs(E[n] + sum((t[k] - t[k - 1]) * D[k]
+                                      for k in range(1, n + 1)) - E[0])
+                       for n in range(3))
+        assert expected == pytest.approx(0.075, rel=1e-12)
+        assert main(["report", "--dir", str(tmp_path)]) == 0
+        assert (f"[PASS] balance-residual: value {expected:.6g} vs threshold"
+                in capsys.readouterr().out)
+
     def test_missing_column_exit_2_naming_it(self, tmp_path, capsys):
         path = tmp_path / "diagnostics.csv"
         path.write_text("t,E_total\n0,1.0\n0.1,0.9\n0.2,0.8\n")
@@ -490,15 +531,15 @@ class TestWeakStrongCommand:
         real_model = viscophase.dynamics.degenerate_model
 
         def recording(cfg, M, *fields):
-            dt, n_steps, steps = real_steps(cfg, M, *fields)
+            n_steps, steps = real_steps(cfg, M, *fields)
             times = []
-            runs.append((dt, times))
+            runs.append(times)
 
             def record():
                 for k, state in steps:
-                    times.append(state.t)
+                    times.append((state.t, state.dt))
                     yield k, state
-            return dt, n_steps, record()
+            return n_steps, record()
 
         def counting(*args, **kwargs):
             builds.append(1)
@@ -515,7 +556,7 @@ class TestWeakStrongCommand:
         assert len(builds) == 1
         assert len(runs) == 3                   # reference + one per eps
         reference = runs[0]
-        assert len(reference[1]) == 5
+        assert len(reference) == 5
         for run in runs:
             assert run == reference
 
@@ -574,12 +615,14 @@ class TestGalerkinCommand:
     @pytest.mark.parametrize("modes", [["16", "8"], ["0"]],
                              ids=["decreasing", "zero"])
     def test_bad_mode_counts_exit_2(self, tmp_path, modes, capsys):
+        # the flags are checked before --out is made
         argv = ["galerkin", "--out", str(tmp_path / "gal"), "--t-end", "0.1"]
         for m in modes:
             argv += ["--m", m]
         assert main(argv) == 2
-        assert "strictly increasing" in capsys.readouterr().err
-        assert not list((tmp_path / "gal").glob("galerkin_m*.csv"))
+        err = capsys.readouterr().err
+        assert "--m" in err and "strictly increasing" in err
+        assert not (tmp_path / "gal").exists()
 
     def test_multi_m(self, tmp_path):
         out = tmp_path / "gal"

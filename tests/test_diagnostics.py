@@ -71,7 +71,7 @@ class TestEnergyInequality:
         cfg = SimConfig(shape=(16, 16), steps=10, init_kind="uniform",
                         init_mean=1.0)
         traj = simulate(cfg)
-        rep = check_energy_inequality(traj, build_material(cfg))
+        rep = check_energy_inequality(traj)
         assert rep.monotone
         assert rep.balance_residual < 1e-13
 
@@ -79,7 +79,7 @@ class TestEnergyInequality:
         cfg = SimConfig(shape=(32, 32), steps=100, init_kind="spinodal",
                         seed=1, output_every=100)
         traj = simulate(cfg)
-        rep = check_energy_inequality(traj, build_material(cfg))
+        rep = check_energy_inequality(traj)
         assert rep.monotone
         assert "PASS" in str(rep)
 
@@ -89,7 +89,7 @@ class TestEnergyInequality:
         series = {"t": t, "E_total": 1.0 + 0.1 * t,
                   "D_cross": np.zeros(11), "D_q": np.zeros(11),
                   "D_eps": np.zeros(11), "D_visc": np.zeros(11)}
-        traj = Trajectory(config=SimConfig(), dt=0.1, series=series)
+        traj = Trajectory(series=series)
         rep = check_energy_inequality(traj)
         assert not rep.monotone
         assert rep.worst_violation > 0
@@ -258,10 +258,10 @@ def _first_row_trajectory(phi_data):
     cfg = SimConfig(shape=(32, 32), regime="degenerate", steps=1)
     grid = build_grid(cfg)
     M = build_material(cfg)
-    dt, _, steps = run_steps(cfg, M, phi_data, np.full(grid.shape, 0.0),
-                             np.zeros((grid.d,) + grid.shape))
+    _, steps = run_steps(cfg, M, phi_data, np.full(grid.shape, 0.0),
+                         np.zeros((grid.d,) + grid.shape))
     _, state = next(steps)
-    return Trajectory.from_rows(cfg, dt, [_diag_row(state, dt)]), M
+    return Trajectory.from_rows([_diag_row(state)]), M
 
 
 class TestBounds:

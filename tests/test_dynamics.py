@@ -6,13 +6,13 @@ import pytest
 import viscophase.diagnostics
 import viscophase.dynamics
 import viscophase.fields
-from viscophase.cli import _build_run, _run_to_csv
+from viscophase.cli import _run_to_csv
 from viscophase.diagnostics import Trajectory, _diag_row, energy
-from viscophase.dynamics import (SimConfig, _smooth_noise, _smoothing_matrix,
-                                 build_grid, build_material, dt_max,
-                                 initial_state, make_state, run_steps,
-                                 simulate, step_phi_q, step_plan,
-                                 step_velocity)
+from viscophase.dynamics import (SimConfig, _build_run, _smooth_noise,
+                                 _smoothing_matrix, build_grid,
+                                 build_material, dt_max, initial_state,
+                                 make_state, run_steps, simulate, step_phi_q,
+                                 step_plan, step_velocity)
 from viscophase.errors import BlowUpError, ConfigError
 from viscophase.fields import (Grid, div_arr, grad_arr, integrate, lap_arr,
                                lap_symbol, solve_symbol)
@@ -35,10 +35,8 @@ def run_of(cfg, *fields):
 
 def trajectory_of(cfg, *fields):
     """The Trajectory of run_of(cfg, *fields)."""
-    dt, _, steps = run_of(cfg, *fields)
-    M = build_material(cfg)
-    return Trajectory.from_rows(cfg, dt,
-                                [_diag_row(s, dt) for _, s in steps])
+    _, steps = run_of(cfg, *fields)
+    return Trajectory.from_rows([_diag_row(s) for _, s in steps])
 
 
 def at_rest(phi, M, grid):
@@ -105,10 +103,10 @@ class TestSharedDerived:
                  if regime == "degenerate" else dict(init_amplitude=0.3))
         cfg = small_cfg(regime=regime, bc=bc, steps=8, **extra)
         M = build_material(cfg)
-        dt, _, steps = run_of(cfg)
+        _, steps = run_of(cfg)
         rows, fresh = [], []
         for _, s in steps:
-            rows.append(_diag_row(s, dt))
+            rows.append(_diag_row(s))
             fresh.append(energy(make_state(s.t, s.phi, s.q, s.u, s.p, M,
                                            s.grid)))
         assert len(rows) == 9
@@ -173,9 +171,8 @@ class TestConstantCoefficients:
 
     @staticmethod
     def rows(cfg, M):
-        dt, _, steps = run_steps(cfg, M, *initial_state(cfg, build_grid(cfg),
-                                                        M))
-        return [_diag_row(s, dt) for _, s in steps]
+        _, steps = run_steps(cfg, M, *initial_state(cfg, build_grid(cfg), M))
+        return [_diag_row(s) for _, s in steps]
 
     def test_state_keeps_scalar_coefficients(self):
         cfg = small_cfg()
@@ -414,7 +411,7 @@ class TestSimulate:
         grid = build_grid(cfg)
         M = build_material(cfg)
         phi0, q0, u0 = initial_state(cfg, grid, M)
-        _, state = next(run_of(cfg, phi0, q0, u0)[2])
+        _, state = next(run_of(cfg, phi0, q0, u0)[1])
         np.testing.assert_array_equal(state.phi, phi0)
 
     def test_tanh_interface(self):
@@ -454,10 +451,10 @@ class TestSimulate:
         # Courant number of each step with its velocity; h_min is the
         # finer axis
         cfg = small_cfg(shape=(16, 8), steps=6, init_amplitude=0.3)
-        dt, _, steps = run_of(cfg)
-        M = build_material(cfg)
+        dt = step_plan(cfg, build_grid(cfg), build_material(cfg))[0]
+        _, steps = run_of(cfg)
         h_min = 1.0 / 16
-        cfl, expect = zip(*((_diag_row(s, dt)["cfl"],
+        cfl, expect = zip(*((_diag_row(s)["cfl"],
                              dt * np.abs(s.u).max() / h_min)
                             for _, s in steps))
         assert cfl == expect
@@ -488,6 +485,43 @@ class TestSimulate:
         with pytest.raises(BlowUpError, match="velocity") as exc:
             step_velocity(state, dt)
         assert exc.value.time == state.t
+
+
+class TestTimeAxis:
+    """A run whose step alternates between dt and dt/2: the row of a state
+    reads the state's own step, and the energy balance reads the t
+    column."""
+
+    def test_alternating_step(self):
+        cfg = small_cfg(init_amplitude=0.3)
+        grid, M = build_grid(cfg), build_material(cfg)
+        dt = step_plan(cfg, grid, M)[0]
+        phi0, q0, u0 = initial_state(cfg, grid, M)
+        state = make_state(0.0, phi0, q0, u0, np.zeros(grid.shape), M, grid,
+                           dt=dt)
+        steps, rows = [dt], [_diag_row(state)]
+        for k in range(12):
+            h = dt if k % 2 == 0 else dt / 2
+            state = step_velocity(step_phi_q(state, h), h)
+            assert state.dt == h
+            steps.append(h)
+            rows.append(_diag_row(state))
+            assert rows[-1]["cfl"] == h * np.abs(state.u).max() / min(grid.h)
+        assert rows[-1]["cfl"] > 0
+        traj = Trajectory.from_rows(rows)
+        t = traj.column("t")
+        np.testing.assert_allclose(t, np.cumsum(steps) - dt, rtol=1e-14)
+        mass = traj.column("mass")
+        assert np.abs(mass - mass[0]).max() <= 1e-10
+        E = traj.column("E_total")
+        D = sum(traj.column(c) for c in ("D_cross", "D_q", "D_eps", "D_visc"))
+        assert np.all(np.diff(E) < 0)
+        rep = viscophase.diagnostics.check_energy_inequality(traj)
+        assert rep.monotone
+        balance = max(abs(E[n] + sum((t[k] - t[k - 1]) * D[k]
+                                     for k in range(1, n + 1)) - E[0])
+                      for n in range(len(t)))
+        assert rep.balance_residual == pytest.approx(balance, rel=1e-12)
 
 
 class TestSpinodalNoise:
@@ -586,9 +620,9 @@ class TestValidation:
         assert phi0.min() < 0.0
         with pytest.raises(ConfigError, match=r"phi0 in \[0,1\]"):
             run_steps(cfg, degenerate_model(delta=1e-3), phi0, q0, u0)
-        dt, _, steps = run_steps(dataclasses.replace(cfg, regime="degenerate"),
-                                 regular_model(), phi0, q0, u0)
-        rows = [_diag_row(s, dt) for _, s in steps]
+        _, steps = run_steps(dataclasses.replace(cfg, regime="degenerate"),
+                             regular_model(), phi0, q0, u0)
+        rows = [_diag_row(s) for _, s in steps]
         assert len(rows) == 3 and "entropy" not in rows[-1]
 
     def test_nonfinite_rejected(self):
