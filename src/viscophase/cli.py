@@ -1,5 +1,6 @@
 """Command-line entry point: config parsing, experiment orchestration and
-artifact emission.
+artifact emission.  The check records a command emits, and their
+thresholds, are diagnostics'.
 
 Config files are flat ``dotted.key = value`` lines with ``#`` comments.
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 an
@@ -23,13 +24,12 @@ import numpy as np
 from . import __version__
 from .errors import (BlowUpError, ConfigError, QuadratureResolutionError,
                      SolverError)
-from .dynamics import (COURANT_MAX, KEYMAP, SimConfig, _FINITE,
-                       _NON_NEGATIVE, _POSITIVE, _build_run, build_grid,
-                       build_material, check_rule, initial_state, run_steps,
-                       validate_config)
+from .dynamics import (KEYMAP, SimConfig, _FINITE, _NON_NEGATIVE, _POSITIVE,
+                       _build_run, build_grid, build_material, check_rule,
+                       initial_state, run_steps, validate_config)
 from .diagnostics import (CheckRecord, Trajectory, _diag_row, bounds_report,
-                          check_energy_inequality, gronwall_fit,
-                          relative_energy, write_report)
+                          galerkin_records, relative_energy, run_records,
+                          sweep_records, weakstrong_records, write_report)
 from .galerkin import CosineBasis, check_mode_counts, convergence_study
 from .material import regular_model
 from .snapshots import write_state
@@ -174,30 +174,6 @@ def _write_run_artifacts(out: Path, cfg: SimConfig, run: tuple) -> Trajectory:
     return _run_to_csv(out / "diagnostics.csv", cfg, run, snapdir)
 
 
-def _at_most(name: str, value, threshold: float) -> CheckRecord:
-    """The check value <= threshold; a NaN value fails."""
-    value = float(value)
-    return CheckRecord(name, value, threshold, value <= threshold)
-
-
-def _trajectory_records(traj: Trajectory) -> List[CheckRecord]:
-    """The verdicts of ``run`` and ``report`` on one trajectory: per-step
-    energy monotonicity, the cumulative balance residual (informational),
-    the mass drift and, when the cfl column is recorded, the largest
-    Courant number against COURANT_MAX."""
-    report = check_energy_inequality(traj)
-    mass = traj.column("mass")
-    records = [CheckRecord("energy-monotone", report.worst_violation, 0.0,
-                           report.monotone),
-               CheckRecord("balance-residual", report.balance_residual,
-                           float("inf"), True),
-               _at_most("mass-drift", np.abs(mass - mass[0]).max(), 1e-10)]
-    if "cfl" in traj.series:
-        records.append(_at_most("max-cfl", np.max(traj.column("cfl")),
-                                COURANT_MAX))
-    return records
-
-
 def _emit(records: List[CheckRecord], out: Optional[Path] = None,
           stem: str = "") -> int:
     """Print the records (and write them as out/stem.txt and
@@ -218,7 +194,7 @@ def cmd_run(args) -> int:
     run = _build_run(cfg)
     out = _outdir(args)
     traj = _write_run_artifacts(out, cfg, run)
-    return _emit(_trajectory_records(traj), out, "energy_report")
+    return _emit(run_records(traj), out, "energy_report")
 
 
 def cmd_weakstrong(args) -> int:
@@ -249,37 +225,14 @@ def cmd_weakstrong(args) -> int:
         for sample, (_, state) in zip(samples, states):
             rep = relative_energy(state, ref_state)
             sample.append((state.t, rep.E_total, rep.D_total))
-
-    records: List[CheckRecord] = []
-    finals = {}
     for eps, sample in zip(args.eps, samples):
-        t, E_rel, D_rel = np.array(sample).T
-        dts = np.diff(t)
-        D_half = np.concatenate(
-            [[0.0], np.cumsum(0.25 * dts * (D_rel[1:] + D_rel[:-1]))])
-        fit = gronwall_fit(t, E_rel, D_half)
-        finals[eps] = E_rel[-1]
-        np.savetxt(out / f"relative_energy_eps{eps:g}.csv",
-                   np.column_stack([t, E_rel, D_rel]), delimiter=",",
-                   header="t,E_rel,D_rel", comments="")
-        if eps == 0.0:
-            records.append(_at_most("uniqueness-max-Erel", E_rel.max(), 1e-10))
-        else:
-            records.append(_at_most(f"gronwall-residual-eps{eps:g}",
-                                    fit.residual, 0.05))
-
-    # E_rel(t) ~ eps^2: the final ratio of a pair of perturbation sizes,
-    # relative to (e1/e2)^2, within a band of 25 %
-    eps_pos = sorted((e for e in args.eps if e > 0), reverse=True)
-    for e1, e2 in zip(eps_pos, eps_pos[1:]):
-        ratio = finals[e1] / max(finals[e2], 1e-300)
-        records.append(_at_most(f"Erel-scaling-{e1:g}/{e2:g}",
-                                abs(ratio / (e1 / e2) ** 2 - 1.0), 0.25))
-
+        np.savetxt(out / f"relative_energy_eps{eps:g}.csv", np.array(sample),
+                   delimiter=",", header="t,E_rel,D_rel", comments="")
     if has_entropy:
         ref = Trajectory.from_rows(ref_rows)
         print(f"reference: {bounds_report(ref, M)}")
-    return _emit(records, out, "weakstrong_report")
+    return _emit(weakstrong_records(args.eps, samples), out,
+                 "weakstrong_report")
 
 
 DATUM_MODES = 6           # galerkin's datum: modes that --m 8 and 16 hold
@@ -321,19 +274,16 @@ def cmd_galerkin(args) -> int:
     q0 = lambda *mesh: np.zeros_like(mesh[0])
     study = convergence_study(args.m, phi0, q0, M, lengths, args.t_end,
                               rtol=args.rtol)
-    records = []
     for m, run in zip(study["m"], study["runs"]):
         lam0 = run.lam[:, 0]
         np.savetxt(out / f"galerkin_m{m}.csv",
                    np.column_stack([run.times, run.E, run.D, lam0]),
                    delimiter=",", header="t,E_m,D_total,const_mode",
                    comments="")
-        records.append(_at_most(f"energy-inequality-m{m}", run.energy_slack,
-                                0.0))
     np.savetxt(out / "cauchy_table.csv",
                np.column_stack([study["m"][1:], study["diffs"]]),
                delimiter=",", header="m,diff_to_previous", comments="")
-    return _emit(records, out, "galerkin_report")
+    return _emit(galerkin_records(study), out, "galerkin_report")
 
 
 # the config that degenerate-sweep's file and overrides apply on
@@ -355,32 +305,27 @@ def cmd_degenerate_sweep(args) -> int:
     dcfgs = [dataclasses.replace(cfg, delta=delta) for delta in args.deltas]
     runs = [_build_run(dcfg) for dcfg in dcfgs]
     out = _outdir(args)
-    rows = []
-    records = []
-    overshoots = []
+    bounds = []
     for delta, dcfg, run in zip(args.deltas, dcfgs, runs):
         traj = _run_to_csv(out / f"diagnostics_delta{delta:g}.csv", dcfg, run)
-        br = bounds_report(traj, run[0])
-        ent_ok = bool(np.all(np.isfinite(br.entropy_series)))
-        rows.append((delta, br.overshoot, br.measure_max,
-                     br.separation_margin, float(ent_ok)))
-        overshoots.append(br.overshoot)
-        records.append(CheckRecord(f"entropy-finite-delta{delta:g}",
-                                   1.0 if ent_ok else 0.0, 1.0, ent_ok))
-        print(f"delta={delta:g}: {br}")
-    mono = all(b <= a + 1e-12 for a, b in zip(overshoots, overshoots[1:]))
-    records.append(_at_most("overshoot-final", overshoots[-1], 1e-6))
-    records.append(CheckRecord("overshoot-monotone", float(mono), 1.0, mono))
-    np.savetxt(out / "sweep_table.csv", np.array(rows), delimiter=",",
-               header="delta,overshoot,measure_max,separation_margin,"
-                      "entropy_finite", comments="")
-    return _emit(records, out, "sweep_report")
+        bounds.append(bounds_report(traj, run[0]))
+        print(f"delta={delta:g}: {bounds[-1]}")
+    np.savetxt(out / "sweep_table.csv",
+               np.array([(delta, b.overshoot, b.measure_max,
+                          b.separation_margin, float(b.entropy_finite))
+                         for delta, b in zip(args.deltas, bounds)]),
+               delimiter=",", header="delta,overshoot,measure_max,"
+                                     "separation_margin,entropy_finite",
+               comments="")
+    return _emit(sweep_records(args.deltas, bounds), out, "sweep_report")
 
 
 def cmd_report(args) -> int:
     path = Path(args.dir) / "diagnostics.csv"
     if not path.exists():
         raise ConfigError(f"no diagnostics.csv in {args.dir}")
+    if not path.read_text().strip():
+        raise ConfigError(f"{path}: empty file")
     data = np.genfromtxt(path, delimiter=",", names=True)
     series = {name: np.atleast_1d(data[name]) for name in data.dtype.names}
     try:
@@ -392,7 +337,7 @@ def cmd_report(args) -> int:
             return EXIT_OK
         if not np.all(np.diff(t) > 0):
             raise ConfigError(f"{path}: column t is not strictly increasing")
-        records = _trajectory_records(Trajectory(series=series))
+        records = run_records(Trajectory(series=series))
     except KeyError as err:
         raise ConfigError(f"{path}: no {err.args[0]} column") from None
     code = _emit(records)

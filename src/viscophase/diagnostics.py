@@ -1,7 +1,8 @@
 """Energy, dissipation, relative-energy and phase-bound functionals
 evaluated on states and trajectories, the diagnostics row of a state and
-the Trajectory of a run's rows, plus pass/fail report rendering.  State
-and SimConfig in annotations are dynamics', which imports this module."""
+the Trajectory of a run's rows, the check records of every command with
+their thresholds, and pass/fail report rendering.  State and SimConfig in
+annotations are dynamics', which imports this module."""
 
 from __future__ import annotations
 
@@ -19,7 +20,8 @@ __all__ = [
     "Trajectory", "EnergyBreakdown", "EnergyInequalityReport",
     "GronwallFit", "BoundsReport", "CheckRecord",
     "energy", "check_energy_inequality", "relative_energy", "gronwall_fit",
-    "bounds_report", "write_report",
+    "bounds_report", "write_report", "run_records", "weakstrong_records",
+    "galerkin_records", "sweep_records",
 ]
 
 
@@ -101,6 +103,10 @@ class Trajectory:
 
 
 NEAR_DEGENERATE = 1e-2
+
+# the largest Courant number of a step (the cfl column): dynamics.dt_max
+# sizes the step by it, and run_records' max-cfl fails a run above it
+COURANT_MAX = 0.25
 
 
 def _diag_row(state: State) -> dict:
@@ -249,9 +255,14 @@ class BoundsReport:
     entropy_series: Optional[np.ndarray]
     separation_margin: float          # min(min_phi, 1 - max_phi)
 
+    @property
+    def entropy_finite(self) -> bool:
+        """The run has an entropy series, and all of it is finite."""
+        return (self.entropy_series is not None
+                and bool(np.all(np.isfinite(self.entropy_series))))
+
     def __str__(self):
-        ent = ("entropy finite" if self.entropy_series is not None
-               and np.all(np.isfinite(self.entropy_series)) else "no entropy")
+        ent = "entropy finite" if self.entropy_finite else "no entropy"
         return (f"phi in [{self.min_phi:.6g}, {self.max_phi:.6g}], "
                 f"overshoot {self.overshoot:.3e}, near-degenerate measure "
                 f"<= {self.measure_max:.6g}, separation margin "
@@ -301,3 +312,98 @@ def write_report(records: Sequence[CheckRecord], txt_path=None, jsonl_path=None)
                 d["pass"] = d.pop("passed")
                 fh.write(json.dumps(d) + "\n")
     return text
+
+
+# ---------------------------------------------------------------------------
+# each command's check records; each threshold is named beside its function
+
+def _at_most(name: str, value, threshold: float) -> CheckRecord:
+    """The check value <= threshold; a NaN value fails."""
+    value = float(value)
+    return CheckRecord(name, value, threshold, value <= threshold)
+
+
+def _informational(name: str, value) -> CheckRecord:
+    """A record with no failing input: it passes at any value, NaN too."""
+    return CheckRecord(name, float(value), float("inf"), True)
+
+
+HOLDS = 1.0   # a yes/no record's threshold, and its value when it holds
+
+
+def _holds(name: str, ok: bool) -> CheckRecord:
+    """A yes/no record, passed when ok."""
+    return CheckRecord(name, HOLDS if ok else 0.0, HOLDS, bool(ok))
+
+
+ENERGY_EXCESS_MAX = 0.0       # energy-monotone: the worst per-step excess
+MASS_DRIFT_MAX = 1e-10        # mass-drift: max_n |mass_n - mass_0|
+
+
+def run_records(traj: Trajectory) -> list[CheckRecord]:
+    """The records of ``run`` and ``report``; max-cfl if cfl is recorded."""
+    report = check_energy_inequality(traj)
+    mass = traj.column("mass")
+    records = [
+        _at_most("energy-monotone", report.worst_violation, ENERGY_EXCESS_MAX),
+        _informational("balance-residual", report.balance_residual),
+        _at_most("mass-drift", np.abs(mass - mass[0]).max(), MASS_DRIFT_MAX)]
+    if "cfl" in traj.series:
+        records.append(_at_most("max-cfl", np.max(traj.column("cfl")),
+                                COURANT_MAX))
+    return records
+
+
+UNIQUENESS_MAX = 1e-10        # uniqueness-max-Erel: max_t E_rel at eps = 0
+GRONWALL_RESIDUAL_MAX = 0.05  # gronwall-residual-eps...: the fit's residual
+EREL_SCALING_MAX = 0.25       # Erel-scaling-e1/e2: |ratio/(e1/e2)^2 - 1|
+
+
+def weakstrong_records(eps: Sequence[float], samples) -> list[CheckRecord]:
+    """The records of ``weakstrong``; samples holds the (t, E_rel, D_rel)
+    rows of each eps.  Consecutive positive eps e1 > e2 gate E_rel ~ eps^2
+    by the ratio of their final E_rel to (e1/e2)^2."""
+    records, final = [], {}
+    for e, sample in zip(eps, samples):
+        t, E, D = np.array(sample).T
+        final[e] = E[-1]
+        if e == 0.0:
+            records.append(_at_most("uniqueness-max-Erel", E.max(),
+                                    UNIQUENESS_MAX))
+            continue
+        # half the trapezoid-rule integral of D_rel
+        D_half = np.cumsum(0.25 * np.diff(t) * (D[1:] + D[:-1]))
+        fit = gronwall_fit(t, E, np.concatenate([[0.0], D_half]))
+        records.append(_at_most(f"gronwall-residual-eps{e:g}", fit.residual,
+                                GRONWALL_RESIDUAL_MAX))
+    positive = sorted((e for e in eps if e > 0), reverse=True)
+    for e1, e2 in zip(positive, positive[1:]):
+        ratio = final[e1] / max(final[e2], 1e-300) / (e1 / e2) ** 2
+        records.append(_at_most(f"Erel-scaling-{e1:g}/{e2:g}",
+                                abs(ratio - 1.0), EREL_SCALING_MAX))
+    return records
+
+
+GALERKIN_SLACK_MAX = 0.0      # energy-inequality-m...: the run's energy_slack
+
+
+def galerkin_records(study: dict) -> list[CheckRecord]:
+    """The records of ``galerkin`` on its convergence_study."""
+    return [_at_most(f"energy-inequality-m{m}", run.energy_slack,
+                     GALERKIN_SLACK_MAX)
+            for m, run in zip(study["m"], study["runs"])]
+
+
+OVERSHOOT_MAX = 1e-6          # overshoot-final: the smallest delta's run
+OVERSHOOT_TOL = 1e-12         # overshoot-monotone: growth to the next delta
+
+
+def sweep_records(deltas: Sequence[float],
+                  bounds: Sequence[BoundsReport]) -> list[CheckRecord]:
+    """The records of ``degenerate-sweep``, deltas strictly decreasing."""
+    records = [_holds(f"entropy-finite-delta{d:g}", b.entropy_finite)
+               for d, b in zip(deltas, bounds)]
+    over = [b.overshoot for b in bounds]
+    monotone = all(b <= a + OVERSHOOT_TOL for a, b in zip(over, over[1:]))
+    return records + [_at_most("overshoot-final", over[-1], OVERSHOOT_MAX),
+                      _holds("overshoot-monotone", monotone)]

@@ -25,7 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .diagnostics import Trajectory, _diag_row
+from .diagnostics import COURANT_MAX, Trajectory, _diag_row
 from .errors import BlowUpError, ConfigError, PotentialDomainError
 from .fields import (
     Grid, grad_arr, div_arr, cg, lap_symbol, solve_symbol,
@@ -51,11 +51,6 @@ INIT_KINDS = ("uniform", "spinodal", "tanh-interface", "from-snapshot")
 # e-folding.  The scheme is first order: on the benchmark workloads the
 # relative error of the energy drop is about 1.0-1.4 times sigma*dt.
 GROWTH_FRACTION = 3e-3
-
-# The largest Courant number dt * max|u| / h_min of a step: dt_max sizes
-# the step by it from the initial velocity, and the run's max-cfl check
-# (cli) fails a run whose recorded cfl column exceeds it.
-COURANT_MAX = 0.25
 
 
 def _dF(M: MaterialModel, s: np.ndarray) -> np.ndarray:

@@ -458,6 +458,15 @@ class TestReportCommand:
         assert captured.out == ""
         assert str(path) in captured.err and "no rows" in captured.err
 
+    @pytest.mark.parametrize("text", ["", "\n \n"], ids=["zero-byte", "blank"])
+    def test_empty_file_exit_2_naming_file(self, tmp_path, capsys, text):
+        path = tmp_path / "diagnostics.csv"
+        path.write_text(text)
+        assert main(["report", "--dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {path}: empty file\n"
+
     @pytest.mark.parametrize("times", [(0.0, 0.0, 0.1), (0.0, 0.2, 0.1)],
                              ids=["repeated", "decreasing"])
     def test_t_not_increasing_exit_2_naming_file_and_column(

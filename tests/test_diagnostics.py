@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
 
-from viscophase.diagnostics import (CheckRecord, Trajectory, _diag_row,
-                                    bounds_report, check_energy_inequality,
-                                    energy, gronwall_fit, relative_energy,
+from viscophase.diagnostics import (BoundsReport, CheckRecord, Trajectory,
+                                    _diag_row, bounds_report,
+                                    check_energy_inequality, energy,
+                                    galerkin_records, gronwall_fit,
+                                    relative_energy, run_records,
+                                    sweep_records, weakstrong_records,
                                     write_report)
 from viscophase.dynamics import (SimConfig, build_grid, build_material,
                                  make_state, run_steps, simulate)
 from viscophase.errors import GridMismatchError
 from viscophase.fields import Grid, grad_arr
+from viscophase.galerkin import GalerkinRun
 from viscophase.material import degenerate_model, regular_model
 import dataclasses
 import json
@@ -302,3 +306,188 @@ class TestReportOutput:
         assert len(lines) == 2
         rec = json.loads(lines[0])
         assert set(rec) == {"name", "value", "threshold", "pass"}
+
+
+# ---------------------------------------------------------------------------
+# each command's records, from hand-made data
+
+
+def _failed(records):
+    return [r.name for r in records if not r.passed]
+
+
+def _run_traj(E=(1.0, 0.9, 0.8), mass=(0.5, 0.5, 0.5), cfl=(0.0, 0.1, 0.2)):
+    """The columns run_records reads: t = 0, 0.1 ..., E_total E, no
+    dissipation, mass and, unless None, cfl."""
+    zero = np.zeros(len(E))
+    series = {"t": 0.1 * np.arange(len(E)), "E_total": np.array(E),
+              "D_cross": zero, "D_q": zero, "D_eps": zero, "D_visc": zero,
+              "mass": np.array(mass)}
+    if cfl is not None:
+        series["cfl"] = np.array(cfl)
+    return Trajectory(series=series)
+
+
+class TestRunRecords:
+    def test_pass(self):
+        records = run_records(_run_traj())
+        assert [r.name for r in records] == [
+            "energy-monotone", "balance-residual", "mass-drift", "max-cfl"]
+        assert _failed(records) == []
+
+    def test_no_cfl_column_no_max_cfl(self):
+        names = [r.name for r in run_records(_run_traj(cfl=None))]
+        assert names == ["energy-monotone", "balance-residual", "mass-drift"]
+
+    @pytest.mark.parametrize("name, columns", [
+        ("energy-monotone", {"E": (1.0, 1.1, 1.0)}),
+        ("mass-drift", {"mass": (0.5, 0.5, 0.5 + 1e-9)}),
+        ("max-cfl", {"cfl": (0.0, 0.3, 0.1)}),
+    ])
+    def test_fail(self, name, columns):
+        assert _failed(run_records(_run_traj(**columns))) == [name]
+
+    @pytest.mark.parametrize("name, column", [
+        ("energy-monotone", "E"), ("mass-drift", "mass"), ("max-cfl", "cfl")])
+    def test_nan_fails(self, name, column):
+        values = {"E": [1.0, 0.9, 0.8], "mass": [0.5] * 3,
+                  "cfl": [0.0, 0.1, 0.2]}[column]
+        values[1] = np.nan
+        records = {r.name: r for r in run_records(_run_traj(
+            **{column: values}))}
+        assert _failed(records.values()) == [name]
+        assert np.isnan(records[name].value)
+
+    def test_balance_residual_passes_on_nan(self):
+        records = {r.name: r for r in run_records(_run_traj(
+            E=(1.0, np.nan, 0.8)))}
+        balance = records["balance-residual"]
+        assert np.isnan(balance.value) and balance.passed
+        assert balance.threshold == np.inf
+
+
+def _samples(E_rel, t=(0.0, 0.1, 0.2)):
+    """One (t, E_rel, D_rel) row per time, no relative dissipation."""
+    return [(tk, Ek, 0.0) for tk, Ek in zip(t, E_rel)]
+
+
+class TestWeakstrongRecords:
+    def test_pass(self):
+        records = weakstrong_records(
+            [0.0, 1e-3, 5e-4],
+            [_samples([0.0] * 3), _samples([4e-6, 3e-6, 2e-6]),
+             _samples([1e-6, 0.75e-6, 0.5e-6])])
+        assert [r.name for r in records] == [
+            "uniqueness-max-Erel", "gronwall-residual-eps0.001",
+            "gronwall-residual-eps0.0005", "Erel-scaling-0.001/0.0005"]
+        assert _failed(records) == []
+        assert records[-1].value == pytest.approx(0.0, abs=1e-12)
+
+    def test_perturbed_uniqueness_fails(self):
+        records = weakstrong_records([0.0], [_samples([0.0, 1e-9, 0.0])])
+        assert _failed(records) == ["uniqueness-max-Erel"]
+
+    def test_linear_scaling_fails(self):
+        # halving eps halves the final E_rel where eps^2 quarters it
+        records = weakstrong_records(
+            [1e-3, 5e-4], [_samples([2e-6] * 3), _samples([1e-6] * 3)])
+        assert _failed(records) == ["Erel-scaling-0.001/0.0005"]
+        assert records[-1].value == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("eps, name", [
+        ((0.0,), "uniqueness-max-Erel"),
+        ((1e-3, 5e-4), "Erel-scaling-0.001/0.0005")])
+    def test_nan_fails(self, eps, name):
+        samples = [_samples([4e-6, 3e-6, 2e-6])] * len(eps)
+        samples[-1] = _samples([0.0, 0.0, np.nan])
+        records = {r.name: r for r in weakstrong_records(list(eps), samples)}
+        assert not records[name].passed and np.isnan(records[name].value)
+
+    def test_gronwall_residual_passes(self):
+        # No finite samples fail this record (ROADMAP item 17):
+        # gronwall_fit takes C as the largest growth rate the samples show,
+        # so E_rel + D_half <= E_rel(0) exp(C t) holds at every sample and
+        # the residual is rounding.  Even a relative energy that grows
+        # a hundredfold passes; only its passing is tested.
+        growing = _samples([1e-6, 1e-5, 1e-4])
+        (record,) = weakstrong_records([1e-3], [growing])
+        assert record.name == "gronwall-residual-eps0.001"
+        assert record.passed and record.value <= 1e-12
+
+
+def _galerkin_study(*energies):
+    """A study dict of one GalerkinRun per E series, m = 4, 8 ..., with
+    no dissipation."""
+    runs = []
+    for E in energies:
+        n = len(E)
+        zero = np.zeros(n)
+        runs.append(GalerkinRun(times=np.linspace(0, 1, n),
+                                lam=np.zeros((n, 4)), zeta=np.zeros((n, 4)),
+                                E=np.array(E), D=zero, D_cum=zero))
+    return {"m": [4 * 2 ** k for k in range(len(runs))], "runs": runs}
+
+
+class TestGalerkinRecords:
+    def test_pass(self):
+        records = galerkin_records(_galerkin_study([1.0, 0.9], [1.0, 0.8]))
+        assert [r.name for r in records] == ["energy-inequality-m4",
+                                             "energy-inequality-m8"]
+        assert _failed(records) == []
+
+    def test_energy_gain_fails(self):
+        records = galerkin_records(_galerkin_study([1.0, 0.9], [1.0, 1.1]))
+        assert _failed(records) == ["energy-inequality-m8"]
+
+    def test_nan_fails(self):
+        (record,) = galerkin_records(_galerkin_study([1.0, np.nan]))
+        assert not record.passed and np.isnan(record.value)
+
+
+def _bounds(overshoot, entropy=(1.0, 0.9)):
+    """A BoundsReport with the given overshoot and entropy series."""
+    return BoundsReport(min_phi=-overshoot, max_phi=0.5, overshoot=overshoot,
+                        measure_max=0.0, separation_margin=-overshoot,
+                        entropy_series=(None if entropy is None
+                                        else np.array(entropy)))
+
+
+class TestSweepRecords:
+    DELTAS = (1e-2, 1e-3, 1e-4)
+
+    def _records(self, overshoots, entropies=None):
+        entropies = entropies or [(1.0, 0.9)] * len(overshoots)
+        return sweep_records(self.DELTAS, [
+            _bounds(o, e) for o, e in zip(overshoots, entropies)])
+
+    def test_pass(self):
+        records = self._records([1e-3, 1e-5, 0.0])
+        assert [r.name for r in records] == [
+            "entropy-finite-delta0.01", "entropy-finite-delta0.001",
+            "entropy-finite-delta0.0001", "overshoot-final",
+            "overshoot-monotone"]
+        assert _failed(records) == []
+        assert records[0].value == records[0].threshold == 1.0
+
+    @pytest.mark.parametrize("entropy", [(1.0, np.inf), (np.nan, 1.0), None],
+                             ids=["inf", "nan", "none"])
+    def test_entropy_not_finite_fails(self, entropy):
+        records = self._records([0.0] * 3,
+                                [(1.0, 0.9), entropy, (1.0, 0.9)])
+        assert _failed(records) == ["entropy-finite-delta0.001"]
+        assert records[1].value == 0.0
+
+    def test_final_overshoot_fails(self):
+        records = self._records([1e-3, 1e-4, 1e-5])
+        assert _failed(records) == ["overshoot-final"]
+
+    def test_growing_overshoot_fails(self):
+        records = self._records([0.0, 1e-7, 1e-7])
+        assert _failed(records) == ["overshoot-monotone"]
+        assert records[-1].value == 0.0
+
+    def test_nan_fails(self):
+        records = {r.name: r for r in self._records([0.0, 0.0, np.nan])}
+        assert np.isnan(records["overshoot-final"].value)
+        assert _failed(records.values()) == ["overshoot-final",
+                                             "overshoot-monotone"]

@@ -1,9 +1,10 @@
-"""The README's config-key table, config examples and quick start agree
-with the code."""
+"""The README's config-key table, check table, config examples and quick
+start agree with the code."""
 
 import re
 from pathlib import Path
 
+from viscophase import diagnostics
 from viscophase.cli import SWEEP_BASE, config_to_text, parse_config
 from viscophase.dynamics import KEYMAP, SimConfig
 
@@ -28,6 +29,28 @@ def test_key_table_names_each_key_once_with_its_default():
     for key, (_, default, *_) in zip(keys, rows):
         assert default == (f"`{defaults[key]}`" if defaults[key]
                            else "(empty)"), key
+
+
+def _check_rows():
+    header = "| record | command | threshold |\n"
+    table = README.split(header, 1)[1].split("\n\n", 1)[0]
+    # an escaped \| inside a cell is not a cell border
+    return [[cell.strip() for cell in re.split(r"(?<!\\)\|", line[1:-1])]
+            for line in table.splitlines() if line.startswith("| `")]
+
+
+def test_check_table_thresholds_are_the_diagnostics_constants():
+    rows = _check_rows()
+    assert len(rows) == 11
+    for record, _, threshold in rows:
+        named = re.findall(r"`([A-Z_]+)` = (\S+)", threshold)
+        if record.startswith("`balance-residual`"):
+            assert named == [] and threshold.startswith("∞"), record
+            continue
+        assert len(named) == 1, record
+        for name, value in named + re.findall(r"`([A-Z_]+)` = (\S+)",
+                                              record):
+            assert getattr(diagnostics, name) == float(value), name
 
 
 def test_ini_blocks_parse():
