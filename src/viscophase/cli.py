@@ -201,6 +201,8 @@ def cmd_weakstrong(args) -> int:
     for eps in args.eps:
         for rule in (_FINITE, _NON_NEGATIVE):
             check_rule("--eps", eps, rule)
+    if len(set(args.eps)) != len(args.eps):
+        raise ConfigError(f"--eps = {args.eps}: must be distinct")
     cfg = _load_config(args, SimConfig())
     M = build_material(cfg)
     grid = build_grid(cfg)
@@ -240,20 +242,16 @@ DATUM_AMPLITUDE = 0.05    # its peak about --mean: a small perturbation
 
 
 def _seeded_band_limited(seed: int, lengths, mean: float = 0.0):
-    """Callable initial datum: a few low cosine modes, seeded."""
-    B = CosineBasis(lengths, DATUM_MODES)
+    """Coefficients of galerkin's initial datum on the first DATUM_MODES
+    modes of the box of lengths: seeded modes, mean in the constant one."""
     rng = np.random.default_rng(seed)
     coeffs = rng.standard_normal(DATUM_MODES)
     coeffs[0] = 0.0
-    peak = np.abs(B.values(coeffs)).max()
+    peak = np.abs(CosineBasis(lengths, DATUM_MODES).values(coeffs)).max()
     if peak > 0:
         coeffs *= DATUM_AMPLITUDE / peak
-
-    def f(*mesh):
-        axes = [np.unique(m) for m in mesh]
-        vals = B.evaluate(coeffs, axes)
-        return mean + vals
-    return f
+    coeffs[0] = mean * math.sqrt(math.prod(lengths))
+    return coeffs
 
 
 def cmd_galerkin(args) -> int:
@@ -270,14 +268,12 @@ def cmd_galerkin(args) -> int:
     check_mode_counts(args.m, "--m")
     out = _outdir(args)
     M = regular_model()
-    phi0 = _seeded_band_limited(args.seed, lengths, mean=args.mean)
-    q0 = lambda *mesh: np.zeros_like(mesh[0])
-    study = convergence_study(args.m, phi0, q0, M, lengths, args.t_end,
-                              rtol=args.rtol)
+    lam0 = _seeded_band_limited(args.seed, lengths, mean=args.mean)
+    study = convergence_study(args.m, lam0, np.zeros_like(lam0), M, lengths,
+                              args.t_end, rtol=args.rtol)
     for m, run in zip(study["m"], study["runs"]):
-        lam0 = run.lam[:, 0]
         np.savetxt(out / f"galerkin_m{m}.csv",
-                   np.column_stack([run.times, run.E, run.D, lam0]),
+                   np.column_stack([run.times, run.E, run.D, run.lam[:, 0]]),
                    delimiter=",", header="t,E_m,D_total,const_mode",
                    comments="")
     np.savetxt(out / "cauchy_table.csv",

@@ -737,16 +737,18 @@ class TestCommandFlags:
         (["galerkin", "--mean", "inf"], "--mean"),
         (["degenerate-sweep", "--deltas", "1e-4,1e-2"], "--deltas"),
         (["degenerate-sweep", "--deltas", "1e-2,1e-2"], "--deltas"),
+        (["weakstrong", "--eps", "1e-3", "--eps", "1e-3"], "--eps"),
     ], ids=["rtol-zero", "t-end-zero",
             "t-end-negative", "lengths-zero", "lengths-four", "seed-negative",
             "t-end-inf", "rtol-inf", "lengths-inf", "mean-nan", "mean-inf",
-            "deltas-increasing", "deltas-repeated"])
+            "deltas-increasing", "deltas-repeated", "eps-repeated"])
     def test_bad_flag_exit_2_naming_flag(self, tmp_path, capsys, argv, flag):
-        # the sweep's config runs as it is: only the flag is at fault
+        # the sweep's and weakstrong's configs run as they are: only the
+        # flag is at fault
         out = tmp_path / "o"
         assert main(argv + ["--out", str(out)] + (
             ["--override", "grid.shape=8,8", "--override", "time.steps=2"]
-            if argv[0] == "degenerate-sweep" else [])) == 2
+            if argv[0] in ("degenerate-sweep", "weakstrong") else [])) == 2
         assert flag in capsys.readouterr().err
         assert not out.exists()
 

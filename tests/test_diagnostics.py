@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from viscophase import diagnostics
 from viscophase.diagnostics import (BoundsReport, CheckRecord, Trajectory,
                                     _diag_row, bounds_report,
                                     check_energy_inequality, energy,
@@ -442,6 +443,14 @@ class TestGalerkinRecords:
     def test_nan_fails(self):
         (record,) = galerkin_records(_galerkin_study([1.0, np.nan]))
         assert not record.passed and np.isnan(record.value)
+
+    def test_energy_gain_within_the_relative_tolerance_passes(self):
+        # the slack is max_t E + D_cum - E(0) (1 + GALERKIN_ENERGY_RTOL)
+        rtol = diagnostics.GALERKIN_ENERGY_RTOL
+        within, past = galerkin_records(_galerkin_study(
+            [2.0, 2.0 * (1 + rtol / 2)], [2.0, 2.0 * (1 + 2 * rtol)]))
+        assert within.passed and within.value == pytest.approx(-rtol)
+        assert not past.passed and past.value == pytest.approx(2 * rtol)
 
 
 def _bounds(overshoot, entropy=(1.0, 0.9)):

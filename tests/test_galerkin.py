@@ -6,17 +6,16 @@ import warnings
 import numpy as np
 import pytest
 
-from viscophase.cli import _seeded_band_limited
+from viscophase import galerkin
+from viscophase.cli import (DATUM_AMPLITUDE, DATUM_MODES,
+                            _seeded_band_limited)
+from viscophase.diagnostics import galerkin_records
 from viscophase.errors import QuadratureResolutionError, SolverError
 from viscophase.fields import Grid, grad_arr
-from viscophase.galerkin import (CosineBasis, assemble_rhs,
+from viscophase.galerkin import (CosineBasis, _leading, assemble_rhs,
                                  convergence_study, energy_galerkin,
                                  integrate_galerkin, project)
 from viscophase.material import Potential, degenerate_model, regular_model
-
-
-def zero_fn(*mesh):
-    return np.zeros_like(mesh[0])
 
 
 def linear_material():
@@ -248,7 +247,8 @@ class TestIntegration:
         lam0[0] = 0.0
         run = integrate_galerkin(lam0, 0.05 * rng.standard_normal(16), B, M,
                                  0.5, rtol=1e-8)
-        assert run.energy_slack <= 0.0
+        (record,) = galerkin_records({"m": [16], "runs": [run]})
+        assert record.passed and record.value <= 0.0
 
     def test_mass_invariance(self):
         rng = np.random.default_rng(5)
@@ -265,8 +265,7 @@ class TestIntegration:
     def seed0_runs(self):
         # the m = 16 study of `viscophase galerkin` at its defaults
         B = CosineBasis((1.0, 1.0), 16)
-        phi0 = _seeded_band_limited(0, (1.0, 1.0))
-        lam0 = project(phi0, B)
+        lam0 = _leading(_seeded_band_limited(0, (1.0, 1.0)), 16)
         return {rtol: integrate_galerkin(lam0, np.zeros(16), B,
                                          regular_model(), 0.5, rtol=rtol)
                 for rtol in (1e-8, 1e-12)}
@@ -286,7 +285,7 @@ class TestIntegration:
         # process running many studies does not grow
         B = CosineBasis((1.0, 1.0), 8)
         M = regular_model()
-        lam0 = project(_seeded_band_limited(0, (1.0, 1.0)), B)
+        lam0 = _leading(_seeded_band_limited(0, (1.0, 1.0)), 8)
 
         def run():
             integrate_galerkin(lam0, np.zeros(8), B, M, 0.1)
@@ -359,16 +358,23 @@ class TestEnergy:
         assert E_grid == pytest.approx(E_spec, abs=1e-8)
 
 
+def _coefficients(phi0):
+    """The coefficients of phi0(x, y) on the first 16 modes of the unit
+    square."""
+    return project(phi0, CosineBasis((1.0, 1.0), 16))
+
+
 class TestConvergence:
     def test_linear_spectral_accuracy(self):
         M = linear_material()
-        phi0 = lambda x, y: (0.3 * np.cos(np.pi * x) * np.cos(np.pi * y)
-                             + 0.1 * np.cos(2 * np.pi * x))
-        study = convergence_study([4, 8, 16], phi0, zero_fn, M,
+        lam0 = _coefficients(lambda x, y: (
+            0.3 * np.cos(np.pi * x) * np.cos(np.pi * y)
+            + 0.1 * np.cos(2 * np.pi * x)))
+        study = convergence_study([4, 8, 16], lam0, np.zeros(1), M,
                                   (1.0, 1.0), 0.2, rtol=1e-10)
         # once m covers the band limit the solutions coincide
         assert study["diffs"][-1] < 1e-8
-        assert study["monotone"]
+        assert np.all(np.diff(study["diffs"]) <= 0)
 
     def test_band_limited_projection_exact(self):
         B = CosineBasis((1.0, 1.0), 8)
@@ -380,16 +386,65 @@ class TestConvergence:
         assert np.abs(recon - exact).max() < 1e-12
 
     def test_nonlinear_study_reports(self):
-        # the Cauchy table is reported (monotonicity is data-dependent)
         M = regular_model()
-        phi0 = lambda x, y: 0.2 * np.cos(np.pi * x) * np.cos(np.pi * y)
-        study = convergence_study([4, 8, 16], phi0, zero_fn, M,
+        lam0 = _coefficients(
+            lambda x, y: 0.2 * np.cos(np.pi * x) * np.cos(np.pi * y))
+        study = convergence_study([4, 8, 16], lam0, np.zeros(1), M,
                                   (1.0, 1.0), 0.05, rtol=1e-9)
+        assert sorted(study) == ["diffs", "m", "runs"]
         assert len(study["diffs"]) == 2
         assert np.all(np.isfinite(study["diffs"]))
-        assert isinstance(study["monotone"], bool)
+
+    @pytest.mark.parametrize("lengths", [(1.0, 1.0), (2.0, 1.0), (1.0,)])
+    def test_cauchy_entries_are_l2_distances(self, lengths):
+        # Parseval: the coefficient distance is the L2 distance of the
+        # fields on the last basis's doubled quadrature
+        m_list = [4, 8, 16]
+        study = convergence_study(m_list, _seeded_band_limited(1, lengths,
+                                                               mean=0.3),
+                                  np.zeros(1), regular_model(), lengths, 0.05)
+        B = CosineBasis(lengths, m_list[-1])
+        fields = [B.evaluate(_leading(run.lam[-1], B.m), B.axes_f)
+                  for run in study["runs"]]
+        l2 = [np.sqrt(B.w_f * ((b - a) ** 2).sum())
+              for a, b in zip(fields, fields[1:])]
+        np.testing.assert_allclose(study["diffs"], l2, rtol=1e-12)
+
+    def test_study_stays_in_coefficient_space(self, monkeypatch):
+        def no_call(*args):
+            raise AssertionError("the study left coefficient space")
+        monkeypatch.setattr(galerkin, "project", no_call)
+        monkeypatch.setattr(CosineBasis, "evaluate", no_call)
+        study = convergence_study([4, 8], _seeded_band_limited(0, (1.0, 1.0)),
+                                  np.zeros(1), regular_model(), (1.0, 1.0),
+                                  0.01)
+        assert len(study["diffs"]) == 1
+
+    def test_bases_of_one_box_share_their_leading_modes(self):
+        for lengths in [(1.0, 1.0), (2.0, 1.0), (1.0, 1.0, 1.0), (3.0,)]:
+            big = CosineBasis(lengths, 40)
+            for m in (1, 4, 6, 9, 16):
+                B = CosineBasis(lengths, m)
+                np.testing.assert_array_equal(B.kvecs, big.kvecs[:m])
 
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
-            convergence_study([8, 4], zero_fn, zero_fn, regular_model(),
-                              (1.0, 1.0), 0.1)
+            convergence_study([8, 4], np.zeros(1), np.zeros(1),
+                              regular_model(), (1.0, 1.0), 0.1)
+
+
+class TestDatum:
+    @pytest.mark.parametrize("lengths", [(1.0, 1.0), (2.0, 1.0), (1.0,)])
+    def test_mean_in_the_constant_mode(self, lengths):
+        lam0 = _seeded_band_limited(3, lengths, mean=0.3)
+        assert lam0.shape == (DATUM_MODES,)
+        assert lam0[0] == 0.3 * np.sqrt(np.prod(lengths))
+        # the peak about the mean on the datum basis's quadrature
+        vals = CosineBasis(lengths, DATUM_MODES).values(lam0)
+        assert np.abs(vals - 0.3).max() == pytest.approx(DATUM_AMPLITUDE,
+                                                         rel=1e-12)
+
+    def test_seeded(self):
+        a, b = (_seeded_band_limited(s, (1.0, 1.0)) for s in (0, 1))
+        assert not np.array_equal(a, b)
+        np.testing.assert_array_equal(a, _seeded_band_limited(0, (1.0, 1.0)))
