@@ -55,18 +55,16 @@ def _integrals(state: State, grad_phi: np.ndarray, bulk: np.ndarray,
     eps1 and the coefficients n, tau and eta are those of state."""
     vol = state.grid.cell_volume
     M = state.model
-    E_mix = float(((0.5 * M.c0) * (grad_phi**2).sum(axis=0) + bulk).sum()
+    E_mix = float((0.5 * M.c0 * np.vdot(grad_phi, grad_phi) + bulk.sum())
                   * vol)
-    E_bulk = float((0.5 * q * q).sum() * vol)
-    E_kin = float((0.5 * (u**2).sum(axis=0)).sum() * vol)
+    E_bulk = float(0.5 * np.vdot(q, q) * vol)
+    E_kin = float(0.5 * np.vdot(u, u) * vol)
 
     w = state.n[None] * grad_mu - grad_Aq
-    D_cross = float((w**2).sum() * vol)
-    D_q = float((q * q / state.tau).sum() * vol)
-    D_eps = float(M.eps1 * (grad_q**2).sum() * vol)
-    D_visc = 0.0
-    for gu in grad_u:
-        D_visc += float((state.eta * (gu**2).sum(axis=0)).sum() * vol)
+    D_cross = float(np.vdot(w, w) * vol)
+    D_q = float(np.vdot(q, q / state.tau) * vol)
+    D_eps = float(M.eps1 * np.vdot(grad_q, grad_q) * vol)
+    D_visc = float(sum(np.vdot(gu, state.eta * gu) for gu in grad_u) * vol)
 
     return EnergyBreakdown(E_mix=E_mix, E_bulk=E_bulk, E_kin=E_kin,
                            D_cross=D_cross, D_q=D_q, D_eps=D_eps,
@@ -141,7 +139,7 @@ def _diag_row(state: State) -> dict:
 def _div_u_norm(state: State) -> float:
     """The L2 norm of div u, the trace of the recorded grad u."""
     d = sum(gu[i] for i, gu in enumerate(state.grad_u))
-    return float(np.sqrt((d * d).sum() * state.grid.cell_volume))
+    return float(np.sqrt(np.vdot(d, d) * state.grid.cell_volume))
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ import numpy as np
 from .diagnostics import COURANT_MAX, Trajectory, _diag_row
 from .errors import BlowUpError, ConfigError, PotentialDomainError
 from .fields import (
-    Grid, grad_arr, div_arr, cg, lap_symbol, solve_symbol,
+    Grid, grad_arr, div_arr, cg, lap_symbol, multiplier, solve_symbol,
     project_divergence_free,
 )
 from .material import (MOBILITY_KINDS, MaterialModel, _check_delta,
@@ -149,9 +149,10 @@ PHI_BLOW_UP = 10.0
 def _check_blow_up(name: str, values: np.ndarray, t: float,
                    bound: Optional[float] = None) -> None:
     """BlowUpError at t, the time of the state being made, unless values
-    are finite and, given a bound, max|values| <= bound."""
-    if not np.all(np.isfinite(values)) or (
-            bound is not None and np.abs(values).max() > bound):
+    are finite and, given a bound, max|values| <= bound: one pass, since
+    the largest magnitude is NaN or infinite when any value is."""
+    peak = np.abs(values).max()
+    if not peak < math.inf or (bound is not None and peak > bound):
         raise BlowUpError(f"{name} blew up", time=t)
 
 
@@ -171,35 +172,42 @@ def _is_const(arr: np.ndarray) -> bool:
         float(np.ptp(arr)) <= 1e-13 * max(1.0, float(np.abs(arr).max())))
 
 
-def _solver(coeff: np.ndarray, symbol: Callable, remainder: Callable,
-            grid: Grid, tol: float, parity: int = 1) -> Callable:
-    """(rhs, x0) -> the x with S x = rhs, where S is an SPD operator with
-    the coefficient field coeff, stated by two parts: symbol(c, s), its
-    symbol at a constant coefficient c (s the Laplacian symbol of
-    parity), and remainder(dc, x), what S adds to that constant-
-    coefficient operator at c = mean(coeff), dc = coeff - c.  A constant
-    coeff gives the direct solve_symbol at c.  A variable one gives cg at
-    tol from x0 on S = P^-1 + R: P^-1 is the spectral operator at the
-    mean, whose inverse preconditions, and R = remainder(dc, .).  The
-    symbol and its reciprocal (S is SPD, so no mode vanishes) are
-    evaluated once here, not per solve or iteration."""
-    const = _is_const(coeff)
-    cbar = float(coeff.flat[0] if const else coeff.mean())
-    sym = symbol(cbar, lap_symbol(grid, parity))
+def _pcg(dc: np.ndarray, sym: np.ndarray, remainder: Callable, grid: Grid,
+         tol: float, parity: int = 1) -> Callable:
+    """(rhs, x0) -> cg at tol from x0 on S = P^-1 + R, where P^-1 is the
+    spectral operator of symbol sym (the layout of lap_symbol at parity),
+    whose inverse preconditions, and R = remainder(dc, .).  The reciprocal
+    of sym (S is SPD, so no mode vanishes) is taken once here, not per
+    iteration."""
     inv = 1.0 / sym
 
     def precond(r):
-        return solve_symbol(r, grid, inv, parity=parity, inverse=False)
-
-    if const:
-        return lambda rhs, x0: precond(rhs)
-    dc = coeff - cbar
+        return solve_symbol(r, grid, inv, parity=parity)
 
     def base(x):
-        return solve_symbol(x, grid, sym, parity=parity, inverse=False)
+        return solve_symbol(x, grid, sym, parity=parity)
 
     return lambda rhs, x0: cg(lambda x: remainder(dc, x), rhs, precond,
                               tol=tol, x0=x0, base=base)
+
+
+def _solver(coeff: np.ndarray, symbol: Callable, remainder: Callable,
+            grid: Grid, tol: float, parity: int = 1) -> Callable:
+    """(rhs, x0) -> the x with S x = rhs, where S is an SPD operator with
+    the coefficient field coeff, stated by two parts: symbol(c), the
+    coefficients (p0, p1, ...) of its symbol sum_k p_k s**k at a constant
+    coefficient c (s the Laplacian symbol of parity), and remainder(dc, x),
+    what S adds to that constant-coefficient operator at c = mean(coeff),
+    dc = coeff - c.  A constant coeff gives the direct solve_symbol by the
+    run's cached multiplier at c; x0 is not read.  A variable one gives
+    _pcg from x0 at the mean."""
+    if _is_const(coeff):
+        mult = multiplier(grid, parity, symbol(float(coeff.flat[0])))
+        return lambda rhs, x0: solve_symbol(rhs, grid, mult, parity=parity)
+    cbar = float(coeff.mean())
+    sym = np.polynomial.polynomial.polyval(lap_symbol(grid, parity),
+                                           symbol(cbar))
+    return _pcg(coeff - cbar, sym, remainder, grid, tol, parity)
 
 
 def step_phi_q(state: State, dt: float, solver_tol: float = 1e-11) -> State:
@@ -223,25 +231,26 @@ def step_phi_q(state: State, dt: float, solver_tol: float = 1e-11) -> State:
     mv = nv * nv
 
     mu_expl = state.dF - a * phi
-    rhs = phi + dt * (
-        -(u * state.grad_phi).sum(axis=0)
-        + div_arr(mv[None] * grad_arr(mu_expl, grid, parity=1), grid, parity=-1)
-        - div_arr(nv[None] * state.grad_Aq, grid, parity=-1)
-    )
+    # one divergence of the summed fluxes m grad(mu_expl) - n grad(A q)
+    flux = mv[None] * grad_arr(mu_expl, grid, parity=1)
+    flux -= nv[None] * state.grad_Aq
+    rhs = phi + dt * (-(u * state.grad_phi).sum(axis=0)
+                      + div_arr(flux, grid, parity=-1))
 
-    s = lap_symbol(grid)
     if _is_const(mv):
         mbar = float(mv.flat[0])
-        phi_new = solve_symbol(rhs, grid,
-                               1.0 + dt * mbar * (c0 * s * s - a * s))
+        phi_new = solve_symbol(rhs, grid, multiplier(
+            grid, 1, (1.0, -dt * mbar * a, dt * mbar * c0)))
     else:
-        solve_y = _solver(
-            mv, lambda m, s: 1.0 / (a - c0 * s) - dt * m * s,
+        k_inv = multiplier(grid, 1, (a, -c0))
+        mbar = float(mv.mean())
+        solve_y = _pcg(
+            mv - mbar, k_inv - dt * mbar * lap_symbol(grid),
             lambda dm, y: -dt * div_arr(dm[None] * grad_arr(y, grid, parity=1),
                                         grid, parity=-1),
             grid, solver_tol)
         y = solve_y(rhs, state.mu - mu_expl)        # x0 = K phi_old
-        phi_new = solve_symbol(y, grid, a - c0 * s)
+        phi_new = solve_symbol(y, grid, k_inv)
     _check_blow_up("phi", phi_new, t_new, bound=PHI_BLOW_UP)
 
     gphi_new = grad_arr(phi_new, grid, parity=1)
@@ -254,7 +263,7 @@ def step_phi_q(state: State, dt: float, solver_tol: float = 1e-11) -> State:
         - state.A * div_arr(w, grid, parity=-1)
     )
     diag = 1.0 + dt / state.tau
-    q_new = _solver(diag, lambda d, s: d - dt * M.eps1 * s,
+    q_new = _solver(diag, lambda d: (d, -dt * M.eps1),
                     lambda dd, x: dd * x, grid, solver_tol)(rhs_q, q)
     _check_blow_up("q", q_new, t_new)
 
@@ -280,7 +289,7 @@ def step_velocity(state: State, dt: float, solver_tol: float = 1e-11) -> State:
     rhs = u + dt * (-advect + f_cap)
 
     solve = _solver(
-        state.eta, lambda e, s: 1.0 - dt * e * s,
+        state.eta, lambda e: (1.0, -dt * e),
         lambda de, x: -dt * div_arr(de[None] * grad_arr(x, grid, parity=-1),
                                     grid, parity=1),
         grid, solver_tol, parity=-1)

@@ -18,13 +18,18 @@ Constant-coefficient operators built from that Laplacian are inverted
 orthonormal matrix per axis applied by matmul: the real Fourier basis on
 periodic grids, the type-II DCT (even parity: scalars, pressure) or DST
 (odd parity: velocity components) on Neumann grids.  Grid runs load no
-SciPy.  A variable-coefficient system of the time step is written as
-S = P^-1 + R: P^-1 is that spectral operator at the mean coefficient, R
-the remainder at the coefficient minus its mean.  Conjugate gradients
-preconditioned by P solves it with one spectral transform pair (the
-preconditioner) and one application of R per iteration, since its
-recurrences already give P^-1 of each search direction (Eisenstat, SIAM
-J. Sci. Stat. Comput. 1981).
+SciPy.  An operator with constant coefficients is a polynomial in the
+Laplacian symbol, and its inverse is a multiplier in that basis: the
+reciprocal of the polynomial, built once per (grid, parity, coefficients)
+and cached (multiplier), so a run builds each of its direct solves once
+and every step only transforms, multiplies and transforms back.  A
+variable-coefficient system of the time step is written as S = P^-1 + R:
+P^-1 is that spectral operator at the mean coefficient, R the remainder
+at the coefficient minus its mean.  Conjugate gradients preconditioned
+by P solves it with one spectral transform pair (the preconditioner) and
+one application of R per iteration, since its recurrences already give
+P^-1 of each search direction (Eisenstat, SIAM J. Sci. Stat. Comput.
+1981).
 """
 
 from __future__ import annotations
@@ -259,28 +264,38 @@ def lap_symbol(grid: Grid, parity: int = 1) -> np.ndarray:
     return out
 
 
-def solve_symbol(b: np.ndarray, grid: Grid, symbol: np.ndarray,
-                 parity: int = 1, inverse: bool = True) -> np.ndarray:
-    """Apply the inverse of a constant-coefficient operator built from the
-    compatible Laplacian.  symbol is the operator's symbol, an array of
-    grid.shape in the layout of lap_symbol(grid, parity), built from that
-    Laplacian symbol; modes where it vanishes are dropped.  inverse=False
-    applies the operator itself: it multiplies by the symbol and drops no
-    mode.
+@functools.lru_cache(maxsize=32)
+def multiplier(grid: Grid, parity: int, coeffs: tuple) -> np.ndarray:
+    """The inverse of the constant-coefficient operator whose symbol is
+    sum_k coeffs[k] * s**k, s = lap_symbol(grid, parity), as a multiplier
+    for solve_symbol: 1 / symbol, and 0 at the modes where the symbol
+    vanishes (|symbol| <= 1e-14).  (0, 1) gives the Laplacian's inverse on
+    its range.  Cached per (grid, parity, coeffs), at most 32 entries, so
+    a run builds each multiplier once; the returned array is read-only.
+    A symbol that changes every step (the mean-mobility preconditioner of
+    a degenerate run) is not built here: each step would add an entry."""
+    sym = np.polynomial.polynomial.polyval(lap_symbol(grid, parity), coeffs)
+    out = np.divide(1.0, sym, out=np.zeros_like(sym),
+                    where=np.abs(sym) > 1e-14)
+    out.setflags(write=False)
+    return out
+
+
+def solve_symbol(b: np.ndarray, grid: Grid, mult: np.ndarray,
+                 parity: int = 1) -> np.ndarray:
+    """Apply a constant-coefficient operator built from the compatible
+    Laplacian, given its multiplier mult: an array of grid.shape in the
+    layout of lap_symbol(grid, parity).  The multiplier of an inverse is
+    multiplier(grid, parity, coeffs); an operator is applied by its own
+    symbol.
 
     b is taken to the eigenbasis of the Laplacian at parity (_basis per
     axis: the real Fourier basis on periodic grids, the type-II DCT for
     even-parity fields and DST for odd-parity fields on Neumann grids),
-    scaled there, and taken back.
+    multiplied there, and taken back.
     """
     qs, _ = _bases(grid, parity)
-    bh = _transform(b, qs, back=False)
-    if inverse:
-        xh = np.divide(bh, symbol, out=np.zeros_like(bh),
-                       where=np.abs(symbol) > 1e-14)
-    else:
-        xh = bh * symbol
-    return _transform(xh, qs, back=True)
+    return _transform(_transform(b, qs, back=False) * mult, qs, back=True)
 
 
 def cg(remainder: Callable, b: np.ndarray, precond: Callable,
@@ -295,28 +310,32 @@ def cg(remainder: Callable, b: np.ndarray, precond: Callable,
     Each iteration applies remainder once and precond once, and base not
     at all: with z = P r and the search direction p = z + beta*p, the
     product w = P^-1 p follows from w = r + beta*w, since P^-1 z = r.  So
-    S p = w + remainder(p).  base is read once, for the residual of x0."""
+    S p = w + remainder(p).  base is read once, for the residual of x0.
+    A residual that is not finite raises SolverError at once, naming the
+    iteration (0: the residual of x0)."""
     x = x0.copy()
     r = b - base(x) - remainder(x)
-    bnorm = np.sqrt((b * b).sum())
+    bnorm = math.sqrt(np.vdot(b, b))
     if bnorm == 0.0:
         return np.zeros_like(b)
-    rnorm = np.sqrt((r * r).sum())
+    rnorm = math.sqrt(np.vdot(r, r))
     if rnorm <= tol * bnorm:
         return x
+    _check_residual(rnorm, bnorm, 0)
     p = precond(r)
     w = r                            # P^-1 p; r is rebound, never changed
-    rz = (r * p).sum()
-    for _ in range(maxiter):
+    rz = np.vdot(r, p)
+    for k in range(1, maxiter + 1):
         Sp = w + remainder(p)
-        alpha = rz / (p * Sp).sum()
+        alpha = rz / np.vdot(p, Sp)
         x += alpha * p
         r = r - alpha * Sp
-        rnorm = np.sqrt((r * r).sum())
+        rnorm = math.sqrt(np.vdot(r, r))
         if rnorm <= tol * bnorm:
             return x
+        _check_residual(rnorm, bnorm, k)
         z = precond(r)
-        rz_new = (r * z).sum()
+        rz_new = np.vdot(r, z)
         beta = rz_new / rz
         p = z + beta * p
         w = r + beta * w
@@ -325,12 +344,20 @@ def cg(remainder: Callable, b: np.ndarray, precond: Callable,
                       f"(residual {rnorm / bnorm:.3e})")
 
 
+def _check_residual(rnorm: float, bnorm: float, k: int) -> None:
+    """SolverError naming iteration k of cg unless its residual is finite
+    (a right-hand side that is not finite leaves none that is)."""
+    if not math.isfinite(rnorm):
+        raise SolverError(f"cg: residual {rnorm / bnorm:.3e} at iteration "
+                          f"{k} is not finite")
+
+
 def solve_poisson(rhs: np.ndarray, grid: Grid) -> np.ndarray:
     """The mean-zero p with laplacian(p) = rhs on grid, by a direct symbol
     solve (Fourier basis on periodic grids, DCT basis on Neumann grids).
     The part of rhs the Laplacian cannot reach (its mean; on periodic
     grids also the checkerboard modes) is dropped."""
-    p = solve_symbol(rhs, grid, lap_symbol(grid))
+    p = solve_symbol(rhs, grid, multiplier(grid, 1, (0.0, 1.0)))
     return p - p.mean()
 
 

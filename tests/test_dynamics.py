@@ -8,14 +8,15 @@ import viscophase.dynamics
 import viscophase.fields
 from viscophase.cli import _run_to_csv
 from viscophase.diagnostics import Trajectory, _diag_row, energy
-from viscophase.dynamics import (SimConfig, _build_run, _smooth_noise,
+from viscophase.dynamics import (SimConfig, _build_run, _check_blow_up,
+                                 _smooth_noise,
                                  _smoothing_matrix, build_grid,
                                  build_material, dt_max, initial_state,
                                  make_state, run_steps, simulate, step_phi_q,
                                  step_plan, step_velocity)
 from viscophase.errors import BlowUpError, ConfigError
 from viscophase.fields import (Grid, div_arr, grad_arr, integrate, lap_arr,
-                               lap_symbol, solve_symbol)
+                               multiplier, solve_symbol)
 from viscophase.material import degenerate_model, regular_model
 
 
@@ -134,10 +135,11 @@ class TestSharedDerived:
         assert energy(state) != energy(state_under(M))
 
     def test_stencil_calls_per_step(self, monkeypatch):
-        # 16 distinct stencils per regular periodic step (the step before
+        # 15 distinct stencils per regular periodic step (the step before
         # shared gradients applied 27, 18 while div u was a stencil of its
-        # own rather than the trace of the recorded grad u, and 17 while a
-        # constant A took a stencil for grad(A q))
+        # own rather than the trace of the recorded grad u, 17 while a
+        # constant A took a stencil for grad(A q), and 16 while the phi
+        # right-hand side took one divergence per flux)
         calls = []
         for name in ("grad_arr", "div_arr"):
             real = getattr(viscophase.fields, name)
@@ -155,7 +157,7 @@ class TestSharedDerived:
             calls.clear()
             simulate(small_cfg(steps=steps))
             per_run.append(len(calls))
-        assert (per_run[1] - per_run[0]) / 10 <= 16
+        assert (per_run[1] - per_run[0]) / 10 <= 15
 
 
 def _full(value):
@@ -335,7 +337,7 @@ class TestVariableCoefficientSolves:
         mv, tau, eta = state.n ** 2, state.tau, mid.eta
 
         def S_phi(y):
-            K_inv = solve_symbol(y, grid, M.a - M.c0 * lap_symbol(grid))
+            K_inv = solve_symbol(y, grid, multiplier(grid, 1, (M.a, -M.c0)))
             return K_inv - dt * div_arr(mv[None] * grad_arr(y, grid, 1),
                                         grid, -1)
 
@@ -485,6 +487,56 @@ class TestSimulate:
         with pytest.raises(BlowUpError, match="velocity") as exc:
             step_velocity(state, dt)
         assert exc.value.time == state.t
+
+
+    @pytest.mark.parametrize("value,bound,blows_up", [
+        (np.nan, None, True), (np.inf, None, True), (-np.inf, None, True),
+        (1e300, None, False),
+        (np.nan, 10.0, True), (np.inf, 10.0, True), (-np.inf, 10.0, True),
+        (-10.5, 10.0, True), (10.0, 10.0, False), (-10.0, 10.0, False),
+    ])
+    def test_check_blow_up(self, value, bound, blows_up):
+        # one bad entry among finite ones; a value at the bound passes
+        values = np.full((4, 4), 0.5)
+        values[1, 2] = value
+        if blows_up:
+            with pytest.raises(BlowUpError, match="phi") as exc:
+                _check_blow_up("phi", values, 0.75, bound=bound)
+            assert exc.value.time == 0.75
+        else:
+            _check_blow_up("phi", values, 0.75, bound=bound)
+
+
+class TestMultiplierCache:
+    """Every direct solve of a run multiplies by a multiplier built once
+    per run; the degenerate preconditioner, which changes every step, is
+    built per step and not cached."""
+
+    @staticmethod
+    def _misses_and_size(cfg, after):
+        """cache_info() of fields.multiplier, cleared first, after each
+        step count in after of cfg's run."""
+        viscophase.fields.multiplier.cache_clear()
+        infos = []
+        _, steps = run_of(cfg)
+        for k, _ in steps:
+            if k in after:
+                info = viscophase.fields.multiplier.cache_info()
+                infos.append((info.misses, info.currsize))
+        return infos
+
+    @pytest.mark.parametrize("bc", ["periodic", "neumann-noslip"])
+    def test_regular_run_builds_four(self, bc):
+        # phi, q, the viscous solve (odd parity) and the pressure Poisson
+        # solve; ten more steps add none
+        infos = self._misses_and_size(small_cfg(bc=bc, steps=11), (1, 11))
+        assert infos == [(4, 4), (4, 4)]
+
+    def test_degenerate_run_does_not_grow(self):
+        # K^-1 of the phi solve, q, viscous and Poisson: not one per step
+        cfg = small_cfg(regime="degenerate", init_mean=0.5, steps=12)
+        infos = self._misses_and_size(cfg, (2, 12))
+        assert infos[0] == infos[1] == (4, 4)
 
 
 class TestTimeAxis:

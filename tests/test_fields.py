@@ -6,7 +6,7 @@ import pytest
 from viscophase.errors import ConfigError, SolverError
 from viscophase.fields import (Grid, _bases, _diff_index, cg, div_arr,
                                grad_arr,
-                               integrate, lap_arr, lap_symbol,
+                               integrate, lap_arr, lap_symbol, multiplier,
                                project_divergence_free, solve_poisson,
                                solve_symbol)
 
@@ -259,20 +259,20 @@ class TestSolvers:
         def identity(r):
             return r
 
-        s = lap_symbol(g)
-        phi = solve_symbol(b, g, 1.0 + dt * m * (c0 * s * s - a * s))
+        phi = solve_symbol(b, g, multiplier(
+            g, 1, (1.0, -dt * m * a, dt * m * c0)))
         ref = np.linalg.solve(
             dense(lambda x: x + dt * m * lap_arr(c0 * lap_arr(x, g) - a * x, g),
                   shape),
             b.ravel()).reshape(shape)
         assert close(phi, ref)
 
-        q = solve_symbol(b, g, diag - dt * eps1 * s)
+        q = solve_symbol(b, g, multiplier(g, 1, (diag, -dt * eps1)))
         ref = cg(lambda x: (diag - 1.0) * x - dt * eps1 * lap_arr(x, g), b,
                  identity, np.zeros_like(b), identity, tol=1e-12)
         assert close(q, ref)
 
-        u = solve_symbol(b, g, 1.0 - dt * eta * lap_symbol(g, -1), parity=-1)
+        u = solve_symbol(b, g, multiplier(g, -1, (1.0, -dt * eta)), parity=-1)
         ref = cg(lambda x: -dt * eta * lap_odd(x), b, identity,
                  np.zeros_like(b), identity, tol=1e-12)
         assert close(u, ref)
@@ -318,3 +318,50 @@ class TestSolvers:
         assert lap_symbol(g, -1) is lap_symbol(g, -1)
         assert lap_symbol(g, 1) is not lap_symbol(g, -1)
         assert not lap_symbol(g, 1).flags.writeable
+
+    @pytest.mark.parametrize("finite_calls", [0, 1])
+    def test_cg_stops_at_first_non_finite_residual(self, finite_calls):
+        # a remainder that turns NaN after finite_calls finite results:
+        # SolverError at that iteration, not after maxiter more calls
+        g = Grid((16, 16), (1.0, 1.0), "neumann-noslip")
+        b = np.random.default_rng(6).standard_normal(g.shape)
+        calls = []
+
+        def remainder(x):
+            calls.append(1)
+            out = -1e-2 * lap_arr(x, g)
+            return out if len(calls) <= finite_calls else out * np.nan
+
+        with pytest.raises(SolverError, match=rf"residual nan at iteration "
+                                              rf"{finite_calls} is not finite"):
+            cg(remainder, b, lambda r: r, np.zeros_like(b), lambda x: x,
+               tol=1e-12)
+        assert len(calls) == finite_calls + 1 <= 2
+
+    @pytest.mark.parametrize("bc", ["periodic", "neumann-noslip"])
+    @pytest.mark.parametrize("parity", [1, -1])
+    @pytest.mark.parametrize("shape", [(8, 8), (6, 5, 4)])
+    def test_multiplier_is_the_reciprocal_symbol(self, bc, parity, shape):
+        # the time step's symbols, written out, and the Laplacian, which
+        # vanishes at the constant mode (and on periodic grids of even n
+        # at the checkerboards): 1/symbol within 2 ulp, 0 where it
+        # vanishes, read-only and cached
+        g = Grid(shape, (1.0, 0.7, 1.3)[:len(shape)], bc)
+        s = lap_symbol(g, parity)
+        dt, m, c0, a, eps1 = 1e-3, 0.7, 2.5e-3, 1.2, 1e-2
+        cases = [((1.0, -dt * m * a, dt * m * c0),
+                  1.0 + dt * m * (c0 * s * s - a * s)),
+                 ((a, -c0), a - c0 * s),
+                 ((1.5, -dt * eps1), 1.5 - dt * eps1 * s),
+                 ((0.0, 1.0), s)]
+        for coeffs, symbol in cases:
+            mult = multiplier(g, parity, coeffs)
+            assert multiplier(g, parity, coeffs) is mult
+            assert not mult.flags.writeable
+            vanishes = np.abs(symbol) <= 1e-14
+            ref = 1.0 / np.where(vanishes, 1.0, symbol)
+            assert np.all(mult[vanishes] == 0.0)
+            gap = np.abs(mult - ref)[~vanishes]
+            assert np.all(gap <= 2 * np.spacing(np.abs(ref[~vanishes])))
+        assert np.count_nonzero(multiplier(g, parity, (0.0, 1.0)) == 0) == (
+            np.count_nonzero(np.abs(s) <= 1e-14))
