@@ -28,8 +28,8 @@ import numpy as np
 from .diagnostics import COURANT_MAX, Trajectory, _diag_row
 from .errors import BlowUpError, ConfigError, PotentialDomainError
 from .fields import (
-    Grid, grad_arr, div_arr, cg, lap_symbol, multiplier, solve_symbol,
-    project_divergence_free,
+    Grid, grad_arr, div_arr, cg, lap_symbol, multiplier, poly_symbol,
+    solve_symbol, project_divergence_free,
 )
 from .material import (MOBILITY_KINDS, MaterialModel, _check_delta,
                        degenerate_model, regular_model)
@@ -205,9 +205,8 @@ def _solver(coeff: np.ndarray, symbol: Callable, remainder: Callable,
         mult = multiplier(grid, parity, symbol(float(coeff.flat[0])))
         return lambda rhs, x0: solve_symbol(rhs, grid, mult, parity=parity)
     cbar = float(coeff.mean())
-    sym = np.polynomial.polynomial.polyval(lap_symbol(grid, parity),
-                                           symbol(cbar))
-    return _pcg(coeff - cbar, sym, remainder, grid, tol, parity)
+    return _pcg(coeff - cbar, poly_symbol(grid, parity, symbol(cbar)),
+                remainder, grid, tol, parity)
 
 
 def step_phi_q(state: State, dt: float, solver_tol: float = 1e-11) -> State:

@@ -264,17 +264,28 @@ def lap_symbol(grid: Grid, parity: int = 1) -> np.ndarray:
     return out
 
 
+def poly_symbol(grid: Grid, parity: int, coeffs: tuple) -> np.ndarray:
+    """The symbol sum_k coeffs[k] * s**k of a constant-coefficient operator,
+    s = lap_symbol(grid, parity), by Horner's rule: a new array."""
+    s = lap_symbol(grid, parity)
+    out = np.full(grid.shape, float(coeffs[-1]))
+    for c in coeffs[-2::-1]:
+        out *= s
+        out += c
+    return out
+
+
 @functools.lru_cache(maxsize=32)
 def multiplier(grid: Grid, parity: int, coeffs: tuple) -> np.ndarray:
     """The inverse of the constant-coefficient operator whose symbol is
-    sum_k coeffs[k] * s**k, s = lap_symbol(grid, parity), as a multiplier
-    for solve_symbol: 1 / symbol, and 0 at the modes where the symbol
-    vanishes (|symbol| <= 1e-14).  (0, 1) gives the Laplacian's inverse on
-    its range.  Cached per (grid, parity, coeffs), at most 32 entries, so
-    a run builds each multiplier once; the returned array is read-only.
-    A symbol that changes every step (the mean-mobility preconditioner of
-    a degenerate run) is not built here: each step would add an entry."""
-    sym = np.polynomial.polynomial.polyval(lap_symbol(grid, parity), coeffs)
+    poly_symbol(grid, parity, coeffs), as a multiplier for solve_symbol:
+    1 / symbol, and 0 at the modes where the symbol vanishes (|symbol| <=
+    1e-14).  (0, 1) gives the Laplacian's inverse on its range.  Cached
+    per (grid, parity, coeffs), at most 32 entries, so a run builds each
+    multiplier once; the returned array is read-only.  A symbol that
+    changes every step (the mean-mobility preconditioner of a degenerate
+    run) is not built here: each step would add an entry."""
+    sym = poly_symbol(grid, parity, coeffs)
     out = np.divide(1.0, sym, out=np.zeros_like(sym),
                     where=np.abs(sym) > 1e-14)
     out.setflags(write=False)
