@@ -6,10 +6,11 @@ A field is a plain NumPy array of the grid's shape (scalar) or of
 Cell-centered collocated layout.  Gradient and divergence are central
 differences whose ghost values come from wraparound (periodic) or cell-
 center reflection (neumann-noslip: even reflection for scalars, odd for
-fluxes and velocities).  Each is two gathers from cached index tables
-per (grid, parity), the cell after minus the cell before along each
-axis, with the ghost values folded into the edge entries, followed by
-the division by 2h.  The Laplacian lap_arr is the literal composition
+fluxes and velocities).  Along each axis the difference (f[i+1] -
+f[i-1]) / 2h is one BLAS product with a cached n x n matrix per (grid,
+parity) whose edge rows hold the ghost values; an axis longer than
+STENCIL_MATRIX_MAX cells takes a slice difference over ghost-padded
+copies instead.  The Laplacian lap_arr is the literal composition
 div_arr(grad_arr(.)), so summation by parts holds exactly on periodic
 grids and the integral of lap_arr(f) vanishes on both boundary kinds.
 
@@ -103,65 +104,69 @@ class Grid:
         return np.meshgrid(*self.axes(), indexing="ij")
 
 
-@functools.lru_cache(maxsize=128)
-def _diff_index(grid: Grid, parity: int, stacked: bool):
-    """Gather tables (plus, minus) of the undivided central differences
-    f[i+1] - f[i-1], one block per axis, each of shape (d,) + grid.shape:
-    src.take(plus) - src.take(minus) is that difference, where src is the
-    flattened input followed by its negation.  Entry k of block a of plus
-    is the cell after k along axis a and of minus the cell before it; past
-    an edge that cell is the ghost, so the index moves to the wrapped cell
-    (periodic) or to k itself, in the negated copy where parity makes the
-    ghost -f[k] (cell-center reflection).  Only Neumann grids at odd parity
-    read the negated copy.
-
-    stacked: every block reads the one scalar input (gradient).  Otherwise
-    block a reads component a of a (d,) + grid.shape input (divergence).
-    The third entry is 2h per axis, shaped to divide the differences.
-    Cached per (grid, parity, stacked); the returned arrays are
+@functools.lru_cache(maxsize=64)
+def _stencils(grid: Grid, parity: int):
+    """Per axis of grid, the n x n matrix D of the central difference at
+    parity, (D f)[i] = (f[i+1] - f[i-1]) / 2h: 1/2h above the diagonal and
+    -1/2h below it.  The ghost cell past each edge is folded into the edge
+    rows: the wrapped column on periodic axes, and at Neumann walls
+    parity/2h on the diagonal of the last row and -parity/2h on that of
+    the first (cell-center reflection).  An axis longer than
+    STENCIL_MATRIX_MAX cells gets None and takes the slice difference of
+    _difference instead.  Cached per (grid, parity); the matrices are
     read-only."""
-    size = math.prod(grid.shape)
-    k = np.arange(size).reshape(grid.shape)
-    plus = np.empty((grid.d,) + grid.shape, dtype=np.intp)
-    minus = np.empty_like(plus)
-    # the negated copy starts after the whole flattened input
-    ghost = 0 if parity == 1 else (size if stacked else grid.d * size)
-    for a, n in enumerate(grid.shape):
-        after, before = np.roll(k, -1, axis=a), np.roll(k, 1, axis=a)
-        if grid.bc != "periodic":
-            lead = (slice(None),) * a
-            last, first = lead + (n - 1,), lead + (0,)
-            after[last] = k[last] + ghost
-            before[first] = k[first] + ghost
-        base = 0 if stacked else a * size
-        plus[a], minus[a] = after + base, before + base
-    two_h = np.array([2.0 * h for h in grid.h]).reshape(
-        (grid.d,) + (1,) * grid.d)
-    for arr in (plus, minus, two_h):
-        arr.setflags(write=False)
-    return plus, minus, two_h
+    mats = []
+    for n, h in zip(grid.shape, grid.h):
+        if n > STENCIL_MATRIX_MAX:
+            mats.append(None)
+            continue
+        c = 0.5 / h
+        i = np.arange(n - 1)
+        mat = np.zeros((n, n))
+        mat[i, i + 1], mat[i + 1, i] = c, -c
+        if grid.bc == "periodic":
+            mat[0, -1], mat[-1, 0] = -c, c
+        else:
+            mat[0, 0], mat[-1, -1] = -parity * c, parity * c
+        mat.setflags(write=False)
+        mats.append(mat)
+    return tuple(mats)
 
 
-def _differences(src: np.ndarray, grid: Grid, parity: int,
-                 stacked: bool) -> np.ndarray:
-    """Undivided central differences of src over the gather tables, then
-    divided by 2h: shape (d,) + grid.shape."""
-    plus, minus, two_h = _diff_index(grid, parity, stacked)
-    flat = src.ravel()
-    if grid.bc != "periodic" and parity == -1:
-        flat = np.concatenate((flat, -flat))
-    out = flat.take(plus)
-    out -= flat.take(minus)
-    out /= two_h
+def _difference(f: np.ndarray, grid: Grid, parity: int, a: int, mat,
+                out=None) -> np.ndarray:
+    """(f[i+1] - f[i-1]) / 2h along axis a of grid, into out if given: one
+    BLAS product with mat, the axis's matrix from _stencils, or where mat
+    is None the difference of slices of f padded with its two ghost
+    layers, divided by 2h."""
+    if mat is not None:
+        return _along(f, mat, a, out)
+    lead = (slice(None),) * a
+    first, last = f[lead + (slice(0, 1),)], f[lead + (slice(-1, None),)]
+    if grid.bc == "periodic":
+        before, after = last, first
+    else:
+        before, after = parity * first, parity * last
+    padded = np.concatenate((before, f, after), axis=a)
+    out = np.subtract(padded[lead + (slice(2, None),)],
+                      padded[lead + (slice(None, -2),)], out=out)
+    out /= 2.0 * grid.h[a]
     return out
 
 
 def grad_arr(f: np.ndarray, grid: Grid, parity: int = 1) -> np.ndarray:
-    return _differences(f, grid, parity, True)
+    out = np.empty((grid.d,) + grid.shape)
+    for a, mat in enumerate(_stencils(grid, parity)):
+        _difference(f, grid, parity, a, mat, out[a])
+    return out
 
 
 def div_arr(v: np.ndarray, grid: Grid, parity: int = -1) -> np.ndarray:
-    return _differences(v, grid, parity, False).sum(axis=0)
+    mats = _stencils(grid, parity)
+    out = _difference(v[0], grid, parity, 0, mats[0])
+    for a in range(1, grid.d):
+        out += _difference(v[a], grid, parity, a, mats[a])
+    return out
 
 
 def lap_arr(f: np.ndarray, grid: Grid) -> np.ndarray:
@@ -223,6 +228,16 @@ def _basis(n: int, h: float, periodic: bool, parity: int):
     return Q, lam
 
 
+# The same trade-off for the stencils: a central difference by its n x n
+# matrix (_stencils) does O(n) work per entry in one BLAS call, a slice
+# difference O(1) in three passes.  Per grad_arr call (one BLAS thread,
+# x86-64) the matrix took 9 us against 17 us at 32^2, 23 against 36 at
+# 64^2 and 16 against 45 at 16^3, but 49 against 42 at 72^2 and 69
+# against 50 at 96^2; at 64^3 the two were level.  An axis of more cells
+# than this takes the slice difference.
+STENCIL_MATRIX_MAX = 64
+
+
 @functools.lru_cache(maxsize=64)
 def _bases(grid: Grid, parity: int):
     """(qs, lams): the bases and eigenvalues of _basis, one per axis of
@@ -232,18 +247,27 @@ def _bases(grid: Grid, parity: int):
                        for n, h in zip(grid.shape, grid.h))))
 
 
+def _along(x: np.ndarray, mat: np.ndarray, axis: int,
+           out=None) -> np.ndarray:
+    """mat applied along axis of x, out[..., i, ...] = sum_j mat[i, j]
+    x[..., j, ...], into out if given: one BLAS call, the last axis and
+    axis 0 through a 2-D reshape, a middle one stacked."""
+    shape = x.shape
+    if axis == x.ndim - 1:
+        flat = None if out is None else out.reshape(-1, shape[-1])
+        return np.matmul(x.reshape(-1, shape[-1]), mat.T,
+                         out=flat).reshape(shape)
+    if axis == 0:
+        flat = None if out is None else out.reshape(shape[0], -1)
+        return np.matmul(mat, x.reshape(shape[0], -1), out=flat).reshape(shape)
+    return np.matmul(mat, x, out=out)
+
+
 def _transform(x: np.ndarray, qs, back: bool) -> np.ndarray:
     """x with qs[a] (back: its transpose, the inverse) applied along each
-    axis a: one matmul per axis, the last axis and axis 0 of a 3-D array
-    through a 2-D reshape, the middle one stacked."""
-    shape = x.shape
-    last = qs[-1] if back else qs[-1].T
-    x = (x.reshape(-1, shape[-1]) @ last).reshape(shape)
-    if len(qs) > 1:
-        x = (qs[-2].T if back else qs[-2]) @ x
-    if len(qs) > 2:
-        first = qs[0].T if back else qs[0]
-        x = (first @ x.reshape(shape[0], -1)).reshape(shape)
+    axis a, the last axis first."""
+    for a in reversed(range(len(qs))):
+        x = _along(x, qs[a].T if back else qs[a], a)
     return x
 
 

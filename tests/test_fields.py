@@ -1,12 +1,12 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from viscophase.errors import ConfigError, SolverError
-from viscophase.fields import (Grid, _bases, _diff_index, cg, div_arr,
-                               grad_arr,
-                               integrate, lap_arr, lap_symbol, multiplier,
+from viscophase.fields import (STENCIL_MATRIX_MAX, Grid, _bases, _stencils,
+                               cg, div_arr, grad_arr, integrate, lap_arr, lap_symbol, multiplier,
                                project_divergence_free, solve_poisson,
                                solve_symbol)
 
@@ -52,6 +52,14 @@ def _ref_div(v, grid, parity):
     for a in range(grid.d):
         out += _ref_ddx(v[a], grid, a, parity)
     return out
+
+
+def _ref_spread(f, grid, axis):
+    """(|f[i+1]| + |f[i-1]|) / 2h along axis, ghost cells included: the
+    scale of one difference's rounding."""
+    g = np.abs(f)
+    return (_ref_nbr(g, axis, 1, grid.bc, 1)
+            + _ref_nbr(g, axis, -1, grid.bc, 1)) / (2.0 * grid.h[axis])
 
 
 class TestGrid:
@@ -149,35 +157,70 @@ class TestOperators:
         ((7,), (1.3,)),
         ((16, 12), (1.0, 0.7)),
         ((6, 5, 4), (1.0, 2.0, 0.3)),
-    ], ids=["1d", "2d", "3d"])
+        ((8,), (2.0,)),
+        ((16, 8), (2.0, 0.5)),
+        ((8, 4, 16), (1.0, 0.5, 4.0)),
+        ((STENCIL_MATRIX_MAX + 36, 8), (1.3, 1.0)),
+    ], ids=["1d", "2d", "3d", "1d-pow2", "2d-pow2", "3d-pow2", "2d-slice"])
     def test_stencils_match_reference_exactly(self, shape, lengths, bc):
+        # An axis of up to STENCIL_MATRIX_MAX cells applies its difference
+        # matrix by BLAS, whose products c*f with c = 1/2h round once (FMA)
+        # or twice, so its last bit depends on the BLAS kernel unless c is
+        # a power of two; a longer axis takes the slice difference, the
+        # reference's own arithmetic.  Where every axis is one or the
+        # other the stencils are the reference bit for bit, elsewhere
+        # within 2 eps of the scale of the differences per entry.
         g = Grid(shape, lengths, bc)
+        exact = all(n > STENCIL_MATRIX_MAX or math.log2(h).is_integer()
+                    for n, h in zip(g.shape, g.h))
         rng = np.random.default_rng(1)
         f = rng.standard_normal(shape)
         v = rng.standard_normal((g.d,) + shape)
+        eps = np.finfo(float).eps
+
+        def check(kernel, ref, bound):
+            if exact:
+                assert np.array_equal(kernel, ref)
+            else:
+                assert np.all(np.abs(kernel - ref) <= bound)
+
+        spread_f = np.stack([_ref_spread(f, g, a) for a in range(g.d)])
+        spread_v = sum(_ref_spread(v[a], g, a) for a in range(g.d))
         for parity in (1, -1):
-            assert np.array_equal(grad_arr(f, g, parity), _ref_grad(f, g, parity))
-            assert np.array_equal(div_arr(v, g, parity), _ref_div(v, g, parity))
-        assert np.array_equal(lap_arr(f, g), _ref_div(_ref_grad(f, g, 1), g, -1))
+            check(grad_arr(f, g, parity), _ref_grad(f, g, parity),
+                  2 * eps * spread_f)
+            check(div_arr(v, g, parity), _ref_div(v, g, parity),
+                  2 * eps * spread_v)
+        # lap: the divergence's own rounding on the reference gradient,
+        # plus the gradient's bound carried through the divergence
+        ref_grad = _ref_grad(f, g, 1)
+        spread_lap = sum(2 * eps * _ref_spread(ref_grad[a], g, a)
+                         + _ref_spread(2 * eps * spread_f[a], g, a)
+                         for a in range(g.d))
+        check(lap_arr(f, g), _ref_div(ref_grad, g, -1), spread_lap)
 
     def test_difference_operator_cached_read_only(self):
+        # one tuple of matrices per (grid, parity): 1/2h above the
+        # diagonal, -1/2h below, the ghost cells in the edge rows
         for bc in ("periodic", "neumann-noslip"):
-            g = Grid((8, 6), (1.0, 1.0), bc)
-            tables = {(parity, stacked): _diff_index(g, parity, stacked)
-                      for parity in (1, -1) for stacked in (True, False)}
-            assert len({id(t) for t in tables.values()}) == 4
-            for (parity, stacked), table in tables.items():
-                assert _diff_index(g, parity, stacked) is table
-                plus, minus, two_h = table
-                for arr in (plus, minus):
-                    assert arr.shape == (2, 8, 6) and not arr.flags.writeable
-                assert two_h.shape == (2, 1, 1) and not two_h.flags.writeable
-                assert np.array_equal(two_h.ravel(), [2.0 / 8, 2.0 / 6])
-                # only Neumann grids at odd parity read the negated copy,
-                # which starts after the flattened input
-                top = max(plus.max(), minus.max())
-                size = 48 if stacked else 2 * 48
-                assert (top >= size) == (bc != "periodic" and parity == -1)
+            g = Grid((8, 6), (1.0, 1.5), bc)
+            mats = {parity: _stencils(g, parity) for parity in (1, -1)}
+            assert mats[1] is not mats[-1]
+            for parity, axes in mats.items():
+                assert _stencils(g, parity) is axes
+                for mat, n, h in zip(axes, g.shape, g.h):
+                    c = 1.0 / (2.0 * h)
+                    assert mat.shape == (n, n) and not mat.flags.writeable
+                    expect = c * (np.eye(n, k=1) - np.eye(n, k=-1))
+                    if bc == "periodic":
+                        expect[0, -1], expect[-1, 0] = -c, c
+                    else:
+                        expect[0, 0], expect[-1, -1] = -parity * c, parity * c
+                    assert np.array_equal(mat, expect)
+        # an axis past the crossover has no matrix: the slice difference
+        long = Grid((STENCIL_MATRIX_MAX + 1, 4), (1.0, 1.0))
+        assert _stencils(long, 1)[0] is None
+        assert _stencils(long, 1)[1].shape == (4, 4)
 
     def test_integrate(self):
         g = periodic_grid(64)
