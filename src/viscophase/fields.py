@@ -388,19 +388,19 @@ def _check_residual(rnorm: float, bnorm: float, k: int) -> None:
 
 
 def solve_poisson(rhs: np.ndarray, grid: Grid) -> np.ndarray:
-    """The mean-zero p with laplacian(p) = rhs on grid, by a direct symbol
-    solve (Fourier basis on periodic grids, DCT basis on Neumann grids).
-    The part of rhs the Laplacian cannot reach (its mean; on periodic
-    grids also the checkerboard modes) is dropped."""
-    p = solve_symbol(rhs, grid, multiplier(grid, 1, (0.0, 1.0)))
-    return p - p.mean()
+    """The p with laplacian(p) = rhs on grid, mean zero to rounding, by a
+    direct symbol solve (Fourier basis on periodic grids, DCT basis on
+    Neumann grids).  The part of rhs the Laplacian cannot reach (its mean;
+    on periodic grids also the checkerboard modes) is dropped: the
+    multiplier is 0 there."""
+    return solve_symbol(rhs, grid, multiplier(grid, 1, (0.0, 1.0)))
 
 
 def project_divergence_free(v: np.ndarray, grid: Grid):
     """Remove the discrete gradient part of the vector v, of shape
     (d,) + grid.shape, via a pressure Poisson solve.
 
-    Returns (v - grad(p), p) with p mean-zero.
+    Returns (v - grad(p), p) with p mean zero to rounding.
     """
     p = solve_poisson(div_arr(v, grid, parity=-1), grid)
     return v - grad_arr(p, grid, parity=1), p

@@ -240,6 +240,18 @@ class TestSolvers:
         assert res < 1e-9
         assert abs(sol.mean()) < 1e-12
 
+    @pytest.mark.parametrize("bc,shape", [
+        ("periodic", (7,)), ("periodic", (48, 48)), ("periodic", (64, 64)),
+        ("neumann-noslip", (32, 32)), ("neumann-noslip", (16, 16, 16)),
+    ])
+    def test_poisson_mean_zero_to_rounding(self, bc, shape):
+        # the multiplier is 0 on the constant mode, so no mean is removed
+        # after the solve
+        g = Grid(shape, (1.0,) * len(shape), bc)
+        rhs = np.random.default_rng(2).standard_normal(shape) + 0.5
+        p = solve_poisson(rhs, g)
+        assert abs(p.mean()) <= 1e-15 * np.abs(p).max()
+
     @pytest.mark.parametrize("bc", ["periodic", "neumann-noslip"])
     def test_projection_divergence_free(self, bc):
         g = Grid((32, 32), (1.0, 1.0), bc)
