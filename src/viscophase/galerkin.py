@@ -154,6 +154,7 @@ def project(f: Callable, B: CosineBasis) -> np.ndarray:
 
 QUAD_TOL = 1e-6     # Richardson gap of theta past which F' is under-resolved
 N_OUTPUT = 101      # output times of integrate_galerkin, 0 and t_end included
+_JAC_STEP = float(np.sqrt(np.finfo(float).eps))  # relative difference step
 
 _QuadValues = namedtuple("_QuadValues",
                          "gap phi q gphi gq nv Av dA_gphi q_tau wtil D")
@@ -265,7 +266,11 @@ def integrate_galerkin(lam0: np.ndarray, zeta0: np.ndarray, B: CosineBasis,
     and switches to BDF once the stiff high modes (c0 lam^2) would limit
     an explicit step.  The accumulated dissipation is integrated as an
     extra ODE component so the energy balance E(t) + integral(D) holds
-    to integrator accuracy rather than output-sampling accuracy.
+    to integrator accuracy rather than output-sampling accuracy.  Once
+    LSODA turns to BDF (at m >= 64 in 2-D) it asks for Jacobians; each
+    is one batched assemble_rhs call on the state and its 2m forward-
+    difference perturbations, not the 2m + 1 single calls of LSODA's own
+    differences.
 
     It runs through odeint, which keeps no LSODA workspace once it
     returns, never steps past t_end (tcrit) and caps no step count
@@ -285,13 +290,27 @@ def integrate_galerkin(lam0: np.ndarray, zeta0: np.ndarray, B: CosineBasis,
         dlam, dzeta, D = assemble_rhs(y[None, :m], y[None, m:2 * m], B, M)
         return np.concatenate([dlam[0], dzeta[0], D])
 
+    def jac(t, y):
+        # forward differences in all 2m coefficients at once: one batch of
+        # the state and its 2m perturbations; the right-hand side does not
+        # read the accumulated dissipation, so its column is zero
+        x = y[:2 * m]
+        step = (x + _JAC_STEP * np.maximum(np.abs(x), 1.0)) - x
+        X = np.tile(x, (2 * m + 1, 1))
+        X[1:] += np.diag(step)
+        dlam, dzeta, D = assemble_rhs(X[:, :m], X[:, m:], B, M)
+        F = np.concatenate([dlam, dzeta, D[:, None]], axis=1)
+        J = np.zeros((2 * m + 1, 2 * m + 1))
+        J[:, :2 * m] = ((F[1:] - F[0]) / step[:, None]).T
+        return J
+
     y0 = np.concatenate([np.asarray(lam0, float), np.asarray(zeta0, float),
                          [0.0]])
     t_eval = np.linspace(0.0, t_end, N_OUTPUT)
     with warnings.catch_warnings():
         # a failure is reported through info["message"] below
         warnings.simplefilter("ignore", ODEintWarning)
-        y, info = odeint(rhs, y0, t_eval, rtol=rtol,
+        y, info = odeint(rhs, y0, t_eval, Dfun=jac, rtol=rtol,
                          atol=max(rtol * 1e-3, 1e-14), tcrit=[t_end],
                          mxstep=2**31 - 1, full_output=True, tfirst=True)
     if info["message"] != "Integration successful.":

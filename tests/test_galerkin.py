@@ -232,6 +232,35 @@ class TestIntegration:
         z = run.zeta[:, 0]
         assert np.abs(z - 0.7 * np.exp(-run.times)).max() < 1e-8
 
+    def test_batched_jacobian_matches_lsoda_differences(self, monkeypatch):
+        # at m = 64 LSODA goes stiff; its Jacobian is one batched
+        # right-hand side of 2m + 1 states instead of 2m + 1 single ones
+        scipy_integrate = pytest.importorskip("scipy.integrate")
+        m, lengths = 64, (1.0, 1.0)
+        lam0 = _leading(_seeded_band_limited(0, lengths), m)
+        calls = []
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return assemble_rhs(*args)
+
+        monkeypatch.setattr(galerkin, "assemble_rhs", counted)
+        args = (lam0, np.zeros(m), CosineBasis(lengths, m), regular_model(),
+                0.5)
+        run = integrate_galerkin(*args)
+        assert len(calls) < 1000 and max(calls) == 2 * m + 1
+        odeint = scipy_integrate.odeint
+
+        def without_jacobian(*a, Dfun=None, **kw):
+            return odeint(*a, **kw)
+
+        monkeypatch.setattr(scipy_integrate, "odeint", without_jacobian)
+        ref = integrate_galerkin(*args)
+        final = np.concatenate([run.lam[-1], run.zeta[-1]])
+        ref_final = np.concatenate([ref.lam[-1], ref.zeta[-1]])
+        assert (np.linalg.norm(final - ref_final)
+                <= 1e-8 * np.linalg.norm(ref_final))
+
     def test_zero_initial_data(self):
         B = CosineBasis((1.0, 1.0), 4)
         M = regular_model()
