@@ -113,10 +113,12 @@ def _stencils(grid: Grid, parity: int):
     parity/2h on the diagonal of the last row and -parity/2h on that of
     the first (cell-center reflection).  An axis longer than
     STENCIL_MATRIX_MAX cells gets None and takes the slice difference of
-    _difference instead.  Cached per (grid, parity); the matrices are
-    read-only."""
+    _difference instead.  The last axis's matrix is stored in Fortran
+    order, so that the mat.T that _along multiplies by is C-contiguous:
+    BLAS reads a transposed right operand about 1.5x slower at these
+    sizes.  Cached per (grid, parity); the matrices are read-only."""
     mats = []
-    for n, h in zip(grid.shape, grid.h):
+    for a, (n, h) in enumerate(zip(grid.shape, grid.h)):
         if n > STENCIL_MATRIX_MAX:
             mats.append(None)
             continue
@@ -128,6 +130,8 @@ def _stencils(grid: Grid, parity: int):
             mat[0, -1], mat[-1, 0] = -c, c
         else:
             mat[0, 0], mat[-1, -1] = -parity * c, parity * c
+        if a == grid.d - 1:
+            mat = np.asfortranarray(mat)
         mat.setflags(write=False)
         mats.append(mat)
     return tuple(mats)
@@ -231,10 +235,11 @@ def _basis(n: int, h: float, periodic: bool, parity: int):
 # The same trade-off for the stencils: a central difference by its n x n
 # matrix (_stencils) does O(n) work per entry in one BLAS call, a slice
 # difference O(1) in three passes.  Per grad_arr call (one BLAS thread,
-# x86-64) the matrix took 9 us against 17 us at 32^2, 23 against 36 at
-# 64^2 and 16 against 45 at 16^3, but 49 against 42 at 72^2 and 69
-# against 50 at 96^2; at 64^3 the two were level.  An axis of more cells
-# than this takes the slice difference.
+# 2-core Xeon) the matrix took 7 us against 15 us at 32^2, 18 against 25
+# at 64^2, 20 against 59 at 16^3 and 0.87 against 1.16 ms at 48^3; the
+# two were level at 80^2, and the slice difference was faster at 96^2
+# (45 against 50 us), 128^2 (69 against 145 us) and 64^3 (2.1 against
+# 2.4 ms).  An axis of more cells than this takes the slice difference.
 STENCIL_MATRIX_MAX = 64
 
 

@@ -6,7 +6,8 @@ import pytest
 
 from viscophase.errors import ConfigError, SolverError
 from viscophase.fields import (STENCIL_MATRIX_MAX, Grid, _bases, _stencils,
-                               cg, div_arr, grad_arr, integrate, lap_arr, lap_symbol, multiplier,
+                               cg, div_arr, grad_arr, integrate, lap_arr,
+                               lap_symbol, multiplier,
                                project_divergence_free, solve_poisson,
                                solve_symbol)
 
@@ -217,6 +218,8 @@ class TestOperators:
                     else:
                         expect[0, 0], expect[-1, -1] = -parity * c, parity * c
                     assert np.array_equal(mat, expect)
+                # _along multiplies the last axis by mat.T
+                assert axes[-1].T.flags.c_contiguous
         # an axis past the crossover has no matrix: the slice difference
         long = Grid((STENCIL_MATRIX_MAX + 1, 4), (1.0, 1.0))
         assert _stencils(long, 1)[0] is None
