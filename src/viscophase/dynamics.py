@@ -28,7 +28,7 @@ import numpy as np
 from .diagnostics import COURANT_MAX, Trajectory, _diag_row
 from .errors import BlowUpError, ConfigError, PotentialDomainError
 from .fields import (
-    Grid, grad_arr, div_arr, cg, lap_symbol, multiplier, poly_symbol,
+    Grid, _along, grad_arr, div_arr, cg, multiplier, poly_symbol,
     solve_symbol, project_divergence_free,
 )
 from .material import (MOBILITY_KINDS, MaterialModel, _check_delta,
@@ -165,62 +165,53 @@ def _advect_skew(u: np.ndarray, f: np.ndarray, grad_f: np.ndarray,
     return 0.5 * (conv + cons)
 
 
-def _is_const(arr: np.ndarray) -> bool:
-    """True for a 0-d coefficient, without a scan, and for an array whose
-    spread is within rounding of its magnitude."""
-    return arr.ndim == 0 or (
-        float(np.ptp(arr)) <= 1e-13 * max(1.0, float(np.abs(arr).max())))
-
-
-def _pcg(dc: np.ndarray, sym: np.ndarray, remainder: Callable, grid: Grid,
-         tol: float, parity: int = 1) -> Callable:
-    """(rhs, x0) -> cg at tol from x0 on S = P^-1 + R, where P^-1 is the
-    spectral operator of symbol sym (the layout of lap_symbol at parity),
-    whose inverse preconditions, and R = remainder(dc, .).  The reciprocal
-    of sym (S is SPD, so no mode vanishes) is taken once here, not per
-    iteration."""
+def _solver(coeff: np.ndarray, symbol: Callable, remainder: Callable,
+            grid: Grid, tol: float, parity: int = 1,
+            k: Optional[tuple] = None) -> Callable:
+    """(rhs, y0) -> the x with A x = rhs, where A is an operator with the
+    coefficient field coeff and S = A K^-1 is SPD, K the constant-
+    coefficient SPD operator whose symbol has the coefficients k (None:
+    the identity, so y = x).  A is stated by two parts: symbol(c), the
+    coefficients (p0, p1, ...) of its symbol sum_k p_k s**k at a constant
+    coefficient c (s the Laplacian symbol of parity), and remainder(dc,
+    y), what S adds to its constant-coefficient part at c = mean(coeff),
+    dc = coeff - c.  A coefficient whose spread is within rounding of its
+    magnitude gives the direct solve_symbol by the run's cached
+    multiplier at its value; y0 is not read.  Any other gives cg from y0
+    (a guess at K x) on S y = rhs, split as S = P^-1 + R with P^-1 of
+    symbol symbol(c)/K and R = remainder(dc, .), and returns x = K^-1 y.
+    The reciprocal of that symbol (S is SPD, so no mode vanishes) is taken
+    once here, not per iteration."""
+    if coeff.ndim == 0 or np.ptp(coeff) <= 1e-13 * np.abs(coeff).max():
+        mult = multiplier(grid, parity, symbol(float(coeff.flat[0])))
+        return lambda rhs, y0: solve_symbol(rhs, grid, mult, parity=parity)
+    cbar = float(coeff.mean())
+    dc = coeff - cbar
+    sym = poly_symbol(grid, parity, symbol(cbar))
+    if k is not None:
+        k_inv = multiplier(grid, parity, k)
+        sym *= k_inv
     inv = 1.0 / sym
 
-    def precond(r):
-        return solve_symbol(r, grid, inv, parity=parity)
+    def solve(rhs, y0):
+        y = cg(lambda y: remainder(dc, y), rhs,
+               lambda r: solve_symbol(r, grid, inv, parity=parity), tol=tol,
+               x0=y0, base=lambda y: solve_symbol(y, grid, sym, parity=parity))
+        return y if k is None else solve_symbol(y, grid, k_inv, parity=parity)
 
-    def base(x):
-        return solve_symbol(x, grid, sym, parity=parity)
-
-    return lambda rhs, x0: cg(lambda x: remainder(dc, x), rhs, precond,
-                              tol=tol, x0=x0, base=base)
-
-
-def _solver(coeff: np.ndarray, symbol: Callable, remainder: Callable,
-            grid: Grid, tol: float, parity: int = 1) -> Callable:
-    """(rhs, x0) -> the x with S x = rhs, where S is an SPD operator with
-    the coefficient field coeff, stated by two parts: symbol(c), the
-    coefficients (p0, p1, ...) of its symbol sum_k p_k s**k at a constant
-    coefficient c (s the Laplacian symbol of parity), and remainder(dc, x),
-    what S adds to that constant-coefficient operator at c = mean(coeff),
-    dc = coeff - c.  A constant coeff gives the direct solve_symbol by the
-    run's cached multiplier at c; x0 is not read.  A variable one gives
-    _pcg from x0 at the mean."""
-    if _is_const(coeff):
-        mult = multiplier(grid, parity, symbol(float(coeff.flat[0])))
-        return lambda rhs, x0: solve_symbol(rhs, grid, mult, parity=parity)
-    cbar = float(coeff.mean())
-    return _pcg(coeff - cbar, poly_symbol(grid, parity, symbol(cbar)),
-                remainder, grid, tol, parity)
+    return solve
 
 
 def step_phi_q(state: State, dt: float, solver_tol: float = 1e-11) -> State:
     """One semi-implicit update of (phi, q) with frozen u: the state at
     t + dt (see _next_time) with the new phi and q, their derived arrays,
-    and the old u, p and grad u.  Constant mobility gives one direct
-    spectral solve for phi.  A variable mobility and the q solve go
-    through _solver.  The phi system (I + dt*L*K) phi = rhs,
-    L = -div(m grad), K = a - c0*lap, is then solved as S y = rhs for
-    y = K phi, S = K^-1 + dt*L: it is symmetric positive definite and has
-    the same residual.  Its spectral part at the mean mobility m_bar is
-    K^-1 - dt*m_bar*lap, and its remainder -dt*div((m - m_bar) grad) is
-    the one stencil pair of an iteration; K^-1 is applied once more, to
-    y, for phi."""
+    and the old u, p and grad u.  Both solves go through _solver.  The
+    phi system A phi = rhs, A = I + dt*L*K, L = -div(m grad), K = a -
+    c0*lap, states K: at a variable mobility it is solved as S y = rhs for
+    y = K phi, S = A K^-1 = K^-1 + dt*L, which is symmetric positive
+    definite and has the same residual.  Its spectral part at the mean
+    mobility m_bar is K^-1 - dt*m_bar*lap, and its remainder
+    -dt*div((m - m_bar) grad) is the one stencil pair of an iteration."""
     grid, phi, q, u = state.grid, state.phi, state.q, state.u
     M = state.model
     c0, a = M.c0, M.a
@@ -236,20 +227,12 @@ def step_phi_q(state: State, dt: float, solver_tol: float = 1e-11) -> State:
     rhs = phi + dt * (-(u * state.grad_phi).sum(axis=0)
                       + div_arr(flux, grid, parity=-1))
 
-    if _is_const(mv):
-        mbar = float(mv.flat[0])
-        phi_new = solve_symbol(rhs, grid, multiplier(
-            grid, 1, (1.0, -dt * mbar * a, dt * mbar * c0)))
-    else:
-        k_inv = multiplier(grid, 1, (a, -c0))
-        mbar = float(mv.mean())
-        solve_y = _pcg(
-            mv - mbar, k_inv - dt * mbar * lap_symbol(grid),
-            lambda dm, y: -dt * div_arr(dm[None] * grad_arr(y, grid, parity=1),
-                                        grid, parity=-1),
-            grid, solver_tol)
-        y = solve_y(rhs, state.mu - mu_expl)        # x0 = K phi_old
-        phi_new = solve_symbol(y, grid, k_inv)
+    # the start y0 = K phi_old of a variable-mobility solve is mu - mu_expl
+    phi_new = _solver(
+        mv, lambda m: (1.0, -dt * m * a, dt * m * c0),
+        lambda dm, y: -dt * div_arr(dm[None] * grad_arr(y, grid, parity=1),
+                                    grid, parity=-1),
+        grid, solver_tol, k=(a, -c0))(rhs, state.mu - mu_expl)
     _check_blow_up("phi", phi_new, t_new, bound=PHI_BLOW_UP)
 
     gphi_new = grad_arr(phi_new, grid, parity=1)
@@ -551,15 +534,15 @@ def _smoothing_matrix(n: int, periodic: bool) -> np.ndarray:
 
 
 def _smooth_noise(white: np.ndarray, grid: Grid) -> np.ndarray:
-    """white smoothed by _smoothing_matrix along each axis in turn, as a
-    C-contiguous array: scipy.ndimage.gaussian_filter(white, NOISE_SIGMA)
-    in mode wrap (periodic) or reflect (Neumann) up to rounding, within
-    3e-16 on unit white noise."""
+    """white smoothed by _smoothing_matrix along each axis in turn, one
+    _along product per axis, as a C-contiguous array:
+    scipy.ndimage.gaussian_filter(white, NOISE_SIGMA) in mode wrap
+    (periodic) or reflect (Neumann) up to rounding, within 3e-16 on unit
+    white noise."""
     out = white
     for a, n in enumerate(grid.shape):
-        M = _smoothing_matrix(n, grid.bc == "periodic")
-        out = np.moveaxis(np.tensordot(M, out, axes=(1, a)), 0, a)
-    return np.ascontiguousarray(out)
+        out = _along(out, _smoothing_matrix(n, grid.bc == "periodic"), a)
+    return out
 
 
 def _spinodal_noise(grid: Grid, mean: float, amplitude: float, seed: int) -> np.ndarray:

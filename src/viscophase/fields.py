@@ -309,14 +309,17 @@ def multiplier(grid: Grid, parity: int, coeffs: tuple) -> np.ndarray:
     """The inverse of the constant-coefficient operator whose symbol is
     poly_symbol(grid, parity, coeffs), as a multiplier for solve_symbol:
     1 / symbol, and 0 at the modes where the symbol vanishes (|symbol| <=
-    1e-14).  (0, 1) gives the Laplacian's inverse on its range.  Cached
+    1e-14 * max|symbol|: relative, so that a grid of any length scale
+    zeroes exactly the kernel).  (0, 1) gives the Laplacian's inverse on
+    its range.  Cached
     per (grid, parity, coeffs), at most 32 entries, so a run builds each
     multiplier once; the returned array is read-only.  A symbol that
     changes every step (the mean-mobility preconditioner of a degenerate
     run) is not built here: each step would add an entry."""
     sym = poly_symbol(grid, parity, coeffs)
+    mag = np.abs(sym)
     out = np.divide(1.0, sym, out=np.zeros_like(sym),
-                    where=np.abs(sym) > 1e-14)
+                    where=mag > 1e-14 * mag.max())
     out.setflags(write=False)
     return out
 

@@ -168,8 +168,10 @@ def _full(value):
 class TestConstantCoefficients:
     """A coefficient given as a number is a NumPy scalar (0-d in the
     State); the same model given as callables that return full arrays
-    takes the scanned branch of _is_const and the grad(A q) stencil, and
-    must give the same diagnostics."""
+    takes the scanned branch of _solver's constant-coefficient test and
+    the grad(A q) stencil, and must give the same diagnostics.  The test
+    is relative: a coefficient of small magnitude that varies is not
+    taken for a constant."""
 
     @staticmethod
     def rows(cfg, M):
@@ -209,6 +211,50 @@ class TestConstantCoefficients:
             else:
                 np.testing.assert_allclose(a, b, rtol=1e-12, atol=0,
                                            err_msg=col)
+
+    def test_small_varying_viscosity_is_not_constant(self, monkeypatch):
+        # a viscosity of magnitude 1e-14 (a model stated in SI units) with
+        # 50 % spread: each velocity component is solved by cg, not
+        # directly at the first cell's value
+        solves = []
+        real_cg = viscophase.dynamics.cg
+
+        def counting_cg(*args, **kwargs):
+            solves.append(1)
+            return real_cg(*args, **kwargs)
+
+        monkeypatch.setattr(viscophase.dynamics, "cg", counting_cg)
+        grid = Grid((16, 16), (1.0, 1.0), "periodic")
+        M = regular_model(eta=lambda s: 1e-14 * (1.0 + 0.5 * np.asarray(s)))
+        x, y = grid.meshgrid()
+        phi = 0.9 * np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y)
+        state = at_rest(phi, M, grid)
+        assert np.ptp(state.eta) >= 0.5 * np.abs(state.eta).max()
+        step_velocity(state, 1e-3)
+        assert len(solves) == grid.d
+
+
+class TestSolverStatements:
+    @pytest.mark.parametrize("bc", ["periodic", "neumann-noslip"])
+    @pytest.mark.parametrize("regime", ["regular", "degenerate"])
+    def test_every_solve_goes_through_solver(self, regime, bc, monkeypatch):
+        # the phi, q and velocity systems of a 2-D step are each stated
+        # by one _solver call, the one place to record solver stats
+        calls = []
+        real = viscophase.dynamics._solver
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(viscophase.dynamics, "_solver", counted)
+        cfg = small_cfg(regime=regime, bc=bc, steps=1, init_mean=0.5,
+                        init_amplitude=0.2)
+        _, steps = run_of(cfg)
+        next(steps)                     # the initial state: no solve
+        assert calls == []
+        next(steps)
+        assert len(calls) == 3
 
 
 class TestGridInterning:
