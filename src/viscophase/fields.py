@@ -308,18 +308,24 @@ def poly_symbol(grid: Grid, parity: int, coeffs: tuple) -> np.ndarray:
 def multiplier(grid: Grid, parity: int, coeffs: tuple) -> np.ndarray:
     """The inverse of the constant-coefficient operator whose symbol is
     poly_symbol(grid, parity, coeffs), as a multiplier for solve_symbol:
-    1 / symbol, and 0 at the modes where the symbol vanishes (|symbol| <=
-    1e-14 * max|symbol|: relative, so that a grid of any length scale
-    zeroes exactly the kernel).  (0, 1) gives the Laplacian's inverse on
-    its range.  Cached
-    per (grid, parity, coeffs), at most 32 entries, so a run builds each
-    multiplier once; the returned array is read-only.  A symbol that
-    changes every step (the mean-mobility preconditioner of a degenerate
-    run) is not built here: each step would add an entry."""
+    1 / symbol.  A symbol with coeffs[0] == 0 vanishes on the Laplacian's
+    kernel, and its multiplier is 0 at the modes where the Laplacian
+    symbol s vanishes relative to its own scale (|s| <= 1e-14 * max|s|,
+    so that a grid of any length scale zeroes exactly the kernel); (0, 1)
+    gives the Laplacian's inverse on its range.  The other symbols solved
+    here, shifted SPD operators, have no kernel: no mode of theirs is
+    zeroed, however large their condition number.  Cached per (grid,
+    parity, coeffs), at most 32 entries, so a run builds each multiplier
+    once; the returned array is read-only.  A symbol that changes every
+    step (the mean-mobility preconditioner of a degenerate run) is not
+    built here: each step would add an entry."""
     sym = poly_symbol(grid, parity, coeffs)
-    mag = np.abs(sym)
-    out = np.divide(1.0, sym, out=np.zeros_like(sym),
-                    where=mag > 1e-14 * mag.max())
+    if coeffs[0] == 0:
+        mag = np.abs(lap_symbol(grid, parity))
+        out = np.divide(1.0, sym, out=np.zeros_like(sym),
+                        where=mag > 1e-14 * mag.max())
+    else:
+        out = 1.0 / sym
     out.setflags(write=False)
     return out
 
