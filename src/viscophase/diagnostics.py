@@ -47,11 +47,11 @@ class EnergyBreakdown:
 def _integrals(state: State, grad_phi: np.ndarray, bulk: np.ndarray,
                q: np.ndarray, u: np.ndarray, grad_mu: np.ndarray,
                grad_Aq: np.ndarray, grad_q: np.ndarray,
-               grad_u: tuple) -> EnergyBreakdown:
+               grad_u: np.ndarray) -> EnergyBreakdown:
     """The energy and dissipation integrals by the midpoint rule on the
     cells of state's grid: E_mix of grad_phi with the potential density
     bulk, E_bulk of q, E_kin of u, D_cross of w = n*grad_mu - grad_Aq, D_q
-    of q, D_eps of grad_q and D_visc of grad_u (grad u_i for each i).  c0,
+    of q, D_eps of grad_q and D_visc of grad_u (the layout of State).  c0,
     eps1 and the coefficients n, tau and eta are those of state."""
     vol = state.grid.cell_volume
     M = state.model
@@ -64,7 +64,7 @@ def _integrals(state: State, grad_phi: np.ndarray, bulk: np.ndarray,
     D_cross = float(np.vdot(w, w) * vol)
     D_q = float(np.vdot(q, q / state.tau) * vol)
     D_eps = float(M.eps1 * np.vdot(grad_q, grad_q) * vol)
-    D_visc = float(sum(np.vdot(gu, state.eta * gu) for gu in grad_u) * vol)
+    D_visc = float(np.vdot(grad_u, state.eta * grad_u) * vol)
 
     return EnergyBreakdown(E_mix=E_mix, E_bulk=E_bulk, E_kin=E_kin,
                            D_cross=D_cross, D_q=D_q, D_eps=D_eps,
@@ -138,7 +138,7 @@ def _diag_row(state: State) -> dict:
 
 def _div_u_norm(state: State) -> float:
     """The L2 norm of div u, the trace of the recorded grad u."""
-    d = sum(gu[i] for i, gu in enumerate(state.grad_u))
+    d = np.trace(state.grad_u)
     return float(np.sqrt(np.vdot(d, d) * state.grid.cell_volume))
 
 
@@ -206,9 +206,9 @@ def relative_energy(state: State, reference: State) -> EnergyBreakdown:
     return _integrals(
         state, state.grad_phi - ref.grad_phi,
         convexity + M.a * (phi - psi) ** 2, dq, state.u - ref.u,
-        grad_arr(state.mu, grid, 1) - grad_arr(ref.mu, grid, 1),
+        grad_arr(state.mu - ref.mu, grid, 1),
         grad_arr(state.A * dq, grid, 1), state.grad_q - ref.grad_q,
-        tuple(gu - gU for gu, gU in zip(state.grad_u, ref.grad_u)))
+        state.grad_u - ref.grad_u)
 
 
 @dataclass(frozen=True)

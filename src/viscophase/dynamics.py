@@ -84,21 +84,17 @@ def _phi_q_arrays(phi: np.ndarray, q: np.ndarray, M: MaterialModel,
                          else grad_arr(A * q, grid, parity=1)))
 
 
-def _velocity_gradients(u: np.ndarray, grid: Grid) -> tuple:
-    """grad u_i (odd parity) for each component i."""
-    return tuple(grad_arr(ui, grid, parity=-1) for ui in u)
-
-
 @dataclass(frozen=True)
 class State:
     """One time slice: plain arrays on one grid, under the model that every
     step and functional of the state uses.  u has shape (d,) + grid.shape,
     the others grid.shape, except that a constant coefficient (n, A, tau
     or eta) is a 0-d array; mu is -c0*lap(phi) + F'(phi).  The arrays after
-    mu (grad_u: grad u_i per component) are derived from the fields once,
-    by make_state, step_phi_q and step_velocity, for the step, the next
-    step and the diagnostics to share.  No array is changed in place.  dt
-    is the step that made the state, or at a run's start its first step."""
+    mu (grad_u[a, i]: the odd-parity difference of u_i along axis a) are
+    derived from the fields once, by make_state, step_phi_q and
+    step_velocity, for the step, the next step and the diagnostics to share.
+    No array is changed in place.  dt is the step that made the state, or
+    at a run's start its first step."""
 
     t: float
     dt: float
@@ -117,7 +113,7 @@ class State:
     eta: np.ndarray
     grad_q: np.ndarray
     grad_Aq: np.ndarray
-    grad_u: tuple
+    grad_u: np.ndarray
 
 
 def make_state(t: float, phi: np.ndarray, q: np.ndarray, u: np.ndarray,
@@ -129,7 +125,7 @@ def make_state(t: float, phi: np.ndarray, q: np.ndarray, u: np.ndarray,
     F'(phi) (see step_phi_q)."""
     gphi = grad_arr(phi, grid, parity=1)
     return State(t=t, dt=dt, grid=grid, model=M, u=u, p=p,
-                 grad_u=_velocity_gradients(u, grid),
+                 grad_u=grad_arr(u, grid, parity=-1),
                  **_phi_q_arrays(phi, q, M, grid, gphi,
                                  div_arr(gphi, grid, parity=-1)))
 
@@ -158,33 +154,34 @@ def _check_blow_up(name: str, values: np.ndarray, t: float,
 
 def _advect_skew(u: np.ndarray, f: np.ndarray, grad_f: np.ndarray,
                  grid: Grid, parity: int) -> np.ndarray:
-    """Skew-symmetric advection 0.5*(u . grad f + div(u f)), exactly
-    energy-neutral discretely; grad_f is grad(f) at parity."""
+    """Skew-symmetric advection 0.5*(u . grad f + div(u f)) of a scalar or
+    vector f, exactly energy-neutral discretely; grad_f = grad(f) at parity."""
+    u = u.reshape(u.shape[:1] + (1,) * (f.ndim - grid.d) + grid.shape)
     conv = (u * grad_f).sum(axis=0)
-    cons = div_arr(u * f[None], grid, parity=-parity)
+    cons = div_arr(u * f, grid, parity=-parity)
     return 0.5 * (conv + cons)
 
 
-def _solver(coeff: np.ndarray, symbol: Callable, remainder: Callable,
-            grid: Grid, tol: float, parity: int = 1,
-            k: Optional[tuple] = None) -> Callable:
-    """(rhs, y0) -> the x with A x = rhs, where A is an operator with the
-    coefficient field coeff and S = A K^-1 is SPD, K the constant-
-    coefficient SPD operator whose symbol has the coefficients k (None:
-    the identity, so y = x).  A is stated by two parts: symbol(c), the
-    coefficients (p0, p1, ...) of its symbol sum_k p_k s**k at a constant
-    coefficient c (s the Laplacian symbol of parity), and remainder(dc,
-    y), what S adds to its constant-coefficient part at c = mean(coeff),
-    dc = coeff - c.  A coefficient whose spread is within rounding of its
-    magnitude gives the direct solve_symbol by the run's cached
-    multiplier at its value; y0 is not read.  Any other gives cg from y0
-    (a guess at K x) on S y = rhs, split as S = P^-1 + R with P^-1 of
-    symbol symbol(c)/K and R = remainder(dc, .), and returns x = K^-1 y.
-    The reciprocal of that symbol (S is SPD, so no mode vanishes) is taken
-    once here, not per iteration."""
+def _solver(rhs: np.ndarray, y0: np.ndarray, coeff: np.ndarray,
+            symbol: Callable, remainder: Callable, grid: Grid, tol: float,
+            parity: int = 1, k: Optional[tuple] = None) -> np.ndarray:
+    """The x with A x = rhs, rhs a field or a stack of them, where A is an
+    operator with the coefficient field coeff and S = A K^-1 is SPD, K
+    the constant-coefficient SPD operator whose symbol has the
+    coefficients k (None: the identity, so y = x).  A is stated by two
+    parts: symbol(c), the coefficients (p0, p1, ...) of its symbol sum_k
+    p_k s**k at a constant coefficient c (s the Laplacian symbol of
+    parity), and remainder(dc, y), what S adds to its constant-coefficient
+    part at c = mean(coeff), dc = coeff - c.  A coefficient whose spread
+    is within rounding of its magnitude gives one direct solve_symbol by
+    the run's cached multiplier at its value; y0 is not read.  Any other
+    gives one cg per field, from y0 (a guess at K x) on S y = rhs, split
+    as S = P^-1 + R with P^-1 of symbol symbol(c)/K and R = remainder(dc,
+    .), and returns x = K^-1 y.  The reciprocal of that symbol (S is SPD,
+    so no mode vanishes) is taken once here, not per iteration."""
     if coeff.ndim == 0 or np.ptp(coeff) <= 1e-13 * np.abs(coeff).max():
         mult = multiplier(grid, parity, symbol(float(coeff.flat[0])))
-        return lambda rhs, y0: solve_symbol(rhs, grid, mult, parity=parity)
+        return solve_symbol(rhs, grid, mult, parity=parity)
     cbar = float(coeff.mean())
     dc = coeff - cbar
     sym = poly_symbol(grid, parity, symbol(cbar))
@@ -192,14 +189,14 @@ def _solver(coeff: np.ndarray, symbol: Callable, remainder: Callable,
         k_inv = multiplier(grid, parity, k)
         sym *= k_inv
     inv = 1.0 / sym
-
-    def solve(rhs, y0):
-        y = cg(lambda y: remainder(dc, y), rhs,
-               lambda r: solve_symbol(r, grid, inv, parity=parity), tol=tol,
-               x0=y0, base=lambda y: solve_symbol(y, grid, sym, parity=parity))
-        return y if k is None else solve_symbol(y, grid, k_inv, parity=parity)
-
-    return solve
+    fields = (-1,) + grid.shape
+    y = np.stack([
+        cg(lambda y: remainder(dc, y), b,
+           lambda r: solve_symbol(r, grid, inv, parity=parity), tol=tol,
+           x0=y_b, base=lambda y: solve_symbol(y, grid, sym, parity=parity))
+        for b, y_b in zip(rhs.reshape(fields), y0.reshape(fields))
+    ]).reshape(rhs.shape)
+    return y if k is None else solve_symbol(y, grid, k_inv, parity=parity)
 
 
 def step_phi_q(state: State, dt: float, solver_tol: float = 1e-11) -> State:
@@ -229,10 +226,13 @@ def step_phi_q(state: State, dt: float, solver_tol: float = 1e-11) -> State:
 
     # the start y0 = K phi_old of a variable-mobility solve is mu - mu_expl
     phi_new = _solver(
-        mv, lambda m: (1.0, -dt * m * a, dt * m * c0),
+        rhs, state.mu - mu_expl, mv,
+        lambda m: (1.0, -dt * m * a, dt * m * c0),
         lambda dm, y: -dt * div_arr(dm[None] * grad_arr(y, grid, parity=1),
                                     grid, parity=-1),
-        grid, solver_tol, k=(a, -c0))(rhs, state.mu - mu_expl)
+        grid, solver_tol, k=(a, -c0))
+    # div's range is mean-free on both boundary kinds: phi's mean is rhs's
+    phi_new += (rhs.sum() - phi_new.sum()) / rhs.size
     _check_blow_up("phi", phi_new, t_new, bound=PHI_BLOW_UP)
 
     gphi_new = grad_arr(phi_new, grid, parity=1)
@@ -245,8 +245,8 @@ def step_phi_q(state: State, dt: float, solver_tol: float = 1e-11) -> State:
         - state.A * div_arr(w, grid, parity=-1)
     )
     diag = 1.0 + dt / state.tau
-    q_new = _solver(diag, lambda d: (d, -dt * M.eps1),
-                    lambda dd, x: dd * x, grid, solver_tol)(rhs_q, q)
+    q_new = _solver(rhs_q, q, diag, lambda d: (d, -dt * M.eps1),
+                    lambda dd, x: dd * x, grid, solver_tol)
     _check_blow_up("q", q_new, t_new)
 
     return replace(state, t=t_new, dt=dt, **_phi_q_arrays(
@@ -259,28 +259,23 @@ def step_velocity(state: State, dt: float, solver_tol: float = 1e-11) -> State:
     capillary force is mu*grad(phi) in both regimes: its work
     int mu u.grad(phi) is exactly the mixing power that the explicit phi
     advection by u removes, so the coupling exchanges energy and creates
-    none.  Each component is solved by _solver: a direct odd-parity
-    spectral solve at constant viscosity, else CG."""
+    none.  The velocity is solved whole by _solver: a direct odd-parity
+    spectral solve at constant viscosity, else CG per component."""
     grid, u = state.grid, state.u
 
-    f_cap = state.mu[None] * state.grad_phi
-
-    advect = np.empty_like(u)          # skew-symmetric (u . grad)u
-    for i, gu in enumerate(state.grad_u):
-        advect[i] = _advect_skew(u, u[i], gu, grid, parity=-1)
-    rhs = u + dt * (-advect + f_cap)
-
-    solve = _solver(
-        state.eta, lambda e: (1.0, -dt * e),
+    # the capillary force minus the skew-symmetric (u . grad)u
+    rhs = u + dt * (state.mu[None] * state.grad_phi
+                    - _advect_skew(u, u, state.grad_u, grid, parity=-1))
+    u_star = _solver(
+        rhs, u, state.eta, lambda e: (1.0, -dt * e),
         lambda de, x: -dt * div_arr(de[None] * grad_arr(x, grid, parity=-1),
                                     grid, parity=1),
         grid, solver_tol, parity=-1)
-    u_star = np.stack([solve(rhs[i], u[i]) for i in range(grid.d)])
     _check_blow_up("velocity", u_star, state.t)
 
     u_new, p_dt = project_divergence_free(u_star, grid)
     return replace(state, u=u_new, p=p_dt / dt,
-                   grad_u=_velocity_gradients(u_new, grid))
+                   grad_u=grad_arr(u_new, grid, parity=-1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Discrete fields on uniform rectangular grids and compatible operators.
 
 A field is a plain NumPy array of the grid's shape (scalar) or of
-(d,) + grid.shape (vector); every operator takes it as (array, grid).
+(d,) + grid.shape (vector); every operator takes it as (array, grid) and
+acts on its trailing grid.d axes, so that leading axes stack fields.
 
 Cell-centered collocated layout.  Gradient and divergence are central
 differences whose ghost values come from wraparound (periodic) or cell-
@@ -139,19 +140,20 @@ def _stencils(grid: Grid, parity: int):
 
 def _difference(f: np.ndarray, grid: Grid, parity: int, a: int, mat,
                 out=None) -> np.ndarray:
-    """(f[i+1] - f[i-1]) / 2h along axis a of grid, into out if given: one
-    BLAS product with mat, the axis's matrix from _stencils, or where mat
-    is None the difference of slices of f padded with its two ghost
-    layers, divided by 2h."""
+    """(f[i+1] - f[i-1]) / 2h along axis a of grid, the axis a - grid.d of
+    f, into out if given: one BLAS product with mat, the axis's matrix
+    from _stencils, or where mat is None the difference of slices of f
+    padded with its two ghost layers, divided by 2h."""
+    axis = f.ndim - grid.d + a
     if mat is not None:
-        return _along(f, mat, a, out)
-    lead = (slice(None),) * a
+        return _along(f, mat, axis, out)
+    lead = (slice(None),) * axis
     first, last = f[lead + (slice(0, 1),)], f[lead + (slice(-1, None),)]
     if grid.bc == "periodic":
         before, after = last, first
     else:
         before, after = parity * first, parity * last
-    padded = np.concatenate((before, f, after), axis=a)
+    padded = np.concatenate((before, f, after), axis=axis)
     out = np.subtract(padded[lead + (slice(2, None),)],
                       padded[lead + (slice(None, -2),)], out=out)
     out /= 2.0 * grid.h[a]
@@ -159,7 +161,7 @@ def _difference(f: np.ndarray, grid: Grid, parity: int, a: int, mat,
 
 
 def grad_arr(f: np.ndarray, grid: Grid, parity: int = 1) -> np.ndarray:
-    out = np.empty((grid.d,) + grid.shape)
+    out = np.empty((grid.d,) + f.shape)
     for a, mat in enumerate(_stencils(grid, parity)):
         _difference(f, grid, parity, a, mat, out[a])
     return out
@@ -255,24 +257,26 @@ def _bases(grid: Grid, parity: int):
 def _along(x: np.ndarray, mat: np.ndarray, axis: int,
            out=None) -> np.ndarray:
     """mat applied along axis of x, out[..., i, ...] = sum_j mat[i, j]
-    x[..., j, ...], into out if given: one BLAS call, the last axis and
-    axis 0 through a 2-D reshape, a middle one stacked."""
+    x[..., j, ...], into out if given: one matmul, the last axis through a
+    2-D reshape, the second-to-last as it is, any other folded to (lead, n,
+    rest); a stacked matmul is one BLAS call per leading index."""
     shape = x.shape
     if axis == x.ndim - 1:
         flat = None if out is None else out.reshape(-1, shape[-1])
         return np.matmul(x.reshape(-1, shape[-1]), mat.T,
                          out=flat).reshape(shape)
-    if axis == 0:
-        flat = None if out is None else out.reshape(shape[0], -1)
-        return np.matmul(mat, x.reshape(shape[0], -1), out=flat).reshape(shape)
-    return np.matmul(mat, x, out=out)
+    if axis == x.ndim - 2:
+        return np.matmul(mat, x, out=out)
+    folded = (math.prod(shape[:axis]), shape[axis], -1)
+    flat = None if out is None else out.reshape(folded)
+    return np.matmul(mat, x.reshape(folded), out=flat).reshape(shape)
 
 
 def _transform(x: np.ndarray, qs, back: bool) -> np.ndarray:
     """x with qs[a] (back: its transpose, the inverse) applied along each
-    axis a, the last axis first."""
+    grid axis a, the axis a - len(qs) of x, the last axis first."""
     for a in reversed(range(len(qs))):
-        x = _along(x, qs[a].T if back else qs[a], a)
+        x = _along(x, qs[a].T if back else qs[a], x.ndim - len(qs) + a)
     return x
 
 
@@ -333,10 +337,10 @@ def multiplier(grid: Grid, parity: int, coeffs: tuple) -> np.ndarray:
 def solve_symbol(b: np.ndarray, grid: Grid, mult: np.ndarray,
                  parity: int = 1) -> np.ndarray:
     """Apply a constant-coefficient operator built from the compatible
-    Laplacian, given its multiplier mult: an array of grid.shape in the
-    layout of lap_symbol(grid, parity).  The multiplier of an inverse is
-    multiplier(grid, parity, coeffs); an operator is applied by its own
-    symbol.
+    Laplacian to each field of b, given its multiplier mult: an array of
+    grid.shape in the layout of lap_symbol(grid, parity).  The multiplier
+    of an inverse is multiplier(grid, parity, coeffs); an operator is
+    applied by its own symbol.
 
     b is taken to the eigenbasis of the Laplacian at parity (_basis per
     axis: the real Fourier basis on periodic grids, the type-II DCT for

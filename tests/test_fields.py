@@ -200,6 +200,57 @@ class TestOperators:
                          for a in range(g.d))
         check(lap_arr(f, g), _ref_div(ref_grad, g, -1), spread_lap)
 
+    @pytest.mark.parametrize("bc", ["periodic", "neumann-noslip"])
+    @pytest.mark.parametrize("shape,lengths", [
+        ((7,), (1.3,)),
+        ((16, 12), (1.0, 0.7)),
+        ((32, 32), (1.0, 1.0)),
+        ((6, 5, 4), (1.0, 2.0, 0.3)),
+        ((STENCIL_MATRIX_MAX + 36,), (1.3,)),
+        ((STENCIL_MATRIX_MAX + 36, 8), (1.3, 1.0)),
+        ((STENCIL_MATRIX_MAX + 36, 5, 4), (1.3, 1.0, 0.3)),
+    ], ids=["1d", "2d", "2d-32", "3d", "1d-slice", "2d-slice", "3d-slice"])
+    def test_stacked_fields_give_the_per_field_results(self, shape, lengths,
+                                                       bc):
+        # the operators act on the trailing grid axes: a stack of three
+        # fields gives each field's own stencils bit for bit, on the
+        # matrix and on the slice path.  Only a 1-D field on the matrix
+        # path is a matrix-vector product (BLAS gemv) alone and a matrix
+        # product (gemm) in a stack, which an FMA kernel rounds
+        # differently: there each entry is held to the 2 eps of the
+        # reference stencil's bound on each side.  A spectral solve's
+        # products differ in summation order where gemv meets gemm and at
+        # some operand heights (32^2 here): up to 9 eps of the largest
+        # entry was measured, held to 16
+        g = Grid(shape, lengths, bc)
+        rng = np.random.default_rng(2)
+        f = rng.standard_normal((3,) + shape)
+        v = rng.standard_normal((g.d, 3) + shape)
+        eps = np.finfo(float).eps
+        exact = g.d > 1 or g.shape[0] > STENCIL_MATRIX_MAX
+
+        def same(stacked, alone, spread):
+            if exact:
+                assert np.array_equal(stacked, alone)
+            else:
+                assert np.all(np.abs(stacked - alone) <= 4 * eps * spread)
+
+        for parity in (1, -1):
+            grad = grad_arr(f, g, parity)
+            div = div_arr(v, g, parity)
+            assert grad.shape == (g.d, 3) + shape
+            assert div.shape == (3,) + shape
+            mult = multiplier(g, parity, (1.0, -0.3))
+            solved = solve_symbol(f, g, mult, parity)
+            for k in range(3):
+                same(grad[:, k], grad_arr(f[k], g, parity),
+                     np.stack([_ref_spread(f[k], g, a) for a in range(g.d)]))
+                same(div[k], div_arr(v[:, k], g, parity),
+                     sum(_ref_spread(v[a, k], g, a) for a in range(g.d)))
+                alone = solve_symbol(f[k], g, mult, parity)
+                assert (np.abs(solved[k] - alone).max()
+                        <= 16 * eps * np.abs(alone).max())
+
     def test_difference_operator_cached_read_only(self):
         # one tuple of matrices per (grid, parity): 1/2h above the
         # diagonal, -1/2h below, the ghost cells in the edge rows
